@@ -17,13 +17,11 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
-import numpy as np
-
 from .clustering import (
+    active_virtual_edges,
     check_refinement,
     contract_clustering,
-    contracted_weights,
-    floyd_warshall,
+    level_metrics,
     level_threshold,
     terminal_levels,
 )
@@ -320,7 +318,6 @@ def _structural_pass(trace, add):
         t = out.t
         view = inst.view(t)
         hier = out.hierarchy
-        dist = view.dist_matrix()
 
         ok = check_feasible(out.snapshot.edges, view.demands)
         add("feasible", None, t, ok)
@@ -343,33 +340,19 @@ def _structural_pass(trace, add):
         add("top-coclustering", None, t,
             all(top.assignment[u] == top.assignment[v] for u, v in view.demands))
 
-        prev_assignment = None
-        ids = D = None
-        pos = None
-        for i in range(hier.L + 1):
+        metrics = level_metrics(view.dist_matrix(), hier.clusterings)
+        for i, m in zip(range(hier.L + 1), metrics):
             cl = hier.clustering(i)
             cl_next = hier.clustering(i + 1)
-            if cl.assignment != prev_assignment:
-                ids, W = contracted_weights(dist, cl.assignment)
-                D = floyd_warshall(W)
-                pos = {cid: k for k, cid in enumerate(ids)}
-                prev_assignment = cl.assignment
-
-            act = [cid for cid in cl.cluster_ids if cl.cluster_level[cid] >= i]
-            if len(act) >= 2:
-                ai = np.array([pos[c] for c in act])
-                sub = D[np.ix_(ai, ai)].copy()
-                np.fill_diagonal(sub, np.iinfo(np.int64).max)
-                gap_ok = int(sub.min()) >= min(1 << i, 1 << 62)
-            else:
-                gap_ok = True
-            add("active-cluster-gap", i, t, gap_ok)
+            pos = {cid: k for k, cid in enumerate(m.ids)}
+            _, gap = active_virtual_edges(m.D, m.ids, cl.cluster_level, i)
+            add("active-cluster-gap", i, t, gap >= min(1 << i, 1 << 62))
 
             fi = out.forest.get(i, [])
             finh = [ve for ve in fi if ve.inherited]
 
             edges_ok = True
-            uf = UnionFind(act)
+            uf = UnionFind()
             for ve in fi:
                 if ve.c1 not in pos or ve.c2 not in pos or ve.c1 == ve.c2:
                     edges_ok = False
@@ -377,7 +360,7 @@ def _structural_pass(trace, add):
                 if cl.cluster_level[ve.c1] < i or cl.cluster_level[ve.c2] < i:
                     edges_ok = False
                     break
-                if int(D[pos[ve.c1], pos[ve.c2]]) >= level_threshold(i):
+                if int(m.D[pos[ve.c1], pos[ve.c2]]) >= level_threshold(i):
                     edges_ok = False
                     break
                 if not uf.union(ve.c1, ve.c2):

@@ -189,13 +189,7 @@ def cmd_run(args):
 def cmd_sweep(args):
     inst = _load_from_args(args)
     lams = []
-    for tok in args.lams.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        val = int(tok)
-        if val < 1:
-            raise ConfigError(f"lambda must be >= 1, got {val}")
+    for val in args.lams:
         if val in lams:
             print(f"warning: duplicate lambda {val} ignored", file=sys.stderr)
             continue
@@ -283,9 +277,7 @@ def cmd_oracle(args):
 def cmd_certify(args):
     trace = load_trace(args.trace)
     opt = _opt_map(trace.instance, args.oracle_limit)
-    levels = None
-    if args.levels != "all":
-        levels = [int(args.levels)]
+    levels = None if args.levels is None else [args.levels]
     report = check_run(trace, opt, with_witness=True, witness_levels=levels)
     out_dir = args.out or args.trace
     os.makedirs(out_dir, exist_ok=True)
@@ -295,6 +287,32 @@ def cmd_certify(args):
     if not args.quiet:
         sys.stdout.write(report.summary_text())
     return 0 if report.ok else 1
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors surface as ConfigError, so they print the coded error
+    line and exit 2 like every other configuration error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
+def _lambda_list(text):
+    """--lams: comma-separated integers >= 1; blank items are skipped."""
+    toks = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not all(tok.isdecimal() and int(tok) >= 1 for tok in toks):
+        raise argparse.ArgumentTypeError(f"want integers >= 1, got {text!r}")
+    return [int(tok) for tok in toks]
+
+
+def _level_choice(text):
+    """--levels: 'all' (None) or one level index >= 0."""
+    if text == "all":
+        return None
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"want 'all' or a level index >= 0, got {text!r}")
+    return int(text)
 
 
 def _add_common_flags(p):
@@ -312,8 +330,7 @@ def _add_instance_flags(p, with_input=True):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="sfonline",
-                                 description="online low-recourse Steiner forest harness")
+    ap = _Parser(prog="sfonline", description="online low-recourse Steiner forest harness")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance file")
@@ -338,7 +355,8 @@ def build_parser():
     p = sub.add_parser("sweep", help="run several lambdas on one instance")
     _add_common_flags(p)
     _add_instance_flags(p)
-    p.add_argument("--lams", required=True, help="comma-separated lambda list")
+    p.add_argument("--lams", required=True, type=_lambda_list,
+                   help="comma-separated lambda list")
     p.add_argument("--checks", choices=["none", "structural", "full-witness"],
                    default="structural")
     p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
@@ -361,7 +379,8 @@ def build_parser():
     p = sub.add_parser("certify", help="re-verify a recorded trace")
     _add_common_flags(p)
     p.add_argument("--trace", required=True)
-    p.add_argument("--levels", default="all", help="all or a single level index")
+    p.add_argument("--levels", default="all", type=_level_choice,
+                   help="all or a single level index")
     p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
     p.set_defaults(func=cmd_certify, out=None)  # default: CSV lands next to the trace
 
@@ -369,9 +388,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except OracleLimitError as err:
         print(f"error[{err.code}]: {err}", file=sys.stderr)

@@ -7,6 +7,11 @@ whose edges join active clusters at contracted distance strictly below
 2^(i+1). A terminal's level is ceil(log2 dist(v, mate(v))), computed via bit
 length so there is no floating point anywhere.
 
+Contracted distances are carried incrementally, never rebuilt: merging
+clusters is adding zero-weight edges, so each level's closed metric is the
+previous level's updated in O(K^2) per merge (ContractedMetric), and no
+Floyd-Warshall runs on any path.
+
 Everything here is deterministic: cluster ids are the minimum member
 terminal id, edges are ordered by (min endpoint, max endpoint), and
 shortest-path ties are broken toward the lexicographically smallest
@@ -41,10 +46,10 @@ class Clustering:
 
     assignment[k] is the cluster id of terminal k; cluster ids are canonical
     (minimum member id). Cluster level is the max member level; a cluster is
-    active at level j iff its level >= j (flags stored for j = self.i).
+    active at level j iff its level >= j.
     """
 
-    __slots__ = ("t", "i", "assignment", "cluster_ids", "members", "cluster_level", "active")
+    __slots__ = ("t", "i", "assignment", "cluster_ids", "members", "cluster_level")
 
     def __init__(self, t, i, assignment, term_levels):
         T = 2 * t
@@ -65,17 +70,10 @@ class Clustering:
         self.cluster_ids = tuple(sorted(members))
         self.members = members
         self.cluster_level = {cid: max(term_levels[k] for k in ms) for cid, ms in members.items()}
-        self.active = {cid: self.cluster_level[cid] >= i for cid in self.cluster_ids}
-
-    def cluster_of(self, k: int) -> int:
-        return self.assignment[k]
 
     def active_ids(self, i: int | None = None) -> tuple[int, ...]:
         j = self.i if i is None else i
         return tuple(cid for cid in self.cluster_ids if self.cluster_level[cid] >= j)
-
-    def same_partition(self, other: "Clustering") -> bool:
-        return self.assignment == other.assignment
 
 
 def make_clustering(view: InstanceView, i: int, assignment, term_levels=None) -> Clustering:
@@ -108,31 +106,81 @@ def check_refinement(fine: Clustering, coarse: Clustering) -> bool:
     return True
 
 
-def contracted_weights(dist: np.ndarray, assignment) -> tuple[tuple[int, ...], np.ndarray]:
-    """Super-edge weight matrix of the contracted graph.
+@dataclasses.dataclass(frozen=True, eq=False)
+class ContractedMetric:
+    """Exact shortest-path metric of a clustering's contracted graph.
 
-    W[p, q] = min original distance between members of cluster ids[p] and
-    ids[q]; zero diagonal. The graph is complete, so W is finite everywhere.
+    `ids` are the cluster ids (minimum member terminal) in ascending order,
+    `W` the one-hop super-edge weights (minimum original distance between
+    members, zero diagonal) and `D` their closure. Contracting clusters is
+    adding zero-weight edges, so a closed D is updated exactly in O(K^2) per
+    merged pair (Ausiello, Italiano, Marchetti-Spaccamela and Nanni,
+    "Incremental algorithms for minimal length paths", J. Algorithms 1991).
+    W and D are never written after construction, so metrics share arrays.
     """
-    asn = np.asarray(assignment)
-    ids = tuple(sorted(set(assignment)))
-    K = len(ids)
-    T = len(assignment)
-    rows = np.empty((K, T), dtype=np.int64)
-    for k, cid in enumerate(ids):
-        rows[k] = dist[asn == cid].min(axis=0)
-    W = np.empty((K, K), dtype=np.int64)
-    for k, cid in enumerate(ids):
-        W[:, k] = rows[:, asn == cid].min(axis=1)
-    np.fill_diagonal(W, 0)
-    return ids, W
+
+    ids: tuple[int, ...]
+    W: np.ndarray
+    D: np.ndarray
+
+    @classmethod
+    def trivial(cls, dist):
+        """Metric of the trivial clustering: the instance metric is closed."""
+        return cls(tuple(range(len(dist))), dist, dist)
+
+    @classmethod
+    def of(cls, dist, assignment):
+        """Metric of any canonical clustering, merged up from the trivial one
+        at O(T^2) per merged terminal: only for inputs with no finer metric."""
+        return cls.trivial(dist).coarsen(assignment)
+
+    def coarsen(self, assignment):
+        """Metric of a canonical clustering that this one refines."""
+        return self.merge((c, assignment[c]) for c in self.ids if assignment[c] != c)
+
+    def merge(self, pairs):
+        """Metric after joining the two clusters of every (id, id) pair."""
+        uf = UnionFind(self.ids)
+        pos = D = None
+        for a, b in pairs:
+            if not uf.union(a, b):
+                continue
+            if D is None:
+                pos = {cid: k for k, cid in enumerate(self.ids)}
+                D = self.D.copy()
+            # D[x, y] = min(D[x, y], D[x, a] + D[b, y], D[x, b] + D[a, y]); the
+            # second sum is the transpose of the first since D is symmetric.
+            # Entries are <= MAX_DIST, so a sum of two fits in int64.
+            via = D[:, pos[a], None] + D[pos[b]]
+            np.minimum(D, via, out=D)
+            np.minimum(D, via.T, out=D)
+        if D is None:
+            return self
+        # The root of a group is its smallest id, so groups sorted by root
+        # position come out in canonical order.
+        root = np.array([pos[uf.find(c)] for c in self.ids])
+        keep = np.flatnonzero(root == np.arange(len(root)))
+        order = np.argsort(root, kind="stable")
+        starts = np.searchsorted(root[order], keep)
+        W = np.minimum.reduceat(self.W[order], starts, axis=0)
+        W = np.minimum.reduceat(W[:, order], starts, axis=1)
+        return ContractedMetric(tuple(self.ids[k] for k in keep), W, D[np.ix_(keep, keep)])
 
 
-def floyd_warshall(W: np.ndarray) -> np.ndarray:
-    D = W.copy()
-    for k in range(len(D)):
-        np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
-    return D
+def level_metrics(dist, clusterings):
+    """Yield the contracted metric of each clustering of a recorded hierarchy.
+
+    A level that refines the next is followed by merging; anything else
+    (recorded hierarchies are untrusted) starts over from the trivial metric.
+    """
+    prev = metric = None
+    for cl in clusterings:
+        if prev is None or not check_refinement(prev, cl):
+            metric = ContractedMetric.of(dist, cl.assignment)
+        elif cl.assignment != prev.assignment:
+            metric = metric.coarsen(cl.assignment)
+        prev = cl
+        yield metric
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,85 +192,77 @@ class ClusterPath:
     edges: tuple[tuple[int, int], ...]
 
 
-def _super_assignment(assignment, contracted_by):
-    """Compose cluster assignment with union-find over contracted edges."""
-    uf = UnionFind(set(assignment))
-    for a, b in contracted_by:
-        uf.union(assignment[a], assignment[b])
-    return tuple(uf.find(cid) for cid in assignment), uf
-
-
 def _realize_hop(dist, members_p, members_q):
     """Cheapest original edge between two super-nodes.
 
     Ties broken by the lexicographically smallest normalized (min, max) pair.
     """
-    best = None
-    for a in members_p:
-        row = dist[a]
-        for b in members_q:
-            key = (int(row[b]), (a, b) if a < b else (b, a))
-            if best is None or key < best:
-                best = key
-    return best  # (weight, edge)
+    sub = dist[np.ix_(members_p, members_q)]
+    w = int(sub.min())
+    ends = ((members_p[x], members_q[y]) for x, y in np.argwhere(sub == w))
+    return w, min((min(a, b), max(a, b)) for a, b in ends)
 
 
-def cluster_distance(view: InstanceView, assignment, contracted_by, C1: int, C2: int) -> ClusterPath:
+def cluster_distance(view: InstanceView, assignment, contracted_by, C1: int, C2: int,
+                     metric: ContractedMetric | None = None) -> ClusterPath:
     """Shortest path between two clusters in the doubly contracted graph.
 
     The graph contracts each cluster of `assignment` to a vertex, then merges
     vertices joined by the original edges in `contracted_by`. Returns the
     distance together with the realized original edge of every hop; ties go
-    to the lexicographically smallest super-node id sequence.
+    to the lexicographically smallest super-node id sequence. `metric`, if
+    given, is the contracted metric of `assignment`; only the pairs of
+    `contracted_by` that cross clusters are merged into it.
     """
     if C1 not in assignment or C2 not in assignment:
         raise ConfigError(f"cluster {C1 if C1 not in assignment else C2} not in clustering")
     T = view.num_terminals
+    uf = UnionFind()
+    cross = []
     for a, b in contracted_by:
         if a >= T or b >= T:
             raise ConfigError("contracted_by touches a terminal that has not arrived")
-    sup, uf = _super_assignment(assignment, contracted_by)
+        if uf.union(assignment[a], assignment[b]):
+            cross.append((assignment[a], assignment[b]))
     src, dst = uf.find(C1), uf.find(C2)
     if src == dst:
         return ClusterPath(0, (src,), ())
 
     dist = view.dist_matrix()
-    ids, W = contracted_weights(dist, sup)
-    pos = {cid: k for k, cid in enumerate(ids)}
-    D = floyd_warshall(W)
+    if metric is None:
+        metric = ContractedMetric.of(dist, assignment)
+    m = metric.merge(cross)
+    W, D = m.W, m.D
+    pos = {cid: k for k, cid in enumerate(m.ids)}
+    members = {cid: [] for cid in m.ids}
+    for k, cid in enumerate(assignment):
+        members[uf.find(cid)].append(k)
     si, di = pos[src], pos[dst]
     total = int(D[si, di])
-
-    members = {cid: [] for cid in ids}
-    for k, cid in enumerate(sup):
-        members[cid].append(k)
+    to_dst = D[:, di]
 
     # Greedy walk: always step to the smallest super id that still completes
-    # a shortest path; super-edge weights are >= 1 so this terminates.
+    # a shortest path; super-edge weights are >= 1 so this terminates. The
+    # test W + D == total - sofar keeps to sums of two entries <= MAX_DIST,
+    # which fit in int64.
     nodes = [src]
     edges = []
-    cur = src
-    sofar = 0
-    while cur != dst:
-        ci = pos[cur]
-        nxt = None
-        for q in ids:
-            if q == cur:
-                continue
-            qi = pos[q]
-            if sofar + int(W[ci, qi]) + int(D[qi, di]) == total:
-                nxt = q
-                break
-        if nxt is None:
+    ci = si
+    rest = total
+    while ci != di:
+        hit = np.flatnonzero(W[ci] + to_dst == rest)
+        hit = hit[hit != ci]
+        if not hit.size:
             raise AssertionError("shortest-path walk stalled (internal bug)")
-        w, edge = _realize_hop(dist, members[cur], members[nxt])
-        if w != int(W[pos[cur], pos[nxt]]):
+        qi = int(hit[0])
+        w, edge = _realize_hop(dist, members[m.ids[ci]], members[m.ids[qi]])
+        if w != int(W[ci, qi]):
             raise AssertionError("realized hop weight mismatch (internal bug)")
-        sofar += w
+        rest -= w
         edges.append(edge)
-        nodes.append(nxt)
-        cur = nxt
-    if sofar != total:
+        nodes.append(m.ids[qi])
+        ci = qi
+    if rest != 0:
         raise AssertionError("path length mismatch (internal bug)")
     return ClusterPath(total, tuple(nodes), tuple(edges))
 
@@ -233,23 +273,24 @@ def level_threshold(i: int) -> int:
     return min(1 << (i + 1), 1 << 62)
 
 
-def _active_virtual_edges(D, ids, cl: Clustering, i: int):
-    """Edges of H_i given contracted distances D over `ids` (canonical order)."""
-    act = [cid for cid in ids if cl.cluster_level[cid] >= i]
+def active_virtual_edges(D, ids, cluster_level, i: int):
+    """(edges of H_i, least contracted distance between two i-active clusters)
+    given contracted distances D over `ids` (canonical order) and the level of
+    every cluster. With fewer than two active clusters the gap is 2^62."""
+    act = [k for k, cid in enumerate(ids) if cluster_level[cid] >= i]
     if len(act) < 2:
-        return (), act
-    pos = {cid: k for k, cid in enumerate(ids)}
-    ai = np.array([pos[c] for c in act])
-    sub = D[np.ix_(ai, ai)]
-    hit = np.argwhere(np.triu(sub < level_threshold(i), k=1))
-    return tuple((act[x], act[y]) for x, y in hit), act
+        return (), 1 << 62
+    x, y = np.triu_indices(len(act), k=1)  # row-major: canonical edge order
+    a = np.array(act)
+    dxy = D[a[x], a[y]]
+    close = np.flatnonzero(dxy < level_threshold(i))
+    return tuple((ids[act[x[k]]], ids[act[y[k]]]) for k in close), int(dxy.min())
 
 
 def virtual_graph(view: InstanceView, cl: Clustering) -> tuple[tuple[int, int], ...]:
     """Level-i virtual edges: i-active cluster pairs at contracted distance < 2^(i+1)."""
-    ids, W = contracted_weights(view.dist_matrix(), cl.assignment)
-    D = floyd_warshall(W)
-    edges, _ = _active_virtual_edges(D, ids, cl, cl.i)
+    m = ContractedMetric.of(view.dist_matrix(), cl.assignment)
+    edges, _ = active_virtual_edges(m.D, m.ids, cl.cluster_level, cl.i)
     return edges
 
 
@@ -262,6 +303,9 @@ class Hierarchy:
     clusterings: tuple[Clustering, ...]  # length L + 2
     vgraphs: tuple[tuple[tuple[int, int], ...], ...]  # length L + 1
     term_levels: tuple[int, ...]
+    # Contracted metric of C_0 .. C_L while the arrival is processed. Every
+    # arrival's hierarchy is kept, so its user empties the list when done.
+    metrics: list = dataclasses.field(default_factory=list, compare=False, repr=False)
 
     def clustering(self, i: int) -> Clustering:
         # Levels above the top alias C_{L+1} (with an empty virtual graph).
@@ -269,6 +313,9 @@ class Hierarchy:
 
     def virtual_edges(self, i: int) -> tuple[tuple[int, int], ...]:
         return self.vgraphs[i] if i <= self.L else ()
+
+    def metric(self, i: int) -> ContractedMetric | None:
+        return self.metrics[i] if i < len(self.metrics) else None
 
     @property
     def top(self) -> Clustering:
@@ -278,41 +325,31 @@ class Hierarchy:
 def build_hierarchy(view: InstanceView) -> Hierarchy:
     """Run the clustering procedure for one arrival prefix.
 
-    Contracted distances are recomputed only after levels that merged
-    something; a level that merges nothing keeps the same partition and
-    therefore the same contracted metric.
+    Each level's contracted metric is the previous one with that level's
+    virtual edges merged in; a level that merges nothing keeps it as is.
     """
     if view.t < 1:
         raise ConfigError("hierarchy needs at least one arrived pair")
     levels = terminal_levels(view)
     L = max(levels)
-    dist = view.dist_matrix()
 
     cl = trivial_clustering(view, levels)
     clusterings = [cl]
     vgraphs = []
-    ids = None
-    D = None
+    metric = ContractedMetric.trivial(view.dist_matrix())
+    metrics = []
     for i in range(L + 1):
-        if D is None:
-            ids, W = contracted_weights(dist, cl.assignment)
-            D = floyd_warshall(W)
-        edges, act = _active_virtual_edges(D, ids, cl, i)
-
+        metrics.append(metric)
+        edges, gap = active_virtual_edges(metric.D, metric.ids, cl.cluster_level, i)
         # Distinct i-active clusters must sit at contracted distance >= 2^i:
         # level i-1 already merged anything closer.
-        if len(act) >= 2:
-            pos = {cid: k for k, cid in enumerate(ids)}
-            ai = np.array([pos[c] for c in act])
-            sub = D[np.ix_(ai, ai)].copy()
-            np.fill_diagonal(sub, np.iinfo(np.int64).max)
-            if int(sub.min()) < min(1 << i, 1 << 62):
-                raise AssertionError(f"active clusters too close at level {i} (internal bug)")
+        if gap < min(1 << i, 1 << 62):
+            raise AssertionError(f"active clusters too close at level {i} (internal bug)")
 
         vgraphs.append(edges)
         if edges:
             cl = contract_clustering(cl, edges, i + 1, levels)
-            D = None
+            metric = metric.merge(edges)
         else:
             cl = Clustering(view.t, i + 1, cl.assignment, levels)
         clusterings.append(cl)
@@ -321,7 +358,7 @@ def build_hierarchy(view: InstanceView) -> Hierarchy:
     for u, v in view.demands:
         if top.assignment[u] != top.assignment[v]:
             raise AssertionError("demand pair split at the top clustering (internal bug)")
-    return Hierarchy(view.t, L, tuple(clusterings), tuple(vgraphs), levels)
+    return Hierarchy(view.t, L, tuple(clusterings), tuple(vgraphs), levels, metrics)
 
 
 def dump_hierarchy(h: Hierarchy) -> str:

@@ -85,9 +85,6 @@ class PinnedSet:
     def edges(self) -> tuple[Edge, ...]:
         return tuple(self._order)
 
-    def pin_arrival(self, e: Edge) -> int:
-        return self._pin_arrival[e]
-
     def items(self) -> tuple[tuple[Edge, int], ...]:
         return tuple((e, self._pin_arrival[e]) for e in self._order)
 
@@ -215,7 +212,8 @@ def pin_and_realize(view, hier, pending, pinned, lam, t):
     events: list[PinEvent] = []
     for ve in pending:
         cl = hier.clustering(ve.level)
-        path = cluster_distance(view, cl.assignment, pinned.edges(), ve.c1, ve.c2)
+        path = cluster_distance(view, cl.assignment, pinned.edges(), ve.c1, ve.c2,
+                                hier.metric(ve.level))
         eorig = frozenset(path.edges)
         ve.eorig = eorig
         ve.created_at = t
@@ -317,6 +315,7 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
         cinh[i] = cinh_i
 
     events, buffer_end = pin_and_realize(view, hier, pending, state.pinned, state.lam, t)
+    hier.metrics.clear()
     pins_added = sum(len(ev.edges) for ev in events)
 
     F = set(state.pinned.edges())

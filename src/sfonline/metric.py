@@ -40,11 +40,6 @@ def mate(k: int) -> int:
     return k ^ 1
 
 
-def pair_of(k: int) -> int:
-    """1-based arrival index of the pair owning terminal k."""
-    return k // 2 + 1
-
-
 @dataclasses.dataclass(frozen=True)
 class MetricViolation:
     kind: str  # shape | diagonal | symmetry | range | triangle

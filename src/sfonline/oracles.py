@@ -16,11 +16,10 @@ from __future__ import annotations
 import dataclasses
 
 from .clustering import (
+    ContractedMetric,
+    active_virtual_edges,
     build_hierarchy,
     cluster_distance,
-    contracted_weights,
-    floyd_warshall,
-    level_threshold,
     terminal_level,
 )
 from .errors import ConfigError, OracleLimitError
@@ -142,7 +141,7 @@ def offline_gluttonous_forest(view: InstanceView) -> OfflineForestResult:
         f_inh, f_rest = select_spanning_forest(h.virtual_edges(i), ())
         cl = h.clustering(i)
         for c1, c2 in f_inh + f_rest:
-            path = cluster_distance(view, cl.assignment, (), c1, c2)
+            path = cluster_distance(view, cl.assignment, (), c1, c2, h.metric(i))
             edges.update(path.edges)
         counts.append(len(cl.cluster_ids) - len(h.clustering(i + 1).cluster_ids))
     cost = sum(view.d(a, b) for a, b in edges)
@@ -184,39 +183,21 @@ class OnlineGluttonousState:
         self.bought: set = set()
 
     def _merge_pass(self, view):
-        dist = view.dist_matrix()
-        maxlev = max(self.levels)
-        for i in range(maxlev + 1):
-            cache = None
+        metric = ContractedMetric.of(view.dist_matrix(), self.assignment)
+        lvl = {}
+        for k, cid in enumerate(self.assignment):
+            lvl[cid] = max(lvl.get(cid, 0), self.levels[k])
+        for i in range(max(self.levels) + 1):
             while True:
-                if cache is None:
-                    ids, W = contracted_weights(dist, self.assignment)
-                    D = floyd_warshall(W)
-                    pos = {cid: k for k, cid in enumerate(ids)}
-                    lvl = {}
-                    for k, cid in enumerate(self.assignment):
-                        lvl[cid] = max(lvl.get(cid, 0), self.levels[k])
-                    cache = (ids, D, pos, lvl)
-                ids, D, pos, lvl = cache
-                act = [cid for cid in ids if lvl[cid] >= i]
-                thr = level_threshold(i)
-                hit = None
-                for x in range(len(act)):
-                    for y in range(x + 1, len(act)):
-                        if D[pos[act[x]], pos[act[y]]] < thr:
-                            hit = (act[x], act[y])
-                            break
-                    if hit:
-                        break
-                if hit is None:
+                hits, _ = active_virtual_edges(metric.D, metric.ids, lvl, i)
+                if not hits:
                     break
-                c1, c2 = hit
-                path = cluster_distance(view, tuple(self.assignment), (), c1, c2)
+                c1, c2 = hits[0]  # c1 < c2
+                path = cluster_distance(view, tuple(self.assignment), (), c1, c2, metric)
                 self.bought.update(path.edges)
-                keep = min(c1, c2)
-                drop = max(c1, c2)
-                self.assignment = [keep if c == drop else c for c in self.assignment]
-                cache = None
+                self.assignment = [c1 if c == c2 else c for c in self.assignment]
+                lvl[c1] = max(lvl[c1], lvl.pop(c2))
+                metric = metric.merge([(c1, c2)])
 
     def step(self, pair) -> BaselineStep:
         t = self.t + 1

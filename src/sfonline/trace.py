@@ -17,9 +17,8 @@ import os
 
 from .clustering import (
     Hierarchy,
-    _active_virtual_edges,
-    contracted_weights,
-    floyd_warshall,
+    active_virtual_edges,
+    level_metrics,
     make_clustering,
     terminal_levels,
 )
@@ -170,7 +169,8 @@ def save_trace(trace: RunTrace, dirpath) -> None:
     for out in trace.arrivals:
         path = os.path.join(dirpath, f"arrival_{out.t:04d}.json")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(_arrival_payload(out), fh, sort_keys=True, separators=(",", ":"))
+            # json.dumps uses the C encoder; json.dump to a file never does.
+            fh.write(json.dumps(_arrival_payload(out), sort_keys=True, separators=(",", ":")))
             fh.write("\n")
 
 
@@ -201,17 +201,9 @@ def _hierarchy_from_payload(view, payload, levels) -> Hierarchy:
     # Virtual graphs are definitional; recompute them from the recorded
     # clusterings so conformance checks see the same H_i any implementation
     # must have used.
-    dist = view.dist_matrix()
     vgraphs = []
-    prev_assignment = None
-    ids = D = None
-    for i in range(L + 1):
-        cl = clusterings[i]
-        if cl.assignment != prev_assignment:
-            ids, W = contracted_weights(dist, cl.assignment)
-            D = floyd_warshall(W)
-            prev_assignment = cl.assignment
-        edges, _ = _active_virtual_edges(D, ids, cl, i)
+    for i, m in zip(range(L + 1), level_metrics(view.dist_matrix(), clusterings)):
+        edges, _ = active_virtual_edges(m.D, m.ids, clusterings[i].cluster_level, i)
         vgraphs.append(edges)
     return Hierarchy(view.t, L, clusterings, tuple(vgraphs), levels)
 

@@ -7,10 +7,6 @@ class UnionFind:
         for x in items:
             self.parent[x] = x
 
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-
     def find(self, x):
         if x not in self.parent:
             self.parent[x] = x
@@ -33,10 +29,3 @@ class UnionFind:
 
     def connected(self, a, b):
         return self.find(a) == self.find(b)
-
-    def groups(self):
-        """Map root -> sorted members, roots canonical (minimum member)."""
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return {r: sorted(ms) for r, ms in out.items()}

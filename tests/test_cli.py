@@ -168,3 +168,25 @@ def test_certify_single_level(tmp_path, w1_file, capsys):
     body = read(out / "trace" / "certify.csv").decode()
     assert "value-identity,2," in body
     assert "value-identity,0," not in body
+
+
+@pytest.mark.parametrize("levels", ["x", "-1", ""])
+def test_certify_rejects_bad_levels(tmp_path, w1_file, capsys, levels):
+    out = tmp_path / "r"
+    assert main(["run", "--input", w1_file, "--lam", "1", "--out", str(out),
+                 "--quiet"]) == 0
+    capsys.readouterr()
+    rc = main(["certify", "--trace", str(out / "trace"), "--levels", levels])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error[E_CONFIG]" in err and "Traceback" not in err
+    assert not (out / "trace" / "certify.csv").exists()
+
+
+@pytest.mark.parametrize("lams", ["1,a", "1,0", "2,-1"])
+def test_sweep_rejects_bad_lams(tmp_path, w1_file, capsys, lams):
+    rc = main(["sweep", "--input", w1_file, "--lams", lams, "--out",
+               str(tmp_path / "s"), "--quiet"])
+    assert rc == 2
+    assert "error[E_CONFIG]" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()

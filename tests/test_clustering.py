@@ -1,25 +1,67 @@
 import heapq
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from sfonline.clustering import (
     ClusterPath,
+    ContractedMetric,
     build_hierarchy,
     check_refinement,
     cluster_distance,
-    contracted_weights,
     dump_hierarchy,
-    floyd_warshall,
+    level_metrics,
     make_clustering,
     terminal_level,
     trivial_clustering,
     virtual_graph,
 )
 from sfonline.errors import ConfigError
-from sfonline.metric import GeneratorSpec, generate_instance
+from sfonline.metric import MAX_DIST, GeneratorSpec, generate_instance
 
 from conftest import line_instance
+
+
+# ---------------------------------------------------------------------------
+# Reference contracted metric: per-cluster minima, then Floyd-Warshall.
+# ---------------------------------------------------------------------------
+
+def contracted_weights(dist, assignment):
+    """(ids, W): W[p, q] = min original distance between members of
+    clusters ids[p] and ids[q]; zero diagonal."""
+    asn = np.asarray(assignment)
+    ids = tuple(sorted(set(assignment)))
+    K = len(ids)
+    rows = np.empty((K, len(assignment)), dtype=np.int64)
+    for k, cid in enumerate(ids):
+        rows[k] = dist[asn == cid].min(axis=0)
+    W = np.empty((K, K), dtype=np.int64)
+    for k, cid in enumerate(ids):
+        W[:, k] = rows[:, asn == cid].min(axis=1)
+    np.fill_diagonal(W, 0)
+    return ids, W
+
+
+def floyd_warshall(W):
+    D = W.copy()
+    for k in range(len(D)):
+        np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
+    return D
+
+
+def assert_matches_reference(metric, dist, assignment):
+    ids, W = contracted_weights(dist, assignment)
+    assert metric.ids == ids
+    assert np.array_equal(metric.W, W)
+    assert np.array_equal(metric.D, floyd_warshall(W))
+
+
+def random_assignment(rng, T, groups):
+    labels = [rng.randrange(groups) for _ in range(T)]
+    anchor = {lab: min(k for k in range(T) if labels[k] == lab) for lab in set(labels)}
+    return tuple(anchor[lab] for lab in labels)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +293,97 @@ def test_hierarchy_deterministic(w1):
     assert dump_hierarchy(h1) == dump_hierarchy(h2)
     assert [c.assignment for c in h1.clusterings] == [c.assignment for c in h2.clusterings]
     assert h1.vgraphs == h2.vgraphs
+
+
+def test_contracted_metric_of_matches_reference():
+    rng = random.Random(11)
+    for kind in ("euclidean", "random-metric", "line-chain"):
+        for seed in range(4):
+            inst = generate_instance(GeneratorSpec(kind=kind, n=9, seed=seed, scale=200))
+            dist = inst.view(9).dist_matrix()
+            triv = ContractedMetric.of(dist, tuple(range(18)))
+            assert triv.ids == tuple(range(18)) and triv.D is dist
+            for groups in (1, 2, 5, 12, 18):
+                assignment = random_assignment(rng, 18, groups)
+                assert_matches_reference(ContractedMetric.of(dist, assignment), dist,
+                                         assignment)
+
+
+def test_contracted_metric_random_merge_orders():
+    rng = random.Random(12)
+    for seed in range(6):
+        inst = generate_instance(GeneratorSpec(kind="random-metric", n=8, seed=seed,
+                                               scale=100))
+        dist = inst.view(8).dist_matrix()
+        metric = ContractedMetric.trivial(dist)
+        assignment = list(range(16))
+        while len(metric.ids) > 1:
+            # A random batch of pairs, some repeated or already joined.
+            batch = [tuple(rng.sample(metric.ids, 2)) for _ in range(rng.randint(1, 3))]
+            batch += batch[:1]
+            metric = metric.merge(batch)
+            for a, b in batch:
+                ra, rb = assignment[a], assignment[b]
+                lo, hi = min(ra, rb), max(ra, rb)
+                assignment = [lo if c == hi else c for c in assignment]
+            assert_matches_reference(metric, dist, assignment)
+
+
+def test_level_metrics_follow_and_fall_back():
+    inst = generate_instance(GeneratorSpec(kind="euclidean", n=6, seed=2, scale=100))
+    view = inst.view(6)
+    h = build_hierarchy(view)
+    dist = view.dist_matrix()
+    for cl, metric in zip(h.clusterings, level_metrics(dist, h.clusterings)):
+        assert_matches_reference(metric, dist, cl.assignment)
+    # A sequence that does not refine: top, then trivial, then top again.
+    seq = [h.top, trivial_clustering(view), h.top]
+    for cl, metric in zip(seq, level_metrics(dist, seq)):
+        assert_matches_reference(metric, dist, cl.assignment)
+    # build_hierarchy carried the same metrics level to level.
+    for i, metric in enumerate(h.metrics):
+        assert_matches_reference(metric, dist, h.clustering(i).assignment)
+
+
+def test_cluster_distance_level_metric_with_pins_matches_brute():
+    rng = random.Random(13)
+    for kind in ("euclidean", "random-metric", "line-chain"):
+        inst = generate_instance(GeneratorSpec(kind=kind, n=6, seed=3, scale=50))
+        view = inst.view(6)
+        h = build_hierarchy(view)
+        all_edges = list(itertools.combinations(range(12), 2))
+        for i in range(h.L + 1):
+            cl = h.clustering(i)
+            pins = rng.sample(all_edges, rng.randint(0, 5))
+            for C1, C2 in itertools.combinations(cl.cluster_ids, 2):
+                path = cluster_distance(view, cl.assignment, pins, C1, C2, h.metric(i))
+                assert path == cluster_distance(view, cl.assignment, pins, C1, C2)
+                brute = brute_contracted_distance(view, cl.assignment, pins, C1, C2)
+                assert path.distance == brute
+                assert path.distance == sum(view.d(a, b) for a, b in path.edges)
+
+
+def test_contracted_metric_near_max_dist():
+    # Points on a line spanning MAX_DIST, with pairs at levels up to 62:
+    # W + D sums come within two of 2^63, and merging must still not wrap.
+    positions = [0, MAX_DIST, 1, MAX_DIST - 1, 2, 2**61, 3, 2**40]
+    inst = line_instance(positions)
+    view = inst.view(4)
+    dist = view.dist_matrix()
+    for assignment in ((0, 0, 2, 3, 4, 5, 6, 6), (0, 1, 1, 3, 4, 4, 6, 7),
+                       (0, 1, 2, 3, 4, 5, 6, 7)):
+        metric = ContractedMetric.of(dist, assignment)
+        assert_matches_reference(metric, dist, assignment)
+        cids = sorted(set(assignment))
+        for C1, C2 in itertools.combinations(cids, 2):
+            path = cluster_distance(view, assignment, [], C1, C2, metric)
+            assert path.distance == brute_contracted_distance(view, assignment, [], C1, C2)
+            assert path.distance <= MAX_DIST
+        path = cluster_distance(view, assignment, [(0, 7)], 0, 6, metric)
+        assert path.distance == brute_contracted_distance(view, assignment, [(0, 7)], 0, 6)
+    h = build_hierarchy(view)
+    for i in range(h.L + 1):
+        assert_matches_reference(h.metric(i), dist, h.clustering(i).assignment)
 
 
 def test_contracted_weights_matches_brute():
