@@ -4,13 +4,19 @@ The algorithm is exact and deterministic, so a change that only makes it
 faster must leave every output byte unchanged. Each grid cell runs `run`,
 `compare` and `certify` and compares sha256 digests (first 16 hex digits) of
 their outputs with the values recorded below. The oracle limit is kept small
-so the exact optimum, which no cell is about, stays cheap.
+there so the exact optimum, which no cell is about, stays cheap.
+
+The exact oracle has its own gate at the default limit of 9: the `oracle`
+stdout (cost and the chosen partition) on small-scale instances, where many
+partitions tie for the optimum, and the OPT column of `per_arrival.csv`.
 
 To re-record after an intended output change: `PYTHONPATH=src python
-tests/test_golden.py` prints the table.
+tests/test_golden.py` prints the tables.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 
 import pytest
@@ -54,6 +60,24 @@ GOLDEN = {
 }
 
 
+# (kind, t) -> `oracle --t t` stdout on `--n 9 --scale 3 --seed 1`
+GOLDEN_ORACLE = {
+    ('euclidean', 6): 'OPT 11\n0 1 2 3 8 9 10 11\n4 5 6 7\n',
+    ('euclidean', 9): 'OPT 14\n0 1 2 3 6 7 8 9 10 11\n4 5 14 15\n12 13\n16 17\n',
+    ('random-metric', 6): 'OPT 10\n0 1\n2 3 4 5 6 7 10 11\n8 9\n',
+    ('random-metric', 9): 'OPT 14\n0 1 2 3 4 5\n6 7 10 11 14 15\n8 9 12 13\n16 17\n',
+    ('line-chain', 6): 'OPT 1365\n0 1\n2 3\n4 5\n6 7\n8 9\n10 11\n',
+    ('line-chain', 9): 'OPT 87381\n0 1\n2 3\n4 5\n6 7\n8 9\n10 11\n12 13\n14 15\n16 17\n',
+}
+
+# kind -> OPT column of `run --n 10 --seed 2` per_arrival.csv, default limit
+GOLDEN_OPT_COLUMN = {
+    'euclidean': ('1246', '1356', '1516', '1934', '2148', '2220', '2582', '2665', '2741', ''),
+    'random-metric': ('160', '210', '305', '367', '856', '1147', '1156', '1431', '1682', ''),
+    'line-chain': ('1', '5', '21', '85', '341', '1365', '5461', '21845', '87381', ''),
+}
+
+
 def _digest(paths):
     h = hashlib.sha256()
     for path in paths:
@@ -82,6 +106,33 @@ def cell_digests(root, kind, n, lam):
             _digest([os.path.join(cert_dir, "certify.csv")]))
 
 
+def oracle_stdout(root, kind, t):
+    inst = os.path.join(root, f"{kind}.sfo")
+    assert main(["gen", "--kind", kind, "--n", "9", "--scale", "3", "--seed", "1",
+                 "--file", inst, "--quiet"]) == 0
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["oracle", "--input", inst, "--t", str(t)]) == 0
+    return buf.getvalue()
+
+
+def opt_column(root, kind):
+    out = os.path.join(root, f"run_{kind}")
+    assert main(["run", "--kind", kind, "--n", "10", "--seed", "2", "--checks", "none",
+                 "--out", out, "--quiet"]) == 0
+    with open(os.path.join(out, "per_arrival.csv"), encoding="utf-8") as fh:
+        rows = fh.read().splitlines()
+    col = rows[0].split(",").index("OPT")
+    return tuple(row.split(",")[col] for row in rows[1:])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_golden_oracle(tmp_path, kind):
+    for t in (6, 9):
+        assert oracle_stdout(str(tmp_path), kind, t) == GOLDEN_ORACLE[(kind, t)]
+    assert opt_column(str(tmp_path), kind) == GOLDEN_OPT_COLUMN[kind]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_golden_outputs(tmp_path, kind):
     got = {}
@@ -101,3 +152,10 @@ if __name__ == "__main__":
                 for lam in LAMS:
                     dig = cell_digests(os.path.join(tmp, f"{kind}_{n}_{lam}"), kind, n, lam)
                     print(f"    ({kind!r}, {n}, {lam}): {dig!r},")
+        print()
+        for kind in KINDS:
+            for t in (6, 9):
+                print(f"    ({kind!r}, {t}): {oracle_stdout(tmp, kind, t)!r},")
+        print()
+        for kind in KINDS:
+            print(f"    {kind!r}: {opt_column(tmp, kind)!r},")
