@@ -42,7 +42,6 @@ class RunConfig:
     instance: Instance
     lam: int
     checks: str = "structural"  # none | structural | full-witness
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT
     out_dir: str = "out"
     nhat_doubling: bool = False
     dump_hierarchy: bool = False
@@ -70,10 +69,11 @@ def _default_lam(n: int) -> int:
 
 
 def _opt_map(inst: Instance, limit: int):
-    out = {}
-    for t in range(1, min(inst.n, limit) + 1):
-        out[t] = exact_optimum(inst.view(t), limit).cost
-    return out
+    """{t: OPT of the first t pairs} for t up to the oracle limit."""
+    k = min(inst.n, limit)
+    if k < 1:
+        return {}
+    return dict(enumerate(exact_optimum(inst.view(k), limit).prefix_costs, 1))
 
 
 PER_ARRIVAL_HEADER = ("t,cost_F,cost_A,cost_forestforming,OPT,insertions,deletions,"
@@ -95,11 +95,11 @@ def _per_arrival_rows(trace: RunTrace, opt):
     return "\n".join(rows) + "\n"
 
 
-def run_command(cfg: RunConfig):
-    """Execute one online run: CSV + summary + trace (+ optional certification)."""
+def run_command(cfg: RunConfig, opt):
+    """Execute one online run: CSV + summary + trace (+ optional certification).
+    `opt` is the instance's `_opt_map`."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     trace = run_online(cfg.instance, cfg.lam, nhat_doubling=cfg.nhat_doubling)
-    opt = _opt_map(cfg.instance, cfg.oracle_limit)
 
     csv_path = os.path.join(cfg.out_dir, "per_arrival.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -176,13 +176,12 @@ def cmd_run(args):
         instance=inst,
         lam=lam,
         checks=args.checks,
-        oracle_limit=args.oracle_limit,
         out_dir=args.out,
         nhat_doubling=args.nhat_doubling,
         dump_hierarchy=args.dump_hierarchy,
         quiet=args.quiet,
     )
-    _, _, status = run_command(cfg)
+    _, _, status = run_command(cfg, _opt_map(inst, args.oracle_limit))
     return status
 
 
@@ -205,9 +204,8 @@ def cmd_sweep(args):
     status = 0
     for lam in lams:
         cfg = RunConfig(instance=inst, lam=lam, checks=args.checks,
-                        oracle_limit=args.oracle_limit,
                         out_dir=os.path.join(args.out, f"lam_{lam}"), quiet=True)
-        trace, _, st = run_command(cfg)
+        trace, _, st = run_command(cfg, opt)
         status = max(status, st)
         cost = trace.final().snapshot.cost
         ins = trace.ledger.insertions_total

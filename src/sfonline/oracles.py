@@ -1,14 +1,14 @@
 """Reference solvers: exact optimum and the baseline algorithms.
 
-The exact optimum enumerates partitions of the demand pairs and sums one
+The exact optimum is the cheapest partition of the demand pairs, summing one
 minimum spanning tree per group. In the terminal-only metric model this is
 exact: every connected component of an optimal forest touches whole pairs
 only (a terminal is in a component iff its mate is, since pairs must be
 connected), so the optimum equals the best pairs-partition with each group
 connected as cheaply as possible, and with all vertices being terminals the
-cheapest connector of a group is its MST. Enumeration runs in canonical
-restricted-growth order; Bell(9) = 21147 partitions keep the default limit
-of 9 pairs instant.
+cheapest connector of a group is its MST. A subset DP over pair bitmasks
+(Dreyfus and Wagner, 1971) finds the best partition from the 2^k - 1 group
+MSTs in O(3^k) steps, and gives the optimum of every prefix on the way.
 """
 
 from __future__ import annotations
@@ -30,57 +30,43 @@ from .unionfind import UnionFind
 DEFAULT_ORACLE_LIMIT = 9
 
 
-def prim_mst(view: InstanceView, terminals):
-    """(cost, edges) of the MST over `terminals` in the submetric.
+def prim_mst(d, terminals):
+    """(cost, edges) of the MST over the nonempty `terminals` of the metric
+    `d` (a list of rows of Python ints, so the cost is exact).
 
     Canonical vertex order: start at the smallest id, break key ties toward
     the smaller vertex and the smaller parent. Cost is unique regardless.
     """
-    terms = sorted(terminals)
-    if len(terms) <= 1:
-        return 0, frozenset()
-    in_tree = {terms[0]}
-    key = {}
-    parent = {}
-    for y in terms[1:]:
-        key[y] = view.d(terms[0], y)
-        parent[y] = terms[0]
-    edges = []
-    cost = 0
-    while key:
-        y = min(key, key=lambda v: (key[v], v))
-        k = key.pop(y)
-        p = parent.pop(y)
-        cost += k
+    rest = sorted(terminals)
+    root = rest.pop(0)
+    key = [d[root][y] for y in rest]
+    parent = [root] * len(rest)
+    cost, edges = 0, []
+    while rest:
+        j = key.index(min(key))
+        cost += key.pop(j)
+        p, y = parent.pop(j), rest.pop(j)
         edges.append((p, y) if p < y else (y, p))
-        in_tree.add(y)
-        for z in key:
-            d = view.d(y, z)
-            if d < key[z] or (d == key[z] and y < parent[z]):
-                key[z] = d
-                parent[z] = y
+        row = d[y]
+        for i, z in enumerate(rest):
+            if row[z] < key[i] or (row[z] == key[i] and y < parent[i]):
+                key[i], parent[i] = row[z], y
     return cost, frozenset(edges)
 
 
-def pair_partitions(k: int):
-    """All partitions of range(k) in restricted-growth-string order."""
-    if k == 0:
-        yield []
-        return
-    a = [0] * k
+def _pairs(mask):
+    """Pair indices in the bitmask `mask`, increasing."""
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
 
-    def rec(j, used):
-        if j == k:
-            blocks = [[] for _ in range(used)]
-            for idx, b in enumerate(a):
-                blocks[b].append(idx)
-            yield blocks
-            return
-        for b in range(used + 1):
-            a[j] = b
-            yield from rec(j + 1, used + (1 if b == used else 0))
 
-    yield from rec(1, 1)  # a[0] = 0 fixed
+def _growth_string(S, G, sub):
+    """Restricted-growth string of the partition {G} + `sub`'s of S, G ∋ min(S).
+
+    Positions are S's pairs in increasing order: G's get 0, the others 1 plus
+    their label in `sub`, the string of S minus G.
+    """
+    it = iter(sub)
+    return tuple(0 if G >> p & 1 else next(it) + 1 for p in _pairs(S))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,39 +74,53 @@ class OptimumResult:
     cost: int
     partition: tuple  # tuple of tuples of 0-based pair indices
     forest: frozenset  # union of per-group MST edges
+    prefix_costs: tuple  # prefix_costs[s - 1] is the optimum of the first s pairs
 
 
 def exact_optimum(view: InstanceView, limit: int = DEFAULT_ORACLE_LIMIT) -> OptimumResult:
-    """Exact Steiner forest optimum of the current prefix.
-
-    Ties between partitions go to the first one in enumeration order.
-    """
+    """Exact Steiner forest optimum of the current prefix (and, in
+    `prefix_costs`, of every shorter one). Ties between partitions go to the
+    smallest restricted-growth string, the first in canonical enumeration."""
     t = view.t
     if t < 1:
         raise ConfigError("exact optimum needs at least one arrived pair")
     if t > limit:
         raise OracleLimitError(f"{t} pairs exceed the oracle limit of {limit}")
-    mst_cache: dict[frozenset, tuple[int, frozenset]] = {}
+    d = view.dist_matrix().tolist()  # Python ints, so no sum wraps
+    full = (1 << t) - 1
+    msts = [(0, frozenset())] + [prim_mst(d, [x for p in _pairs(G) for x in (2 * p, 2 * p + 1)])
+                                 for G in range(1, full + 1)]
+    mst = [c for c, _ in msts]
 
-    def group_cost(block):
-        key = frozenset(block)
-        hit = mst_cache.get(key)
-        if hit is None:
-            terms = [x for p in block for x in (2 * p, 2 * p + 1)]
-            hit = prim_mst(view, terms)
-            mst_cache[key] = hit
-        return hit
+    # f(S) = min over G ∋ min(S) of mst(G) + f(S - G), on (cost, growth string).
+    cost = [0] * (full + 1)
+    choice = [0] * (full + 1)
+    rgs = [()] * (full + 1)
+    for S in range(1, full + 1):
+        low = S & -S
+        rest = S ^ low
+        best, best_g = mst[S], S
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            G = sub | low
+            c = mst[G] + cost[S ^ G]
+            if c < best:
+                best, best_g = c, G
+            elif c == best and (_growth_string(S, G, rgs[S ^ G])
+                                < _growth_string(S, best_g, rgs[S ^ best_g])):
+                best_g = G
+        cost[S], choice[S] = best, best_g
+        rgs[S] = _growth_string(S, best_g, rgs[S ^ best_g])
 
-    best = None
-    best_blocks = None
-    for blocks in pair_partitions(t):
-        cost = sum(group_cost(blk)[0] for blk in blocks)
-        if best is None or cost < best:
-            best = cost
-            best_blocks = [list(blk) for blk in blocks]
-    forest = frozenset().union(*(group_cost(blk)[1] for blk in best_blocks))
-    partition = tuple(tuple(blk) for blk in best_blocks)
-    return OptimumResult(int(best), partition, forest)
+    groups = []
+    S = full
+    while S:
+        groups.append(choice[S])
+        S ^= choice[S]
+    forest = frozenset().union(*(msts[G][1] for G in groups))
+    prefix = tuple(cost[(1 << s) - 1] for s in range(1, t + 1))
+    return OptimumResult(cost[full], tuple(tuple(_pairs(G)) for G in groups), forest, prefix)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -11,6 +11,7 @@ checked for conformance.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -208,78 +209,98 @@ def _hierarchy_from_payload(view, payload, levels) -> Hierarchy:
     return Hierarchy(view.t, L, clusterings, tuple(vgraphs), levels)
 
 
+def _int(value):
+    """`value` if it is an integer (not a bool), else TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"want an integer, got {value!r}")
+    return value
+
+
+@contextlib.contextmanager
+def _malformed(path):
+    """Report an unreadable file, bad JSON (a ValueError), a missing key or a
+    wrong-typed value in `path` as a FormatError naming the file."""
+    try:
+        yield
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as err:
+        raise FormatError(f"bad trace file {path}: {type(err).__name__}: {err}") from err
+
+
+def _outcome_from_payload(instance, t, payload) -> ArrivalOutcome:
+    view = instance.view(t)
+    levels = terminal_levels(view)
+    hier = _hierarchy_from_payload(view, payload, levels)
+    forest = {}
+    for key, entries in payload["forest"].items():
+        i = int(key)
+        forest[i] = [
+            VirtualEdge(
+                level=i,
+                c1=_int(rec["c1"]),
+                c2=_int(rec["c2"]),
+                inherited=rec["inherited"],
+                parent=tuple(rec["parent"]) if rec["parent"] else None,
+                eorig=frozenset(tuple(e) for e in rec["eorig"]),
+                created_at=_int(rec["created_at"]),
+            )
+            for rec in entries
+        ]
+    cinh = {
+        int(key): _clustering_from_members(view, int(key), member_lists, levels)
+        for key, member_lists in payload["cinh"].items()
+    }
+    pinned_after = tuple((tuple(e), pt) for e, pt in payload["pinned"])
+    snapshot = Snapshot(t, frozenset(tuple(e) for e in payload["snapshot"]),
+                        _int(payload["cost_f"]))
+    led = payload["ledger"]
+    entry = ArrivalLedger(
+        t=t,
+        insertions=_int(led["insertions"]),
+        deletions=_int(led["deletions"]),
+        pins_added=_int(led["pins_added"]),
+        pin_events=tuple(
+            PinEvent(ev["kind"], t, ev["level"],
+                     tuple(tuple(e) for e in ev["edges"]), ev["cost"], ev["source_size"])
+            for ev in led["pin_events"]
+        ),
+        buffer_end=_int(led["buffer_end"]),
+    )
+    return ArrivalOutcome(
+        t=t,
+        hierarchy=hier,
+        forest=forest,
+        cinh=cinh,
+        pinned_after=pinned_after,
+        snapshot=snapshot,
+        ledger=entry,
+        cost_pinned=_int(payload["cost_pinned"]),
+        cost_forestforming=_int(payload["cost_forestforming"]),
+    )
+
+
 def load_trace(dirpath) -> RunTrace:
     meta_path = os.path.join(dirpath, "meta.json")
-    if not os.path.exists(meta_path):
-        raise FormatError(f"no meta.json under {dirpath}")
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("format") != TRACE_FORMAT:
-        raise FormatError(f"unsupported trace format {meta.get('format')!r}")
+    with _malformed(meta_path):
+        with open(meta_path, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        if meta.get("format") != TRACE_FORMAT:
+            raise FormatError(f"unsupported trace format {meta.get('format')!r}")
+        lam = int(meta["lam"])
+        count = int(meta["arrivals"])
     instance = load_instance_file(os.path.join(dirpath, "instance.sfo"))
-    lam = int(meta["lam"])
-    count = int(meta["arrivals"])
 
     outcomes = []
     ledger = RecourseLedger()
     for t in range(1, count + 1):
         path = os.path.join(dirpath, f"arrival_{t:04d}.json")
-        if not os.path.exists(path):
-            raise FormatError(f"missing arrival file {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload["t"] != t:
-            raise FormatError(f"arrival file {path} stores t={payload['t']}")
-        view = instance.view(t)
-        levels = terminal_levels(view)
-        hier = _hierarchy_from_payload(view, payload, levels)
-        forest = {}
-        for key, entries in payload["forest"].items():
-            i = int(key)
-            forest[i] = [
-                VirtualEdge(
-                    level=i,
-                    c1=rec["c1"],
-                    c2=rec["c2"],
-                    inherited=rec["inherited"],
-                    parent=tuple(rec["parent"]) if rec["parent"] else None,
-                    eorig=frozenset(tuple(e) for e in rec["eorig"]),
-                    created_at=rec["created_at"],
-                )
-                for rec in entries
-            ]
-        cinh = {
-            int(key): _clustering_from_members(view, int(key), member_lists, levels)
-            for key, member_lists in payload["cinh"].items()
-        }
-        pinned_after = tuple((tuple(e), pt) for e, pt in payload["pinned"])
-        snapshot = Snapshot(t, frozenset(tuple(e) for e in payload["snapshot"]),
-                            payload["cost_f"])
-        led = payload["ledger"]
-        entry = ArrivalLedger(
-            t=t,
-            insertions=led["insertions"],
-            deletions=led["deletions"],
-            pins_added=led["pins_added"],
-            pin_events=tuple(
-                PinEvent(ev["kind"], t, ev["level"],
-                         tuple(tuple(e) for e in ev["edges"]), ev["cost"], ev["source_size"])
-                for ev in led["pin_events"]
-            ),
-            buffer_end=led["buffer_end"],
-        )
-        ledger.record(entry)
-        outcomes.append(ArrivalOutcome(
-            t=t,
-            hierarchy=hier,
-            forest=forest,
-            cinh=cinh,
-            pinned_after=pinned_after,
-            snapshot=snapshot,
-            ledger=entry,
-            cost_pinned=payload["cost_pinned"],
-            cost_forestforming=payload["cost_forestforming"],
-        ))
+        with _malformed(path):
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+            if payload["t"] != t:
+                raise FormatError(f"arrival file {path} stores t={payload['t']}")
+            out = _outcome_from_payload(instance, t, payload)
+        ledger.record(out.ledger)
+        outcomes.append(out)
     if len(outcomes) == 0:
         raise ConfigError("trace holds no arrivals")
     return RunTrace(instance, lam, outcomes, ledger,

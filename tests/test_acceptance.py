@@ -92,7 +92,7 @@ def small_fleet():
         for seed in range(SMALL_SEEDS_PER_KIND):
             n = SMALL_SIZES[seed % len(SMALL_SIZES)]
             inst = generate_instance(GeneratorSpec(kind=kind, n=n, seed=seed))
-            opt = {t: exact_optimum(inst.view(t)).cost for t in range(1, n + 1)}
+            opt = dict(enumerate(exact_optimum(inst.view(n)).prefix_costs, 1))
             lam = max(1, (n - 1).bit_length())
             trace = run_online(inst, lam)
             bundles.append({

@@ -24,8 +24,8 @@ from conftest import line_instance
 
 
 def opt_map(instance, limit=9):
-    return {t: exact_optimum(instance.view(t), limit).cost
-            for t in range(1, min(instance.n, limit) + 1)}
+    k = min(instance.n, limit)
+    return dict(enumerate(exact_optimum(instance.view(k), limit).prefix_costs, 1))
 
 
 def test_check_feasible_basics():

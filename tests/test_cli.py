@@ -2,8 +2,10 @@ import os
 
 import pytest
 
+from sfonline import cli
 from sfonline.cli import main
 from sfonline.metric import load_instance_file, save_instance_file
+from sfonline.oracles import exact_optimum
 
 from conftest import line_instance
 
@@ -110,6 +112,22 @@ def test_sweep_table(tmp_path, w1_file):
     assert main(["sweep", "--input", w1_file, "--lams", "1,2", "--out", str(again),
                  "--quiet"]) == 0
     assert read(out / "sweep.csv") == read(again / "sweep.csv")
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--lams", "1,2,5"], ["compare"]])
+def test_one_oracle_call_per_command(tmp_path, monkeypatch, command):
+    # Every prefix's OPT comes from one call on the longest prefix, however
+    # many lambdas a sweep runs.
+    calls = []
+
+    def counted(view, limit):
+        calls.append(view.t)
+        return exact_optimum(view, limit)
+
+    monkeypatch.setattr(cli, "exact_optimum", counted)
+    assert main([*command, "--kind", "euclid", "--n", "12", "--seed", "1",
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert calls == [9]
 
 
 def test_sweep_needs_lams(tmp_path, w1_file):

@@ -1,15 +1,15 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from sfonline.errors import OracleLimitError
-from sfonline.metric import GeneratorSpec, generate_instance
+from sfonline.metric import MAX_DIST, GeneratorSpec, Instance, generate_instance
 from sfonline.oracles import (
     GreedyOnlineState,
     OnlineGluttonousState,
     exact_optimum,
     offline_gluttonous_forest,
-    pair_partitions,
     prim_mst,
     run_baseline,
 )
@@ -44,19 +44,107 @@ def feasible(edges, demands):
     return all(uf.connected(u, v) for u, v in demands)
 
 
+def pair_partitions(k: int):
+    """All partitions of range(k) in restricted-growth-string order."""
+    if k == 0:
+        yield []
+        return
+    a = [0] * k
+
+    def rec(j, used):
+        if j == k:
+            blocks = [[] for _ in range(used)]
+            for idx, b in enumerate(a):
+                blocks[b].append(idx)
+            yield blocks
+            return
+        for b in range(used + 1):
+            a[j] = b
+            yield from rec(j + 1, used + (1 if b == used else 0))
+
+    yield from rec(1, 1)  # a[0] = 0 fixed
+
+
+def reference_prim_mst(view, terminals):
+    """(cost, edges) of the MST over `terminals`, with the same canonical
+    tie-break as `prim_mst`, read through `view.d`."""
+    terms = sorted(terminals)
+    if len(terms) <= 1:
+        return 0, frozenset()
+    key = {}
+    parent = {}
+    for y in terms[1:]:
+        key[y] = view.d(terms[0], y)
+        parent[y] = terms[0]
+    edges = []
+    cost = 0
+    while key:
+        y = min(key, key=lambda v: (key[v], v))
+        k = key.pop(y)
+        p = parent.pop(y)
+        cost += k
+        edges.append((p, y) if p < y else (y, p))
+        for z in key:
+            d = view.d(y, z)
+            if d < key[z] or (d == key[z] and y < parent[z]):
+                key[z] = d
+                parent[z] = y
+    return cost, frozenset(edges)
+
+
+def enumerated_optimum(view):
+    """Reference oracle: (cost, partition, forest) by enumerating every
+    partition of the pairs, one MST per group. Ties go to the first
+    partition in enumeration order, i.e. the smallest restricted-growth
+    string."""
+    mst_cache = {}
+
+    def group_cost(block):
+        key = frozenset(block)
+        hit = mst_cache.get(key)
+        if hit is None:
+            hit = mst_cache[key] = reference_prim_mst(
+                view, [x for p in block for x in (2 * p, 2 * p + 1)])
+        return hit
+
+    best = best_blocks = None
+    for blocks in pair_partitions(view.t):
+        cost = sum(group_cost(blk)[0] for blk in blocks)
+        if best is None or cost < best:
+            best, best_blocks = cost, [list(blk) for blk in blocks]
+    forest = frozenset().union(*(group_cost(blk)[1] for blk in best_blocks))
+    return best, tuple(tuple(blk) for blk in best_blocks), forest
+
+
 def test_pair_partitions_counts_are_bell_numbers():
     bell = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
     for k, want in bell.items():
         assert sum(1 for _ in pair_partitions(k)) == want
 
 
+@pytest.mark.parametrize("kind", ["euclidean", "random-metric", "line-chain"])
+@pytest.mark.parametrize("scale", [2, 3, 5, 1000])
+def test_subset_dp_matches_enumeration(kind, scale):
+    # Small scales put many partitions at the optimum, so this checks the
+    # tie-break as well as the cost.
+    for seed in range(4):
+        inst = generate_instance(GeneratorSpec(kind=kind, n=8, seed=seed, scale=scale))
+        costs = []
+        for t in range(1, 9):
+            res = exact_optimum(inst.view(t))
+            cost, partition, forest = enumerated_optimum(inst.view(t))
+            assert (res.cost, res.partition, res.forest) == (cost, partition, forest), (seed, t)
+            assert res.prefix_costs == tuple(costs) + (cost,)
+            costs.append(cost)
+
+
 def test_prim_mst_on_line():
     inst = line_instance([0, 1, 10, 14])
-    view = inst.view(2)
-    cost, edges = prim_mst(view, [0, 1, 2, 3])
+    d = inst.view(2).dist_matrix().tolist()
+    cost, edges = prim_mst(d, [0, 1, 2, 3])
     assert cost == 14  # 1 + 9 + 4
     assert edges == frozenset([(0, 1), (1, 2), (2, 3)])
-    assert prim_mst(view, [2]) == (0, frozenset())
+    assert prim_mst(d, [2]) == (0, frozenset())
 
 
 def test_exact_optimum_single_pair(w1):
@@ -84,7 +172,7 @@ def test_exact_optimum_prefers_merging_when_cheaper():
     # Pairs interleaved tightly: one group costs less than two.
     inst = line_instance([0, 100, 1, 101])
     res = exact_optimum(inst.view(2))
-    merged = prim_mst(inst.view(2), [0, 1, 2, 3])[0]
+    merged = prim_mst(inst.view(2).dist_matrix().tolist(), [0, 1, 2, 3])[0]
     assert res.cost == min(merged, 200)
     assert res.cost == merged == 101  # 1 + 99 + 1 on positions 0,1,100,101
 
@@ -95,6 +183,18 @@ def test_exact_optimum_matches_exhaustive_search():
         for t in (1, 2, 3):
             view = inst.view(t)
             assert exact_optimum(view).cost == brute_optimum_cost(view)
+
+
+def test_exact_optimum_sums_past_int64():
+    # Every distance is MAX_DIST, so the optimum keeps the pairs apart and
+    # from t = 3 on its cost no longer fits in int64.
+    n = 9
+    dist = np.full((2 * n, 2 * n), MAX_DIST, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    demands = tuple((2 * p, 2 * p + 1) for p in range(n))
+    res = exact_optimum(Instance(n=n, dist=dist, demands=demands, label="uniform").view(n))
+    assert res.prefix_costs == tuple(t * MAX_DIST for t in range(1, n + 1))
+    assert res.partition == tuple((p,) for p in range(n))
 
 
 def test_exact_optimum_monotone_in_t():

@@ -1,6 +1,11 @@
+import json
 import os
 
+import pytest
+
 from sfonline.certify import check_run
+from sfonline.cli import main
+from sfonline.errors import FormatError
 from sfonline.metric import GeneratorSpec, generate_instance
 from sfonline.trace import load_trace, run_online, save_trace
 
@@ -46,3 +51,33 @@ def test_trace_bytes_deterministic(tmp_path):
     for name in os.listdir(tmp_path / "a"):
         with open(tmp_path / "a" / name, "rb") as fa, open(tmp_path / "b" / name, "rb") as fb:
             assert fa.read() == fb.read(), name
+
+
+def _edited(change):
+    """Arrival-file rewrite that applies `change` to the parsed payload."""
+    def edit(text):
+        payload = json.loads(text)
+        change(payload)
+        return json.dumps(payload)
+    return edit
+
+
+TAMPERINGS = {
+    "truncated-json": lambda text: text[: len(text) // 2],
+    "missing-forest": _edited(lambda p: p.pop("forest")),
+    "buffer-end-str": _edited(lambda p: p["ledger"].update(buffer_end="x")),
+    "cost-f-null": _edited(lambda p: p.update(cost_f=None)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERINGS))
+def test_malformed_arrival_is_a_format_error(tmp_path, capsys, case):
+    d = tmp_path / "trace"
+    save_trace(run_online(generate_instance(GeneratorSpec(kind="euclidean", n=3, seed=1)),
+                          lam=2), d)
+    path = d / "arrival_0002.json"
+    path.write_text(TAMPERINGS[case](path.read_text()))
+    with pytest.raises(FormatError, match="arrival_0002.json"):
+        load_trace(d)
+    assert main(["certify", "--trace", str(d), "--out", str(tmp_path / "c"), "--quiet"]) == 3
+    assert "error[E_FORMAT]" in capsys.readouterr().err
