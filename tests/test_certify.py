@@ -1,9 +1,13 @@
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfonline.certify import (
+    DualSolution,
     WitnessError,
     build_dual_witness,
     check_dual_feasibility,
@@ -14,9 +18,9 @@ from sfonline.certify import (
     radius,
     witness_value_identity,
 )
-from sfonline.clustering import build_hierarchy
+from sfonline.clustering import build_hierarchy, make_clustering, trivial_clustering
 from sfonline.errors import SfonlineError
-from sfonline.metric import GeneratorSpec, generate_instance
+from sfonline.metric import MAX_DIST, GeneratorSpec, Instance, generate_instance
 from sfonline.oracles import exact_optimum
 from sfonline.trace import run_online
 
@@ -26,6 +30,163 @@ from conftest import line_instance
 def opt_map(instance, limit=9):
     k = min(instance.n, limit)
     return dict(enumerate(exact_optimum(instance.view(k), limit).prefix_costs, 1))
+
+
+# ---------------------------------------------------------------------------
+# Reference dual: exact rationals, explicit cuts, brute-force edge loads
+# ---------------------------------------------------------------------------
+
+def ref_grow_balls(view, sources, r):
+    """Radius-r balls as Fraction-valued prefix cuts (the certifier's rule)."""
+    r = Fraction(r)
+    src = sorted(sources)
+    for a_idx in range(len(src)):
+        for b_idx in range(a_idx + 1, len(src)):
+            if view.d(src[a_idx], src[b_idx]) < 2 * r:
+                raise SfonlineError(
+                    f"sources {src[a_idx]},{src[b_idx]} closer than 2r: balls would overlap")
+    cuts: dict = {}
+    for v in src:
+        order = sorted(range(view.num_terminals), key=lambda u: (view.d(v, u), u))
+        for j, u in enumerate(order):
+            d_j = view.d(v, u)
+            if d_j > r:
+                break
+            upper = r if j + 1 >= len(order) else min(Fraction(view.d(v, order[j + 1])), r)
+            inc = upper - d_j
+            if inc > 0:
+                key = frozenset(order[: j + 1])
+                cuts[key] = cuts.get(key, Fraction(0)) + inc
+    dual = DualSolution(cuts, frozenset(src), r)
+    assert sum(cuts.values(), Fraction(0)) == len(src) * r
+    return dual
+
+
+def ref_overlapping_dual(view, sources, r):
+    """Sum of single-source reference duals; the balls may overlap."""
+    cuts: dict = {}
+    for v in sorted(sources):
+        for cut, val in ref_grow_balls(view, [v], r).cuts.items():
+            cuts[cut] = cuts.get(cut, Fraction(0)) + val
+    return DualSolution(cuts, frozenset(sources), Fraction(r))
+
+
+def ref_check_dual_feasibility(dual, view, top_clustering):
+    """(ok, detail) by summing every positive cut over every terminal pair."""
+    items = [(cut, val) for cut, val in dual.cuts.items() if val > 0]
+    T = view.num_terminals
+    for a in range(T):
+        for b in range(a + 1, T):
+            load = sum(val for cut, val in items if (a in cut) != (b in cut))
+            if load > view.d(a, b):
+                return False, f"edge ({a},{b}) overloaded: {load} > {view.d(a, b)}"
+    for cut, _ in items:
+        separated = any(
+            any(m in cut for m in top_clustering.members[cid])
+            and any(m not in cut for m in top_clustering.members[cid])
+            for cid in top_clustering.cluster_ids
+        )
+        if not separated:
+            return False, f"cut {sorted(cut)} separates no top cluster"
+    return True, ""
+
+
+def as_certify_dual(ref):
+    """A reference dual in the certifier's representation."""
+    return DualSolution(dict(ref.cuts), ref.sources, ref.radius)
+
+
+def assert_same_verdict(ref, view, top):
+    want = ref_check_dual_feasibility(ref, view, top)
+    assert check_dual_feasibility(as_certify_dual(ref), view, top) == want
+
+
+KIND_NAMES = ("euclidean", "random-metric", "line-chain")
+
+
+@st.composite
+def dual_cases(draw, separated):
+    """(view, sources, level, top clustering) on a random small metric."""
+    kind = draw(st.sampled_from(KIND_NAMES))
+    n = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1, 3, 40, 1000]))
+    inst = generate_instance(GeneratorSpec(kind=kind, n=n, seed=draw(st.integers(0, 99)),
+                                           scale=scale))
+    view = inst.view(n)
+    T = view.num_terminals
+    i = draw(st.integers(0, 12))
+    order = draw(st.permutations(range(T)))
+    want = draw(st.integers(0, T))
+    sources = []
+    for v in order:
+        if len(sources) == want:
+            break
+        if not separated or all(view.d(v, w) >= 1 << i for w in sources):
+            sources.append(v)
+    if draw(st.booleans()):
+        top = build_hierarchy(view).top
+    else:
+        top = make_clustering(view, 0, draw(st.lists(st.integers(0, 3), min_size=T,
+                                                     max_size=T)))
+    return view, sources, i, top
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dual_cases(separated=True))
+def test_dual_check_matches_reference_on_grown_balls(case):
+    view, sources, i, top = case
+    ref = ref_grow_balls(view, sources, Fraction(1 << i, 2))
+    dual = grow_balls(view, sources, radius(i))
+    assert dual.cuts == as_certify_dual(ref).cuts
+    assert check_dual_feasibility(dual, view, top) == ref_check_dual_feasibility(ref, view, top)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(dual_cases(separated=False))
+def test_dual_check_matches_reference_on_overlapping_balls(case):
+    view, sources, i, top = case
+    assert_same_verdict(ref_overlapping_dual(view, sources, Fraction(1 << i, 2)), view, top)
+
+
+def test_dual_check_hand_made_duals(w1):
+    view = w1.view(2)
+    top = build_hierarchy(view).top
+    # Overloaded edge: radius-1 balls around 0 and 1, which sit 1 apart.
+    ref = ref_overlapping_dual(view, [0, 1], 1)
+    assert ref_check_dual_feasibility(ref, view, top) == (
+        False, "edge (0,1) overloaded: 2 > 1")
+    assert_same_verdict(ref, view, top)
+    # A half-integral overload.
+    line = line_instance([0, 1, 2, 50]).view(2)
+    ref = ref_overlapping_dual(line, [0, 2], Fraction(3, 2))
+    assert ref_check_dual_feasibility(ref, line, top) == (
+        False, "edge (0,1) overloaded: 3/2 > 1")
+    assert_same_verdict(ref, line, top)
+    # A cut that separates no top cluster: singletons cannot be separated.
+    ref = ref_grow_balls(view, [0], Fraction(1, 2))
+    assert ref_check_dual_feasibility(ref, view, trivial_clustering(view)) == (
+        False, "cut [0] separates no top cluster")
+    assert_same_verdict(ref, view, trivial_clustering(view))
+    # The empty dual.
+    ref = DualSolution({}, frozenset(), Fraction(1, 2))
+    assert ref_check_dual_feasibility(ref, view, top) == (True, "")
+    assert_same_verdict(ref, view, top)
+
+
+def test_dual_check_loads_past_int64():
+    # Four terminals pairwise MAX_DIST apart, each the centre of a ball of
+    # radius 2^62: every edge carries two full balls, 2 * MAX_DIST in all,
+    # so a doubled load of 2^64 - 4 must not wrap.
+    T = 4
+    dist = np.full((T, T), MAX_DIST, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    inst = Instance(n=2, dist=dist, demands=((0, 1), (2, 3)))
+    view = inst.view(2)
+    top = make_clustering(view, 0, (0, 0, 0, 0))
+    ref = ref_overlapping_dual(view, range(T), 1 << 62)
+    assert ref_check_dual_feasibility(ref, view, top) == (
+        False, f"edge (0,1) overloaded: {2 * MAX_DIST} > {MAX_DIST}")
+    assert_same_verdict(ref, view, top)
 
 
 def test_check_feasible_basics():
