@@ -8,14 +8,18 @@ cost budget. The witness pass replays the dual-fitting construction level by
 level: the source sets, the four invariants, the ball-growing dual, its
 exact feasibility, and the value identities.
 
-The dual radius at level i is 2^(i-1), a half at level 0, so dual values are
-exact rationals (fractions.Fraction); every asserted identity stays exact.
+The dual radius at level i is 2^(i-1), a half at level 0, so the witness
+holds every radius and dual value doubled: all are integers, and every
+asserted identity stays exact. Edge loads come in closed form from the
+sources (see check_dual_feasibility) in O(|X| T^2) per level.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
-from fractions import Fraction
+
+import numpy as np
 
 from .clustering import (
     active_virtual_edges,
@@ -26,7 +30,7 @@ from .clustering import (
     terminal_levels,
 )
 from .errors import SfonlineError
-from .metric import InstanceView
+from .metric import MAX_DIST, InstanceView
 from .unionfind import UnionFind
 
 
@@ -77,8 +81,14 @@ class WitnessState:
         return self.per_arrival[-1][1] if self.per_arrival else frozenset()
 
 
-def radius(level: int) -> Fraction:
-    return Fraction(1 << level, 2)  # 2^(i-1); one half at level 0
+def radius(level: int) -> int:
+    """The doubled dual radius 2r = 2^i at level i (the radius is 2^(i-1))."""
+    return 1 << level
+
+
+def _halves(x2: int) -> str:
+    """A doubled value printed as the rational it stands for: 3 -> '3/2'."""
+    return str(x2 // 2) if x2 % 2 == 0 else f"{x2}/2"
 
 
 def build_dual_witness(trace, i: int) -> WitnessState:
@@ -90,9 +100,9 @@ def build_dual_witness(trace, i: int) -> WitnessState:
     clusters. The four invariants are asserted after every arrival.
     """
     inst = trace.instance
-    final_view = inst.view(inst.n)
-    lv = terminal_levels(final_view)
-    two_r = 1 << i  # 2r = 2^i, exact integer
+    lv = terminal_levels(inst.view(inst.n))
+    # Distances stay below 2^62, so clamping 2r = 2^i there keeps d < 2r exact.
+    two_r = min(1 << i, 1 << 62)
 
     xhat: set = set()
     x: set = set()
@@ -108,6 +118,7 @@ def build_dual_witness(trace, i: int) -> WitnessState:
         u, v = 2 * t - 2, 2 * t - 1
         hier = out.hierarchy
         cinh_i = out.cinh.get(i)
+        added = []
         if lv[u] >= i:
             if cinh_i is None:
                 fail("missing C_inh for a level the pair reaches", t)
@@ -116,51 +127,57 @@ def build_dual_witness(trace, i: int) -> WitnessState:
             high_u = [k for k in cinh_i.members[cu] if lv[k] >= i]
             if cu == cv:
                 if sorted(high_u) == sorted([u, v]):
-                    xhat.add(u)
+                    added = [u]
             else:
                 high_v = [k for k in cinh_i.members[cv] if lv[k] >= i]
-                if high_u == [u]:
-                    xhat.add(u)
-                if high_v == [v]:
-                    xhat.add(v)
+                added = [z for z, high in ((u, high_u), (v, high_v)) if high == [z]]
+            xhat.update(added)
 
         cl_next = hier.clustering(i + 1)
-        x_prev = frozenset(x)
-        for cid in cl_next.cluster_ids:
-            if cl_next.cluster_level[cid] < i:
-                continue
-            k = sum(1 for c2 in cinh_i.cluster_ids
-                    if cinh_i.cluster_level[c2] >= i and cl_next.assignment[c2] == cid) \
-                if cinh_i is not None else 0
+        top_of = cl_next.assignment
+        active = [cid for cid in cl_next.cluster_ids if cl_next.cluster_level[cid] >= i]
+        subclusters = collections.Counter(
+            top_of[c2] for c2 in cinh_i.cluster_ids if cinh_i.cluster_level[c2] >= i
+        ) if cinh_i is not None else {}
+        fresh: dict = {}
+        for z in xhat - x:
+            fresh.setdefault(top_of[z], []).append(z)
+        for cid in active:
+            k = subclusters.get(cid, 0)
             if k == 0:
                 fail("active top cluster without active inherited subclusters", t)
-            cands = sorted(z for z in xhat
-                           if cl_next.assignment[z] == cid and z not in x_prev)
+            cands = fresh.get(cid, ())
             if len(cands) < k:
                 fail(f"cluster {cid} offers {len(cands)} fresh sources, needs {k}", t)
-            x.update(cands[: k - 1])
+            if k > 1:
+                x.update(sorted(cands)[: k - 1])
 
         fi = out.forest.get(i, [])
         counts.append(sum(1 for ve in fi if not ve.inherited))
 
         # Candidate sources must sit inside active next-level clusters.
         for z in xhat:
-            if cl_next.cluster_level[cl_next.assignment[z]] < i:
+            if cl_next.cluster_level[top_of[z]] < i:
                 fail(f"source {z} sits in an inactive cluster", t)
-        # Candidate sources stay pairwise 2r-separated.
-        xs = sorted(xhat)
-        for a_idx in range(len(xs)):
-            for b_idx in range(a_idx + 1, len(xs)):
-                if inst.d(xs[a_idx], xs[b_idx]) < two_r:
-                    fail(f"sources {xs[a_idx]},{xs[b_idx]} closer than 2r", t)
+        # Candidate sources stay pairwise 2r-separated. Earlier arrivals
+        # checked every older pair and the new vertices have the largest ids,
+        # so testing the pairs that end at a new vertex, in row-major order,
+        # finds the same first close pair as testing all of them.
+        if added:
+            xs = sorted(xhat)
+            close = (inst.dist[np.ix_(xs, added)] < two_r) \
+                & (np.array(xs)[:, None] < np.array(added)[None, :])
+            hits = np.argwhere(close)
+            if len(hits):
+                a, b = hits[0]
+                fail(f"sources {xs[a]},{added[b]} closer than 2r", t)
         # Grown sources stay within the candidates, and every active cluster
         # keeps at least one spare candidate outside the grown set.
         if not x <= xhat:
             fail("X escapes Xhat", t)
-        for cid in cl_next.cluster_ids:
-            if cl_next.cluster_level[cid] < i:
-                continue
-            if not any(cl_next.assignment[z] == cid and z not in x for z in xhat):
+        spare = {top_of[z] for z in xhat - x}
+        for cid in active:
+            if cid not in spare:
                 fail(f"cluster {cid} has no Xhat vertex outside X", t)
         # The grown-source count tracks the non-inherited forest edges.
         if len(x) != sum(counts):
@@ -173,42 +190,42 @@ def build_dual_witness(trace, i: int) -> WitnessState:
 
 @dataclasses.dataclass
 class DualSolution:
-    cuts: dict  # frozenset of terminal ids -> Fraction > 0
+    """A ball-growing dual, every value doubled so that all are integers."""
+
+    cuts: dict  # frozenset of terminal ids -> 2 * y(cut) > 0
     sources: frozenset
-    radius: Fraction
+    radius: int  # 2r
 
-    def total(self) -> Fraction:
-        return sum(self.cuts.values(), Fraction(0))
+    def total(self) -> int:
+        return sum(self.cuts.values())
 
 
-def grow_balls(view: InstanceView, sources, r) -> DualSolution:
-    """Grow a radius-r ball around every source; cuts are prefix balls.
+def grow_balls(view: InstanceView, sources, r2: int) -> DualSolution:
+    """Grow a radius-r ball around every source, r2 = 2r; cuts are prefix balls.
 
     Around v, terminals are ordered by (distance, id); each prefix whose last
     terminal is within r receives the gap to the next shell (clamped at r).
-    The total equals |sources| * r exactly.
+    Values are doubled like the radius, and they total |sources| * r2.
     """
-    r = Fraction(r)
     src = sorted(sources)
-    for a_idx in range(len(src)):
-        for b_idx in range(a_idx + 1, len(src)):
-            if view.d(src[a_idx], src[b_idx]) < 2 * r:
-                raise SfonlineError(
-                    f"sources {src[a_idx]},{src[b_idx]} closer than 2r: balls would overlap")
+    dist = view.dist_matrix()
+    close = np.argwhere(np.triu(dist[np.ix_(src, src)] < min(r2, 1 << 62), 1))
+    if len(close):
+        a, b = close[0]
+        raise SfonlineError(f"sources {src[a]},{src[b]} closer than 2r: balls would overlap")
     cuts: dict = {}
     for v in src:
-        order = sorted(range(view.num_terminals), key=lambda u: (view.d(v, u), u))
-        for j, u in enumerate(order):
-            d_j = view.d(v, u)
-            if d_j > r:
+        order = np.argsort(dist[v], kind="stable").tolist()  # by (distance, id)
+        d2 = [2 * d for d in dist[v, order].tolist()]
+        for j in range(len(order)):
+            if d2[j] > r2:
                 break
-            upper = r if j + 1 >= len(order) else min(Fraction(view.d(v, order[j + 1])), r)
-            inc = upper - d_j
+            inc = (r2 if j + 1 == len(order) else min(d2[j + 1], r2)) - d2[j]
             if inc > 0:
                 key = frozenset(order[: j + 1])
-                cuts[key] = cuts.get(key, Fraction(0)) + inc
-    dual = DualSolution(cuts, frozenset(src), r)
-    if dual.total() != len(src) * r:
+                cuts[key] = cuts.get(key, 0) + inc
+    dual = DualSolution(cuts, frozenset(src), r2)
+    if dual.total() != len(src) * r2:
         raise AssertionError("ball growing total mismatch (internal bug)")
     return dual
 
@@ -219,37 +236,50 @@ def check_dual_feasibility(dual: DualSolution, view: InstanceView, top_clusterin
     Every original edge may be crossed by cuts totalling at most its cost,
     and every positive cut must separate some cluster of the final top
     clustering (the dual's feasible domain).
+
+    The cuts around one source are nested balls, so the load they put on an
+    edge (a, b) telescopes to |min(d(v, a), r) - min(d(v, b), r)|. Edge loads
+    are therefore summed in closed form from the dual's sources and radius,
+    one T x T matrix per source, and the cut list serves the domain check.
     """
-    items = [(cut, val) for cut, val in dual.cuts.items() if val > 0]
-    T = view.num_terminals
-    for a in range(T):
-        for b in range(a + 1, T):
-            load = sum(val for cut, val in items if (a in cut) != (b in cut))
-            if load > view.d(a, b):
-                return False, f"edge ({a},{b}) overloaded: {load} > {view.d(a, b)}"
-    for cut, _ in items:
-        separated = any(
-            any(m in cut for m in top_clustering.members[cid])
-            and any(m not in cut for m in top_clustering.members[cid])
-            for cid in top_clustering.cluster_ids
-        )
-        if not separated:
+    dist = view.dist_matrix()
+    src = sorted(dual.sources)
+    # min(2d, 2r) is unchanged by capping 2r at 2 * MAX_DIST, and no term of
+    # a load exceeds the cap; past int64, the sum is taken in Python ints.
+    cap = min(dual.radius, 2 * MAX_DIST)
+    dtype = np.int64 if len(src) * cap < 1 << 63 else object
+    dist2 = 2 * dist.astype(dtype)
+    load = np.zeros(dist.shape, dtype=dtype)
+    for v in src:
+        c = np.minimum(dist2[v], cap)
+        load += np.abs(c[:, None] - c[None, :])
+    over = np.argwhere(np.triu(load > dist2, 1))
+    if len(over):
+        a, b = (int(k) for k in over[0])
+        return False, f"edge ({a},{b}) overloaded: {_halves(int(load[a, b]))} > {int(dist[a, b])}"
+    top_of = top_clustering.assignment
+    size = collections.Counter(top_of)
+    for cut, val in dual.cuts.items():
+        # A cut separates no cluster iff it is a union of whole clusters.
+        if val > 0 and sum(size[cid] for cid in {top_of[m] for m in cut}) == len(cut):
             return False, f"cut {sorted(cut)} separates no top cluster"
     return True, ""
 
 
 def witness_value_identity(witness: WitnessState, trace, dual: DualSolution | None = None):
-    """(ok, D, detail): D = sum y = |X| r = sum_t |F_i \\ F_inh,i| * 2^(i-1)."""
+    """(ok, 2D, detail): D = sum y = |X| r = sum_t |F_i \\ F_inh,i| * 2^(i-1),
+    all compared doubled."""
     i = witness.level
-    r = radius(i)
+    r2 = radius(i)
     if dual is None:
-        dual = grow_balls(trace.instance.view(trace.n), witness.final_sources, r)
-    d_val = dual.total()
-    by_sources = len(witness.final_sources) * r
-    by_counts = sum(witness.noninherited_counts) * r
-    if d_val == by_sources == by_counts:
-        return True, d_val, ""
-    return False, d_val, f"D={d_val} |X|r={by_sources} counts*r={by_counts}"
+        dual = grow_balls(trace.instance.view(trace.n), witness.final_sources, r2)
+    d2 = dual.total()
+    by_sources = len(witness.final_sources) * r2
+    by_counts = sum(witness.noninherited_counts) * r2
+    if d2 == by_sources == by_counts:
+        return True, d2, ""
+    return False, d2, (f"D={_halves(d2)} |X|r={_halves(by_sources)} "
+                       f"counts*r={_halves(by_counts)}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +340,23 @@ class CertReport:
         return "\n".join(lines) + "\n"
 
 
+def _unarrived(edges, T):
+    """The least edge with an endpoint outside terminals 0..T-1, or None."""
+    return min((e for e in edges if not (0 <= e[0] < T and 0 <= e[1] < T)), default=None)
+
+
+def _edges_cost(view: InstanceView, edges):
+    """Total cost of `edges`, or None when one has an endpoint not yet
+    arrived (a trace is untrusted input, so ids are checked before lookup)."""
+    if _unarrived(edges, view.num_terminals) is not None:
+        return None
+    return sum(view.d(a, b) for a, b in edges)
+
+
+def _edge_str(edge) -> str:
+    return f"({edge[0]},{edge[1]})"
+
+
 def _structural_pass(trace, add):
     inst = trace.instance
     n = inst.n
@@ -328,13 +375,28 @@ def _structural_pass(trace, add):
             ok = out.pinned_after[: len(prev_out.pinned_after)] == prev_out.pinned_after
             add("pinned-monotone", None, t, ok)
 
-        rebuilt = set(e for e, _ in out.pinned_after)
+        T = view.num_terminals
+        pinned = [e for e, _ in out.pinned_after]
+        rebuilt = set(pinned)
         for entries in out.forest.values():
             for ve in entries:
                 rebuilt |= ve.eorig
-        add("snapshot-consistency", None, t,
-            frozenset(rebuilt) == out.snapshot.edges
-            and out.snapshot.cost == sum(view.d(a, b) for a, b in out.snapshot.edges))
+        realized = {i: [_edges_cost(view, ve.eorig) for ve in entries]
+                    for i, entries in out.forest.items()}
+        parts = [c for costs in realized.values() for c in costs]
+        rederived = (
+            ("cost_f", out.snapshot.cost, _edges_cost(view, out.snapshot.edges)),
+            ("cost_pinned", out.cost_pinned, _edges_cost(view, pinned)),
+            ("cost_forestforming", out.cost_forestforming,
+             None if None in parts else sum(parts)),
+        )
+        wrong = [] if frozenset(rebuilt) == out.snapshot.edges else ["edges"]
+        wrong += [f"{name}={got} rederived={want}" for name, got, want in rederived
+                  if want is not None and got != want]
+        unarrived = _unarrived(rebuilt | out.snapshot.edges, T)
+        if unarrived is not None:
+            wrong.append(f"edge {_edge_str(unarrived)} has an endpoint not yet arrived")
+        add("snapshot-consistency", None, t, not wrong, " ".join(wrong))
 
         top = hier.top
         add("top-coclustering", None, t,
@@ -383,18 +445,21 @@ def _structural_pass(trace, add):
                 add("cinh-matches-forest", i, t,
                     rebuilt_cinh.assignment == cinh_i.assignment)
 
-            budget_ok = True
+            over_budget = ""
             connect_ok = True
-            for ve in fi:
-                cost = sum(view.d(a, b) for a, b in ve.eorig)
-                if cost > level_threshold(ve.level):
-                    budget_ok = False
+            for ve, cost in zip(fi, realized.get(i, ())):
+                if not over_budget and cost is None:
+                    over_budget = (f"edge {_edge_str(_unarrived(ve.eorig, T))} of "
+                                   f"({ve.c1},{ve.c2}) has an endpoint not yet arrived")
+                elif not over_budget and cost > level_threshold(ve.level):
+                    over_budget = f"({ve.c1},{ve.c2}) costs {cost} > {level_threshold(ve.level)}"
                 uf2 = UnionFind(cl.cluster_ids)
-                for a, b in list(ve.eorig) + [e for e, _ in out.pinned_after]:
-                    uf2.union(cl.assignment[a], cl.assignment[b])
+                for a, b in list(ve.eorig) + pinned:
+                    if 0 <= a < T and 0 <= b < T:
+                        uf2.union(cl.assignment[a], cl.assignment[b])
                 if uf2.find(ve.c1) != uf2.find(ve.c2):
                     connect_ok = False
-            add("edge-budget", i, t, budget_ok)
+            add("edge-budget", i, t, not over_budget, over_budget)
             add("realization-connects", i, t, connect_ok)
 
             if prev_out is not None:
@@ -448,7 +513,7 @@ def _witness_pass(trace, add, ratios, opt_final, levels=None):
     final = trace.final()
     view = trace.instance.view(trace.n)
     top = final.hierarchy.top
-    max_dual_ratio = None
+    max_budget = None  # the largest ratio to OPT, as every level shares OPT
     if levels is None:
         levels = range(final.hierarchy.L + 1)
     for i in levels:
@@ -462,20 +527,18 @@ def _witness_pass(trace, add, ratios, opt_final, levels=None):
         dual = grow_balls(view, witness.final_sources, radius(i))
         ok, detail = check_dual_feasibility(dual, view, top)
         add("dual-feasible", i, None, ok, detail)
-        ok, d_val, detail = witness_value_identity(witness, trace, dual)
-        add("value-identity", i, None, ok, detail or f"D={d_val}")
+        ok, d2, detail = witness_value_identity(witness, trace, dual)
+        add("value-identity", i, None, ok, detail or f"D={_halves(d2)}")
         merge_budget = sum(witness.noninherited_counts) * level_threshold(i)
-        add("linkage-4d", i, None, Fraction(merge_budget) == 4 * d_val,
-            f"sum*2^(i+1)={merge_budget} 4D={4 * d_val}")
+        add("linkage-4d", i, None, merge_budget == 2 * d2,
+            f"sum*2^(i+1)={merge_budget} 4D={2 * d2}")
         if opt_final:
-            ratio = Fraction(merge_budget, opt_final)
-            key = f"merge-budget/OPT@L{i}"
-            ratios[key] = float(ratio)
-            if max_dual_ratio is None or ratio > max_dual_ratio:
-                max_dual_ratio = ratio
-    if max_dual_ratio is not None:
-        ratios["merge-budget/OPT-max"] = float(max_dual_ratio)
-        ratios["D/OPT-max"] = float(max_dual_ratio / 4)
+            ratios[f"merge-budget/OPT@L{i}"] = merge_budget / opt_final
+            if max_budget is None or merge_budget > max_budget:
+                max_budget = merge_budget
+    if max_budget is not None:
+        ratios["merge-budget/OPT-max"] = max_budget / opt_final
+        ratios["D/OPT-max"] = max_budget / (4 * opt_final)
 
 
 def check_run(trace, opt_per_arrival=None, with_witness=True,
@@ -499,26 +562,26 @@ def check_run(trace, opt_per_arrival=None, with_witness=True,
     ratios: dict = {}
     opt_per_arrival = opt_per_arrival or {}
     opt_final = opt_per_arrival.get(trace.n)
-    max_ratio = None
+    # Ratios are compared exactly by cross-multiplying; int true division
+    # rounds each one correctly to the float it is reported as.
+    worst = None  # (cost, OPT) of the largest cost/OPT
     for out in trace.arrivals:
         opt_t = opt_per_arrival.get(out.t)
-        if opt_t:
-            r = Fraction(out.snapshot.cost, opt_t)
-            if max_ratio is None or r > max_ratio:
-                max_ratio = r
-    if max_ratio is not None:
-        ratios["cost/OPT-max"] = float(max_ratio)
+        if opt_t and (worst is None or out.snapshot.cost * worst[1] > worst[0] * opt_t):
+            worst = (out.snapshot.cost, opt_t)
+    if worst is not None:
+        ratios["cost/OPT-max"] = worst[0] / worst[1]
     if opt_final:
         final = trace.final()
-        ratios["pinned/OPT"] = float(Fraction(final.cost_pinned, opt_final))
-        ratios["forestforming/OPT"] = float(Fraction(final.cost_forestforming, opt_final))
+        ratios["pinned/OPT"] = final.cost_pinned / opt_final
+        ratios["forestforming/OPT"] = final.cost_forestforming / opt_final
         h = final.hierarchy
         budget = sum(
             (len(h.clustering(i).cluster_ids) - len(h.clustering(i + 1).cluster_ids))
             * level_threshold(i)
             for i in range(h.L + 1)
         )
-        ratios["hierarchy-budget/OPT"] = float(Fraction(budget, opt_final))
+        ratios["hierarchy-budget/OPT"] = budget / opt_final
 
     if with_witness:
         _witness_pass(trace, add, ratios, opt_final, witness_levels)

@@ -92,8 +92,9 @@ def ref_check_dual_feasibility(dual, view, top_clustering):
 
 
 def as_certify_dual(ref):
-    """A reference dual in the certifier's representation."""
-    return DualSolution(dict(ref.cuts), ref.sources, ref.radius)
+    """A reference dual in the certifier's representation: values doubled."""
+    return DualSolution({cut: int(2 * val) for cut, val in ref.cuts.items()}, ref.sources,
+                        int(2 * ref.radius))
 
 
 def assert_same_verdict(ref, view, top):
@@ -205,21 +206,21 @@ def test_check_pinned_forest_basics():
 
 def test_grow_balls_single_shell():
     inst = line_instance([0, 3])
-    dual = grow_balls(inst.view(1), [0], 1)
-    assert dual.cuts == {frozenset([0]): Fraction(1)}
-    assert dual.total() == 1
+    dual = grow_balls(inst.view(1), [0], 2)  # r = 1; values doubled
+    assert dual.cuts == {frozenset([0]): 2}
+    assert dual.total() == 2
 
 
 def test_grow_balls_two_shells():
     inst = line_instance([0, 1, 5, 50])
-    dual = grow_balls(inst.view(2), [0], 2)
-    assert dual.cuts == {frozenset([0]): Fraction(1), frozenset([0, 1]): Fraction(1)}
-    assert dual.total() == 2
+    dual = grow_balls(inst.view(2), [0], 4)  # r = 2
+    assert dual.cuts == {frozenset([0]): 2, frozenset([0, 1]): 2}
+    assert dual.total() == 4
 
 
 def test_grow_balls_empty():
     inst = line_instance([0, 3])
-    dual = grow_balls(inst.view(1), [], 5)
+    dual = grow_balls(inst.view(1), [], 10)
     assert dual.cuts == {}
     assert dual.total() == 0
 
@@ -227,27 +228,25 @@ def test_grow_balls_empty():
 def test_grow_balls_rejects_overlap():
     inst = line_instance([0, 3])
     with pytest.raises(SfonlineError):
-        grow_balls(inst.view(1), [0, 1], 2)  # distance 3 < 2r = 4
+        grow_balls(inst.view(1), [0, 1], 4)  # distance 3 < 2r = 4
 
 
 def test_two_balls_at_exactly_2r_are_feasible():
     inst = line_instance([0, 4])
     view = inst.view(1)
-    dual = grow_balls(view, [0, 1], 2)
-    assert dual.total() == 4
+    dual = grow_balls(view, [0, 1], 4)  # r = 2
+    assert dual.total() == 8
     top = build_hierarchy(view).top
     ok, detail = check_dual_feasibility(dual, view, top)
     assert ok, detail
     # The single edge is exactly tight: both radius-2 balls cross it.
     load = sum(v for cut, v in dual.cuts.items() if (0 in cut) != (1 in cut))
-    assert load == 4 == view.d(0, 1)
+    assert load == 8 == 2 * view.d(0, 1)
 
 
 def test_empty_dual_is_feasible(w1):
     view = w1.view(2)
-    from sfonline.certify import DualSolution
-
-    ok, _ = check_dual_feasibility(DualSolution({}, frozenset(), Fraction(1)), view,
+    ok, _ = check_dual_feasibility(DualSolution({}, frozenset(), 2), view,
                                    build_hierarchy(view).top)
     assert ok
 
@@ -259,22 +258,22 @@ def test_w1_witness_level2(w1):
     assert xhat2 == frozenset([2, 3])
     assert x2 == frozenset([2])
     assert wit.noninherited_counts == [0, 1]
-    ok, d_val, detail = witness_value_identity(wit, trace)
+    ok, d2, detail = witness_value_identity(wit, trace)
     assert ok, detail
-    assert d_val == 2  # one non-inherited level-2 edge, r = 2
+    assert d2 == 4  # one non-inherited level-2 edge, r = 2; D doubled
 
 
 def test_w1_witness_all_levels_and_values(w1):
     trace = run_online(w1, lam=1)
-    expected_d = {0: Fraction(1, 2), 1: Fraction(0), 2: Fraction(2)}
+    expected_d2 = {0: 1, 1: 0, 2: 4}  # D doubled: 1/2, 0, 2
     view = w1.view(2)
     top = trace.final().hierarchy.top
-    for i, want in expected_d.items():
+    for i, want in expected_d2.items():
         wit = build_dual_witness(trace, i)
         dual = grow_balls(view, wit.final_sources, radius(i))
-        ok, d_val, detail = witness_value_identity(wit, trace, dual)
+        ok, d2, detail = witness_value_identity(wit, trace, dual)
         assert ok, detail
-        assert d_val == want
+        assert d2 == want
         ok, detail = check_dual_feasibility(dual, view, top)
         assert ok, detail
 
@@ -284,8 +283,8 @@ def test_witness_level_above_top_is_empty(w1):
     wit = build_dual_witness(trace, 9)
     assert wit.final_sources == frozenset()
     assert wit.noninherited_counts == [0, 0]
-    ok, d_val, _ = witness_value_identity(wit, trace)
-    assert ok and d_val == 0
+    ok, d2, _ = witness_value_identity(wit, trace)
+    assert ok and d2 == 0
 
 
 def test_check_run_healthy_w1(w1):

@@ -81,3 +81,39 @@ def test_malformed_arrival_is_a_format_error(tmp_path, capsys, case):
         load_trace(d)
     assert main(["certify", "--trace", str(d), "--out", str(tmp_path / "c"), "--quiet"]) == 3
     assert "error[E_FORMAT]" in capsys.readouterr().err
+
+
+def _first_virtual_edge(payload):
+    level = min((k for k, entries in payload["forest"].items() if entries), key=int)
+    return payload["forest"][level][0]
+
+
+# case -> (arrival file, edit, substrings of the certify.csv FAIL rows)
+SEMANTIC_TAMPERINGS = {
+    "costs-set-to-one": (
+        "arrival_0004.json",
+        lambda p: p.update(cost_pinned=1, cost_forestforming=1),
+        ["snapshot-consistency,,4,fail,cost_pinned=1 rederived=",
+         " cost_forestforming=1 rederived="]),
+    "eorig-not-arrived": (
+        "arrival_0002.json",
+        lambda p: _first_virtual_edge(p).update(eorig=[[0, 7]]),
+        ["snapshot-consistency,,2,fail,edges ",
+         "edge (0;7) has an endpoint not yet arrived",
+         ",2,fail,edge (0;7) of ("]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEMANTIC_TAMPERINGS))
+def test_tampered_trace_gets_fail_rows(tmp_path, capsys, case):
+    name, change, rows = SEMANTIC_TAMPERINGS[case]
+    d = tmp_path / "trace"
+    save_trace(run_online(generate_instance(GeneratorSpec(kind="euclidean", n=4, seed=1)),
+                          lam=2), d)
+    path = d / name
+    path.write_text(_edited(change)(path.read_text()))
+    assert main(["certify", "--trace", str(d), "--out", str(tmp_path / "c")]) == 1
+    assert "overall: FAIL" in capsys.readouterr().out
+    report = (tmp_path / "c" / "certify.csv").read_text()
+    for row in rows:
+        assert row in report, (row, [r for r in report.splitlines() if ",fail," in r])
