@@ -369,14 +369,14 @@ def _structural_pass(trace, add):
         ok = check_feasible(out.snapshot.edges, view.demands)
         add("feasible", None, t, ok)
 
-        ok = check_pinned_forest([e for e, _ in out.pinned_after], 2 * n)
+        pinned = [e for e, _ in out.pinned_after]
+        ok = check_pinned_forest(pinned, 2 * n)
         add("pinned-forest", None, t, ok, f"|A|={len(out.pinned_after)}")
         if prev_out is not None:
             ok = out.pinned_after[: len(prev_out.pinned_after)] == prev_out.pinned_after
             add("pinned-monotone", None, t, ok)
 
         T = view.num_terminals
-        pinned = [e for e, _ in out.pinned_after]
         rebuilt = set(pinned)
         for entries in out.forest.values():
             for ve in entries:
@@ -397,6 +397,7 @@ def _structural_pass(trace, add):
         if unarrived is not None:
             wrong.append(f"edge {_edge_str(unarrived)} has an endpoint not yet arrived")
         add("snapshot-consistency", None, t, not wrong, " ".join(wrong))
+        arrived_pins = [(a, b) for a, b in pinned if 0 <= a < T and 0 <= b < T]
 
         top = hier.top
         add("top-coclustering", None, t,
@@ -454,9 +455,8 @@ def _structural_pass(trace, add):
                 elif not over_budget and cost > level_threshold(ve.level):
                     over_budget = f"({ve.c1},{ve.c2}) costs {cost} > {level_threshold(ve.level)}"
                 uf2 = UnionFind(cl.cluster_ids)
-                for a, b in list(ve.eorig) + pinned:
-                    if 0 <= a < T and 0 <= b < T:
-                        uf2.union(cl.assignment[a], cl.assignment[b])
+                for a, b in list(ve.eorig if cost is not None else ()) + arrived_pins:
+                    uf2.union(cl.assignment[a], cl.assignment[b])
                 if uf2.find(ve.c1) != uf2.find(ve.c2):
                     connect_ok = False
             add("edge-budget", i, t, not over_budget, over_budget)

@@ -160,9 +160,10 @@ def test_dual_check_hand_made_duals(w1):
     # A half-integral overload.
     line = line_instance([0, 1, 2, 50]).view(2)
     ref = ref_overlapping_dual(line, [0, 2], Fraction(3, 2))
-    assert ref_check_dual_feasibility(ref, line, top) == (
+    line_top = build_hierarchy(line).top
+    assert ref_check_dual_feasibility(ref, line, line_top) == (
         False, "edge (0,1) overloaded: 3/2 > 1")
-    assert_same_verdict(ref, line, top)
+    assert_same_verdict(ref, line, line_top)
     # A cut that separates no top cluster: singletons cannot be separated.
     ref = ref_grow_balls(view, [0], Fraction(1, 2))
     assert ref_check_dual_feasibility(ref, view, trivial_clustering(view)) == (
