@@ -88,6 +88,12 @@ def _first_virtual_edge(payload):
     return payload["forest"][level][0]
 
 
+def _mark_first_fresh_edge_inherited(payload):
+    rec = next(rec for key in sorted(payload["forest"], key=int)
+               for rec in payload["forest"][key] if not rec["inherited"])
+    rec.update(inherited=True, parent=[rec["c1"], rec["c2"]])
+
+
 # case -> (arrival file, edit, substrings of the certify.csv FAIL rows)
 SEMANTIC_TAMPERINGS = {
     "costs-set-to-one": (
@@ -101,6 +107,18 @@ SEMANTIC_TAMPERINGS = {
         ["snapshot-consistency,,2,fail,edges ",
          "edge (0;7) has an endpoint not yet arrived",
          ",2,fail,edge (0;7) of ("]),
+    "forest-edge-dropped": (
+        "arrival_0004.json",
+        lambda p: p["forest"]["7"].pop(),
+        ["forest-contracts-to-next,7,4,fail"]),
+    "fresh-edge-marked-inherited": (
+        "arrival_0004.json",
+        _mark_first_fresh_edge_inherited,
+        ["cinh-matches-forest,7,4,fail"]),
+    "edge-to-itself": (
+        "arrival_0004.json",
+        lambda p: p["forest"]["7"][0].update(c2=p["forest"]["7"][0]["c1"]),
+        ["virtual-edge-valid,7,4,fail"]),
 }
 
 
