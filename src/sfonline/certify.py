@@ -357,6 +357,14 @@ def _edge_str(edge) -> str:
     return f"({edge[0]},{edge[1]})"
 
 
+def _moved(got, want):
+    """The first terminal whose cluster differs between two assignments, or ""."""
+    if got == want:
+        return ""
+    k = next(k for k, (a, b) in enumerate(zip(got, want)) if a != b)
+    return f"terminal {k} in {got[k]} want {want[k]}"
+
+
 def _structural_pass(trace, add):
     inst = trace.instance
     n = inst.n
@@ -414,37 +422,34 @@ def _structural_pass(trace, add):
             fi = out.forest.get(i, [])
             finh = [ve for ve in fi if ve.inherited]
 
-            edges_ok = True
+            bad_edge = ""
             uf = UnionFind()
             for ve in fi:
+                e = _edge_str(ve.endpoints)
                 if ve.c1 not in pos or ve.c2 not in pos or ve.c1 == ve.c2:
-                    edges_ok = False
+                    bad_edge = f"{e} does not join two clusters"
+                elif cl.cluster_level[ve.c1] < i or cl.cluster_level[ve.c2] < i:
+                    bad_edge = f"{e} touches an inactive cluster"
+                elif (d := int(m.D[pos[ve.c1], pos[ve.c2]])) >= level_threshold(i):
+                    bad_edge = f"{e} at distance {d}"
+                elif not uf.union(ve.c1, ve.c2):
+                    bad_edge = f"{e} closes a cycle"
+                if bad_edge:
                     break
-                if cl.cluster_level[ve.c1] < i or cl.cluster_level[ve.c2] < i:
-                    edges_ok = False
-                    break
-                if int(m.D[pos[ve.c1], pos[ve.c2]]) >= level_threshold(i):
-                    edges_ok = False
-                    break
-                if not uf.union(ve.c1, ve.c2):
-                    edges_ok = False  # cycle in the chosen forest
-                    break
-            add("virtual-edge-valid", i, t, edges_ok)
+            add("virtual-edge-valid", i, t, not bad_edge, bad_edge)
 
-            contracted = contract_clustering(cl, [ve.endpoints for ve in fi], i + 1,
-                                             hier.term_levels)
-            add("forest-contracts-to-next", i, t,
-                contracted.assignment == cl_next.assignment)
+            moved = _moved(contract_clustering(cl, [ve.endpoints for ve in fi]),
+                           cl_next.assignment)
+            add("forest-contracts-to-next", i, t, not moved, moved)
             add("count-identity-forest", i, t,
                 len(fi) == len(cl.cluster_ids) - len(cl_next.cluster_ids))
             cinh_i = out.cinh.get(i)
             if cinh_i is not None:
                 add("count-identity-inherited", i, t,
                     len(finh) == len(cl.cluster_ids) - len(cinh_i.cluster_ids))
-                rebuilt_cinh = contract_clustering(cl, [ve.endpoints for ve in finh], i,
-                                                   hier.term_levels)
-                add("cinh-matches-forest", i, t,
-                    rebuilt_cinh.assignment == cinh_i.assignment)
+                moved = _moved(contract_clustering(cl, [ve.endpoints for ve in finh]),
+                               cinh_i.assignment)
+                add("cinh-matches-forest", i, t, not moved, moved)
 
             over_budget = ""
             connect_ok = True

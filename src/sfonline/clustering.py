@@ -12,6 +12,10 @@ clusters is adding zero-weight edges, so each level's closed metric is the
 previous level's updated in O(K^2) per merge (ContractedMetric), and no
 Floyd-Warshall runs on any path.
 
+A Clustering is a plain partition with no level label. Most levels merge
+nothing and share their predecessor's object; contract_clustering returns an
+assignment tuple, so each distinct partition is built once.
+
 Everything here is deterministic: cluster ids are the minimum member
 terminal id, edges are ordered by (min endpoint, max endpoint), and
 shortest-path ties are broken toward the lexicographically smallest
@@ -42,62 +46,45 @@ def terminal_levels(view: InstanceView) -> tuple[int, ...]:
 
 
 class Clustering:
-    """A partition of the arrived terminals at hierarchy level i.
+    """A partition of the arrived terminals, with no level of its own.
 
     assignment[k] is the cluster id of terminal k; cluster ids are canonical
     (minimum member id). Cluster level is the max member level; a cluster is
-    active at level j iff its level >= j.
+    active at level j iff its level >= j. The levels of a hierarchy that
+    merge nothing share one object.
     """
 
-    __slots__ = ("t", "i", "assignment", "cluster_ids", "members", "cluster_level")
+    __slots__ = ("assignment", "cluster_ids", "members", "cluster_level")
 
-    def __init__(self, t, i, assignment, term_levels):
-        T = 2 * t
-        if len(assignment) != T or len(term_levels) < T:
-            raise ConfigError("assignment/levels length mismatch with t")
+    def __init__(self, assignment, term_levels):
+        if len(assignment) % 2 or len(term_levels) < len(assignment):
+            raise ConfigError("assignment is not one cluster id per arrived terminal")
         groups: dict[int, list[int]] = {}
         for k, cid in enumerate(assignment):
             groups.setdefault(cid, []).append(k)
-        # Canonicalize: cluster id = min member.
-        members = {min(ms): tuple(ms) for ms in groups.values()}
-        canon = {}
-        for cid, ms in members.items():
-            for k in ms:
-                canon[k] = cid
-        self.t = t
-        self.i = i
-        self.assignment = tuple(canon[k] for k in range(T))
-        self.cluster_ids = tuple(sorted(members))
-        self.members = members
-        self.cluster_level = {cid: max(term_levels[k] for k in ms) for cid, ms in members.items()}
-
-    def active_ids(self, i: int | None = None) -> tuple[int, ...]:
-        j = self.i if i is None else i
-        return tuple(cid for cid in self.cluster_ids if self.cluster_level[cid] >= j)
+        # Canonicalize: cluster id = min member, the first one listed.
+        self.assignment = tuple(groups[cid][0] for cid in assignment)
+        self.members = {ms[0]: tuple(ms) for ms in groups.values()}
+        self.cluster_ids = tuple(sorted(self.members))
+        self.cluster_level = {cid: max(term_levels[k] for k in ms)
+                              for cid, ms in self.members.items()}
 
 
-def make_clustering(view: InstanceView, i: int, assignment, term_levels=None) -> Clustering:
-    if term_levels is None:
-        term_levels = terminal_levels(view)
-    return Clustering(view.t, i, assignment, term_levels)
+def trivial_clustering(view: InstanceView) -> Clustering:
+    return Clustering(tuple(range(view.num_terminals)), terminal_levels(view))
 
 
-def trivial_clustering(view: InstanceView, term_levels=None) -> Clustering:
-    return make_clustering(view, 0, tuple(range(view.num_terminals)), term_levels)
-
-
-def contract_clustering(cl: Clustering, cluster_edges, new_i: int, term_levels) -> Clustering:
-    """Merge clusters joined by (cid1, cid2) edges; result labelled new_i."""
+def contract_clustering(cl: Clustering, cluster_edges) -> tuple[int, ...]:
+    """Canonical assignment of `cl` with the clusters of each (cid1, cid2) edge merged."""
     uf = UnionFind(cl.cluster_ids)
     for c1, c2 in cluster_edges:
         uf.union(c1, c2)
-    assignment = tuple(uf.find(cid) for cid in cl.assignment)
-    return Clustering(cl.t, new_i, assignment, term_levels)
+    return tuple(uf.find(cid) for cid in cl.assignment)
 
 
 def check_refinement(fine: Clustering, coarse: Clustering) -> bool:
     """True iff every fine cluster is contained in one coarse cluster."""
-    if fine.t > coarse.t:
+    if len(fine.assignment) > len(coarse.assignment):
         raise ConfigError("fine clustering covers terminals the coarse one lacks")
     for ms in fine.members.values():
         target = coarse.assignment[ms[0]]
@@ -287,10 +274,10 @@ def active_virtual_edges(D, ids, cluster_level, i: int):
     return tuple((ids[act[x[k]]], ids[act[y[k]]]) for k in close), int(dxy.min())
 
 
-def virtual_graph(view: InstanceView, cl: Clustering) -> tuple[tuple[int, int], ...]:
+def virtual_graph(view: InstanceView, cl: Clustering, i: int) -> tuple[tuple[int, int], ...]:
     """Level-i virtual edges: i-active cluster pairs at contracted distance < 2^(i+1)."""
     m = ContractedMetric.of(view.dist_matrix(), cl.assignment)
-    edges, _ = active_virtual_edges(m.D, m.ids, cl.cluster_level, cl.i)
+    edges, _ = active_virtual_edges(m.D, m.ids, cl.cluster_level, i)
     return edges
 
 
@@ -326,14 +313,15 @@ def build_hierarchy(view: InstanceView) -> Hierarchy:
     """Run the clustering procedure for one arrival prefix.
 
     Each level's contracted metric is the previous one with that level's
-    virtual edges merged in; a level that merges nothing keeps it as is.
+    virtual edges merged in; a level that merges nothing keeps it, and its
+    clustering, as is.
     """
     if view.t < 1:
         raise ConfigError("hierarchy needs at least one arrived pair")
     levels = terminal_levels(view)
     L = max(levels)
 
-    cl = trivial_clustering(view, levels)
+    cl = Clustering(tuple(range(view.num_terminals)), levels)
     clusterings = [cl]
     vgraphs = []
     metric = ContractedMetric.trivial(view.dist_matrix())
@@ -348,10 +336,8 @@ def build_hierarchy(view: InstanceView) -> Hierarchy:
 
         vgraphs.append(edges)
         if edges:
-            cl = contract_clustering(cl, edges, i + 1, levels)
+            cl = Clustering(contract_clustering(cl, edges), levels)
             metric = metric.merge(edges)
-        else:
-            cl = Clustering(view.t, i + 1, cl.assignment, levels)
         clusterings.append(cl)
 
     top = clusterings[-1]

@@ -271,7 +271,6 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
         raise ConfigError(f"pair {pair} is not demand #{t} of the instance")
     view = inst.view(t)
     hier = build_hierarchy(view)
-    levels_vec = hier.term_levels
     prev_hier = state.hierarchy
 
     forest: dict[int, list[VirtualEdge]] = {}
@@ -289,9 +288,8 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
         cl_i = hier.clustering(i)
         cl_next = hier.clustering(i + 1)
 
-        cinh_i = contract_clustering(cl_i, f_inh, i, levels_vec)
-        check = contract_clustering(cl_i, f_inh + f_rest, i + 1, levels_vec)
-        if check.assignment != cl_next.assignment:
+        cinh_i = Clustering(contract_clustering(cl_i, f_inh), hier.term_levels) if f_inh else cl_i
+        if contract_clustering(cl_i, f_inh + f_rest) != cl_next.assignment:
             raise AssertionError("forest contraction disagrees with hierarchy (internal bug)")
         if len(f_inh) + len(f_rest) != len(cl_i.cluster_ids) - len(cl_next.cluster_ids):
             raise AssertionError("forest size identity broken (internal bug)")

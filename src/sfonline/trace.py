@@ -17,10 +17,10 @@ import json
 import os
 
 from .clustering import (
+    Clustering,
     Hierarchy,
     active_virtual_edges,
     level_metrics,
-    make_clustering,
     terminal_levels,
 )
 from .errors import ConfigError, FormatError
@@ -175,7 +175,7 @@ def save_trace(trace: RunTrace, dirpath) -> None:
             fh.write("\n")
 
 
-def _clustering_from_members(view, i, member_lists, levels):
+def _clustering_from_members(view, member_lists, levels):
     T = view.num_terminals
     assignment = [None] * T
     for ms in member_lists:
@@ -187,7 +187,7 @@ def _clustering_from_members(view, i, member_lists, levels):
             assignment[k] = cid
     if any(a is None for a in assignment):
         raise FormatError("trace clustering does not cover all arrived terminals")
-    return make_clustering(view, i, tuple(assignment), levels)
+    return Clustering(tuple(assignment), levels)
 
 
 def _hierarchy_from_payload(view, payload, levels) -> Hierarchy:
@@ -195,10 +195,13 @@ def _hierarchy_from_payload(view, payload, levels) -> Hierarchy:
     stored = payload["clusterings"]
     if len(stored) != L + 2:
         raise FormatError(f"trace stores {len(stored)} clusterings, wants L+2 = {L + 2}")
-    clusterings = tuple(
-        _clustering_from_members(view, i, member_lists, levels)
-        for i, member_lists in enumerate(stored)
-    )
+    # A level whose member lists repeat the previous level's shares its object.
+    clusterings = []
+    for i, member_lists in enumerate(stored):
+        if i and member_lists == stored[i - 1]:
+            clusterings.append(clusterings[-1])
+        else:
+            clusterings.append(_clustering_from_members(view, member_lists, levels))
     # Virtual graphs are definitional; recompute them from the recorded
     # clusterings so conformance checks see the same H_i any implementation
     # must have used.
@@ -206,7 +209,7 @@ def _hierarchy_from_payload(view, payload, levels) -> Hierarchy:
     for i, m in zip(range(L + 1), level_metrics(view.dist_matrix(), clusterings)):
         edges, _ = active_virtual_edges(m.D, m.ids, clusterings[i].cluster_level, i)
         vgraphs.append(edges)
-    return Hierarchy(view.t, L, clusterings, tuple(vgraphs), levels)
+    return Hierarchy(view.t, L, tuple(clusterings), tuple(vgraphs), levels)
 
 
 def _int(value):
@@ -214,6 +217,12 @@ def _int(value):
     if type(value) is not int:
         raise TypeError(f"want an integer, got {value!r}")
     return value
+
+
+def _edge(value):
+    """`value` as an edge: two integers, not bools (else TypeError or ValueError)."""
+    a, b = value
+    return _int(a), _int(b)
 
 
 @contextlib.contextmanager
@@ -239,18 +248,18 @@ def _outcome_from_payload(instance, t, payload) -> ArrivalOutcome:
                 c1=_int(rec["c1"]),
                 c2=_int(rec["c2"]),
                 inherited=rec["inherited"],
-                parent=tuple(rec["parent"]) if rec["parent"] else None,
-                eorig=frozenset(tuple(e) for e in rec["eorig"]),
+                parent=_edge(rec["parent"]) if rec["parent"] else None,
+                eorig=frozenset(_edge(e) for e in rec["eorig"]),
                 created_at=_int(rec["created_at"]),
             )
             for rec in entries
         ]
     cinh = {
-        int(key): _clustering_from_members(view, int(key), member_lists, levels)
+        int(key): _clustering_from_members(view, member_lists, levels)
         for key, member_lists in payload["cinh"].items()
     }
-    pinned_after = tuple((tuple(e), pt) for e, pt in payload["pinned"])
-    snapshot = Snapshot(t, frozenset(tuple(e) for e in payload["snapshot"]),
+    pinned_after = tuple((_edge(e), _int(pt)) for e, pt in payload["pinned"])
+    snapshot = Snapshot(t, frozenset(_edge(e) for e in payload["snapshot"]),
                         _int(payload["cost_f"]))
     led = payload["ledger"]
     entry = ArrivalLedger(
@@ -260,7 +269,7 @@ def _outcome_from_payload(instance, t, payload) -> ArrivalOutcome:
         pins_added=_int(led["pins_added"]),
         pin_events=tuple(
             PinEvent(ev["kind"], t, ev["level"],
-                     tuple(tuple(e) for e in ev["edges"]), ev["cost"], ev["source_size"])
+                     tuple(_edge(e) for e in ev["edges"]), ev["cost"], ev["source_size"])
             for ev in led["pin_events"]
         ),
         buffer_end=_int(led["buffer_end"]),

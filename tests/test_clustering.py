@@ -7,14 +7,15 @@ import pytest
 
 from sfonline.clustering import (
     ClusterPath,
+    Clustering,
     ContractedMetric,
     build_hierarchy,
     check_refinement,
     cluster_distance,
     dump_hierarchy,
     level_metrics,
-    make_clustering,
     terminal_level,
+    terminal_levels,
     trivial_clustering,
     virtual_graph,
 )
@@ -206,16 +207,16 @@ def test_virtual_graph_thresholds(w1):
     # Two active singletons at distance 3 with i=1: 3 < 4 gives one edge.
     inst = line_instance([0, 3, 100, 1000])
     view = inst.view(1)
-    cl = make_clustering(view, 1, (0, 1))
-    assert virtual_graph(view, cl) == ((0, 1),)
+    cl = Clustering((0, 1), terminal_levels(view))
+    assert virtual_graph(view, cl, 1) == ((0, 1),)
     # Distance exactly 2^(i+1) gives no edge (strict inequality).
     inst4 = line_instance([0, 4])
     view4 = inst4.view(1)
-    cl4 = make_clustering(view4, 1, (0, 1))
-    assert virtual_graph(view4, cl4) == ()
+    cl4 = Clustering((0, 1), terminal_levels(view4))
+    assert virtual_graph(view4, cl4, 1) == ()
     # Single active cluster: empty edge set.
-    clw = make_clustering(w1.view(1), 0, (0, 0))
-    assert virtual_graph(w1.view(1), clw) == ()
+    clw = Clustering((0, 0), terminal_levels(w1.view(1)))
+    assert virtual_graph(w1.view(1), clw, 0) == ()
 
 
 def test_build_hierarchy_w1(w1):
@@ -246,11 +247,11 @@ def test_refinement_basics(w1):
     top = build_hierarchy(view).top
     assert check_refinement(triv, triv)
     assert check_refinement(triv, top)
-    a = make_clustering(view, 0, (0, 0, 2, 3))  # {ab},{c},{d}
-    b = make_clustering(view, 0, (0, 1, 0, 3))  # {ac},{b},{d}
+    a = Clustering((0, 0, 2, 3), terminal_levels(view))  # {ab},{c},{d}
+    b = Clustering((0, 1, 0, 3), terminal_levels(view))  # {ac},{b},{d}
     assert not check_refinement(a, b)
     with pytest.raises(ConfigError):
-        check_refinement(top, make_clustering(w1.view(1), 0, (0, 1)))
+        check_refinement(top, Clustering((0, 1), terminal_levels(w1.view(1))))
 
 
 def test_hierarchy_invariants_on_random_instances():
@@ -265,6 +266,9 @@ def test_hierarchy_invariants_on_random_instances():
                 # asserted inside build_hierarchy, refinement re-checked here.
                 for i in range(h.L + 1):
                     assert check_refinement(h.clustering(i), h.clustering(i + 1))
+                    # A level that merges nothing shares its predecessor's object.
+                    merged = h.clustering(i + 1) is not h.clustering(i)
+                    assert merged == (h.virtual_edges(i) != ())
                 top = h.top
                 for u, v in view.demands:
                     assert top.assignment[u] == top.assignment[v]
@@ -281,7 +285,7 @@ def test_cluster_gap_recomputed_independently():
     h = build_hierarchy(view)
     for i in range(h.L + 1):
         cl = h.clustering(i)
-        act = cl.active_ids(i)
+        act = [cid for cid in cl.cluster_ids if cl.cluster_level[cid] >= i]
         for c1, c2 in itertools.combinations(act, 2):
             d = brute_contracted_distance(view, cl.assignment, [], c1, c2)
             assert d >= 2**i

@@ -1,6 +1,11 @@
 import pytest
 
-from sfonline.clustering import build_hierarchy, trivial_clustering
+from sfonline.clustering import (
+    Clustering,
+    build_hierarchy,
+    terminal_levels,
+    trivial_clustering,
+)
 from sfonline.errors import ConfigError
 from sfonline.forest import (
     OnlineState,
@@ -60,9 +65,7 @@ def test_classify_inheritance_maps_and_absorbs(w1):
     new_same = trivial_clustering(view)
     parents = classify_inheritance([pe], prev_cl, new_same, [(0, 1)])
     assert parents == {(0, 1): pe}
-    from sfonline.clustering import make_clustering
-
-    merged = make_clustering(view, 0, (0, 0, 2, 3))
+    merged = Clustering((0, 0, 2, 3), terminal_levels(view))
     assert classify_inheritance([pe], prev_cl, merged, []) == {}
 
 

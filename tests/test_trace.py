@@ -2,6 +2,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfonline.certify import check_run
 from sfonline.cli import main
@@ -32,6 +34,10 @@ def test_trace_roundtrip(tmp_path, w1):
             assert b.cinh[i].assignment == cl.assignment
         assert [c.assignment for c in a.hierarchy.clusterings] == \
                [c.assignment for c in b.hierarchy.clusterings]
+        # Levels whose stored member lists repeat share one loaded object.
+        loaded_cls = b.hierarchy.clusterings
+        for prev, cl in zip(loaded_cls, loaded_cls[1:]):
+            assert (cl is prev) == (cl.assignment == prev.assignment)
         assert a.hierarchy.vgraphs == b.hierarchy.vgraphs
 
 
@@ -62,11 +68,30 @@ def _edited(change):
     return edit
 
 
+def _set_leaf(payload, path, value):
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+def _setting(path, value):
+    return _edited(lambda p: _set_leaf(p, path, value))
+
+
 TAMPERINGS = {
     "truncated-json": lambda text: text[: len(text) // 2],
     "missing-forest": _edited(lambda p: p.pop("forest")),
     "buffer-end-str": _edited(lambda p: p["ledger"].update(buffer_end="x")),
     "cost-f-null": _edited(lambda p: p.update(cost_f=None)),
+    # One per edge-valued field; the untampered trace has level-8 fresh edges,
+    # an inherited level-9 edge and one single pin at this arrival.
+    "snapshot-endpoint-bool": _setting(("snapshot", 0, 1), True),
+    "pinned-endpoint-str": _setting(("pinned", 0, 0, 1), "x"),
+    "pinned-arrival-float": _setting(("pinned", 0, 1), 2.5),
+    "eorig-endpoint-float": _setting(("forest", "8", 0, "eorig", 0, 1), 2.5),
+    "parent-endpoint-list": _setting(("forest", "9", 0, "parent", 1), [1]),
+    "pin-event-endpoint-null": _setting(("ledger", "pin_events", 0, "edges", 0, 0), None),
 }
 
 
@@ -110,15 +135,15 @@ SEMANTIC_TAMPERINGS = {
     "forest-edge-dropped": (
         "arrival_0004.json",
         lambda p: p["forest"]["7"].pop(),
-        ["forest-contracts-to-next,7,4,fail"]),
+        ["forest-contracts-to-next,7,4,fail,terminal 7 in 7 want 3"]),
     "fresh-edge-marked-inherited": (
         "arrival_0004.json",
         _mark_first_fresh_edge_inherited,
-        ["cinh-matches-forest,7,4,fail"]),
+        ["cinh-matches-forest,7,4,fail,terminal 6 in 1 want 6"]),
     "edge-to-itself": (
         "arrival_0004.json",
         lambda p: p["forest"]["7"][0].update(c2=p["forest"]["7"][0]["c1"]),
-        ["virtual-edge-valid,7,4,fail"]),
+        ["virtual-edge-valid,7,4,fail,(1;1) does not join two clusters"]),
 }
 
 
@@ -135,3 +160,39 @@ def test_tampered_trace_gets_fail_rows(tmp_path, capsys, case):
     report = (tmp_path / "c" / "certify.csv").read_text()
     for row in rows:
         assert row in report, (row, [r for r in report.splitlines() if ",fail," in r])
+
+
+def _leaves(node, path=()):
+    """Paths to every scalar and empty container of a parsed JSON document."""
+    if isinstance(node, (dict, list)) and node:
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+@pytest.fixture(scope="module")
+def leaf_trace(tmp_path_factory):
+    d = tmp_path_factory.mktemp("leaf") / "trace"
+    save_trace(run_online(generate_instance(GeneratorSpec(kind="euclidean", n=5, seed=1)),
+                          lam=2), d)
+    return d
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_one_bad_leaf_never_escapes_certify(leaf_trace, data):
+    names = sorted(name for name in os.listdir(leaf_trace) if name.startswith("arrival_"))
+    path = leaf_trace / data.draw(st.sampled_from(names))
+    text = path.read_text()
+    payload = json.loads(text)
+    leaf = data.draw(st.sampled_from(list(_leaves(payload))))
+    _set_leaf(payload, leaf, data.draw(st.sampled_from(
+        (-1, 0, 7, 10**30, None, "x", True, 2.5, [], [1], {}))))
+    path.write_text(json.dumps(payload))
+    try:
+        code = main(["certify", "--trace", str(leaf_trace), "--out",
+                     str(leaf_trace.parent / "c"), "--quiet"])
+    finally:
+        path.write_text(text)
+    assert code in (0, 1, 3)
