@@ -278,17 +278,18 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
     pending: list[VirtualEdge] = []
     for i in range(hier.L + 1):
         h_edges = hier.virtual_edges(i)
+        cl_i = hier.clustering(i)
+        cl_next = hier.clustering(i + 1)
         prev_edges = state.forest.get(i, ())
         if prev_edges:
-            parents = classify_inheritance(prev_edges, prev_hier.clustering(i),
-                                           hier.clustering(i), h_edges)
+            parents = classify_inheritance(prev_edges, prev_hier.clustering(i), cl_i, h_edges)
         else:
             parents = {}
         f_inh, f_rest = select_spanning_forest(h_edges, parents.keys())
-        cl_i = hier.clustering(i)
-        cl_next = hier.clustering(i + 1)
 
-        cinh_i = Clustering(contract_clustering(cl_i, f_inh), hier.term_levels) if f_inh else cl_i
+        # C_inh is C_i when no forest edge is inherited and C_{i+1} when all are.
+        cinh_i = cl_i if not f_inh else cl_next if not f_rest else Clustering(
+            contract_clustering(cl_i, f_inh), hier.term_levels)
         if contract_clustering(cl_i, f_inh + f_rest) != cl_next.assignment:
             raise AssertionError("forest contraction disagrees with hierarchy (internal bug)")
         if len(f_inh) + len(f_rest) != len(cl_i.cluster_ids) - len(cl_next.cluster_ids):
