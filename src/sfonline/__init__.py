@@ -16,7 +16,6 @@ from .clustering import (
     check_refinement,
     cluster_distance,
     terminal_level,
-    virtual_graph,
 )
 from .errors import ConfigError, FormatError, MetricError, OracleLimitError, SfonlineError
 from .forest import OnlineState, Snapshot, advance, recourse_diff
@@ -78,6 +77,5 @@ __all__ = [
     "save_trace",
     "terminal_level",
     "validate_metric",
-    "virtual_graph",
     "witness_value_identity",
 ]

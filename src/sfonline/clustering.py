@@ -16,6 +16,10 @@ A Clustering is a plain partition with no level label. Most levels merge
 nothing and share their predecessor's object; contract_clustering returns an
 assignment tuple, so each distinct partition is built once.
 
+A Hierarchy is immutable and holds only what a trace records.
+build_hierarchy returns each level's virtual edges and contracted metric
+beside it, for use on the one arrival, so kept hierarchies hold no arrays.
+
 Everything here is deterministic: cluster ids are the minimum member
 terminal id, edges are ordered by (min endpoint, max endpoint), and
 shortest-path ties are broken toward the lexicographically smallest
@@ -68,10 +72,6 @@ class Clustering:
         self.cluster_ids = tuple(sorted(self.members))
         self.cluster_level = {cid: max(term_levels[k] for k in ms)
                               for cid, ms in self.members.items()}
-
-
-def trivial_clustering(view: InstanceView) -> Clustering:
-    return Clustering(tuple(range(view.num_terminals)), terminal_levels(view))
 
 
 def contract_clustering(cl: Clustering, cluster_edges) -> tuple[int, ...]:
@@ -274,47 +274,32 @@ def active_virtual_edges(D, ids, cluster_level, i: int):
     return tuple((ids[act[x[k]]], ids[act[y[k]]]) for k in close), int(dxy.min())
 
 
-def virtual_graph(view: InstanceView, cl: Clustering, i: int) -> tuple[tuple[int, int], ...]:
-    """Level-i virtual edges: i-active cluster pairs at contracted distance < 2^(i+1)."""
-    m = ContractedMetric.of(view.dist_matrix(), cl.assignment)
-    edges, _ = active_virtual_edges(m.D, m.ids, cl.cluster_level, i)
-    return edges
-
-
 @dataclasses.dataclass(frozen=True)
 class Hierarchy:
-    """Per-arrival clustering hierarchy C_0 .. C_{L+1} plus virtual graphs."""
+    """Per-arrival clustering hierarchy C_0 .. C_{L+1}, exactly what a trace
+    records: a run and the trace loader build this same shape."""
 
     t: int
     L: int
     clusterings: tuple[Clustering, ...]  # length L + 2
-    vgraphs: tuple[tuple[tuple[int, int], ...], ...]  # length L + 1
     term_levels: tuple[int, ...]
-    # Contracted metric of C_0 .. C_L while the arrival is processed. Every
-    # arrival's hierarchy is kept, so its user empties the list when done.
-    metrics: list = dataclasses.field(default_factory=list, compare=False, repr=False)
 
     def clustering(self, i: int) -> Clustering:
-        # Levels above the top alias C_{L+1} (with an empty virtual graph).
+        # Levels above the top alias C_{L+1}.
         return self.clusterings[min(i, self.L + 1)]
-
-    def virtual_edges(self, i: int) -> tuple[tuple[int, int], ...]:
-        return self.vgraphs[i] if i <= self.L else ()
-
-    def metric(self, i: int) -> ContractedMetric | None:
-        return self.metrics[i] if i < len(self.metrics) else None
 
     @property
     def top(self) -> Clustering:
         return self.clusterings[self.L + 1]
 
 
-def build_hierarchy(view: InstanceView) -> Hierarchy:
+def build_hierarchy(view: InstanceView):
     """Run the clustering procedure for one arrival prefix.
 
-    Each level's contracted metric is the previous one with that level's
-    virtual edges merged in; a level that merges nothing keeps it, and its
-    clustering, as is.
+    Returns (hierarchy, virtual edges of H_0 .. H_L, contracted metrics of
+    C_0 .. C_L); the caller keeps the last two for this arrival only. Each
+    level's metric is the previous one with that level's virtual edges merged
+    in; a level that merges nothing keeps it, and its clustering, as is.
     """
     if view.t < 1:
         raise ConfigError("hierarchy needs at least one arrived pair")
@@ -344,7 +329,7 @@ def build_hierarchy(view: InstanceView) -> Hierarchy:
     for u, v in view.demands:
         if top.assignment[u] != top.assignment[v]:
             raise AssertionError("demand pair split at the top clustering (internal bug)")
-    return Hierarchy(view.t, L, tuple(clusterings), tuple(vgraphs), levels, metrics)
+    return Hierarchy(view.t, L, tuple(clusterings), levels), tuple(vgraphs), tuple(metrics)
 
 
 def dump_hierarchy(h: Hierarchy) -> str:

@@ -197,23 +197,24 @@ def select_spanning_forest(h_edges, inherited_images):
     return f_inh, f_rest
 
 
-def pin_and_realize(view, hier, pending, pinned, lam, t):
+def pin_and_realize(view, hier, metrics, pending, pinned, lam, t):
     """Realize the fresh virtual edges and grow the pin set.
 
     `pending` holds the non-inherited forest edges in pinning order (levels
     ascending, canonical within a level). Each is realized by a shortest path
     in the cluster graph contracted by the CURRENT pin set, which grows as
-    the loop runs. Long realizations pin their floor(|E|/lambda) cheapest
-    edges directly; short ones feed the buffer, which pins its cheapest edge
-    whenever it reaches lambda entries. The buffer starts empty each arrival
-    and every pin empties it.
+    the loop runs; `metrics[i]` is the contracted metric of level i's
+    clustering, which the pins are merged into. Long realizations pin their
+    floor(|E|/lambda) cheapest edges directly; short ones feed the buffer,
+    which pins its cheapest edge whenever it reaches lambda entries. The
+    buffer starts empty each arrival and every pin empties it.
     """
     buffer: list[Edge] = []  # multiset: duplicates kept on purpose
     events: list[PinEvent] = []
     for ve in pending:
         cl = hier.clustering(ve.level)
         path = cluster_distance(view, cl.assignment, pinned.edges(), ve.c1, ve.c2,
-                                hier.metric(ve.level))
+                                metrics[ve.level])
         eorig = frozenset(path.edges)
         ve.eorig = eorig
         ve.created_at = t
@@ -270,14 +271,14 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
     if t > inst.n or tuple(pair) != inst.demands[t - 1]:
         raise ConfigError(f"pair {pair} is not demand #{t} of the instance")
     view = inst.view(t)
-    hier = build_hierarchy(view)
+    hier, vgraphs, metrics = build_hierarchy(view)
     prev_hier = state.hierarchy
 
     forest: dict[int, list[VirtualEdge]] = {}
     cinh: dict[int, Clustering] = {}
     pending: list[VirtualEdge] = []
     for i in range(hier.L + 1):
-        h_edges = hier.virtual_edges(i)
+        h_edges = vgraphs[i]
         cl_i = hier.clustering(i)
         cl_next = hier.clustering(i + 1)
         prev_edges = state.forest.get(i, ())
@@ -313,8 +314,8 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
         forest[i] = entries
         cinh[i] = cinh_i
 
-    events, buffer_end = pin_and_realize(view, hier, pending, state.pinned, state.lam, t)
-    hier.metrics.clear()
+    events, buffer_end = pin_and_realize(view, hier, metrics, pending, state.pinned,
+                                         state.lam, t)
     pins_added = sum(len(ev.edges) for ev in events)
 
     F = set(state.pinned.edges())

@@ -134,14 +134,14 @@ def offline_gluttonous_forest(view: InstanceView) -> OfflineForestResult:
     """Offline forest from the hierarchy: canonical spanning forests, each
     virtual edge realized by a shortest path in the plain contracted metric
     (no pin contraction, no inheritance)."""
-    h = build_hierarchy(view)
+    h, vgraphs, metrics = build_hierarchy(view)
     edges = set()
     counts = []
     for i in range(h.L + 1):
-        f_inh, f_rest = select_spanning_forest(h.virtual_edges(i), ())
+        f_inh, f_rest = select_spanning_forest(vgraphs[i], ())
         cl = h.clustering(i)
         for c1, c2 in f_inh + f_rest:
-            path = cluster_distance(view, cl.assignment, (), c1, c2, h.metric(i))
+            path = cluster_distance(view, cl.assignment, (), c1, c2, metrics[i])
             edges.update(path.edges)
         counts.append(len(cl.cluster_ids) - len(h.clustering(i + 1).cluster_ids))
     cost = sum(view.d(a, b) for a, b in edges)

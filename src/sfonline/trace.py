@@ -16,14 +16,8 @@ import dataclasses
 import json
 import os
 
-from .clustering import (
-    Clustering,
-    Hierarchy,
-    active_virtual_edges,
-    level_metrics,
-    terminal_levels,
-)
-from .errors import ConfigError, FormatError
+from .clustering import Clustering, Hierarchy, terminal_levels
+from .errors import FormatError
 from .forest import (
     ArrivalLedger,
     ArrivalOutcome,
@@ -182,19 +176,21 @@ def _clustering_from_members(view, member_lists, levels):
         cid = min(ms)
         for k in ms:
             if not 0 <= k < T or assignment[k] is not None:
-                raise FormatError(f"cluster member {k} invalid or repeated in trace")
+                raise ValueError(f"cluster member {k} invalid or repeated")
         for k in ms:
             assignment[k] = cid
     if any(a is None for a in assignment):
-        raise FormatError("trace clustering does not cover all arrived terminals")
+        raise ValueError("clustering does not cover all arrived terminals")
     return Clustering(tuple(assignment), levels)
 
 
 def _hierarchy_from_payload(view, payload, levels) -> Hierarchy:
-    L = payload["L"]
+    L = _int(payload["L"])
+    if L != max(levels):
+        raise ValueError(f"L={L} but the top terminal level is {max(levels)}")
     stored = payload["clusterings"]
     if len(stored) != L + 2:
-        raise FormatError(f"trace stores {len(stored)} clusterings, wants L+2 = {L + 2}")
+        raise ValueError(f"{len(stored)} clusterings stored, want L+2 = {L + 2}")
     # A level whose member lists repeat the previous level's shares its object.
     clusterings = []
     for i, member_lists in enumerate(stored):
@@ -202,20 +198,27 @@ def _hierarchy_from_payload(view, payload, levels) -> Hierarchy:
             clusterings.append(clusterings[-1])
         else:
             clusterings.append(_clustering_from_members(view, member_lists, levels))
-    # Virtual graphs are definitional; recompute them from the recorded
-    # clusterings so conformance checks see the same H_i any implementation
-    # must have used.
-    vgraphs = []
-    for i, m in zip(range(L + 1), level_metrics(view.dist_matrix(), clusterings)):
-        edges, _ = active_virtual_edges(m.D, m.ids, clusterings[i].cluster_level, i)
-        vgraphs.append(edges)
-    return Hierarchy(view.t, L, tuple(clusterings), tuple(vgraphs), levels)
+    return Hierarchy(view.t, L, tuple(clusterings), levels)
 
 
 def _int(value):
     """`value` if it is an integer (not a bool), else TypeError."""
     if type(value) is not int:
         raise TypeError(f"want an integer, got {value!r}")
+    return value
+
+
+def _bool(value):
+    """`value` if it is a JSON bool, else TypeError."""
+    if type(value) is not bool:
+        raise TypeError(f"want a bool, got {value!r}")
+    return value
+
+
+def _pin_kind(value):
+    """`value` if it is a pin event kind, else ValueError."""
+    if value not in ("batch", "single"):
+        raise ValueError(f"want pin kind 'batch' or 'single', got {value!r}")
     return value
 
 
@@ -247,17 +250,21 @@ def _outcome_from_payload(instance, t, payload) -> ArrivalOutcome:
                 level=i,
                 c1=_int(rec["c1"]),
                 c2=_int(rec["c2"]),
-                inherited=rec["inherited"],
+                inherited=_bool(rec["inherited"]),
                 parent=_edge(rec["parent"]) if rec["parent"] else None,
                 eorig=frozenset(_edge(e) for e in rec["eorig"]),
                 created_at=_int(rec["created_at"]),
             )
             for rec in entries
         ]
-    cinh = {
-        int(key): _clustering_from_members(view, member_lists, levels)
-        for key, member_lists in payload["cinh"].items()
-    }
+    # C_inh mostly equals C_i or C_{i+1}; such a level reuses the loaded object.
+    stored = payload["clusterings"]
+    cinh = {}
+    for key, member_lists in payload["cinh"].items():
+        i = int(key)
+        same = [j for j in (i, i + 1) if 0 <= j <= hier.L + 1 and stored[j] == member_lists]
+        cinh[i] = (hier.clusterings[same[0]] if same
+                   else _clustering_from_members(view, member_lists, levels))
     pinned_after = tuple((_edge(e), _int(pt)) for e, pt in payload["pinned"])
     snapshot = Snapshot(t, frozenset(_edge(e) for e in payload["snapshot"]),
                         _int(payload["cost_f"]))
@@ -268,8 +275,9 @@ def _outcome_from_payload(instance, t, payload) -> ArrivalOutcome:
         deletions=_int(led["deletions"]),
         pins_added=_int(led["pins_added"]),
         pin_events=tuple(
-            PinEvent(ev["kind"], t, ev["level"],
-                     tuple(_edge(e) for e in ev["edges"]), ev["cost"], ev["source_size"])
+            PinEvent(_pin_kind(ev["kind"]), t, _int(ev["level"]),
+                     tuple(_edge(e) for e in ev["edges"]), _int(ev["cost"]),
+                     _int(ev["source_size"]))
             for ev in led["pin_events"]
         ),
         buffer_end=_int(led["buffer_end"]),
@@ -293,24 +301,27 @@ def load_trace(dirpath) -> RunTrace:
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
         if meta.get("format") != TRACE_FORMAT:
-            raise FormatError(f"unsupported trace format {meta.get('format')!r}")
-        lam = int(meta["lam"])
-        count = int(meta["arrivals"])
+            raise ValueError(f"unsupported trace format {meta.get('format')!r}")
+        lam = _int(meta["lam"])
+        if lam < 1:
+            raise ValueError(f"lam={lam} is below 1")
+        nhat_doubling = _bool(meta["nhat_doubling"])
     instance = load_instance_file(os.path.join(dirpath, "instance.sfo"))
+    with _malformed(meta_path):
+        for key in ("n", "arrivals"):
+            if _int(meta[key]) != instance.n:
+                raise ValueError(f"{key}={meta[key]} but the instance has n={instance.n}")
 
     outcomes = []
     ledger = RecourseLedger()
-    for t in range(1, count + 1):
+    for t in range(1, instance.n + 1):
         path = os.path.join(dirpath, f"arrival_{t:04d}.json")
         with _malformed(path):
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
             if payload["t"] != t:
-                raise FormatError(f"arrival file {path} stores t={payload['t']}")
+                raise ValueError(f"stores t={payload['t']}")
             out = _outcome_from_payload(instance, t, payload)
         ledger.record(out.ledger)
         outcomes.append(out)
-    if len(outcomes) == 0:
-        raise ConfigError("trace holds no arrivals")
-    return RunTrace(instance, lam, outcomes, ledger,
-                    nhat_doubling=bool(meta.get("nhat_doubling", False)))
+    return RunTrace(instance, lam, outcomes, ledger, nhat_doubling=nhat_doubling)

@@ -22,7 +22,6 @@ from sfonline.clustering import (
     Clustering,
     build_hierarchy,
     terminal_levels,
-    trivial_clustering,
 )
 from sfonline.errors import SfonlineError
 from sfonline.metric import MAX_DIST, GeneratorSpec, Instance, generate_instance
@@ -130,7 +129,7 @@ def dual_cases(draw, separated):
         if not separated or all(view.d(v, w) >= 1 << i for w in sources):
             sources.append(v)
     if draw(st.booleans()):
-        top = build_hierarchy(view).top
+        top = build_hierarchy(view)[0].top
     else:
         top = Clustering(draw(st.lists(st.integers(0, 3), min_size=T, max_size=T)),
                          terminal_levels(view))
@@ -156,7 +155,8 @@ def test_dual_check_matches_reference_on_overlapping_balls(case):
 
 def test_dual_check_hand_made_duals(w1):
     view = w1.view(2)
-    top = build_hierarchy(view).top
+    h = build_hierarchy(view)[0]
+    top, trivial = h.top, h.clusterings[0]
     # Overloaded edge: radius-1 balls around 0 and 1, which sit 1 apart.
     ref = ref_overlapping_dual(view, [0, 1], 1)
     assert ref_check_dual_feasibility(ref, view, top) == (
@@ -165,15 +165,15 @@ def test_dual_check_hand_made_duals(w1):
     # A half-integral overload.
     line = line_instance([0, 1, 2, 50]).view(2)
     ref = ref_overlapping_dual(line, [0, 2], Fraction(3, 2))
-    line_top = build_hierarchy(line).top
+    line_top = build_hierarchy(line)[0].top
     assert ref_check_dual_feasibility(ref, line, line_top) == (
         False, "edge (0,1) overloaded: 3/2 > 1")
     assert_same_verdict(ref, line, line_top)
     # A cut that separates no top cluster: singletons cannot be separated.
     ref = ref_grow_balls(view, [0], Fraction(1, 2))
-    assert ref_check_dual_feasibility(ref, view, trivial_clustering(view)) == (
+    assert ref_check_dual_feasibility(ref, view, trivial) == (
         False, "cut [0] separates no top cluster")
-    assert_same_verdict(ref, view, trivial_clustering(view))
+    assert_same_verdict(ref, view, trivial)
     # The empty dual.
     ref = DualSolution({}, frozenset(), Fraction(1, 2))
     assert ref_check_dual_feasibility(ref, view, top) == (True, "")
@@ -242,7 +242,7 @@ def test_two_balls_at_exactly_2r_are_feasible():
     view = inst.view(1)
     dual = grow_balls(view, [0, 1], 4)  # r = 2
     assert dual.total() == 8
-    top = build_hierarchy(view).top
+    top = build_hierarchy(view)[0].top
     ok, detail = check_dual_feasibility(dual, view, top)
     assert ok, detail
     # The single edge is exactly tight: both radius-2 balls cross it.
@@ -253,7 +253,7 @@ def test_two_balls_at_exactly_2r_are_feasible():
 def test_empty_dual_is_feasible(w1):
     view = w1.view(2)
     ok, _ = check_dual_feasibility(DualSolution({}, frozenset(), 2), view,
-                                   build_hierarchy(view).top)
+                                   build_hierarchy(view)[0].top)
     assert ok
 
 

@@ -12,12 +12,11 @@ from sfonline.clustering import (
     build_hierarchy,
     check_refinement,
     cluster_distance,
+    active_virtual_edges,
     dump_hierarchy,
     level_metrics,
     terminal_level,
     terminal_levels,
-    trivial_clustering,
-    virtual_graph,
 )
 from sfonline.errors import ConfigError
 from sfonline.metric import MAX_DIST, GeneratorSpec, generate_instance
@@ -130,14 +129,14 @@ def test_terminal_level_matches_float_log():
 
 def test_cluster_distance_same_supernode(w1):
     view = w1.view(2)
-    cl = trivial_clustering(view)
+    cl = build_hierarchy(view)[0].clusterings[0]
     path = cluster_distance(view, cl.assignment, [(0, 1)], 0, 1)
     assert path == ClusterPath(0, (0,), ())
 
 
 def test_cluster_distance_two_singletons(w1):
     view = w1.view(1)
-    cl = trivial_clustering(view)
+    cl = build_hierarchy(view)[0].clusterings[0]
     path = cluster_distance(view, cl.assignment, [], 0, 1)
     assert path.distance == 1
     assert path.edges == ((0, 1),)
@@ -147,7 +146,7 @@ def test_cluster_distance_goes_through_middle():
     # Line a-b-c with d(a,b)=d(b,c)=1, d(a,c)=2: path {a}->{c} runs via b.
     inst = line_instance([0, 1, 2, 50])  # 4 terminals to keep pairs legal
     view = inst.view(2)
-    cl = trivial_clustering(view)
+    cl = build_hierarchy(view)[0].clusterings[0]
     path = cluster_distance(view, cl.assignment, [], 0, 2)
     assert path.distance == 2
     assert path.nodes == (0, 1, 2)
@@ -156,7 +155,7 @@ def test_cluster_distance_goes_through_middle():
 
 def test_cluster_distance_rejects_unknown_cluster(w1):
     view = w1.view(2)
-    cl = trivial_clustering(view)
+    cl = build_hierarchy(view)[0].clusterings[0]
     with pytest.raises(ConfigError):
         cluster_distance(view, cl.assignment, [], 0, 99)
 
@@ -194,7 +193,7 @@ def test_cluster_distance_path_invariants_and_oracle():
 def test_cluster_distance_triangle_over_supernodes():
     inst = generate_instance(GeneratorSpec(kind="euclidean", n=3, seed=4, scale=100))
     view = inst.view(3)
-    cl = trivial_clustering(view)
+    cl = build_hierarchy(view)[0].clusterings[0]
     cids = cl.cluster_ids
     for a, b, c in itertools.permutations(cids[:4], 3):
         dab = cluster_distance(view, cl.assignment, [], a, b).distance
@@ -203,24 +202,29 @@ def test_cluster_distance_triangle_over_supernodes():
         assert dac <= dab + dbc
 
 
+def level_edges(view, cl, i):
+    m = ContractedMetric.of(view.dist_matrix(), cl.assignment)
+    return active_virtual_edges(m.D, m.ids, cl.cluster_level, i)[0]
+
+
 def test_virtual_graph_thresholds(w1):
     # Two active singletons at distance 3 with i=1: 3 < 4 gives one edge.
     inst = line_instance([0, 3, 100, 1000])
     view = inst.view(1)
     cl = Clustering((0, 1), terminal_levels(view))
-    assert virtual_graph(view, cl, 1) == ((0, 1),)
+    assert level_edges(view, cl, 1) == ((0, 1),)
     # Distance exactly 2^(i+1) gives no edge (strict inequality).
     inst4 = line_instance([0, 4])
     view4 = inst4.view(1)
     cl4 = Clustering((0, 1), terminal_levels(view4))
-    assert virtual_graph(view4, cl4, 1) == ()
+    assert level_edges(view4, cl4, 1) == ()
     # Single active cluster: empty edge set.
     clw = Clustering((0, 0), terminal_levels(w1.view(1)))
-    assert virtual_graph(w1.view(1), clw, 0) == ()
+    assert level_edges(w1.view(1), clw, 0) == ()
 
 
 def test_build_hierarchy_w1(w1):
-    h = build_hierarchy(w1.view(2))
+    h, vgraphs, metrics = build_hierarchy(w1.view(2))
     assert h.L == 2
     c1 = h.clustering(1)
     assert sorted(c1.members.values()) == [(0, 1), (2,), (3,)]
@@ -230,21 +234,21 @@ def test_build_hierarchy_w1(w1):
     assert sorted(c3.members.values()) == [(0, 1), (2, 3)]
     # Aliasing above the top.
     assert h.clustering(10) is c3
-    assert h.virtual_edges(10) == ()
+    assert len(vgraphs) == len(metrics) == h.L + 1
 
 
 def test_build_hierarchy_single_pair():
     inst = line_instance([0, 1])
-    h = build_hierarchy(inst.view(1))
+    h, vgraphs, _ = build_hierarchy(inst.view(1))
     assert h.L == 0
     assert h.top.members == {0: (0, 1)}
-    assert h.virtual_edges(0) == ((0, 1),)
+    assert vgraphs == (((0, 1),),)
 
 
 def test_refinement_basics(w1):
     view = w1.view(2)
-    triv = trivial_clustering(view)
-    top = build_hierarchy(view).top
+    h = build_hierarchy(view)[0]
+    triv, top = h.clusterings[0], h.top
     assert check_refinement(triv, triv)
     assert check_refinement(triv, top)
     a = Clustering((0, 0, 2, 3), terminal_levels(view))  # {ab},{c},{d}
@@ -261,14 +265,14 @@ def test_hierarchy_invariants_on_random_instances():
             prev = None
             for t in range(1, inst.n + 1):
                 view = inst.view(t)
-                h = build_hierarchy(view)
+                h, vgraphs, _ = build_hierarchy(view)
                 # C_i refines C_{i+1}; gap and co-clustering postconditions are
                 # asserted inside build_hierarchy, refinement re-checked here.
                 for i in range(h.L + 1):
                     assert check_refinement(h.clustering(i), h.clustering(i + 1))
                     # A level that merges nothing shares its predecessor's object.
                     merged = h.clustering(i + 1) is not h.clustering(i)
-                    assert merged == (h.virtual_edges(i) != ())
+                    assert merged == (vgraphs[i] != ())
                 top = h.top
                 for u, v in view.demands:
                     assert top.assignment[u] == top.assignment[v]
@@ -282,7 +286,7 @@ def test_hierarchy_invariants_on_random_instances():
 def test_cluster_gap_recomputed_independently():
     inst = generate_instance(GeneratorSpec(kind="random-metric", n=4, seed=3, scale=30))
     view = inst.view(4)
-    h = build_hierarchy(view)
+    h = build_hierarchy(view)[0]
     for i in range(h.L + 1):
         cl = h.clustering(i)
         act = [cid for cid in cl.cluster_ids if cl.cluster_level[cid] >= i]
@@ -292,11 +296,11 @@ def test_cluster_gap_recomputed_independently():
 
 
 def test_hierarchy_deterministic(w1):
-    h1 = build_hierarchy(w1.view(2))
-    h2 = build_hierarchy(w1.view(2))
+    h1, vgraphs1, _ = build_hierarchy(w1.view(2))
+    h2, vgraphs2, _ = build_hierarchy(w1.view(2))
     assert dump_hierarchy(h1) == dump_hierarchy(h2)
     assert [c.assignment for c in h1.clusterings] == [c.assignment for c in h2.clusterings]
-    assert h1.vgraphs == h2.vgraphs
+    assert vgraphs1 == vgraphs2
 
 
 def test_contracted_metric_of_matches_reference():
@@ -336,16 +340,16 @@ def test_contracted_metric_random_merge_orders():
 def test_level_metrics_follow_and_fall_back():
     inst = generate_instance(GeneratorSpec(kind="euclidean", n=6, seed=2, scale=100))
     view = inst.view(6)
-    h = build_hierarchy(view)
+    h, _, metrics = build_hierarchy(view)
     dist = view.dist_matrix()
     for cl, metric in zip(h.clusterings, level_metrics(dist, h.clusterings)):
         assert_matches_reference(metric, dist, cl.assignment)
     # A sequence that does not refine: top, then trivial, then top again.
-    seq = [h.top, trivial_clustering(view), h.top]
+    seq = [h.top, h.clusterings[0], h.top]
     for cl, metric in zip(seq, level_metrics(dist, seq)):
         assert_matches_reference(metric, dist, cl.assignment)
     # build_hierarchy carried the same metrics level to level.
-    for i, metric in enumerate(h.metrics):
+    for i, metric in enumerate(metrics):
         assert_matches_reference(metric, dist, h.clustering(i).assignment)
 
 
@@ -354,13 +358,13 @@ def test_cluster_distance_level_metric_with_pins_matches_brute():
     for kind in ("euclidean", "random-metric", "line-chain"):
         inst = generate_instance(GeneratorSpec(kind=kind, n=6, seed=3, scale=50))
         view = inst.view(6)
-        h = build_hierarchy(view)
+        h, _, metrics = build_hierarchy(view)
         all_edges = list(itertools.combinations(range(12), 2))
         for i in range(h.L + 1):
             cl = h.clustering(i)
             pins = rng.sample(all_edges, rng.randint(0, 5))
             for C1, C2 in itertools.combinations(cl.cluster_ids, 2):
-                path = cluster_distance(view, cl.assignment, pins, C1, C2, h.metric(i))
+                path = cluster_distance(view, cl.assignment, pins, C1, C2, metrics[i])
                 assert path == cluster_distance(view, cl.assignment, pins, C1, C2)
                 brute = brute_contracted_distance(view, cl.assignment, pins, C1, C2)
                 assert path.distance == brute
@@ -385,9 +389,9 @@ def test_contracted_metric_near_max_dist():
             assert path.distance <= MAX_DIST
         path = cluster_distance(view, assignment, [(0, 7)], 0, 6, metric)
         assert path.distance == brute_contracted_distance(view, assignment, [(0, 7)], 0, 6)
-    h = build_hierarchy(view)
+    h, _, metrics = build_hierarchy(view)
     for i in range(h.L + 1):
-        assert_matches_reference(h.metric(i), dist, h.clustering(i).assignment)
+        assert_matches_reference(metrics[i], dist, h.clustering(i).assignment)
 
 
 def test_contracted_weights_matches_brute():

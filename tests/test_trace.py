@@ -6,39 +6,80 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfonline.certify import check_run
+from sfonline.clustering import (
+    ContractedMetric,
+    active_virtual_edges,
+    build_hierarchy,
+    level_metrics,
+)
 from sfonline.cli import main
 from sfonline.errors import FormatError
 from sfonline.metric import GeneratorSpec, generate_instance
 from sfonline.trace import load_trace, run_online, save_trace
 
 
-def test_trace_roundtrip(tmp_path, w1):
-    trace = run_online(w1, lam=1)
-    d = tmp_path / "trace"
-    save_trace(trace, d)
-    names = sorted(os.listdir(d))
-    assert names == ["arrival_0001.json", "arrival_0002.json", "instance.sfo", "meta.json"]
+def _recomputed_vgraphs(view, hier):
+    """H_0 .. H_L derived from a hierarchy's clusterings alone."""
+    metrics = level_metrics(view.dist_matrix(), hier.clusterings)
+    return tuple(active_virtual_edges(m.D, m.ids, hier.clustering(i).cluster_level, i)[0]
+                 for i, m in zip(range(hier.L + 1), metrics))
 
-    loaded = load_trace(d)
-    assert loaded.instance == trace.instance
-    assert loaded.lam == 1
-    for a, b in zip(trace.arrivals, loaded.arrivals):
-        assert a.snapshot == b.snapshot
-        assert a.pinned_after == b.pinned_after
-        assert a.ledger == b.ledger
-        assert {i: [(ve.endpoints, ve.inherited, ve.eorig) for ve in entries]
-                for i, entries in a.forest.items()} == \
-               {i: [(ve.endpoints, ve.inherited, ve.eorig) for ve in entries]
-                for i, entries in b.forest.items()}
-        for i, cl in a.cinh.items():
-            assert b.cinh[i].assignment == cl.assignment
-        assert [c.assignment for c in a.hierarchy.clusterings] == \
-               [c.assignment for c in b.hierarchy.clusterings]
-        # Levels whose stored member lists repeat share one loaded object.
-        loaded_cls = b.hierarchy.clusterings
-        for prev, cl in zip(loaded_cls, loaded_cls[1:]):
-            assert (cl is prev) == (cl.assignment == prev.assignment)
-        assert a.hierarchy.vgraphs == b.hierarchy.vgraphs
+
+def test_trace_roundtrip(tmp_path, w1):
+    line = generate_instance(GeneratorSpec(kind="line-chain", n=8, seed=1))
+    reused = fresh = 0
+    for name, inst, lam in (("w1", w1, 1), ("line", line, 2)):
+        trace = run_online(inst, lam=lam)
+        d = tmp_path / name
+        save_trace(trace, d)
+        loaded = load_trace(d)
+        assert loaded.instance == trace.instance
+        assert loaded.lam == lam
+        for a, b in zip(trace.arrivals, loaded.arrivals, strict=True):
+            assert a.snapshot == b.snapshot
+            assert a.pinned_after == b.pinned_after
+            assert a.ledger == b.ledger
+            assert {i: [(ve.endpoints, ve.inherited, ve.eorig) for ve in entries]
+                    for i, entries in a.forest.items()} == \
+                   {i: [(ve.endpoints, ve.inherited, ve.eorig) for ve in entries]
+                    for i, entries in b.forest.items()}
+            assert [c.assignment for c in a.hierarchy.clusterings] == \
+                   [c.assignment for c in b.hierarchy.clusterings]
+            # Levels whose stored member lists repeat share one loaded object.
+            cls = b.hierarchy.clusterings
+            for prev, cl in zip(cls, cls[1:]):
+                assert (cl is prev) == (cl.assignment == prev.assignment)
+            # A loaded C_inh is the C_i or C_{i+1} object exactly when it
+            # equals that level (C_i first).
+            assert a.cinh.keys() == b.cinh.keys()
+            for i, cl in b.cinh.items():
+                assert cl.assignment == a.cinh[i].assignment
+                same = [c for c in (cls[i], cls[i + 1]) if c.assignment == cl.assignment]
+                if same:
+                    assert cl is same[0]
+                    reused += 1
+                else:
+                    assert all(cl is not c for c in cls)
+                    fresh += 1
+            # The loader keeps no virtual graphs; derived from the loaded
+            # clusterings they are the run's.
+            view = inst.view(b.t)
+            assert _recomputed_vgraphs(view, b.hierarchy) == build_hierarchy(view)[1]
+    assert reused and fresh
+    assert sorted(os.listdir(tmp_path / "w1")) == [
+        "arrival_0001.json", "arrival_0002.json", "instance.sfo", "meta.json"]
+
+
+def test_load_trace_builds_no_contracted_metric(tmp_path, monkeypatch):
+    inst = generate_instance(GeneratorSpec(kind="euclidean", n=6, seed=1))
+    save_trace(run_online(inst, lam=2), tmp_path / "t")
+
+    def refuse(*args):
+        raise AssertionError("load_trace built a contracted metric")
+
+    monkeypatch.setattr(ContractedMetric, "of", refuse)
+    monkeypatch.setattr(ContractedMetric, "merge", refuse)
+    assert len(load_trace(tmp_path / "t").arrivals) == inst.n
 
 
 def test_loaded_trace_certifies(tmp_path):
@@ -79,30 +120,63 @@ def _setting(path, value):
     return _edited(lambda p: _set_leaf(p, path, value))
 
 
+def _meta(**fields):
+    return "meta.json", _edited(lambda p: p.update(fields))
+
+
+def _pad_top(payload):
+    payload["clusterings"].append(payload["clusterings"][-1])
+    payload["L"] += 1
+
+
+# case -> (file, edit of its text); the trace is euclidean n=3, lambda=2.
+ARRIVAL = "arrival_0002.json"
 TAMPERINGS = {
-    "truncated-json": lambda text: text[: len(text) // 2],
-    "missing-forest": _edited(lambda p: p.pop("forest")),
-    "buffer-end-str": _edited(lambda p: p["ledger"].update(buffer_end="x")),
-    "cost-f-null": _edited(lambda p: p.update(cost_f=None)),
-    # One per edge-valued field; the untampered trace has level-8 fresh edges,
-    # an inherited level-9 edge and one single pin at this arrival.
-    "snapshot-endpoint-bool": _setting(("snapshot", 0, 1), True),
-    "pinned-endpoint-str": _setting(("pinned", 0, 0, 1), "x"),
-    "pinned-arrival-float": _setting(("pinned", 0, 1), 2.5),
-    "eorig-endpoint-float": _setting(("forest", "8", 0, "eorig", 0, 1), 2.5),
-    "parent-endpoint-list": _setting(("forest", "9", 0, "parent", 1), [1]),
-    "pin-event-endpoint-null": _setting(("ledger", "pin_events", 0, "edges", 0, 0), None),
+    "truncated-json": (ARRIVAL, lambda text: text[: len(text) // 2]),
+    "missing-forest": (ARRIVAL, _edited(lambda p: p.pop("forest"))),
+    "buffer-end-str": (ARRIVAL, _edited(lambda p: p["ledger"].update(buffer_end="x"))),
+    "cost-f-null": (ARRIVAL, _edited(lambda p: p.update(cost_f=None))),
+    # One per edge-valued field; the untampered arrival has level-8 fresh
+    # edges, an inherited level-9 edge and one single pin.
+    "snapshot-endpoint-bool": (ARRIVAL, _setting(("snapshot", 0, 1), True)),
+    "pinned-endpoint-str": (ARRIVAL, _setting(("pinned", 0, 0, 1), "x")),
+    "pinned-arrival-float": (ARRIVAL, _setting(("pinned", 0, 1), 2.5)),
+    "eorig-endpoint-float": (ARRIVAL, _setting(("forest", "8", 0, "eorig", 0, 1), 2.5)),
+    "parent-endpoint-list": (ARRIVAL, _setting(("forest", "9", 0, "parent", 1), [1])),
+    "pin-event-endpoint-null": (ARRIVAL,
+                                _setting(("ledger", "pin_events", 0, "edges", 0, 0), None)),
+    # Scalars the loader passes on: the inherited flag and the pin event.
+    "inherited-str": (ARRIVAL, _setting(("forest", "9", 0, "inherited"), "x")),
+    "inherited-one": (ARRIVAL, _setting(("forest", "9", 0, "inherited"), 1)),
+    "inherited-zero": (ARRIVAL, _setting(("forest", "9", 0, "inherited"), 0)),
+    "pin-kind-int": (ARRIVAL, _setting(("ledger", "pin_events", 0, "kind"), 7)),
+    "pin-kind-unknown": (ARRIVAL, _setting(("ledger", "pin_events", 0, "kind"), "x")),
+    "pin-level-null": (ARRIVAL, _setting(("ledger", "pin_events", 0, "level"), None)),
+    "pin-cost-str": (ARRIVAL, _setting(("ledger", "pin_events", 0, "cost"), "x")),
+    "pin-source-size-list": (ARRIVAL,
+                             _setting(("ledger", "pin_events", 0, "source_size"), [1])),
+    # The top clustering stored twice, with L raised to match.
+    "top-level-padded": (ARRIVAL, _edited(_pad_top)),
+    "meta-arrivals-short": _meta(arrivals=2),
+    "meta-arrivals-long": _meta(arrivals=4),
+    "meta-arrivals-float": _meta(arrivals=2.5),
+    "meta-arrivals-zero": _meta(arrivals=0),
+    "meta-n-wrong": _meta(n=4),
+    "meta-lam-float": _meta(lam=2.9),
+    "meta-lam-zero": _meta(lam=0),
+    "meta-nhat-doubling-str": _meta(nhat_doubling="no"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TAMPERINGS))
 def test_malformed_arrival_is_a_format_error(tmp_path, capsys, case):
+    name, edit = TAMPERINGS[case]
     d = tmp_path / "trace"
     save_trace(run_online(generate_instance(GeneratorSpec(kind="euclidean", n=3, seed=1)),
                           lam=2), d)
-    path = d / "arrival_0002.json"
-    path.write_text(TAMPERINGS[case](path.read_text()))
-    with pytest.raises(FormatError, match="arrival_0002.json"):
+    path = d / name
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(FormatError, match=name):
         load_trace(d)
     assert main(["certify", "--trace", str(d), "--out", str(tmp_path / "c"), "--quiet"]) == 3
     assert "error[E_FORMAT]" in capsys.readouterr().err
@@ -182,7 +256,7 @@ def leaf_trace(tmp_path_factory):
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_one_bad_leaf_never_escapes_certify(leaf_trace, data):
-    names = sorted(name for name in os.listdir(leaf_trace) if name.startswith("arrival_"))
+    names = sorted(name for name in os.listdir(leaf_trace) if name.endswith(".json"))
     path = leaf_trace / data.draw(st.sampled_from(names))
     text = path.read_text()
     payload = json.loads(text)
