@@ -365,10 +365,39 @@ def _moved(got, want):
     return f"terminal {k} in {got[k]} want {want[k]}"
 
 
+def _pin_ledger_errors(out, prev_out):
+    """What is wrong with an arrival's pin ledger, as FAIL-row phrases:
+    pins_added must count the pin events' edges, the pinned list must grow by
+    exactly those edges stamped with this arrival, and every fresh forest
+    edge must have been created at this arrival."""
+    t = out.t
+    events = [e for ev in out.ledger.pin_events for e in ev.edges]
+    wrong = []
+    if out.ledger.pins_added != len(events):
+        wrong.append(f"pins_added={out.ledger.pins_added} pin event edges={len(events)}")
+    grown = out.pinned_after[len(prev_out.pinned_after) if prev_out is not None else 0:]
+    if sorted(e for e, _ in grown) != sorted(events):
+        wrong.append(f"pinned grew by {len(grown)} edges not the pin events' {len(events)}")
+    late = next(((e, pt) for e, pt in grown if pt != t), None)
+    if late is not None:
+        wrong.append(f"pin {_edge_str(late[0])} stamped {late[1]}")
+    fresh = (ve for entries in out.forest.values() for ve in entries if not ve.inherited)
+    stale = next((ve for ve in fresh if ve.created_at != t), None)
+    if stale is not None:
+        wrong.append(f"fresh {_edge_str(stale.endpoints)} created_at={stale.created_at}")
+    return wrong
+
+
+def _maps_onto(assignment, parent, ve):
+    """True iff the parent edge's endpoints land in ve's two distinct clusters."""
+    d1, d2 = assignment[parent.c1], assignment[parent.c2]
+    return d1 != d2 and {d1, d2} == {ve.c1, ve.c2}
+
+
 def _structural_pass(trace, add):
     inst = trace.instance
     n = inst.n
-    prev_out = None
+    prev_out = prev_metrics = None
     for out in trace.arrivals:
         t = out.t
         view = inst.view(t)
@@ -404,6 +433,7 @@ def _structural_pass(trace, add):
         unarrived = _unarrived(rebuilt | out.snapshot.edges, T)
         if unarrived is not None:
             wrong.append(f"edge {_edge_str(unarrived)} has an endpoint not yet arrived")
+        wrong += _pin_ledger_errors(out, prev_out)
         add("snapshot-consistency", None, t, not wrong, " ".join(wrong))
         arrived_pins = [(a, b) for a, b in pinned if 0 <= a < T and 0 <= b < T]
 
@@ -411,7 +441,9 @@ def _structural_pass(trace, add):
         add("top-coclustering", None, t,
             all(top.assignment[u] == top.assignment[v] for u, v in view.demands))
 
-        metrics = level_metrics(view.dist_matrix(), hier.clusterings)
+        # Each level's metric follows the previous arrival's where it refines.
+        metrics = tuple(level_metrics(view.dist_matrix(), hier.clusterings, prev_metrics))
+        prev_metrics = (hier.clusterings, metrics)
         for i, m in zip(range(hier.L + 1), metrics):
             cl = hier.clustering(i)
             cl_next = hier.clustering(i + 1)
@@ -474,19 +506,22 @@ def _structural_pass(trace, add):
                     ok43 = check_refinement(prev_out.hierarchy.clustering(i + 1), cinh_i)
                     add("refine-into-inherited", i, t, ok43)
 
-                prov_ok = True
+                bad_parent = ""
                 prev_forest = {pe.endpoints: pe for pe in prev_out.forest.get(i, [])}
                 for ve in finh:
+                    e = _edge_str(ve.endpoints)
                     pe = prev_forest.get(ve.parent)
-                    if pe is None or pe.eorig != ve.eorig:
-                        prov_ok = False
+                    if pe is None:
+                        bad_parent = f"{e} has no parent in the previous forest"
+                    elif pe.eorig != ve.eorig:
+                        bad_parent = f"{e} realizes other edges than its parent"
+                    elif pe.created_at != ve.created_at:
+                        bad_parent = f"{e} created_at={ve.created_at} parent's={pe.created_at}"
+                    elif not _maps_onto(cl.assignment, pe, ve):
+                        bad_parent = f"{e} is not its parent's image"
+                    if bad_parent:
                         break
-                    d1 = cl.assignment[pe.c1]
-                    d2 = cl.assignment[pe.c2]
-                    if {d1, d2} != {ve.c1, ve.c2} or d1 == d2:
-                        prov_ok = False
-                        break
-                add("inheritance-provenance", i, t, prov_ok)
+                add("inheritance-provenance", i, t, not bad_parent, bad_parent)
             # The top clustering index gets the cross-arrival check too.
             if prev_out is not None and i == hier.L:
                 add("refine-across-arrivals", hier.L + 1, t,

@@ -1,16 +1,20 @@
 """Agglomerative clustering hierarchy over a terminal metric.
 
-Per arrival the hierarchy is rebuilt from scratch: starting from the trivial
+Per arrival the clusterings are rebuilt: starting from the trivial
 clustering, level i merges the connected components of the level-i virtual
 graph, whose vertices are the i-active clusters (cluster level >= i) and
 whose edges join active clusters at contracted distance strictly below
 2^(i+1). A terminal's level is ceil(log2 dist(v, mate(v))), computed via bit
 length so there is no floating point anywhere.
 
-Contracted distances are carried incrementally, never rebuilt: merging
-clusters is adding zero-weight edges, so each level's closed metric is the
-previous level's updated in O(K^2) per merge (ContractedMetric), and no
-Floyd-Warshall runs on any path.
+Contracted distances are carried incrementally, never rebuilt. Merging
+clusters is adding zero-weight edges, so a merge reduces the closed metric
+group-wise and runs one Floyd-Warshall pivot per merged group
+(ContractedMetric.merge). Across arrivals, the previous arrival's level-i
+clustering refines this arrival's level i (the invariant the recourse
+analysis rests on), so a level's metric is the previous arrival's, extended
+by the two new terminals as singletons and then coarsened. A full
+Floyd-Warshall runs on no path.
 
 A Clustering is a plain partition with no level label. Most levels merge
 nothing and share their predecessor's object; contract_clustering returns an
@@ -18,7 +22,8 @@ assignment tuple, so each distinct partition is built once.
 
 A Hierarchy is immutable and holds only what a trace records.
 build_hierarchy returns each level's virtual edges and contracted metric
-beside it, for use on the one arrival, so kept hierarchies hold no arrays.
+beside it, so kept hierarchies hold no arrays; the online state keeps the
+metrics of the latest arrival only, for the next one to carry.
 
 Everything here is deterministic: cluster ids are the minimum member
 terminal id, edges are ordered by (min endpoint, max endpoint), and
@@ -29,6 +34,7 @@ super-node sequence.
 from __future__ import annotations
 
 import dataclasses
+import operator
 
 import numpy as np
 
@@ -86,11 +92,10 @@ def check_refinement(fine: Clustering, coarse: Clustering) -> bool:
     """True iff every fine cluster is contained in one coarse cluster."""
     if len(fine.assignment) > len(coarse.assignment):
         raise ConfigError("fine clustering covers terminals the coarse one lacks")
-    for ms in fine.members.values():
-        target = coarse.assignment[ms[0]]
-        if any(coarse.assignment[k] != target for k in ms[1:]):
-            return False
-    return True
+    # A fine cluster id is a member, so every terminal must share the coarse
+    # cluster of its fine cluster id.
+    c = coarse.assignment
+    return all(map(operator.eq, map(c.__getitem__, fine.assignment), c))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -100,10 +105,14 @@ class ContractedMetric:
     `ids` are the cluster ids (minimum member terminal) in ascending order,
     `W` the one-hop super-edge weights (minimum original distance between
     members, zero diagonal) and `D` their closure. Contracting clusters is
-    adding zero-weight edges, so a closed D is updated exactly in O(K^2) per
-    merged pair (Ausiello, Italiano, Marchetti-Spaccamela and Nanni,
-    "Incremental algorithms for minimal length paths", J. Algorithms 1991).
-    W and D are never written after construction, so metrics share arrays.
+    adding zero-weight edges, so a closed D is updated exactly by pivoting
+    on the merged groups only, O(K^2) per merged group (Ausiello, Italiano,
+    Marchetti-Spaccamela and Nanni, "Incremental algorithms for minimal
+    length paths", J. Algorithms 1991). Appending terminals as singletons
+    costs O(K^2) per terminal and leaves the old entries as they are
+    (vertex insertion; Demetrescu and Italiano, "A new approach to dynamic
+    all pairs shortest paths", J. ACM 2004). W and D are never written
+    after construction, so metrics share arrays.
     """
 
     ids: tuple[int, ...]
@@ -126,47 +135,112 @@ class ContractedMetric:
         return self.merge((c, assignment[c]) for c in self.ids if assignment[c] != c)
 
     def merge(self, pairs):
-        """Metric after joining the two clusters of every (id, id) pair."""
+        """Metric after joining the two clusters of every (id, id) pair.
+
+        D is reduced to its group-wise minimum like W, then closed by one
+        Floyd-Warshall pivot per merged group. Pivots on unmerged clusters
+        are not needed: D is closed, so a path through one never beats the
+        direct entry (triangle inequality).
+        """
         uf = UnionFind(self.ids)
-        pos = D = None
+        joined = False
         for a, b in pairs:
-            if not uf.union(a, b):
-                continue
-            if D is None:
-                pos = {cid: k for k, cid in enumerate(self.ids)}
-                D = self.D.copy()
-            # D[x, y] = min(D[x, y], D[x, a] + D[b, y], D[x, b] + D[a, y]); the
-            # second sum is the transpose of the first since D is symmetric.
-            # Entries are <= MAX_DIST, so a sum of two fits in int64.
-            via = D[:, pos[a], None] + D[pos[b]]
-            np.minimum(D, via, out=D)
-            np.minimum(D, via.T, out=D)
-        if D is None:
+            joined |= uf.union(a, b)
+        if not joined:
             return self
+        pos = {cid: k for k, cid in enumerate(self.ids)}
         # The root of a group is its smallest id, so groups sorted by root
         # position come out in canonical order.
         root = np.array([pos[uf.find(c)] for c in self.ids])
         keep = np.flatnonzero(root == np.arange(len(root)))
         order = np.argsort(root, kind="stable")
         starts = np.searchsorted(root[order], keep)
-        W = np.minimum.reduceat(self.W[order], starts, axis=0)
-        W = np.minimum.reduceat(W[:, order], starts, axis=1)
-        return ContractedMetric(tuple(self.ids[k] for k in keep), W, D[np.ix_(keep, keep)])
+        W, D = (_reduce_groups(M, order, starts) for M in (self.W, self.D))
+        # Entries are <= MAX_DIST, so a sum of two fits in int64.
+        for g in np.flatnonzero(np.diff(starts, append=len(root)) > 1):
+            np.minimum(D, D[:, g, None] + D[g], out=D)
+        return ContractedMetric(tuple(self.ids[k] for k in keep), W, D)
+
+    def extend(self, dist, assignment):
+        """Metric of the same clustering with the terminals past `assignment`
+        (its canonical assignment) appended as singletons.
+
+        `dist` is the metric over all terminals. A new row of W is the least
+        distance to each cluster's members; a new row of D is
+        min_y W[u, y] + D[y, :]. Old entries stay: a singleton never shortens
+        a path between others, since entering and leaving it costs at least
+        the direct distance (triangle inequality), and so a path from a new
+        terminal never needs another new one in between either.
+        """
+        T0 = len(assignment)
+        order = np.argsort(assignment, kind="stable")
+        starts = np.searchsorted(np.asarray(assignment)[order], self.ids)
+        new = dist[T0:]
+        Wn = np.minimum.reduceat(new[:, order], starts, axis=1)  # new x old
+        # Sums of two entries <= MAX_DIST fit in int64.
+        Dn = (Wn[:, :, None] + self.D[None]).min(axis=1)  # new x old
+        Dnn = np.minimum(new[:, T0:], (Wn[:, None, :] + Dn[None]).min(axis=2))
+        return ContractedMetric(self.ids + tuple(range(T0, len(dist))),
+                                _bordered(self.W, Wn, new[:, T0:]), _bordered(self.D, Dn, Dnn))
 
 
-def level_metrics(dist, clusterings):
+def _bordered(M, rows, corner):
+    """Symmetric M with `rows` appended as rows and as columns."""
+    K = len(M)
+    out = np.empty((K + len(rows),) * 2, dtype=M.dtype)
+    out[:K, :K] = M
+    out[K:, :K] = rows
+    out[:K, K:] = rows.T
+    out[K:, K:] = corner
+    return out
+
+
+def _reduce_groups(M, order, starts):
+    """Group-wise minimum of a square matrix: groups are the runs of `order`
+    beginning at `starts`."""
+    M = np.minimum.reduceat(M[order], starts, axis=0)
+    return np.minimum.reduceat(M[:, order], starts, axis=1)
+
+
+def _carried(dist, prev, i, cl, extended):
+    """Metric of `cl`, level i of an arrival, from the previous arrival's
+    level-i metric extended by the new terminals; None when that level does
+    not refine `cl`.
+
+    `prev` is the previous arrival's (clusterings, metrics), C_0 .. C_{L+1};
+    levels above its top alias the top. `extended` caches one extension per
+    distinct previous metric.
+    """
+    clusterings, metrics = prev
+    j = min(i, len(clusterings) - 1)
+    if not check_refinement(clusterings[j], cl):
+        return None
+    base = metrics[j]
+    if base not in extended:
+        extended[base] = base.extend(dist, clusterings[j].assignment)
+    return extended[base].coarsen(cl.assignment)
+
+
+def level_metrics(dist, clusterings, prev=None):
     """Yield the contracted metric of each clustering of a recorded hierarchy.
 
-    A level that refines the next is followed by merging; anything else
+    A level follows the previous recorded arrival's level when `prev`, that
+    arrival's (clusterings, metrics), is given and its level refines this
+    one; else it follows the level below when that refines it. Anything else
     (recorded hierarchies are untrusted) starts over from the trivial metric.
     """
-    prev = metric = None
-    for cl in clusterings:
-        if prev is None or not check_refinement(prev, cl):
-            metric = ContractedMetric.of(dist, cl.assignment)
-        elif cl.assignment != prev.assignment:
+    below = metric = None
+    extended = {}
+    for i, cl in enumerate(clusterings):
+        if below is not None and (cl is below or cl.assignment == below.assignment):
+            pass
+        elif prev is not None and (m := _carried(dist, prev, i, cl, extended)) is not None:
+            metric = m
+        elif below is not None and check_refinement(below, cl):
             metric = metric.coarsen(cl.assignment)
-        prev = cl
+        else:
+            metric = ContractedMetric.of(dist, cl.assignment)
+        below = cl
         yield metric
 
 
@@ -293,26 +367,31 @@ class Hierarchy:
         return self.clusterings[self.L + 1]
 
 
-def build_hierarchy(view: InstanceView):
+def build_hierarchy(view: InstanceView, prev=None):
     """Run the clustering procedure for one arrival prefix.
 
     Returns (hierarchy, virtual edges of H_0 .. H_L, contracted metrics of
-    C_0 .. C_L); the caller keeps the last two for this arrival only. Each
-    level's metric is the previous one with that level's virtual edges merged
-    in; a level that merges nothing keeps it, and its clustering, as is.
+    C_0 .. C_{L+1}); the caller keeps the last two for this arrival only, or
+    passes the hierarchy's clusterings and the metrics on as `prev` to the
+    next arrival's call. A level that merges nothing keeps the metric, and
+    the clustering, of the level below. Any other level's metric is the
+    previous arrival's level-i metric extended by the two new terminals and
+    coarsened, as that level refines this one; with no `prev` it is the
+    level below's with this level's virtual edges merged in.
     """
     if view.t < 1:
         raise ConfigError("hierarchy needs at least one arrived pair")
     levels = terminal_levels(view)
     L = max(levels)
 
+    dist = view.dist_matrix()
     cl = Clustering(tuple(range(view.num_terminals)), levels)
     clusterings = [cl]
     vgraphs = []
-    metric = ContractedMetric.trivial(view.dist_matrix())
-    metrics = []
+    metric = ContractedMetric.trivial(dist)
+    metrics = [metric]
+    extended = {}
     for i in range(L + 1):
-        metrics.append(metric)
         edges, gap = active_virtual_edges(metric.D, metric.ids, cl.cluster_level, i)
         # Distinct i-active clusters must sit at contracted distance >= 2^i:
         # level i-1 already merged anything closer.
@@ -322,8 +401,15 @@ def build_hierarchy(view: InstanceView):
         vgraphs.append(edges)
         if edges:
             cl = Clustering(contract_clustering(cl, edges), levels)
-            metric = metric.merge(edges)
+            if prev is None:
+                metric = metric.merge(edges)
+            else:
+                metric = _carried(dist, prev, i + 1, cl, extended)
+                if metric is None:
+                    raise AssertionError(f"previous C_{i + 1} does not refine C_{i + 1} "
+                                         "(internal bug)")
         clusterings.append(cl)
+        metrics.append(metric)
 
     top = clusterings[-1]
     for u, v in view.demands:

@@ -1,6 +1,7 @@
 """The online low-recourse forest: inheritance, pinning, and snapshots.
 
-Per arrival the algorithm rebuilds the clustering hierarchy, carries over as
+Per arrival the algorithm rebuilds the clustering hierarchy (carrying the
+previous arrival's contracted metrics forward), carries over as
 many virtual edges as possible from the previous arrival (an edge survives if
 its endpoint clusters are still separate, and its realized original edges are
 reused verbatim), completes each level's spanning forest giving priority to
@@ -142,6 +143,7 @@ class OnlineState:
         self.lam = int(lam)
         self.t = 0
         self.hierarchy: Hierarchy | None = None
+        self.metrics: tuple = ()  # contracted metrics of the hierarchy's C_0 .. C_{L+1}
         self.forest: dict[int, list[VirtualEdge]] = {}
         self.cinh: dict[int, Clustering] = {}
         self.pinned = PinnedSet()
@@ -271,8 +273,9 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
     if t > inst.n or tuple(pair) != inst.demands[t - 1]:
         raise ConfigError(f"pair {pair} is not demand #{t} of the instance")
     view = inst.view(t)
-    hier, vgraphs, metrics = build_hierarchy(view)
     prev_hier = state.hierarchy
+    hier, vgraphs, metrics = build_hierarchy(
+        view, None if prev_hier is None else (prev_hier.clusterings, state.metrics))
 
     forest: dict[int, list[VirtualEdge]] = {}
     cinh: dict[int, Clustering] = {}
@@ -345,6 +348,7 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
 
     state.t = t
     state.hierarchy = hier
+    state.metrics = metrics
     state.forest = forest
     state.cinh = cinh
     state.snapshot_edges = F

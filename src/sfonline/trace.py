@@ -97,15 +97,15 @@ def _edge_list(edges):
     return [list(e) for e in sorted(edges)]
 
 
+_SEPARATORS = (",", ":")
+
+
 def _arrival_payload(out: ArrivalOutcome) -> dict:
-    h = out.hierarchy
+    """An arrival's JSON document, less its clusterings and C_inh levels."""
     led = out.ledger
     return {
         "t": out.t,
-        "L": h.L,
-        "clusterings": [
-            [list(cl.members[cid]) for cid in cl.cluster_ids] for cl in h.clusterings
-        ],
+        "L": out.hierarchy.L,
         "forest": {
             str(i): [
                 {
@@ -119,10 +119,6 @@ def _arrival_payload(out: ArrivalOutcome) -> dict:
                 for ve in entries
             ]
             for i, entries in sorted(out.forest.items())
-        },
-        "cinh": {
-            str(i): [list(cl.members[cid]) for cid in cl.cluster_ids]
-            for i, cl in sorted(out.cinh.items())
         },
         "pinned": [[list(e), pt] for e, pt in out.pinned_after],
         "snapshot": _edge_list(out.snapshot.edges),
@@ -148,6 +144,28 @@ def _arrival_payload(out: ArrivalOutcome) -> dict:
     }
 
 
+def _arrival_json(out: ArrivalOutcome) -> str:
+    """The arrival's document as `json.dumps(..., sort_keys=True)` would
+    write it, with every clustering's member lists as a list per level and
+    `cinh` keyed by str(level). Levels share Clustering objects, so each
+    distinct one is encoded once and its text spliced in wherever it occurs.
+    """
+    encoded = {}
+
+    def members(cl):
+        if cl not in encoded:
+            encoded[cl] = json.dumps([cl.members[cid] for cid in cl.cluster_ids],
+                                     separators=_SEPARATORS)
+        return encoded[cl]
+
+    parts = {key: json.dumps(value, sort_keys=True, separators=_SEPARATORS)
+             for key, value in _arrival_payload(out).items()}
+    parts["clusterings"] = "[" + ",".join(map(members, out.hierarchy.clusterings)) + "]"
+    cinh = sorted((str(i), cl) for i, cl in out.cinh.items())  # "10" before "2"
+    parts["cinh"] = "{" + ",".join(f'"{i}":{members(cl)}' for i, cl in cinh) + "}"
+    return "{" + ",".join(f'"{key}":{parts[key]}' for key in sorted(parts)) + "}"
+
+
 def save_trace(trace: RunTrace, dirpath) -> None:
     os.makedirs(dirpath, exist_ok=True)
     save_instance_file(trace.instance, os.path.join(dirpath, "instance.sfo"))
@@ -159,13 +177,12 @@ def save_trace(trace: RunTrace, dirpath) -> None:
         "nhat_doubling": trace.nhat_doubling,
     }
     with open(os.path.join(dirpath, "meta.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, sort_keys=True, separators=(",", ":"))
+        json.dump(meta, fh, sort_keys=True, separators=_SEPARATORS)
         fh.write("\n")
     for out in trace.arrivals:
         path = os.path.join(dirpath, f"arrival_{out.t:04d}.json")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            # json.dumps uses the C encoder; json.dump to a file never does.
-            fh.write(json.dumps(_arrival_payload(out), sort_keys=True, separators=(",", ":")))
+            fh.write(_arrival_json(out))
             fh.write("\n")
 
 
@@ -228,6 +245,13 @@ def _edge(value):
     return _int(a), _int(b)
 
 
+def _level(level_of, key):
+    """The level a forest or C_inh key names, else ValueError."""
+    if key not in level_of:
+        raise ValueError(f"level key {key!r} is not one of 0..{len(level_of) - 1}")
+    return level_of[key]
+
+
 @contextlib.contextmanager
 def _malformed(path):
     """Report an unreadable file, bad JSON (a ValueError), a missing key or a
@@ -242,9 +266,11 @@ def _outcome_from_payload(instance, t, payload) -> ArrivalOutcome:
     view = instance.view(t)
     levels = terminal_levels(view)
     hier = _hierarchy_from_payload(view, payload, levels)
+    # Level keys are canonical: "7" names level 7, "07" and "+7" name none.
+    level_of = {str(i): i for i in range(hier.L + 1)}
     forest = {}
     for key, entries in payload["forest"].items():
-        i = int(key)
+        i = _level(level_of, key)
         forest[i] = [
             VirtualEdge(
                 level=i,
@@ -261,7 +287,7 @@ def _outcome_from_payload(instance, t, payload) -> ArrivalOutcome:
     stored = payload["clusterings"]
     cinh = {}
     for key, member_lists in payload["cinh"].items():
-        i = int(key)
+        i = _level(level_of, key)
         same = [j for j in (i, i + 1) if 0 <= j <= hier.L + 1 and stored[j] == member_lists]
         cinh[i] = (hier.clusterings[same[0]] if same
                    else _clustering_from_members(view, member_lists, levels))
@@ -300,7 +326,7 @@ def load_trace(dirpath) -> RunTrace:
     with _malformed(meta_path):
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-        if meta.get("format") != TRACE_FORMAT:
+        if type(meta.get("format")) is not int or meta["format"] != TRACE_FORMAT:
             raise ValueError(f"unsupported trace format {meta.get('format')!r}")
         lam = _int(meta["lam"])
         if lam < 1:
@@ -319,7 +345,7 @@ def load_trace(dirpath) -> RunTrace:
         with _malformed(path):
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            if payload["t"] != t:
+            if _int(payload["t"]) != t:
                 raise ValueError(f"stores t={payload['t']}")
             out = _outcome_from_payload(instance, t, payload)
         ledger.record(out.ledger)

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfonline.clustering import (
     ClusterPath,
@@ -19,7 +21,8 @@ from sfonline.clustering import (
     terminal_levels,
 )
 from sfonline.errors import ConfigError
-from sfonline.metric import MAX_DIST, GeneratorSpec, generate_instance
+from sfonline.forest import OnlineState, advance
+from sfonline.metric import GENERATOR_KINDS, MAX_DIST, GeneratorSpec, generate_instance
 
 from conftest import line_instance
 
@@ -234,7 +237,8 @@ def test_build_hierarchy_w1(w1):
     assert sorted(c3.members.values()) == [(0, 1), (2, 3)]
     # Aliasing above the top.
     assert h.clustering(10) is c3
-    assert len(vgraphs) == len(metrics) == h.L + 1
+    assert len(vgraphs) == h.L + 1
+    assert len(metrics) == h.L + 2  # C_0 .. C_{L+1}: the top is carried too
 
 
 def test_build_hierarchy_single_pair():
@@ -410,3 +414,127 @@ def test_contracted_weights_matches_brute():
                 assert W[p, q] == min(view.d(a, b) for a in mp for b in mq)
     D = floyd_warshall(W)
     assert (D <= W).all()
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(GENERATOR_KINDS), n=st.integers(1, 9),
+       seed=st.integers(0, 100), lam=st.sampled_from((1, 2, 3, 6)))
+def test_carried_metrics_match_reference(kind, n, seed, lam):
+    # Every arrival after the first carries its metrics from the previous
+    # arrival's; each, the top one included, must equal a fresh closure.
+    inst = generate_instance(GeneratorSpec(kind=kind, n=n, seed=seed, scale=200))
+    state = OnlineState(inst, lam)
+    for pair in inst.demands:
+        advance(state, pair)
+        h = state.hierarchy
+        dist = inst.view(state.t).dist_matrix()
+        assert len(state.metrics) == h.L + 2
+        for cl, metric in zip(h.clusterings, state.metrics):
+            assert_matches_reference(metric, dist, cl.assignment)
+
+
+def test_carried_metrics_equal_level_merged_ones():
+    # With and without the previous arrival's metrics, build_hierarchy
+    # yields the same clusterings and the same arrays.
+    inst = generate_instance(GeneratorSpec(kind="line-chain", n=12, seed=3))
+    prev = None
+    for t in range(1, inst.n + 1):
+        view = inst.view(t)
+        carried = build_hierarchy(view, prev)
+        merged = build_hierarchy(view)
+        assert [c.assignment for c in carried[0].clusterings] == \
+               [c.assignment for c in merged[0].clusterings]
+        assert carried[1] == merged[1]
+        for a, b in zip(carried[2], merged[2], strict=True):
+            assert a.ids == b.ids
+            assert np.array_equal(a.W, b.W) and np.array_equal(a.D, b.D)
+        prev = (carried[0].clusterings, carried[2])
+
+
+def test_build_hierarchy_rejects_a_previous_level_that_does_not_refine():
+    inst = generate_instance(GeneratorSpec(kind="euclidean", n=4, seed=1, scale=100))
+    h, _, metrics = build_hierarchy(inst.view(3))
+    # Claim the top clustering for every level of the previous arrival.
+    prev = ((h.top,) * len(h.clusterings), (metrics[-1],) * len(metrics))
+    with pytest.raises(AssertionError, match="does not refine"):
+        build_hierarchy(inst.view(4), prev)
+
+
+def test_extend_near_max_dist():
+    # The positions of test_contracted_metric_near_max_dist: the two new
+    # terminals sit at 3 and 2^40, so W + D sums come within two of 2^63.
+    positions = [0, MAX_DIST, 1, MAX_DIST - 1, 2, 2**61, 3, 2**40]
+    inst = line_instance(positions)
+    old, new = inst.view(3).dist_matrix(), inst.view(4).dist_matrix()
+    for assignment in ((0, 0, 2, 3, 4, 5), (0, 1, 1, 3, 4, 4), (0, 1, 0, 1, 0, 1),
+                       (0, 1, 2, 3, 4, 5)):
+        ext = ContractedMetric.of(old, assignment).extend(new, assignment)
+        assert_matches_reference(ext, new, assignment + (6, 7))
+        # Coarsened: terminal 6 joins terminal 4's cluster, 7 stays alone.
+        coarse = assignment + (assignment[4], 7)
+        metric = ext.coarsen(coarse)
+        assert_matches_reference(metric, new, coarse)
+        for C1, C2 in itertools.combinations(sorted(set(coarse)), 2):
+            path = cluster_distance(inst.view(4), coarse, [], C1, C2, metric)
+            assert path.distance == brute_contracted_distance(inst.view(4), coarse, [],
+                                                              C1, C2)
+            assert path.distance <= MAX_DIST
+
+
+def test_extend_matches_reference():
+    rng = random.Random(14)
+    for kind in GENERATOR_KINDS:
+        for seed in range(3):
+            inst = generate_instance(GeneratorSpec(kind=kind, n=8, seed=seed, scale=300))
+            for t in range(1, inst.n):
+                old = inst.view(t).dist_matrix()
+                new = inst.view(t + 1).dist_matrix()
+                assignment = random_assignment(rng, 2 * t, rng.randint(1, 2 * t))
+                ext = ContractedMetric.of(old, assignment).extend(new, assignment)
+                assert_matches_reference(ext, new, assignment + (2 * t, 2 * t + 1))
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(ContractedMetric, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ContractedMetric, name, counted)
+    return calls
+
+
+def test_level_metrics_follow_the_previous_arrival(monkeypatch):
+    inst = generate_instance(GeneratorSpec(kind="euclidean", n=8, seed=4, scale=100))
+    h7 = build_hierarchy(inst.view(7))[0]
+    h8 = build_hierarchy(inst.view(8))[0]
+    old = inst.view(7).dist_matrix()
+    dist = inst.view(8).dist_matrix()
+    prev = (h7.clusterings, tuple(level_metrics(old, h7.clusterings)))
+    extends = _counting(monkeypatch, "extend")
+    fresh = _counting(monkeypatch, "of")
+    metrics = list(level_metrics(dist, h8.clusterings, prev))
+    assert extends and not fresh
+    # One extension per distinct previous metric at most.
+    assert len(extends) <= len(set(map(id, prev[1])))
+    for cl, metric in zip(h8.clusterings, metrics, strict=True):
+        assert_matches_reference(metric, dist, cl.assignment)
+
+
+def test_level_metrics_fall_back_when_the_previous_arrival_does_not_refine(monkeypatch):
+    inst = generate_instance(GeneratorSpec(kind="euclidean", n=8, seed=4, scale=100))
+    h7 = build_hierarchy(inst.view(7))[0]
+    h8 = build_hierarchy(inst.view(8))[0]
+    old = inst.view(7).dist_matrix()
+    dist = inst.view(8).dist_matrix()
+    # A previous arrival claiming its top clustering at every level refines
+    # none of the levels below this arrival's top.
+    top = tuple(level_metrics(old, (h7.top,)))
+    prev = ((h7.top,) * len(h7.clusterings), top * len(h7.clusterings))
+    fresh = _counting(monkeypatch, "of")
+    metrics = list(level_metrics(dist, h8.clusterings, prev))
+    assert fresh  # the trivial C_0 starts over
+    for cl, metric in zip(h8.clusterings, metrics, strict=True):
+        assert_matches_reference(metric, dist, cl.assignment)

@@ -124,6 +124,11 @@ def _meta(**fields):
     return "meta.json", _edited(lambda p: p.update(fields))
 
 
+def _copying(field, key, alias):
+    """Store payload[field][key] again under the key `alias`."""
+    return _edited(lambda p: p[field].update({alias: p[field][key]}))
+
+
 def _pad_top(payload):
     payload["clusterings"].append(payload["clusterings"][-1])
     payload["L"] += 1
@@ -165,6 +170,15 @@ TAMPERINGS = {
     "meta-lam-float": _meta(lam=2.9),
     "meta-lam-zero": _meta(lam=0),
     "meta-nhat-doubling-str": _meta(nhat_doubling="no"),
+    # Scalars and keys that must be canonical: the format and t are integers,
+    # and a level key is str(i) for a level 0 <= i <= L (L = 10 here).
+    "meta-format-bool": _meta(format=True),
+    "t-bool": ("arrival_0001.json", _setting(("t",), True)),
+    "t-float": (ARRIVAL, _setting(("t",), 2.0)),
+    "forest-key-signed": (ARRIVAL, _copying("forest", "9", "+9")),
+    "forest-key-zero-padded": (ARRIVAL, _copying("forest", "9", "09")),
+    "forest-key-above-top": (ARRIVAL, _setting(("forest", "40"), [])),
+    "cinh-key-above-top": (ARRIVAL, _copying("cinh", "0", "40")),
 }
 
 
@@ -218,6 +232,28 @@ SEMANTIC_TAMPERINGS = {
         "arrival_0004.json",
         lambda p: p["forest"]["7"][0].update(c2=p["forest"]["7"][0]["c1"]),
         ["virtual-edge-valid,7,4,fail,(1;1) does not join two clusters"]),
+    # The pin ledger: arrival 4 pins (3,7) in one single event, and level 7
+    # holds an inherited edge (1,5) created at arrival 3, then fresh (1,6).
+    "pins-added-five": (
+        "arrival_0004.json",
+        lambda p: p["ledger"].update(pins_added=5),
+        ["snapshot-consistency,,4,fail,pins_added=5 pin event edges=1"]),
+    "inherited-created-at-huge": (
+        "arrival_0004.json",
+        lambda p: p["forest"]["7"][0].update(created_at=10**30),
+        [f"inheritance-provenance,7,4,fail,(1;5) created_at={10**30} parent's=3"]),
+    "fresh-created-at-huge": (
+        "arrival_0004.json",
+        lambda p: p["forest"]["7"][1].update(created_at=10**30),
+        [f"snapshot-consistency,,4,fail,fresh (1;6) created_at={10**30}"]),
+    "pin-stamped-earlier": (
+        "arrival_0004.json",
+        lambda p: p["pinned"][-1].__setitem__(1, 3),
+        ["snapshot-consistency,,4,fail,pin (3;7) stamped 3"]),
+    "pin-event-dropped": (
+        "arrival_0004.json",
+        lambda p: p["ledger"].update(pin_events=[], pins_added=0),
+        ["snapshot-consistency,,4,fail,pinned grew by 1 edges not the pin events' 0"]),
 }
 
 
