@@ -173,8 +173,9 @@ class ContractedMetric:
         terminal never needs another new one in between either.
         """
         T0 = len(assignment)
-        order = np.argsort(assignment, kind="stable")
-        starts = np.searchsorted(np.asarray(assignment)[order], self.ids)
+        asn = np.asarray(assignment)
+        order = np.argsort(asn, kind="stable")
+        starts = np.searchsorted(asn[order], self.ids)
         new = dist[T0:]
         Wn = np.minimum.reduceat(new[:, order], starts, axis=1)  # new x old
         # Sums of two entries <= MAX_DIST fit in int64.
@@ -232,14 +233,14 @@ def level_metrics(dist, clusterings, prev=None):
     below = metric = None
     extended = {}
     for i, cl in enumerate(clusterings):
-        if below is not None and (cl is below or cl.assignment == below.assignment):
-            pass
-        elif prev is not None and (m := _carried(dist, prev, i, cl, extended)) is not None:
-            metric = m
-        elif below is not None and check_refinement(below, cl):
-            metric = metric.coarsen(cl.assignment)
-        else:
-            metric = ContractedMetric.of(dist, cl.assignment)
+        if below is None or cl.assignment != below.assignment:
+            carried = None if prev is None else _carried(dist, prev, i, cl, extended)
+            if carried is not None:
+                metric = carried
+            elif below is not None and check_refinement(below, cl):
+                metric = metric.coarsen(cl.assignment)
+            else:
+                metric = ContractedMetric.of(dist, cl.assignment)
         below = cl
         yield metric
 
