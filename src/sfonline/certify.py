@@ -485,16 +485,21 @@ def _structural_pass(trace, add):
 
             over_budget = ""
             connect_ok = True
+            # Clusters joined by the pins, shared by every edge of the level.
+            pinned_uf = UnionFind()
+            for a, b in arrived_pins:
+                pinned_uf.union(cl.assignment[a], cl.assignment[b])
             for ve, cost in zip(fi, realized.get(i, ())):
                 if not over_budget and cost is None:
                     over_budget = (f"edge {_edge_str(_unarrived(ve.eorig, T))} of "
                                    f"({ve.c1},{ve.c2}) has an endpoint not yet arrived")
                 elif not over_budget and cost > level_threshold(ve.level):
                     over_budget = f"({ve.c1},{ve.c2}) costs {cost} > {level_threshold(ve.level)}"
-                uf2 = UnionFind(cl.cluster_ids)
-                for a, b in list(ve.eorig if cost is not None else ()) + arrived_pins:
-                    uf2.union(cl.assignment[a], cl.assignment[b])
-                if uf2.find(ve.c1) != uf2.find(ve.c2):
+                # Does eorig join ve's clusters once the pins are contracted?
+                uf2 = UnionFind()
+                for a, b in ve.eorig if cost is not None else ():
+                    uf2.union(pinned_uf.find(cl.assignment[a]), pinned_uf.find(cl.assignment[b]))
+                if uf2.find(pinned_uf.find(ve.c1)) != uf2.find(pinned_uf.find(ve.c2)):
                     connect_ok = False
             add("edge-budget", i, t, not over_budget, over_budget)
             add("realization-connects", i, t, connect_ok)

@@ -82,10 +82,13 @@ class Clustering:
 
 def contract_clustering(cl: Clustering, cluster_edges) -> tuple[int, ...]:
     """Canonical assignment of `cl` with the clusters of each (cid1, cid2) edge merged."""
+    if not cluster_edges:
+        return cl.assignment
     uf = UnionFind(cl.cluster_ids)
     for c1, c2 in cluster_edges:
         uf.union(c1, c2)
-    return tuple(uf.find(cid) for cid in cl.assignment)
+    root = {cid: uf.find(cid) for cid in cl.cluster_ids}
+    return tuple(map(root.__getitem__, cl.assignment))
 
 
 def check_refinement(fine: Clustering, coarse: Clustering) -> bool:

@@ -232,6 +232,12 @@ SEMANTIC_TAMPERINGS = {
         "arrival_0004.json",
         lambda p: p["forest"]["7"][0].update(c2=p["forest"]["7"][0]["c1"]),
         ["virtual-edge-valid,7,4,fail,(1;1) does not join two clusters"]),
+    # Level 8's fresh edge (0,3) realized by (0,1) instead, which does not
+    # join clusters 0 and 3 even with the pins contracted.
+    "eorig-does-not-connect": (
+        "arrival_0004.json",
+        lambda p: p["forest"]["8"][0].update(eorig=[[0, 1]]),
+        ["realization-connects,8,4,fail"]),
     # The pin ledger: arrival 4 pins (3,7) in one single event, and level 7
     # holds an inherited edge (1,5) created at arrival 3, then fresh (1,6).
     "pins-added-five": (
