@@ -7,7 +7,7 @@ trace. It writes BENCH_scaling_<label>.json with, per cell, both wall times
 (the median of --repeats runs, and every run), the trace's sha256 over its
 files, and per kind and phase the least-squares exponent of time against n.
 
-Only the standard library and the sfonline package are used:
+Only the standard library and sfonline (with its numpy) are used:
 
     PYTHONPATH=src python3 bench/scaling.py --label mytree
 
@@ -26,6 +26,8 @@ import statistics
 import sys
 import tempfile
 import time
+
+import numpy as np
 
 from sfonline.certify import check_run
 from sfonline.metric import GENERATOR_KINDS, GeneratorSpec, generate_instance
@@ -111,7 +113,7 @@ def main(argv=None):
     record = {
         "label": args.label,
         "python": platform.python_version(),
-        "numpy": __import__("numpy").__version__,
+        "numpy": np.__version__,
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "repeats": args.repeats,
