@@ -4,7 +4,7 @@ For every generator kind and n in the grid (lambda = ceil(log2 n), seed 1)
 this runs the online algorithm, saves its trace, loads it back and runs the
 structural certify pass (`check_run(..., with_witness=False)`) on the loaded
 trace. It writes BENCH_scaling_<label>.json with, per cell, both wall times
-(the median of --repeats runs, and every run), the trace's sha256 over its
+(the median of REPEATS runs, and every run), the trace's sha256 over its
 files, and per kind and phase the least-squares exponent of time against n.
 
 Only the standard library and sfonline (with its numpy) are used:
@@ -34,6 +34,7 @@ from sfonline.metric import GENERATOR_KINDS, GeneratorSpec, generate_instance
 from sfonline.trace import load_trace, run_online, save_trace
 
 SIZES = (40, 80, 160)
+REPEATS = 3
 SEED = 1
 
 
@@ -53,11 +54,11 @@ def timed(fn, *args, **kwargs):
     return result, time.perf_counter() - start
 
 
-def measure(kind, n, repeats, workdir):
+def measure(kind, n, workdir):
     inst = generate_instance(GeneratorSpec(kind=kind, n=n, seed=SEED))
     lam = max(1, math.ceil(math.log2(n)))
     run_s, structural_s, digests = [], [], set()
-    for r in range(repeats):
+    for r in range(REPEATS):
         trace, secs = timed(run_online, inst, lam)
         run_s.append(secs)
         d = os.path.join(workdir, f"{kind}_{n}_{r}")
@@ -91,17 +92,13 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True, help="names the output BENCH_scaling_<label>.json")
     p.add_argument("--out", default=".", help="directory to write the record into")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
     args = p.parse_args(argv)
-    if args.repeats < 1 or len(args.sizes) < 2:
-        p.error("need --repeats >= 1 and at least two sizes")
 
     cells = []
     with tempfile.TemporaryDirectory() as workdir:
         for kind in GENERATOR_KINDS:
-            for n in args.sizes:
-                cell = measure(kind, n, args.repeats, workdir)
+            for n in SIZES:
+                cell = measure(kind, n, workdir)
                 print(f"{kind:14s} n={n:4d} run {cell['run_online_s']:7.3f} s  "
                       f"structural {cell['structural_s']:7.3f} s", flush=True)
                 cells.append(cell)
@@ -116,7 +113,7 @@ def main(argv=None):
         "numpy": np.__version__,
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "cells": cells,
         "exponents": exponents,
     }

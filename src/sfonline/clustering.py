@@ -82,13 +82,10 @@ class Clustering:
 
 def contract_clustering(cl: Clustering, cluster_edges) -> tuple[int, ...]:
     """Canonical assignment of `cl` with the clusters of each (cid1, cid2) edge merged."""
-    if not cluster_edges:
-        return cl.assignment
     uf = UnionFind(cl.cluster_ids)
     for c1, c2 in cluster_edges:
         uf.union(c1, c2)
-    root = {cid: uf.find(cid) for cid in cl.cluster_ids}
-    return tuple(map(root.__getitem__, cl.assignment))
+    return tuple(uf.find(cid) for cid in cl.assignment)
 
 
 def check_refinement(fine: Clustering, coarse: Clustering) -> bool:
@@ -130,7 +127,7 @@ class ContractedMetric:
     @classmethod
     def of(cls, dist, assignment):
         """Metric of any canonical clustering, merged up from the trivial one
-        at O(T^2) per merged terminal: only for inputs with no finer metric."""
+        at O(T^2) per merged group: only for inputs with no finer metric."""
         return cls.trivial(dist).coarsen(assignment)
 
     def coarsen(self, assignment):
@@ -230,20 +227,16 @@ def level_metrics(dist, clusterings, prev=None):
 
     A level follows the previous recorded arrival's level when `prev`, that
     arrival's (clusterings, metrics), is given and its level refines this
-    one; else it follows the level below when that refines it. Anything else
-    (recorded hierarchies are untrusted) starts over from the trivial metric.
+    one. Anything else (the first arrival, or an untrusted recorded hierarchy
+    that breaks the refinement) starts over from the trivial metric. A level
+    equal to the one below shares its metric.
     """
     below = metric = None
     extended = {}
     for i, cl in enumerate(clusterings):
         if below is None or cl.assignment != below.assignment:
             carried = None if prev is None else _carried(dist, prev, i, cl, extended)
-            if carried is not None:
-                metric = carried
-            elif below is not None and check_refinement(below, cl):
-                metric = metric.coarsen(cl.assignment)
-            else:
-                metric = ContractedMetric.of(dist, cl.assignment)
+            metric = carried if carried is not None else ContractedMetric.of(dist, cl.assignment)
         below = cl
         yield metric
 
