@@ -1,10 +1,18 @@
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfonline import cli
 from sfonline.cli import main
-from sfonline.metric import load_instance_file, save_instance_file
+from sfonline.metric import (
+    GeneratorSpec,
+    generate_instance,
+    load_instance_file,
+    save_instance,
+    save_instance_file,
+)
 from sfonline.oracles import exact_optimum
 
 from conftest import line_instance
@@ -89,6 +97,39 @@ def test_run_rejects_corrupt_file(tmp_path):
     rc = main(["run", "--input", str(bad), "--lam", "1", "--out", str(tmp_path / "o"),
                "--quiet"])
     assert rc == 3
+
+
+@pytest.fixture(scope="module")
+def edit_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("edits")
+
+
+# A byte edit: (kind, position, byte); the byte is unused by a deletion.
+EDITS = st.tuples(
+    st.sampled_from(("flip", "insert", "delete")),
+    st.integers(0, 10**6),
+    st.one_of(st.sampled_from(b"\xff\x00\n #-9"), st.integers(0, 255)),
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(edits=st.lists(EDITS, min_size=1, max_size=4))
+def test_byte_edits_of_an_instance_never_escape_run(edit_dir, edits):
+    data = bytearray(save_instance(
+        generate_instance(GeneratorSpec(kind="euclidean", n=3, seed=1))).encode())
+    for kind, pos, byte in edits:
+        pos %= len(data) + (kind == "insert")
+        if kind == "flip" and data:
+            data[pos] = byte
+        elif kind == "insert":
+            data.insert(pos, byte)
+        elif data:
+            del data[pos]
+    path = edit_dir / "edited.sfo"
+    path.write_bytes(bytes(data))
+    rc = main(["run", "--input", str(path), "--lam", "1", "--checks", "none",
+               "--out", str(edit_dir / "o"), "--quiet"])
+    assert rc in (0, 2, 3, 4)
 
 
 def test_run_rejects_metric_violation(tmp_path):
