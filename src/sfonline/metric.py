@@ -368,8 +368,14 @@ def load_instance(text: str) -> Instance:
 
 
 def load_instance_file(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_instance(fh.read())
+    """Read and parse an instance file; a file that cannot be read or is not
+    UTF-8 is a FormatError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise FormatError(f"bad instance file {path}: {type(err).__name__}: {err}") from err
+    return load_instance(text)
 
 
 def save_instance_file(inst: Instance, path) -> None:

@@ -132,6 +132,28 @@ def test_byte_edits_of_an_instance_never_escape_run(edit_dir, edits):
     assert rc in (0, 2, 3, 4)
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_missing_or_undecodable_input_is_a_format_error(tmp_path, capsys, command):
+    missing = tmp_path / "missing.sfo"
+    undecodable = tmp_path / "latin.sfo"
+    undecodable.write_bytes(b"# label: caf\xe9\nSFONLINE 1 2 1\nMATRIX\n1\nDEMANDS\n0 1\n")
+    for path in (missing, undecodable):
+        rc = main([command, "--input", str(path), "--lam", "1", "--out",
+                   str(tmp_path / "o"), "--quiet"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_FORMAT]: bad instance file ") and str(path) in err
+
+
+def test_certify_rejects_an_undecodable_instance(tmp_path, w1_file, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--input", w1_file, "--lam", "1", "--checks", "none",
+                 "--out", str(out), "--quiet"]) == 0
+    (out / "trace" / "instance.sfo").write_bytes(b"\xff")
+    assert main(["certify", "--trace", str(out / "trace"), "--quiet"]) == 3
+    assert "instance.sfo" in capsys.readouterr().err
+
+
 def test_run_rejects_metric_violation(tmp_path):
     bad = tmp_path / "bad.sfo"
     bad.write_text("SFONLINE 1 4 2\nMATRIX\n1\n10 10\n1 1 1\nDEMANDS\n0 1\n2 3\n")
