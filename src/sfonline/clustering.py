@@ -34,6 +34,7 @@ super-node sequence.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import operator
 
 import numpy as np
@@ -79,13 +80,46 @@ class Clustering:
         self.cluster_level = {cid: max(term_levels[k] for k in ms)
                               for cid, ms in self.members.items()}
 
+    def contract(self, cluster_edges) -> Clustering:
+        """This partition with the clusters of each (cid1, cid2) edge merged.
+
+        Only the merged clusters are rebuilt: their members are the sorted
+        union and their level the max. Every other cluster's entry is copied.
+        """
+        root = _roots(cluster_edges)
+        members = dict(self.members)
+        level = dict(self.cluster_level)
+        groups: dict[int, list[int]] = {}
+        for cid, r in root.items():
+            groups.setdefault(r, []).append(cid)
+        for r, cids in groups.items():
+            if len(cids) > 1:
+                members[r] = tuple(sorted(itertools.chain.from_iterable(map(members.pop, cids))))
+                level[r] = max(map(level.pop, cids))
+        out = object.__new__(Clustering)
+        a = self.assignment
+        out.assignment = tuple(map(root.get, a, a))
+        out.members = members
+        out.cluster_ids = tuple(sorted(members))
+        out.cluster_level = level
+        return out
+
+
+def _roots(edges) -> dict:
+    """Root of every id an edge touches: a union-find over the touched ids
+    only, where the smaller root wins, so a root is its group's least id."""
+    uf = UnionFind()
+    for a, b in edges:
+        uf.union(a, b)
+    return {x: uf.find(x) for x in uf.parent}
+
 
 def contract_clustering(cl: Clustering, cluster_edges) -> tuple[int, ...]:
-    """Canonical assignment of `cl` with the clusters of each (cid1, cid2) edge merged."""
-    uf = UnionFind(cl.cluster_ids)
-    for c1, c2 in cluster_edges:
-        uf.union(c1, c2)
-    return tuple(uf.find(cid) for cid in cl.assignment)
+    """Canonical assignment of `cl` with the clusters of each (cid1, cid2) edge
+    merged: ids no edge touches map to themselves."""
+    root = _roots(cluster_edges)
+    a = cl.assignment
+    return tuple(map(root.get, a, a))
 
 
 def check_refinement(fine: Clustering, coarse: Clustering) -> bool:
@@ -142,16 +176,15 @@ class ContractedMetric:
         are not needed: D is closed, so a path through one never beats the
         direct entry (triangle inequality).
         """
-        uf = UnionFind(self.ids)
-        joined = False
-        for a, b in pairs:
-            joined |= uf.union(a, b)
-        if not joined:
+        roots = _roots(pairs)
+        if all(map(operator.eq, roots, roots.values())):
             return self
-        pos = {cid: k for k, cid in enumerate(self.ids)}
+        pos = dict(zip(self.ids, range(len(self.ids))))
         # The root of a group is its smallest id, so groups sorted by root
         # position come out in canonical order.
-        root = np.array([pos[uf.find(c)] for c in self.ids])
+        root = np.arange(len(self.ids))
+        for c, r in roots.items():
+            root[pos[c]] = pos[r]
         keep = np.flatnonzero(root == np.arange(len(root)))
         order = np.argsort(root, kind="stable")
         starts = np.searchsorted(root[order], keep)
@@ -334,15 +367,21 @@ def level_threshold(i: int) -> int:
 def active_virtual_edges(D, ids, cluster_level, i: int):
     """(edges of H_i, least contracted distance between two i-active clusters)
     given contracted distances D over `ids` (canonical order) and the level of
-    every cluster. With fewer than two active clusters the gap is 2^62."""
-    act = [k for k, cid in enumerate(ids) if cluster_level[cid] >= i]
+    every cluster. With fewer than two active clusters the gap is 2^62.
+
+    The active block of D is copied once with its diagonal set to 2^62, at
+    or above every threshold, so its upper triangle below the threshold is
+    H_i's edge set and its minimum is the gap."""
+    levels = np.fromiter(map(cluster_level.__getitem__, ids), np.int64, len(ids))
+    act = np.flatnonzero(levels >= i)
     if len(act) < 2:
         return (), 1 << 62
-    x, y = np.triu_indices(len(act), k=1)  # row-major: canonical edge order
-    a = np.array(act)
-    dxy = D[a[x], a[y]]
-    close = np.flatnonzero(dxy < level_threshold(i))
-    return tuple((ids[act[x[k]]], ids[act[y[k]]]) for k in close), int(dxy.min())
+    sub = D[np.ix_(act, act)]
+    np.fill_diagonal(sub, 1 << 62)
+    x, y = np.nonzero(np.triu(sub < level_threshold(i)))  # row-major: canonical order
+    pick = ids.__getitem__
+    edges = tuple(zip(map(pick, act[x].tolist()), map(pick, act[y].tolist())))
+    return edges, int(sub.min())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -397,7 +436,7 @@ def build_hierarchy(view: InstanceView, prev=None):
 
         vgraphs.append(edges)
         if edges:
-            cl = Clustering(contract_clustering(cl, edges), levels)
+            cl = cl.contract(edges)
             if prev is None:
                 metric = metric.merge(edges)
             else:

@@ -292,8 +292,7 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
         f_inh, f_rest = select_spanning_forest(h_edges, parents.keys())
 
         # C_inh is C_i when no forest edge is inherited and C_{i+1} when all are.
-        cinh_i = cl_i if not f_inh else cl_next if not f_rest else Clustering(
-            contract_clustering(cl_i, f_inh), hier.term_levels)
+        cinh_i = cl_i if not f_inh else cl_next if not f_rest else cl_i.contract(f_inh)
         if contract_clustering(cl_i, f_inh + f_rest) != cl_next.assignment:
             raise AssertionError("forest contraction disagrees with hierarchy (internal bug)")
         if len(f_inh) + len(f_rest) != len(cl_i.cluster_ids) - len(cl_next.cluster_ids):

@@ -14,6 +14,7 @@ from sfonline.clustering import (
     build_hierarchy,
     check_refinement,
     cluster_distance,
+    contract_clustering,
     active_virtual_edges,
     dump_hierarchy,
     level_metrics,
@@ -538,3 +539,122 @@ def test_level_metrics_fall_back_when_the_previous_arrival_does_not_refine(monke
     assert fresh  # the trivial C_0 starts over
     for cl, metric in zip(h8.clusterings, metrics, strict=True):
         assert_matches_reference(metric, dist, cl.assignment)
+
+
+# ---------------------------------------------------------------------------
+# Fast paths against their slow references.
+# ---------------------------------------------------------------------------
+
+def reference_contraction(assignment, cluster_edges):
+    """Canonical assignment with the clusters of each edge merged: a
+    union-find over every cluster id, one find per terminal."""
+    parent = {cid: cid for cid in assignment}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in cluster_edges:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return tuple(find(cid) for cid in assignment)
+
+
+@st.composite
+def partitions_and_edges(draw):
+    """(canonical assignment, terminal levels, edges between its cluster ids);
+    the edges repeat pairs and include self-pairs."""
+    T = 2 * draw(st.integers(1, 8))
+    labels = draw(st.lists(st.integers(0, T - 1), min_size=T, max_size=T))
+    first = {}
+    assignment = tuple(first.setdefault(lab, k) for k, lab in enumerate(labels))
+    levels = tuple(draw(st.lists(st.integers(0, 63), min_size=T, max_size=T)))
+    cids = sorted(set(assignment))
+    pair = st.tuples(st.sampled_from(cids), st.sampled_from(cids))
+    edges = draw(st.lists(pair, max_size=6))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+    return assignment, levels, edges
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(partitions_and_edges())
+def test_contract_matches_a_clustering_built_from_scratch(case):
+    assignment, levels, edges = case
+    got = Clustering(assignment, levels).contract(edges)
+    want = Clustering(reference_contraction(assignment, edges), levels)
+    assert got.assignment == want.assignment
+    assert got.cluster_ids == want.cluster_ids
+    assert got.members == want.members
+    assert got.cluster_level == want.cluster_level
+    assert contract_clustering(Clustering(assignment, levels), edges) == want.assignment
+
+
+def reference_active_virtual_edges(D, ids, cluster_level, i):
+    """active_virtual_edges over the upper-triangle index pairs of the active
+    positions, one pair at a time."""
+    act = [k for k, cid in enumerate(ids) if cluster_level[cid] >= i]
+    if len(act) < 2:
+        return (), 1 << 62
+    x, y = np.triu_indices(len(act), k=1)
+    a = np.array(act)
+    dxy = D[a[x], a[y]]
+    close = np.flatnonzero(dxy < min(1 << (i + 1), 1 << 62))
+    return tuple((ids[act[x[k]]], ids[act[y[k]]]) for k in close), int(dxy.min())
+
+
+@st.composite
+def contracted_distances(draw):
+    """(D, ids, cluster levels, i): a symmetric zero-diagonal D over up to six
+    clusters, entries small or near MAX_DIST, levels at either end of 0..63."""
+    K = draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(1, 64), st.integers(MAX_DIST - 4, MAX_DIST))
+    D = np.zeros((K, K), dtype=np.int64)
+    for p, q in itertools.combinations(range(K), 2):
+        D[p, q] = D[q, p] = draw(entry)
+    ids = tuple(sorted(draw(st.sets(st.integers(0, 40), min_size=K, max_size=K))))
+    level = st.one_of(st.integers(0, 6), st.integers(59, 63))
+    cluster_level = {cid: draw(level) for cid in ids}
+    return D, ids, cluster_level, draw(level)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(contracted_distances())
+def test_active_virtual_edges_matches_the_pairwise_reference(case):
+    assert active_virtual_edges(*case) == reference_active_virtual_edges(*case)
+
+
+def test_active_virtual_edges_edge_cases():
+    D = np.array([[0, MAX_DIST, 3], [MAX_DIST, 0, 5], [3, 5, 0]], dtype=np.int64)
+    ids = (0, 2, 5)
+    for levels, i in (({0: 0, 2: 0, 5: 0}, 1), ({0: 63, 2: 0, 5: 0}, 1),
+                      ({0: 61, 2: 62, 5: 0}, 61), ({0: 63, 2: 63, 5: 63}, 63),
+                      ({0: 62, 2: 63, 5: 0}, 62)):
+        got = active_virtual_edges(D, ids, levels, i)
+        assert got == reference_active_virtual_edges(D, ids, levels, i)
+    # Zero or one active cluster: no edge and the 2^62 gap.
+    assert active_virtual_edges(D, ids, {0: 0, 2: 0, 5: 0}, 1) == ((), 1 << 62)
+    assert active_virtual_edges(D, ids, {0: 63, 2: 0, 5: 0}, 1) == ((), 1 << 62)
+    # Above level 60 the threshold is clamped to 2^62, so MAX_DIST is an edge.
+    assert active_virtual_edges(D, ids, {0: 61, 2: 62, 5: 0}, 61) == (((0, 2),), MAX_DIST)
+    assert active_virtual_edges(np.zeros((0, 0), dtype=np.int64), (), {}, 0) == ((), 1 << 62)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_merge_with_repeated_and_self_pairs_matches_reference(data):
+    inst = generate_instance(GeneratorSpec(kind="random-metric", n=5,
+                                           seed=data.draw(st.integers(0, 3)), scale=100))
+    dist = inst.view(5).dist_matrix()
+    assignment = tuple(range(10))
+    metric = ContractedMetric.trivial(dist)
+    for _ in range(data.draw(st.integers(1, 6))):
+        pair = st.tuples(st.sampled_from(metric.ids), st.sampled_from(metric.ids))
+        batch = data.draw(st.lists(pair, min_size=1, max_size=4))
+        batch += batch[:1]
+        merged = metric.merge(batch)
+        assignment = reference_contraction(assignment, batch)
+        if all(a == b for a, b in batch):
+            assert merged is metric
+        assert_matches_reference(merged, dist, assignment)
+        metric = merged
