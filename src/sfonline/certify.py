@@ -365,6 +365,16 @@ def _moved(got, want):
     return f"terminal {k} in {got[k]} want {want[k]}"
 
 
+def _split(fine, coarse):
+    """"" when `fine` refines `coarse`, else the first terminal whose fine
+    cluster the coarse clustering splits."""
+    if check_refinement(fine, coarse):
+        return ""
+    c = coarse.assignment
+    k = next(k for k, f in enumerate(fine.assignment) if c[f] != c[k])
+    return f"fine cluster {fine.assignment[k]} split at terminal {k}"
+
+
 def _pin_ledger_errors(out, prev_out):
     """What is wrong with an arrival's pin ledger, as FAIL-row phrases:
     pins_added must count the pin events' edges, the pinned list must grow by
@@ -505,11 +515,11 @@ def _structural_pass(trace, add):
             add("realization-connects", i, t, connect_ok)
 
             if prev_out is not None:
-                ok41 = check_refinement(prev_out.hierarchy.clustering(i), cl)
-                add("refine-across-arrivals", i, t, ok41)
+                split = _split(prev_out.hierarchy.clustering(i), cl)
+                add("refine-across-arrivals", i, t, not split, split)
                 if cinh_i is not None:
-                    ok43 = check_refinement(prev_out.hierarchy.clustering(i + 1), cinh_i)
-                    add("refine-into-inherited", i, t, ok43)
+                    split = _split(prev_out.hierarchy.clustering(i + 1), cinh_i)
+                    add("refine-into-inherited", i, t, not split, split)
 
                 bad_parent = ""
                 prev_forest = {pe.endpoints: pe for pe in prev_out.forest.get(i, [])}
@@ -529,9 +539,8 @@ def _structural_pass(trace, add):
                 add("inheritance-provenance", i, t, not bad_parent, bad_parent)
             # The top clustering index gets the cross-arrival check too.
             if prev_out is not None and i == hier.L:
-                add("refine-across-arrivals", hier.L + 1, t,
-                    check_refinement(prev_out.hierarchy.clustering(hier.L + 1),
-                                     hier.clustering(hier.L + 1)))
+                split = _split(prev_out.hierarchy.clustering(hier.L + 1), hier.top)
+                add("refine-across-arrivals", hier.L + 1, t, not split, split)
 
         prev_snapshot = prev_out.snapshot.edges if prev_out is not None else frozenset()
         ins = len(out.snapshot.edges - prev_snapshot)

@@ -256,6 +256,16 @@ SEMANTIC_TAMPERINGS = {
         "arrival_0004.json",
         lambda p: p["pinned"][-1].__setitem__(1, 3),
         ["snapshot-consistency,,4,fail,pin (3;7) stamped 3"]),
+    # Arrival 3's C_8 holds {1, 5} and its C_9 {1, 2, 3, 5}; arrival 4's C_8
+    # and C_inh,8 are edited to leave 5 out of 1's cluster.
+    "clustering-splits-previous": (
+        "arrival_0004.json",
+        lambda p: p["clusterings"].__setitem__(8, [[0], [1, 6], [2], [3, 7], [4], [5]]),
+        ["refine-across-arrivals,8,4,fail,fine cluster 1 split at terminal 5"]),
+    "cinh-splits-previous": (
+        "arrival_0004.json",
+        lambda p: p["cinh"].__setitem__("8", [[0], [1, 2, 3, 6, 7], [4], [5]]),
+        ["refine-into-inherited,8,4,fail,fine cluster 1 split at terminal 5"]),
     "pin-event-dropped": (
         "arrival_0004.json",
         lambda p: p["ledger"].update(pin_events=[], pins_added=0),
