@@ -17,8 +17,12 @@ by the two new terminals as singletons and then coarsened. A full
 Floyd-Warshall runs on no path.
 
 A Clustering is a plain partition with no level label. Most levels merge
-nothing and share their predecessor's object; contract_clustering returns an
-assignment tuple, so each distinct partition is built once.
+nothing and share their predecessor's object. A level that merges is
+contracted from its parent (Clustering.contract): the union-find runs over
+the merged clusters only and every other cluster's entry is copied, so a
+level costs O(K + merged members) Python steps, not O(T) (K clusters, T
+terminals). contract_clustering gives the same assignment as a tuple, for
+checks that compare partitions without building one.
 
 A Hierarchy is immutable and holds only what a trace records.
 build_hierarchy returns each level's virtual edges and contracted metric
@@ -62,7 +66,8 @@ class Clustering:
     assignment[k] is the cluster id of terminal k; cluster ids are canonical
     (minimum member id). Cluster level is the max member level; a cluster is
     active at level j iff its level >= j. The levels of a hierarchy that
-    merge nothing share one object.
+    merge nothing share one object. The constructor builds a partition from
+    scratch in O(T); contract derives a coarser one from this one.
     """
 
     __slots__ = ("assignment", "cluster_ids", "members", "cluster_level")
@@ -81,7 +86,8 @@ class Clustering:
                               for cid, ms in self.members.items()}
 
     def contract(self, cluster_edges) -> Clustering:
-        """This partition with the clusters of each (cid1, cid2) edge merged.
+        """This partition with the clusters of each (cid1, cid2) edge merged;
+        every endpoint must be one of its cluster ids.
 
         Only the merged clusters are rebuilt: their members are the sorted
         union and their level the max. Every other cluster's entry is copied.
@@ -116,7 +122,9 @@ def _roots(edges) -> dict:
 
 def contract_clustering(cl: Clustering, cluster_edges) -> tuple[int, ...]:
     """Canonical assignment of `cl` with the clusters of each (cid1, cid2) edge
-    merged: ids no edge touches map to themselves."""
+    merged. The union-find covers the edge endpoints only and a terminal whose
+    cluster no edge touches keeps its id. Recorded edges need not be valid:
+    the certifier compares the result with the partition it should give."""
     root = _roots(cluster_edges)
     a = cl.assignment
     return tuple(map(root.get, a, a))
@@ -370,17 +378,19 @@ def active_virtual_edges(D, ids, cluster_level, i: int):
     every cluster. With fewer than two active clusters the gap is 2^62.
 
     The active block of D is copied once with its diagonal set to 2^62, at
-    or above every threshold, so its upper triangle below the threshold is
-    H_i's edge set and its minimum is the gap."""
+    or above every threshold, so its entries below the threshold above the
+    diagonal are H_i's edges and its minimum is the gap. The flat indices
+    of a row-major block come in canonical edge order."""
     levels = np.fromiter(map(cluster_level.__getitem__, ids), np.int64, len(ids))
     act = np.flatnonzero(levels >= i)
     if len(act) < 2:
         return (), 1 << 62
-    sub = D[np.ix_(act, act)]
+    sub = D.take(act, axis=0).take(act, axis=1)
     np.fill_diagonal(sub, 1 << 62)
-    x, y = np.nonzero(np.triu(sub < level_threshold(i)))  # row-major: canonical order
+    x, y = np.divmod(np.flatnonzero(sub < level_threshold(i)), len(act))
+    upper = x < y
     pick = ids.__getitem__
-    edges = tuple(zip(map(pick, act[x].tolist()), map(pick, act[y].tolist())))
+    edges = tuple(zip(map(pick, act[x[upper]].tolist()), map(pick, act[y[upper]].tolist())))
     return edges, int(sub.min())
 
 
