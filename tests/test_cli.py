@@ -154,6 +154,28 @@ def test_certify_rejects_an_undecodable_instance(tmp_path, w1_file, capsys):
     assert "instance.sfo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["run", "--input", "{w1}", "--lam", "1", "--out", "{F}/sub"], "{F}/sub"),
+    (["sweep", "--input", "{w1}", "--lams", "1", "--out", "{F}"], "{F}"),
+    (["compare", "--input", "{w1}", "--lam", "1", "--out", "{F}"], "{F}"),
+    (["certify", "--trace", "{trace}", "--out", "{F}/x"], "{F}/x"),
+    (["gen", "--kind", "euclid", "--n", "2", "--file", "{F}/f.sfo"], "{F}"),
+], ids=["run", "sweep", "compare", "certify", "gen"])
+def test_an_output_path_that_cannot_be_created_is_a_config_error(tmp_path, w1_file, capsys,
+                                                                  argv, bad):
+    out = tmp_path / "r"
+    assert main(["run", "--input", w1_file, "--lam", "1", "--out", str(out), "--quiet"]) == 0
+    F = tmp_path / "F"
+    F.write_text("a regular file\n")
+    names = {"w1": w1_file, "trace": str(out / "trace"), "F": str(F)}
+    capsys.readouterr()
+    rc = main([a.format(**names) for a in argv] + ["--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[E_CONFIG]: ") and bad.format(**names) in err
+    assert F.read_text() == "a regular file\n"
+
+
 def test_run_rejects_metric_violation(tmp_path):
     bad = tmp_path / "bad.sfo"
     bad.write_text("SFONLINE 1 4 2\nMATRIX\n1\n10 10\n1 1 1\nDEMANDS\n0 1\n2 3\n")
