@@ -21,7 +21,7 @@ from .metric import (
     Instance,
     generate_instance,
     load_instance_file,
-    save_instance_file,
+    save_instance,
 )
 from .oracles import DEFAULT_ORACLE_LIMIT, exact_optimum, offline_gluttonous_forest, run_baseline
 from .trace import RunTrace, load_trace, run_online, save_trace
@@ -64,6 +64,28 @@ def _load_from_args(args) -> Instance:
     return generate_instance(spec)
 
 
+def _output_error(path, err):
+    return ConfigError(f"cannot create output {path}: {type(err).__name__}: {err.strerror or err}")
+
+
+def _make_dirs(path):
+    """Create the output directory `path`; one that cannot be created is a
+    ConfigError naming it (exit 2), not a traceback."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise _output_error(path, err) from err
+
+
+def _write_text(path, text):
+    """Write an output file with \\n line endings; as _make_dirs on failure."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise _output_error(path, err) from err
+
+
 def _default_lam(n: int) -> int:
     return max(1, (n - 1).bit_length())  # ceil(log2 n), floored at 1
 
@@ -98,21 +120,21 @@ def _per_arrival_rows(trace: RunTrace, opt):
 def run_command(cfg: RunConfig, opt):
     """Execute one online run: CSV + summary + trace (+ optional certification).
     `opt` is the instance's `_opt_map`."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_dirs(cfg.out_dir)
     trace = run_online(cfg.instance, cfg.lam, nhat_doubling=cfg.nhat_doubling)
 
-    csv_path = os.path.join(cfg.out_dir, "per_arrival.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_per_arrival_rows(trace, opt))
+    _write_text(os.path.join(cfg.out_dir, "per_arrival.csv"), _per_arrival_rows(trace, opt))
 
     trace_dir = os.path.join(cfg.out_dir, "trace")
-    save_trace(trace, trace_dir)
+    try:
+        save_trace(trace, trace_dir)
+    except OSError as err:
+        raise _output_error(trace_dir, err) from err
 
     if cfg.dump_hierarchy:
         for out in trace.arrivals:
-            path = os.path.join(cfg.out_dir, f"hierarchy_{out.t:04d}.txt")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(dump_hierarchy(out.hierarchy))
+            _write_text(os.path.join(cfg.out_dir, f"hierarchy_{out.t:04d}.txt"),
+                        dump_hierarchy(out.hierarchy))
 
     report = None
     if cfg.checks != "none":
@@ -140,9 +162,7 @@ def run_command(cfg: RunConfig, opt):
         for name in sorted(report.ratios):
             lines.append(f"ratio {name}: {report.ratios[name]:.6f}")
     summary = "\n".join(lines) + "\n"
-    with open(os.path.join(cfg.out_dir, "summary.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(summary)
+    _write_text(os.path.join(cfg.out_dir, "summary.txt"), summary)
     if not cfg.quiet:
         sys.stdout.write(summary)
     if report is not None and not report.ok:
@@ -160,11 +180,11 @@ def cmd_gen(args):
         name = args.file
         parent = os.path.dirname(name)
         if parent:
-            os.makedirs(parent, exist_ok=True)
+            _make_dirs(parent)
     else:
-        os.makedirs(args.out, exist_ok=True)
+        _make_dirs(args.out)
         name = os.path.join(args.out, f"{spec.canonical_kind()}_n{args.n}_s{args.seed}.sfo")
-    save_instance_file(inst, name)
+    _write_text(name, save_instance(inst))
     _say(args, name)
     return 0
 
@@ -196,7 +216,7 @@ def cmd_sweep(args):
     if not lams:
         raise ConfigError("sweep needs a nonempty --lams list")
     lams.sort()
-    os.makedirs(args.out, exist_ok=True)
+    _make_dirs(args.out)
     opt = _opt_map(inst, args.oracle_limit)
     opt_final = opt.get(inst.n)
 
@@ -213,9 +233,7 @@ def cmd_sweep(args):
         rows.append(f"{lam},{cost},{opt_final if opt_final else ''},{ratio},"
                     f"{ins},{ins / (inst.n * lam):.6f}")
     table = "\n".join(rows) + "\n"
-    with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(table)
+    _write_text(os.path.join(args.out, "sweep.csv"), table)
     _say(args, table.rstrip("\n"))
     return status
 
@@ -223,7 +241,7 @@ def cmd_sweep(args):
 def cmd_compare(args):
     inst = _load_from_args(args)
     lam = args.lam if args.lam is not None else _default_lam(inst.n)
-    os.makedirs(args.out, exist_ok=True)
+    _make_dirs(args.out)
     opt = _opt_map(inst, args.oracle_limit)
 
     main = run_online(inst, lam)
@@ -237,9 +255,7 @@ def cmd_compare(args):
         rows.append(f"{t},{main.arrivals[k].snapshot.cost},{glut.steps[k].cost},"
                     f"{greedy.steps[k].cost},{offline[k]},{opt.get(t, '')}")
     table = "\n".join(rows) + "\n"
-    with open(os.path.join(args.out, "compare.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(table)
+    _write_text(os.path.join(args.out, "compare.csv"), table)
 
     summary = [
         f"instance: {inst.label} [{inst.content_hash()}]",
@@ -253,9 +269,7 @@ def cmd_compare(args):
     if opt.get(inst.n):
         summary.append(f"final OPT: {opt[inst.n]}")
     text = "\n".join(summary) + "\n"
-    with open(os.path.join(args.out, "compare_summary.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(text)
+    _write_text(os.path.join(args.out, "compare_summary.txt"), text)
     if not args.quiet:
         sys.stdout.write(table + text)
     return 0
@@ -278,10 +292,8 @@ def cmd_certify(args):
     levels = None if args.levels is None else [args.levels]
     report = check_run(trace, opt, with_witness=True, witness_levels=levels)
     out_dir = args.out or args.trace
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "certify.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(report.to_csv())
+    _make_dirs(out_dir)
+    _write_text(os.path.join(out_dir, "certify.csv"), report.to_csv())
     if not args.quiet:
         sys.stdout.write(report.summary_text())
     return 0 if report.ok else 1
