@@ -29,6 +29,11 @@ build_hierarchy returns each level's virtual edges and contracted metric
 beside it, so kept hierarchies hold no arrays; the online state keeps the
 metrics of the latest arrival only, for the next one to carry.
 
+cluster_distance realizes a virtual edge as a shortest path of original
+edges in a level's metric with some pairs merged in. Its Python work is
+O(pairs + hops): terminal -> super-node is one array, and only the
+super-nodes the walk visits get their members listed.
+
 Everything here is deterministic: cluster ids are the minimum member
 terminal id, edges are ordered by (min endpoint, max endpoint), and
 shortest-path ties are broken toward the lexicographically smallest
@@ -292,14 +297,14 @@ class ClusterPath:
 
 
 def _realize_hop(dist, members_p, members_q):
-    """Cheapest original edge between two super-nodes.
-
-    Ties broken by the lexicographically smallest normalized (min, max) pair.
-    """
-    sub = dist[np.ix_(members_p, members_q)]
-    w = int(sub.min())
-    ends = ((members_p[x], members_q[y]) for x, y in np.argwhere(sub == w))
-    return w, min((min(a, b), max(a, b)) for a, b in ends)
+    """Cheapest original edge between two super-nodes, given their member
+    arrays. Ties go to the least normalized (min, max) pair; the endpoints
+    are Python ints, as the trace's JSON encoder needs."""
+    sub = dist[members_p][:, members_q]
+    w = sub.min()
+    x, y = np.nonzero(sub == w)
+    ends = zip(members_p[x].tolist(), members_q[y].tolist())
+    return int(w), min((a, b) if a < b else (b, a) for a, b in ends)
 
 
 def cluster_distance(view: InstanceView, assignment, contracted_by, C1: int, C2: int,
@@ -310,33 +315,34 @@ def cluster_distance(view: InstanceView, assignment, contracted_by, C1: int, C2:
     vertices joined by the original edges in `contracted_by`. Returns the
     distance together with the realized original edge of every hop; ties go
     to the lexicographically smallest super-node id sequence. `metric`, if
-    given, is the contracted metric of `assignment`; only the pairs of
-    `contracted_by` that cross clusters are merged into it.
+    given, is the contracted metric of `assignment`, into which the cluster
+    pairs of `contracted_by` are merged. The union-find covers the clusters
+    those pairs touch, so the Python work is O(pairs + hops).
     """
     if C1 not in assignment or C2 not in assignment:
         raise ConfigError(f"cluster {C1 if C1 not in assignment else C2} not in clustering")
     T = view.num_terminals
-    uf = UnionFind()
-    cross = []
+    pairs = []
     for a, b in contracted_by:
         if a >= T or b >= T:
             raise ConfigError("contracted_by touches a terminal that has not arrived")
-        if uf.union(assignment[a], assignment[b]):
-            cross.append((assignment[a], assignment[b]))
-    src, dst = uf.find(C1), uf.find(C2)
+        pairs.append((assignment[a], assignment[b]))
+    root = _roots(pairs)
+    src, dst = root.get(C1, C1), root.get(C2, C2)
     if src == dst:
         return ClusterPath(0, (src,), ())
 
     dist = view.dist_matrix()
     if metric is None:
         metric = ContractedMetric.of(dist, assignment)
-    m = metric.merge(cross)
-    W, D = m.W, m.D
-    pos = {cid: k for k, cid in enumerate(m.ids)}
-    members = {cid: [] for cid in m.ids}
-    for k, cid in enumerate(assignment):
-        members[uf.find(cid)].append(k)
-    si, di = pos[src], pos[dst]
+    m = metric.merge(pairs)
+    W, D, ids = m.W, m.D, m.ids
+    sup = np.asarray(assignment)
+    if any(map(operator.ne, root, root.values())):
+        lookup = np.arange(T)
+        lookup[list(root)] = list(root.values())
+        sup = lookup[sup]
+    si, di = ids.index(src), ids.index(dst)
     total = int(D[si, di])
     to_dst = D[:, di]
 
@@ -347,6 +353,7 @@ def cluster_distance(view: InstanceView, assignment, contracted_by, C1: int, C2:
     nodes = [src]
     edges = []
     ci = si
+    here = np.flatnonzero(sup == src)
     rest = total
     while ci != di:
         hit = np.flatnonzero(W[ci] + to_dst == rest)
@@ -354,13 +361,14 @@ def cluster_distance(view: InstanceView, assignment, contracted_by, C1: int, C2:
         if not hit.size:
             raise AssertionError("shortest-path walk stalled (internal bug)")
         qi = int(hit[0])
-        w, edge = _realize_hop(dist, members[m.ids[ci]], members[m.ids[qi]])
+        there = np.flatnonzero(sup == ids[qi])
+        w, edge = _realize_hop(dist, here, there)
         if w != int(W[ci, qi]):
             raise AssertionError("realized hop weight mismatch (internal bug)")
         rest -= w
         edges.append(edge)
-        nodes.append(m.ids[qi])
-        ci = qi
+        nodes.append(ids[qi])
+        ci, here = qi, there
     if rest != 0:
         raise AssertionError("path length mismatch (internal bug)")
     return ClusterPath(total, tuple(nodes), tuple(edges))

@@ -173,7 +173,12 @@ class BaselineTrace:
 class OnlineGluttonousState:
     """Appendix-style no-recourse baseline: a persistent clustering, merged
     level by level whenever two active clusters come within 2^(i+1), buying
-    the realized shortest path of every merge."""
+    the realized shortest path of every merge.
+
+    `metric` is the contracted metric of the clustering, carried across
+    arrivals: each arrival extends it by the two new singletons (the
+    assignment is canonical) and merges it once per bought path.
+    """
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -181,9 +186,12 @@ class OnlineGluttonousState:
         self.assignment: list[int] = []  # terminal -> cluster id (min member)
         self.levels: list[int] = []
         self.bought: set = set()
+        self.metric: ContractedMetric | None = None
 
     def _merge_pass(self, view):
-        metric = ContractedMetric.of(view.dist_matrix(), self.assignment)
+        dist = view.dist_matrix()
+        metric = (ContractedMetric.trivial(dist) if self.metric is None
+                  else self.metric.extend(dist, self.assignment[:-2]))
         lvl = {}
         for k, cid in enumerate(self.assignment):
             lvl[cid] = max(lvl.get(cid, 0), self.levels[k])
@@ -198,6 +206,7 @@ class OnlineGluttonousState:
                 self.assignment = [c1 if c == c2 else c for c in self.assignment]
                 lvl[c1] = max(lvl[c1], lvl.pop(c2))
                 metric = metric.merge([(c1, c2)])
+        self.metric = metric
 
     def step(self, pair) -> BaselineStep:
         t = self.t + 1

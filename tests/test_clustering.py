@@ -636,3 +636,99 @@ def test_active_virtual_edges_edge_cases():
     assert active_virtual_edges(D, ids, {0: 63, 2: 63, 5: 63}, 63) == (
         ((0, 2), (0, 5), (2, 5)), 3)
     assert active_virtual_edges(np.zeros((0, 0), dtype=np.int64), (), {}, 0) == ((), 1 << 62)
+
+
+def reference_realize_hop(dist, members_p, members_q):
+    """The cheapest original edge between two member lists, ties to the least
+    normalized (min, max) pair, over the full np.ix_ block."""
+    sub = dist[np.ix_(members_p, members_q)]
+    w = int(sub.min())
+    ends = ((members_p[x], members_q[y]) for x, y in np.argwhere(sub == w))
+    return w, min((min(a, b), max(a, b)) for a, b in ends)
+
+
+def reference_cluster_distance(view, assignment, contracted_by, C1, C2, metric=None):
+    """cluster_distance with a union-find over every cluster, one find per
+    terminal for the member lists of every super-node, and a position dict."""
+    from sfonline.unionfind import UnionFind
+
+    if C1 not in assignment or C2 not in assignment:
+        raise ConfigError(f"cluster {C1 if C1 not in assignment else C2} not in clustering")
+    T = view.num_terminals
+    uf = UnionFind()
+    cross = []
+    for a, b in contracted_by:
+        if a >= T or b >= T:
+            raise ConfigError("contracted_by touches a terminal that has not arrived")
+        if uf.union(assignment[a], assignment[b]):
+            cross.append((assignment[a], assignment[b]))
+    src, dst = uf.find(C1), uf.find(C2)
+    if src == dst:
+        return ClusterPath(0, (src,), ())
+    dist = view.dist_matrix()
+    if metric is None:
+        metric = ContractedMetric.of(dist, assignment)
+    m = metric.merge(cross)
+    W, D = m.W, m.D
+    pos = {cid: k for k, cid in enumerate(m.ids)}
+    members = {cid: [] for cid in m.ids}
+    for k, cid in enumerate(assignment):
+        members[uf.find(cid)].append(k)
+    si, di = pos[src], pos[dst]
+    total = int(D[si, di])
+    to_dst = D[:, di]
+    nodes, edges, ci, rest = [src], [], si, total
+    while ci != di:
+        hit = np.flatnonzero(W[ci] + to_dst == rest)
+        hit = hit[hit != ci]
+        qi = int(hit[0])
+        w, edge = reference_realize_hop(dist, members[m.ids[ci]], members[m.ids[qi]])
+        assert w == int(W[ci, qi])
+        rest -= w
+        edges.append(edge)
+        nodes.append(m.ids[qi])
+        ci = qi
+    assert rest == 0
+    return ClusterPath(total, tuple(nodes), tuple(edges))
+
+
+@st.composite
+def realization_cases(draw):
+    """(view, assignment, contracted_by, level metric): a hierarchy level of a
+    generated prefix and terminal pairs that cross clusters, lie inside one,
+    are self-pairs, repeat a pair or join two clusters already joined."""
+    kind = draw(st.sampled_from(GENERATOR_KINDS))
+    n = draw(st.integers(1, 5))
+    spec = GeneratorSpec(kind=kind, n=n, seed=draw(st.integers(0, 30)),
+                         scale=draw(st.sampled_from((3, 20, 1000))))
+    view = generate_instance(spec).view(draw(st.integers(1, n)))
+    h, _, metrics = build_hierarchy(view)
+    i = draw(st.integers(0, h.L + 1))
+    cl = h.clustering(i)
+    terminal = st.integers(0, view.num_terminals - 1)
+    pairs = draw(st.lists(st.tuples(terminal, terminal), max_size=5))
+
+    def member(k):
+        return draw(st.sampled_from(cl.members[cl.assignment[k]]))
+
+    extra = [(k, k) for k in draw(st.lists(terminal, max_size=2))]
+    extra += [(k, member(k)) for k in draw(st.lists(terminal, max_size=2))]
+    if pairs:
+        again = draw(st.lists(st.sampled_from(pairs), max_size=3))
+        extra += again + [(member(b), member(a)) for a, b in again]
+    return view, cl.assignment, draw(st.permutations(pairs + extra)), metrics[i]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(realization_cases())
+def test_cluster_distance_matches_the_reference(case):
+    view, assignment, contracted_by, metric = case
+    cids = sorted(set(assignment))
+    for C1, C2 in itertools.product(cids, repeat=2):
+        for m in (None, metric):
+            path = cluster_distance(view, assignment, contracted_by, C1, C2, m)
+            assert path == reference_cluster_distance(view, assignment, contracted_by,
+                                                      C1, C2, m)
+            assert all(type(x) is int for e in path.edges for x in e)
+            assert type(path.distance) is int
+

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from sfonline.clustering import ContractedMetric
 from sfonline.errors import OracleLimitError
 from sfonline.metric import MAX_DIST, GeneratorSpec, Instance, generate_instance
 from sfonline.oracles import (
@@ -16,6 +17,7 @@ from sfonline.oracles import (
 from sfonline.unionfind import UnionFind
 
 from conftest import line_instance
+from test_clustering import assert_matches_reference
 
 
 def brute_optimum_cost(view):
@@ -257,6 +259,30 @@ def test_online_gluttonous_feasible_prefixes():
     for step in tr.steps:
         assert feasible(step.edges, inst.view(step.t).demands)
         assert step.deletions == 0
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "random-metric", "line-chain"])
+def test_online_gluttonous_carries_its_metric(monkeypatch, kind):
+    # After every step of run_baseline, the metric carried across arrivals
+    # is the contracted metric of the clustering, rebuilt from scratch.
+    inst = generate_instance(GeneratorSpec(kind=kind, n=10, seed=3))
+    step = OnlineGluttonousState.step
+    checked = []
+
+    def checked_step(state, pair):
+        out = step(state, pair)
+        dist = inst.view(state.t).dist_matrix()
+        assert_matches_reference(state.metric, dist, tuple(state.assignment))
+        fresh = ContractedMetric.of(dist, state.assignment)
+        assert state.metric.ids == fresh.ids
+        assert np.array_equal(state.metric.W, fresh.W)
+        assert np.array_equal(state.metric.D, fresh.D)
+        checked.append(state.t)
+        return out
+
+    monkeypatch.setattr(OnlineGluttonousState, "step", checked_step)
+    run_baseline(inst, "online-gluttonous")
+    assert checked == list(range(1, inst.n + 1))
 
 
 def test_greedy_w1(w1):
