@@ -287,8 +287,9 @@ def save_instance(inst: Instance) -> str:
         lines.append(f"# label: {inst.label}")
     lines.append(f"SFONLINE 1 {T} {inst.n}")
     lines.append("MATRIX")
+    rows = inst.dist.tolist()
     for k in range(1, T):
-        lines.append(" ".join(str(int(inst.dist[k, j])) for j in range(k)))
+        lines.append(" ".join(map(str, rows[k][:k])))
     lines.append("DEMANDS")
     for u, v in inst.demands:
         lines.append(f"{u} {v}")
@@ -300,6 +301,15 @@ def _parse_int(tok, what):
         return int(tok)
     except ValueError:
         raise FormatError(f"non-integer {what}: {tok!r}", code="E_INT") from None
+
+
+def _matrix_row_error(k, toks):
+    """Raise the error of the first bad token of matrix line k, in token order."""
+    for j, tok in enumerate(toks):
+        val = _parse_int(tok, "distance")
+        if not 0 <= val <= MAX_DIST:
+            raise MetricError(f"dist({k},{j}) = {val} outside [1, 2^62-1]")
+    raise AssertionError(f"matrix line {k} has no bad token (internal bug)")
 
 
 def load_instance(text: str) -> Instance:
@@ -328,17 +338,22 @@ def load_instance(text: str) -> Instance:
     body = rows[2:]
     if len(body) < T - 1:
         raise FormatError("matrix section truncated", code="E_HEADER")
+    # Rows are parsed and range-checked whole; a row that fails is parsed
+    # again token by token, for the first bad token's error.
     dist = np.zeros((T, T), dtype=np.int64)
     for k in range(1, T):
         toks = body[k - 1].split()
         if len(toks) != k:
             raise FormatError(f"matrix line {k} holds {len(toks)} entries, wants {k}",
                               code="E_HEADER")
-        for j, tok in enumerate(toks):
-            val = _parse_int(tok, "distance")
-            if not 0 <= val <= MAX_DIST:
-                raise MetricError(f"dist({k},{j}) = {val} outside [1, 2^62-1]")
-            dist[k, j] = dist[j, k] = val
+        try:
+            row = list(map(int, toks))
+        except ValueError:
+            _matrix_row_error(k, toks)
+        if min(row) < 0 or max(row) > MAX_DIST:
+            _matrix_row_error(k, toks)
+        dist[k, :k] = row
+    dist += dist.T  # the upper triangle is still zero
 
     body = body[T - 1:]
     if not body or body[0] != "DEMANDS":

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from sfonline.errors import ConfigError, FormatError, MetricError
+from sfonline.errors import ConfigError, FormatError, MetricError, SfonlineError
 from sfonline.metric import (
+    GENERATOR_KINDS,
+    MAX_DIST,
     GeneratorSpec,
     Instance,
     generate_instance,
@@ -184,3 +186,132 @@ def test_every_generated_instance_validates():
         for kind in ("euclidean", "random-metric", "line-chain"):
             inst = generate_instance(GeneratorSpec(kind=kind, n=3, seed=seed))
             assert validate_metric(inst.dist).ok
+
+
+# ---------------------------------------------------------------------------
+# The row-wise parser and writer against the token-by-token reference.
+# ---------------------------------------------------------------------------
+
+def _reference_parse_int(tok, what):
+    try:
+        return int(tok)
+    except ValueError:
+        raise FormatError(f"non-integer {what}: {tok!r}", code="E_INT") from None
+
+
+def reference_load_instance(text):
+    """load_instance parsing and range-checking one matrix token at a time."""
+    label = ""
+    rows = []
+    for raw in text.splitlines():
+        if raw.startswith("# label:"):
+            label = raw[len("# label:"):].strip()
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            rows.append(line)
+    if not rows:
+        raise FormatError("empty instance file", code="E_HEADER")
+    head = rows[0].split()
+    if len(head) != 4 or head[0] != "SFONLINE" or head[1] != "1":
+        raise FormatError(f"malformed header: {rows[0]!r}", code="E_HEADER")
+    T = _reference_parse_int(head[2], "terminal count")
+    n = _reference_parse_int(head[3], "pair count")
+    if n < 1 or T != 2 * n:
+        raise FormatError(f"header wants T = 2n, got T={T} n={n}", code="E_HEADER")
+    if len(rows) < 2 or rows[1] != "MATRIX":
+        raise FormatError("expected MATRIX section", code="E_HEADER")
+    body = rows[2:]
+    if len(body) < T - 1:
+        raise FormatError("matrix section truncated", code="E_HEADER")
+    dist = np.zeros((T, T), dtype=np.int64)
+    for k in range(1, T):
+        toks = body[k - 1].split()
+        if len(toks) != k:
+            raise FormatError(f"matrix line {k} holds {len(toks)} entries, wants {k}",
+                              code="E_HEADER")
+        for j, tok in enumerate(toks):
+            val = _reference_parse_int(tok, "distance")
+            if not 0 <= val <= MAX_DIST:
+                raise MetricError(f"dist({k},{j}) = {val} outside [1, 2^62-1]")
+            dist[k, j] = dist[j, k] = val
+    body = body[T - 1:]
+    if not body or body[0] != "DEMANDS":
+        raise FormatError("expected DEMANDS section", code="E_HEADER")
+    dem_rows = body[1:]
+    if len(dem_rows) != n:
+        raise FormatError(f"expected {n} demand lines, got {len(dem_rows)}", code="E_HEADER")
+    seen = set()
+    demands = []
+    for t, row in enumerate(dem_rows, start=1):
+        toks = row.split()
+        if len(toks) != 2:
+            raise FormatError(f"demand line {t} is not 'u v'", code="E_PAIR")
+        u, v = (_reference_parse_int(x, "terminal id") for x in toks)
+        if u in seen or v in seen:
+            raise FormatError(f"terminal appears in two pairs at demand {t}", code="E_PAIR")
+        seen.update((u, v))
+        if (u, v) != (2 * t - 2, 2 * t - 1):
+            raise FormatError(f"demand {t} must be ({2 * t - 2}, {2 * t - 1}), got ({u}, {v})",
+                              code="E_PAIR")
+        demands.append((u, v))
+    report = validate_metric(dist)
+    if not report.ok:
+        raise MetricError(report.first_message())
+    return Instance(n=n, dist=dist, demands=tuple(demands), label=label)
+
+
+def reference_save_instance(inst):
+    """save_instance formatting one numpy entry at a time."""
+    T = inst.num_terminals
+    lines = [f"# label: {inst.label}"] if inst.label else []
+    lines += [f"SFONLINE 1 {T} {inst.n}", "MATRIX"]
+    for k in range(1, T):
+        lines.append(" ".join(str(int(inst.dist[k, j])) for j in range(k)))
+    lines.append("DEMANDS")
+    lines += [f"{u} {v}" for u, v in inst.demands]
+    return "\n".join(lines) + "\n"
+
+
+def parse_outcome(parse, text):
+    """The parsed Instance, or (error type, code, message)."""
+    try:
+        return parse(text)
+    except SfonlineError as err:
+        return type(err), err.code, str(err)
+
+
+GENERATED = [generate_instance(GeneratorSpec(kind=kind, n=n, seed=seed))
+             for kind in GENERATOR_KINDS for n, seed in ((1, 0), (5, 1), (40, 2))]
+
+
+@pytest.mark.parametrize("inst", GENERATED, ids=lambda inst: inst.label)
+def test_row_parser_and_writer_match_the_token_reference(inst):
+    text = save_instance(inst)
+    assert text == reference_save_instance(inst)
+    got = load_instance(text)
+    assert got == inst and got == reference_load_instance(text)
+
+
+EDITED_TOKENS = ["+5", "1_000", "x", "-1", str(2**62), str(10**30), "0", str(MAX_DIST)]
+
+
+@pytest.mark.parametrize("token", EDITED_TOKENS)
+def test_row_parser_errors_match_the_token_reference(token):
+    # Replace one token of a matrix line (first, middle or last), alone and
+    # with a second bad token after it, so the first error must win.
+    lines = save_instance(generate_instance(GeneratorSpec(kind="euclidean", n=40, seed=2)))
+    lines = lines.split("\n")
+    start = lines.index("MATRIX") + 1
+    for k in (1, 2, 7, 79):
+        toks = lines[start + k - 1].split()
+        for j in sorted({0, k // 2, k - 1}):
+            for tail in ((), ("y",), ("-2",)):
+                edited = toks[:j] + [token] + list(tail) + toks[j + 1 + len(tail):]
+                if len(edited) != k:
+                    continue
+                text = "\n".join(lines[:start + k - 1] + [" ".join(edited)]
+                                 + lines[start + k:])
+                want = parse_outcome(reference_load_instance, text)
+                got = parse_outcome(load_instance, text)
+                assert got == want, (k, j, tail)
+
