@@ -459,7 +459,9 @@ def _structural_pass(trace, add):
             cl_next = hier.clustering(i + 1)
             pos = {cid: k for k, cid in enumerate(m.ids)}
             _, gap = active_virtual_edges(m.D, m.ids, cl.cluster_level, i)
-            add("active-cluster-gap", i, t, gap >= min(1 << i, 1 << 62))
+            floor = min(1 << i, 1 << 62)
+            add("active-cluster-gap", i, t, gap >= floor,
+                f"gap={gap} 2^i={floor}" if gap < floor else "")
 
             fi = out.forest.get(i, [])
             finh = [ve for ve in fi if ve.inherited]
@@ -483,18 +485,19 @@ def _structural_pass(trace, add):
             moved = _moved(contract_clustering(cl, [ve.endpoints for ve in fi]),
                            cl_next.assignment)
             add("forest-contracts-to-next", i, t, not moved, moved)
-            add("count-identity-forest", i, t,
-                len(fi) == len(cl.cluster_ids) - len(cl_next.cluster_ids))
+            merged = len(cl.cluster_ids) - len(cl_next.cluster_ids)
+            add("count-identity-forest", i, t, len(fi) == merged,
+                f"|F_i|={len(fi)} |C_i|-|C_i+1|={merged}" if len(fi) != merged else "")
             cinh_i = out.cinh.get(i)
             if cinh_i is not None:
-                add("count-identity-inherited", i, t,
-                    len(finh) == len(cl.cluster_ids) - len(cinh_i.cluster_ids))
+                merged = len(cl.cluster_ids) - len(cinh_i.cluster_ids)
+                add("count-identity-inherited", i, t, len(finh) == merged,
+                    f"|F_inh|={len(finh)} |C_i|-|C_inh|={merged}" if len(finh) != merged else "")
                 moved = _moved(contract_clustering(cl, [ve.endpoints for ve in finh]),
                                cinh_i.assignment)
                 add("cinh-matches-forest", i, t, not moved, moved)
 
-            over_budget = ""
-            connect_ok = True
+            over_budget = unjoined = ""
             # Clusters joined by the pins, shared by every edge of the level.
             pinned_uf = UnionFind()
             for a, b in arrived_pins:
@@ -509,10 +512,11 @@ def _structural_pass(trace, add):
                 uf2 = UnionFind()
                 for a, b in ve.eorig if cost is not None else ():
                     uf2.union(pinned_uf.find(cl.assignment[a]), pinned_uf.find(cl.assignment[b]))
-                if uf2.find(pinned_uf.find(ve.c1)) != uf2.find(pinned_uf.find(ve.c2)):
-                    connect_ok = False
+                if not unjoined and (uf2.find(pinned_uf.find(ve.c1))
+                                     != uf2.find(pinned_uf.find(ve.c2))):
+                    unjoined = f"eorig of {_edge_str(ve.endpoints)} does not join its clusters"
             add("edge-budget", i, t, not over_budget, over_budget)
-            add("realization-connects", i, t, connect_ok)
+            add("realization-connects", i, t, not unjoined, unjoined)
 
             if prev_out is not None:
                 split = _split(prev_out.hierarchy.clustering(i), cl)

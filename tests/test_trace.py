@@ -223,11 +223,13 @@ SEMANTIC_TAMPERINGS = {
     "forest-edge-dropped": (
         "arrival_0004.json",
         lambda p: p["forest"]["7"].pop(),
-        ["forest-contracts-to-next,7,4,fail,terminal 7 in 7 want 3"]),
+        ["forest-contracts-to-next,7,4,fail,terminal 7 in 7 want 3",
+         "count-identity-forest,7,4,fail,|F_i|=2 |C_i|-|C_i+1|=3"]),
     "fresh-edge-marked-inherited": (
         "arrival_0004.json",
         _mark_first_fresh_edge_inherited,
-        ["cinh-matches-forest,7,4,fail,terminal 6 in 1 want 6"]),
+        ["cinh-matches-forest,7,4,fail,terminal 6 in 1 want 6",
+         "count-identity-inherited,7,4,fail,|F_inh|=2 |C_i|-|C_inh|=1"]),
     "edge-to-itself": (
         "arrival_0004.json",
         lambda p: p["forest"]["7"][0].update(c2=p["forest"]["7"][0]["c1"]),
@@ -237,7 +239,7 @@ SEMANTIC_TAMPERINGS = {
     "eorig-does-not-connect": (
         "arrival_0004.json",
         lambda p: p["forest"]["8"][0].update(eorig=[[0, 1]]),
-        ["realization-connects,8,4,fail"]),
+        ["realization-connects,8,4,fail,eorig of (0;3) does not join its clusters"]),
     # The pin ledger: arrival 4 pins (3,7) in one single event, and level 7
     # holds an inherited edge (1,5) created at arrival 3, then fresh (1,6).
     "pins-added-five": (
@@ -261,7 +263,8 @@ SEMANTIC_TAMPERINGS = {
     "clustering-splits-previous": (
         "arrival_0004.json",
         lambda p: p["clusterings"].__setitem__(8, [[0], [1, 6], [2], [3, 7], [4], [5]]),
-        ["refine-across-arrivals,8,4,fail,fine cluster 1 split at terminal 5"]),
+        ["refine-across-arrivals,8,4,fail,fine cluster 1 split at terminal 5",
+         "active-cluster-gap,8,4,fail,gap=192 2^i=256"]),
     "cinh-splits-previous": (
         "arrival_0004.json",
         lambda p: p["cinh"].__setitem__("8", [[0], [1, 2, 3, 6, 7], [4], [5]]),
