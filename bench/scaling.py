@@ -1,11 +1,14 @@
-"""Scaling record: how `run_online` and the structural certify pass grow with n.
+"""Scaling record: how run, structural certify and baselines grow with n.
 
 For every generator kind and n in the grid (lambda = ceil(log2 n), seed 1)
 this runs the online algorithm, saves its trace, loads it back and runs the
 structural certify pass (`check_run(..., with_witness=False)`) on the loaded
-trace. It writes BENCH_scaling_<label>.json with, per cell, both wall times
-(the median of REPEATS runs, and every run), the trace's sha256 over its
-files, and per kind and phase the least-squares exponent of time against n.
+trace. The baselines phase runs what `compare` runs besides the main
+algorithm: both `run_baseline`s and `offline_gluttonous_forest` for every
+prefix. It writes BENCH_scaling_<label>.json with, per cell, the three wall
+times (the median of REPEATS runs, and every run), the trace's sha256 over
+its files, a sha256 over the baselines' per-prefix costs, and per kind and
+phase the least-squares exponent of time against n.
 
 Only the standard library and sfonline (with its numpy) are used:
 
@@ -31,11 +34,13 @@ import numpy as np
 
 from sfonline.certify import check_run
 from sfonline.metric import GENERATOR_KINDS, GeneratorSpec, generate_instance
+from sfonline.oracles import offline_gluttonous_forest, run_baseline
 from sfonline.trace import load_trace, run_online, save_trace
 
 SIZES = (40, 80, 160)
 REPEATS = 3
 SEED = 1
+PHASES = ("run_online_s", "structural_s", "baselines_s")
 
 
 def trace_sha256(dirpath) -> str:
@@ -48,6 +53,14 @@ def trace_sha256(dirpath) -> str:
     return h.hexdigest()
 
 
+def baseline_costs(inst):
+    """Per-prefix costs of the online-gluttonous, greedy and offline
+    gluttonous baselines, as `compare` tabulates them."""
+    return [[step.cost for step in run_baseline(inst, "online-gluttonous").steps],
+            [step.cost for step in run_baseline(inst, "greedy").steps],
+            [offline_gluttonous_forest(inst.view(t)).cost for t in range(1, inst.n + 1)]]
+
+
 def timed(fn, *args, **kwargs):
     start = time.perf_counter()
     result = fn(*args, **kwargs)
@@ -57,7 +70,7 @@ def timed(fn, *args, **kwargs):
 def measure(kind, n, workdir):
     inst = generate_instance(GeneratorSpec(kind=kind, n=n, seed=SEED))
     lam = max(1, math.ceil(math.log2(n)))
-    run_s, structural_s, digests = [], [], set()
+    run_s, structural_s, baselines_s, digests, cost_digests = [], [], [], set(), set()
     for r in range(REPEATS):
         trace, secs = timed(run_online, inst, lam)
         run_s.append(secs)
@@ -68,15 +81,21 @@ def measure(kind, n, workdir):
         structural_s.append(secs)
         if not report.ok:
             raise SystemExit(f"{kind} n={n}: structural pass FAILED")
-    if len(digests) != 1:
-        raise SystemExit(f"{kind} n={n}: traces differ between repeats")
+        costs, secs = timed(baseline_costs, inst)
+        baselines_s.append(secs)
+        cost_digests.add(hashlib.sha256(json.dumps(costs).encode()).hexdigest())
+    if len(digests) != 1 or len(cost_digests) != 1:
+        raise SystemExit(f"{kind} n={n}: outputs differ between repeats")
     return {
         "kind": kind, "n": n, "lam": lam, "seed": SEED,
         "run_online_s": statistics.median(run_s),
         "structural_s": statistics.median(structural_s),
+        "baselines_s": statistics.median(baselines_s),
         "run_online_runs_s": run_s,
         "structural_runs_s": structural_s,
+        "baselines_runs_s": baselines_s,
         "trace_sha256": digests.pop(),
+        "baselines_sha256": cost_digests.pop(),
     }
 
 
@@ -100,11 +119,11 @@ def main(argv=None):
             for n in SIZES:
                 cell = measure(kind, n, workdir)
                 print(f"{kind:14s} n={n:4d} run {cell['run_online_s']:7.3f} s  "
-                      f"structural {cell['structural_s']:7.3f} s", flush=True)
+                      f"structural {cell['structural_s']:7.3f} s  "
+                      f"baselines {cell['baselines_s']:7.3f} s", flush=True)
                 cells.append(cell)
     exponents = {
-        kind: {key: exponent([c for c in cells if c["kind"] == kind], key)
-               for key in ("run_online_s", "structural_s")}
+        kind: {key: exponent([c for c in cells if c["kind"] == kind], key) for key in PHASES}
         for kind in GENERATOR_KINDS
     }
     record = {
