@@ -24,6 +24,7 @@ from sfonline.clustering import (
 from sfonline.errors import ConfigError
 from sfonline.forest import OnlineState, advance
 from sfonline.metric import GENERATOR_KINDS, MAX_DIST, GeneratorSpec, generate_instance
+from sfonline.unionfind import UnionFind
 
 from conftest import line_instance
 
@@ -650,8 +651,6 @@ def reference_realize_hop(dist, members_p, members_q):
 def reference_cluster_distance(view, assignment, contracted_by, C1, C2, metric=None):
     """cluster_distance with a union-find over every cluster, one find per
     terminal for the member lists of every super-node, and a position dict."""
-    from sfonline.unionfind import UnionFind
-
     if C1 not in assignment or C2 not in assignment:
         raise ConfigError(f"cluster {C1 if C1 not in assignment else C2} not in clustering")
     T = view.num_terminals

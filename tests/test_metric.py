@@ -284,7 +284,7 @@ GENERATED = [generate_instance(GeneratorSpec(kind=kind, n=n, seed=seed))
              for kind in GENERATOR_KINDS for n, seed in ((1, 0), (5, 1), (40, 2))]
 
 
-@pytest.mark.parametrize("inst", GENERATED, ids=lambda inst: inst.label)
+@pytest.mark.parametrize("inst", GENERATED, ids=lambda inst: f"{inst.label.split()[0]}-n{inst.n}")
 def test_row_parser_and_writer_match_the_token_reference(inst):
     text = save_instance(inst)
     assert text == reference_save_instance(inst)
