@@ -264,7 +264,7 @@ def test_online_gluttonous_feasible_prefixes():
 @pytest.mark.parametrize("kind", ["euclidean", "random-metric", "line-chain"])
 def test_online_gluttonous_carries_its_metric(monkeypatch, kind):
     # After every step of run_baseline, the metric carried across arrivals
-    # is the contracted metric of the clustering, rebuilt from scratch.
+    # is the contracted metric of the clustering, built from the trivial one.
     inst = generate_instance(GeneratorSpec(kind=kind, n=10, seed=3))
     step = OnlineGluttonousState.step
     checked = []
