@@ -4,11 +4,12 @@ For every generator kind and n in the grid (lambda = ceil(log2 n), seed 1)
 this runs the online algorithm, saves its trace, loads it back and runs the
 structural certify pass (`check_run(..., with_witness=False)`) on the loaded
 trace. The baselines phase runs what `compare` runs besides the main
-algorithm: both `run_baseline`s and `offline_gluttonous_forest` for every
-prefix. It writes BENCH_scaling_<label>.json with, per cell, the three wall
-times (the median of REPEATS runs, and every run), the trace's sha256 over
-its files, a sha256 over the baselines' per-prefix costs, and per kind and
-phase the least-squares exponent of time against n.
+algorithm: both `run_baseline`s and `offline_gluttonous_forest`, which gives
+every prefix's offline forest in one pass. It writes
+BENCH_scaling_<label>.json with, per cell, the three wall times (the median
+of REPEATS runs, and every run), the trace's sha256 over its files, a sha256
+over the baselines' per-prefix costs, and per kind and phase the
+least-squares exponent of time against n.
 
 Only the standard library and sfonline (with its numpy) are used:
 
@@ -58,7 +59,7 @@ def baseline_costs(inst):
     gluttonous baselines, as `compare` tabulates them."""
     return [[step.cost for step in run_baseline(inst, "online-gluttonous").steps],
             [step.cost for step in run_baseline(inst, "greedy").steps],
-            [offline_gluttonous_forest(inst.view(t)).cost for t in range(1, inst.n + 1)]]
+            [res.cost for res in offline_gluttonous_forest(inst)]]
 
 
 def timed(fn, *args, **kwargs):

@@ -15,7 +15,7 @@ import sys
 
 from .certify import check_run
 from .clustering import dump_hierarchy
-from .errors import ConfigError, FormatError, MetricError, OracleLimitError, SfonlineError
+from .errors import ConfigError, SfonlineError
 from .metric import (
     GeneratorSpec,
     Instance,
@@ -141,7 +141,6 @@ def run_command(cfg: RunConfig, opt):
         report = check_run(trace, opt, with_witness=(cfg.checks == "full-witness"))
 
     n = trace.n
-    led = trace.ledger
     lines = [
         f"instance: {cfg.instance.label} [{cfg.instance.content_hash()}]",
         f"n: {n}",
@@ -149,10 +148,10 @@ def run_command(cfg: RunConfig, opt):
         f"final cost: {trace.final().snapshot.cost}",
         f"final pinned cost: {trace.final().cost_pinned}",
         f"final forest-forming cost: {trace.final().cost_forestforming}",
-        f"insertions total: {led.insertions_total}",
-        f"deletions total: {led.deletions_total}",
+        f"insertions total: {trace.insertions_total}",
+        f"deletions total: {trace.deletions_total}",
         f"recourse bound 2n+21n*lambda: {2 * n + 21 * n * cfg.lam}",
-        f"insertions/(n*lambda): {led.insertions_total / (n * cfg.lam):.6f}",
+        f"insertions/(n*lambda): {trace.insertions_total / (n * cfg.lam):.6f}",
     ]
     if opt.get(n):
         lines.append(f"final OPT: {opt[n]}")
@@ -228,7 +227,7 @@ def cmd_sweep(args):
         trace, _, st = run_command(cfg, opt)
         status = max(status, st)
         cost = trace.final().snapshot.cost
-        ins = trace.ledger.insertions_total
+        ins = trace.insertions_total
         ratio = f"{cost / opt_final:.6f}" if opt_final else ""
         rows.append(f"{lam},{cost},{opt_final if opt_final else ''},{ratio},"
                     f"{ins},{ins / (inst.n * lam):.6f}")
@@ -247,7 +246,7 @@ def cmd_compare(args):
     main = run_online(inst, lam)
     glut = run_baseline(inst, "online-gluttonous")
     greedy = run_baseline(inst, "greedy")
-    offline = [offline_gluttonous_forest(inst.view(t)).cost for t in range(1, inst.n + 1)]
+    offline = [res.cost for res in offline_gluttonous_forest(inst)]
 
     rows = ["t,cost_main,cost_online_gluttonous,cost_greedy,cost_offline_gluttonous,OPT"]
     for k in range(inst.n):
@@ -261,7 +260,7 @@ def cmd_compare(args):
         f"instance: {inst.label} [{inst.content_hash()}]",
         f"lambda (main): {lam}",
         f"final main: {main.final().snapshot.cost} "
-        f"(ins {main.ledger.insertions_total}, dels {main.ledger.deletions_total})",
+        f"(ins {main.insertions_total}, dels {main.deletions_total})",
         f"final online-gluttonous: {glut.final_cost()} (dels {glut.deletions_total})",
         f"final greedy: {greedy.final_cost()} (dels {greedy.deletions_total})",
         f"final offline-gluttonous: {offline[-1]}",
@@ -401,21 +400,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except OracleLimitError as err:
-        print(f"error[{err.code}]: {err}", file=sys.stderr)
-        return EXIT_CODES["E_ORACLE_LIMIT"]
-    except MetricError as err:
-        print(f"error[{err.code}]: {err}", file=sys.stderr)
-        return EXIT_CODES["E_METRIC"]
-    except FormatError as err:
-        print(f"error[{err.code}]: {err}", file=sys.stderr)
-        return EXIT_CODES.get(err.code, EXIT_CODES["E_FORMAT"])
-    except ConfigError as err:
-        print(f"error[{err.code}]: {err}", file=sys.stderr)
-        return EXIT_CODES["E_CONFIG"]
     except SfonlineError as err:
         print(f"error[{err.code}]: {err}", file=sys.stderr)
-        return 1
+        return EXIT_CODES.get(err.code, 1)
 
 
 if __name__ == "__main__":

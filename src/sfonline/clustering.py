@@ -308,16 +308,16 @@ def _realize_hop(dist, members_p, members_q):
 
 
 def cluster_distance(view: InstanceView, assignment, contracted_by, C1: int, C2: int,
-                     metric: ContractedMetric | None = None) -> ClusterPath:
+                     metric: ContractedMetric) -> ClusterPath:
     """Shortest path between two clusters in the doubly contracted graph.
 
     The graph contracts each cluster of `assignment` to a vertex, then merges
     vertices joined by the original edges in `contracted_by`. Returns the
     distance together with the realized original edge of every hop; ties go
-    to the lexicographically smallest super-node id sequence. `metric`, if
-    given, is the contracted metric of `assignment`, into which the cluster
-    pairs of `contracted_by` are merged. The union-find covers the clusters
-    those pairs touch, so the Python work is O(pairs + hops).
+    to the lexicographically smallest super-node id sequence. `metric` is
+    the contracted metric of `assignment`, into which the cluster pairs of
+    `contracted_by` are merged. The union-find covers the clusters those
+    pairs touch, so the Python work is O(pairs + hops).
     """
     if C1 not in assignment or C2 not in assignment:
         raise ConfigError(f"cluster {C1 if C1 not in assignment else C2} not in clustering")
@@ -333,8 +333,6 @@ def cluster_distance(view: InstanceView, assignment, contracted_by, C1: int, C2:
         return ClusterPath(0, (src,), ())
 
     dist = view.dist_matrix()
-    if metric is None:
-        metric = ContractedMetric.of(dist, assignment)
     m = metric.merge(pairs)
     W, D, ids = m.W, m.D, m.ids
     sup = np.asarray(assignment)

@@ -77,12 +77,6 @@ class PinnedSet:
         self._pin_arrival[e] = t
         self._order.append(e)
 
-    def __contains__(self, e: Edge) -> bool:
-        return e in self._pin_arrival
-
-    def __len__(self) -> int:
-        return len(self._order)
-
     def edges(self) -> tuple[Edge, ...]:
         return tuple(self._order)
 
@@ -110,22 +104,6 @@ class ArrivalLedger:
     buffer_end: int
 
 
-class RecourseLedger:
-    def __init__(self):
-        self.entries: list[ArrivalLedger] = []
-
-    def record(self, entry: ArrivalLedger) -> None:
-        self.entries.append(entry)
-
-    @property
-    def insertions_total(self) -> int:
-        return sum(e.insertions for e in self.entries)
-
-    @property
-    def deletions_total(self) -> int:
-        return sum(e.deletions for e in self.entries)
-
-
 @dataclasses.dataclass(frozen=True)
 class Snapshot:
     t: int
@@ -148,7 +126,6 @@ class OnlineState:
         self.cinh: dict[int, Clustering] = {}
         self.pinned = PinnedSet()
         self.snapshot_edges: frozenset = frozenset()
-        self.ledger = RecourseLedger()
         self.last_outcome: ArrivalOutcome | None = None
 
 
@@ -343,7 +320,6 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
     ins, dels = recourse_diff(state.snapshot_edges, F)
     snapshot = Snapshot(t, F, cost_f)
     entry = ArrivalLedger(t, ins, dels, pins_added, tuple(events), buffer_end)
-    state.ledger.record(entry)
 
     state.t = t
     state.hierarchy = hier

@@ -376,9 +376,7 @@ def load_instance(text: str) -> Instance:
                               code="E_PAIR")
         demands.append((u, v))
 
-    report = validate_metric(dist)
-    if not report.ok:
-        raise MetricError(report.first_message())
+    # Instance validates the metric (E_METRIC) once.
     return Instance(n=n, dist=dist, demands=tuple(demands), label=label)
 
 

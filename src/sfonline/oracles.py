@@ -25,7 +25,6 @@ from .clustering import (
 from .errors import ConfigError, OracleLimitError
 from .forest import recourse_diff, select_spanning_forest
 from .metric import Instance, InstanceView
-from .unionfind import UnionFind
 
 DEFAULT_ORACLE_LIMIT = 9
 
@@ -130,22 +129,30 @@ class OfflineForestResult:
     level_counts: tuple  # |C_i| - |C_{i+1}| for i = 0..L
 
 
-def offline_gluttonous_forest(view: InstanceView) -> OfflineForestResult:
-    """Offline forest from the hierarchy: canonical spanning forests, each
-    virtual edge realized by a shortest path in the plain contracted metric
-    (no pin contraction, no inheritance)."""
-    h, vgraphs, metrics = build_hierarchy(view)
-    edges = set()
-    counts = []
-    for i in range(h.L + 1):
-        f_inh, f_rest = select_spanning_forest(vgraphs[i], ())
-        cl = h.clustering(i)
-        for c1, c2 in f_inh + f_rest:
-            path = cluster_distance(view, cl.assignment, (), c1, c2, metrics[i])
-            edges.update(path.edges)
-        counts.append(len(cl.cluster_ids) - len(h.clustering(i + 1).cluster_ids))
-    cost = sum(view.d(a, b) for a, b in edges)
-    return OfflineForestResult(frozenset(edges), cost, tuple(counts))
+def offline_gluttonous_forest(instance: Instance) -> tuple[OfflineForestResult, ...]:
+    """Offline forest of every prefix t = 1..n, index t - 1: canonical
+    spanning forests of the prefix's hierarchy, each virtual edge realized by
+    a shortest path in the plain contracted metric (no pin contraction, no
+    inheritance). Each prefix's hierarchy carries the previous prefix's
+    contracted metrics, as run_online does."""
+    out = []
+    prev = None
+    for t in range(1, instance.n + 1):
+        view = instance.view(t)
+        h, vgraphs, metrics = build_hierarchy(view, prev)
+        prev = (h.clusterings, metrics)
+        edges = set()
+        counts = []
+        for i in range(h.L + 1):
+            f_inh, f_rest = select_spanning_forest(vgraphs[i], ())
+            cl = h.clustering(i)
+            for c1, c2 in f_inh + f_rest:
+                path = cluster_distance(view, cl.assignment, (), c1, c2, metrics[i])
+                edges.update(path.edges)
+            counts.append(len(cl.cluster_ids) - len(h.clustering(i + 1).cluster_ids))
+        cost = sum(view.d(a, b) for a, b in edges)
+        out.append(OfflineForestResult(frozenset(edges), cost, tuple(counts)))
+    return tuple(out)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -170,90 +177,83 @@ class BaselineTrace:
         return sum(s.deletions for s in self.steps)
 
 
-class OnlineGluttonousState:
-    """Appendix-style no-recourse baseline: a persistent clustering, merged
-    level by level whenever two active clusters come within 2^(i+1), buying
-    the realized shortest path of every merge.
+class _CarriedBaseline:
+    """No-recourse baseline over a persistent clustering of the arrived
+    terminals: it only buys edges and merges clusters.
 
-    `metric` is the contracted metric of the clustering, carried across
-    arrivals: each arrival extends it by the two new singletons (the
-    assignment is canonical) and merges it once per bought path.
+    `assignment` is canonical (cluster id = least member) and `metric` is
+    its contracted metric, carried across arrivals: each arrival extends it
+    by the two new singletons and each purchase merges it. A subclass's
+    `_connect` buys what the new pair `u`, `v` needs.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.t = 0
         self.assignment: list[int] = []  # terminal -> cluster id (min member)
-        self.levels: list[int] = []
         self.bought: set = set()
         self.metric: ContractedMetric | None = None
 
-    def _merge_pass(self, view):
+    def _buy(self, path, cids):
+        """Buy `path`'s edges and merge the clusters `cids` into the least."""
+        self.bought.update(path.edges)
+        root = min(cids)
+        gone = set(cids) - {root}
+        self.assignment = [root if c in gone else c for c in self.assignment]
+        self.metric = self.metric.merge([(root, c) for c in gone])
+
+    def step(self, pair) -> BaselineStep:
+        t = self.t + 1
+        if t > self.instance.n or tuple(pair) != self.instance.demands[t - 1]:
+            raise ConfigError(f"pair {pair} is not demand #{t}")
+        self.t = t
+        view = self.instance.view(t)
         dist = view.dist_matrix()
-        metric = (ContractedMetric.trivial(dist) if self.metric is None
-                  else self.metric.extend(dist, self.assignment[:-2]))
-        lvl = {}
-        for k, cid in enumerate(self.assignment):
-            lvl[cid] = max(lvl.get(cid, 0), self.levels[k])
-        for i in range(max(self.levels) + 1):
+        self.metric = (ContractedMetric.trivial(dist) if self.metric is None
+                       else self.metric.extend(dist, self.assignment))
+        u, v = pair
+        self.assignment.extend([u, v])
+        before = frozenset(self.bought)
+        self._connect(view, u, v)
+        after = frozenset(self.bought)
+        ins, dels = recourse_diff(before, after)
+        cost = sum(view.d(a, b) for a, b in after)
+        return BaselineStep(t, after, cost, ins, dels)
+
+
+class OnlineGluttonousState(_CarriedBaseline):
+    """Appendix-style no-recourse baseline: a persistent clustering, merged
+    level by level whenever two active clusters come within 2^(i+1), buying
+    the realized shortest path of every merge. `level` carries each
+    cluster's level (its highest member's) across arrivals."""
+
+    def __init__(self, instance: Instance):
+        super().__init__(instance)
+        self.level: dict[int, int] = {}
+
+    def _connect(self, view, u, v):
+        self.level[u] = self.level[v] = terminal_level(view, u)
+        for i in range(max(self.level.values()) + 1):
             while True:
-                hits, _ = active_virtual_edges(metric.D, metric.ids, lvl, i)
+                hits, _ = active_virtual_edges(self.metric.D, self.metric.ids, self.level, i)
                 if not hits:
                     break
                 c1, c2 = hits[0]  # c1 < c2
-                path = cluster_distance(view, tuple(self.assignment), (), c1, c2, metric)
-                self.bought.update(path.edges)
-                self.assignment = [c1 if c == c2 else c for c in self.assignment]
-                lvl[c1] = max(lvl[c1], lvl.pop(c2))
-                metric = metric.merge([(c1, c2)])
-        self.metric = metric
-
-    def step(self, pair) -> BaselineStep:
-        t = self.t + 1
-        if t > self.instance.n or tuple(pair) != self.instance.demands[t - 1]:
-            raise ConfigError(f"pair {pair} is not demand #{t}")
-        self.t = t
-        view = self.instance.view(t)
-        u, v = pair
-        self.assignment.extend([u, v])
-        lev = terminal_level(view, u)
-        self.levels.extend([lev, lev])
-        before = frozenset(self.bought)
-        self._merge_pass(view)
-        after = frozenset(self.bought)
-        ins, dels = recourse_diff(before, after)
-        cost = sum(view.d(a, b) for a, b in after)
-        return BaselineStep(t, after, cost, ins, dels)
+                path = cluster_distance(view, tuple(self.assignment), (), c1, c2, self.metric)
+                self._buy(path, (c1, c2))
+                self.level[c1] = max(self.level[c1], self.level.pop(c2))
 
 
-class GreedyOnlineState:
+class GreedyOnlineState(_CarriedBaseline):
     """Classic greedy: buy a shortest path between the two components of the
-    new pair in the solution-contracted metric; never remove anything."""
+    new pair in the solution-contracted metric; never remove anything. The
+    clustering is the components of the bought edges. The new pair's two
+    terminals are singletons, so they are never connected before they arrive.
+    """
 
-    def __init__(self, instance: Instance):
-        self.instance = instance
-        self.t = 0
-        self.bought: set = set()
-
-    def step(self, pair) -> BaselineStep:
-        t = self.t + 1
-        if t > self.instance.n or tuple(pair) != self.instance.demands[t - 1]:
-            raise ConfigError(f"pair {pair} is not demand #{t}")
-        self.t = t
-        view = self.instance.view(t)
-        u, v = pair
-        uf = UnionFind(range(view.num_terminals))
-        for a, b in self.bought:
-            uf.union(a, b)
-        before = frozenset(self.bought)
-        if not uf.connected(u, v):
-            assignment = tuple(uf.find(k) for k in range(view.num_terminals))
-            path = cluster_distance(view, assignment, (), uf.find(u), uf.find(v))
-            self.bought.update(path.edges)
-        after = frozenset(self.bought)
-        ins, dels = recourse_diff(before, after)
-        cost = sum(view.d(a, b) for a, b in after)
-        return BaselineStep(t, after, cost, ins, dels)
+    def _connect(self, view, u, v):
+        path = cluster_distance(view, tuple(self.assignment), (), u, v, self.metric)
+        self._buy(path, path.nodes)
 
 
 def run_baseline(instance: Instance, which: str) -> BaselineTrace:

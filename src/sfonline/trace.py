@@ -23,7 +23,6 @@ from .forest import (
     ArrivalOutcome,
     OnlineState,
     PinEvent,
-    RecourseLedger,
     Snapshot,
     VirtualEdge,
     advance,
@@ -39,12 +38,19 @@ class RunTrace:
     instance: Instance
     lam: int
     arrivals: list  # ArrivalOutcome per arrival
-    ledger: RecourseLedger
     nhat_doubling: bool = False
 
     @property
     def n(self) -> int:
         return self.instance.n
+
+    @property
+    def insertions_total(self) -> int:
+        return sum(out.ledger.insertions for out in self.arrivals)
+
+    @property
+    def deletions_total(self) -> int:
+        return sum(out.ledger.deletions for out in self.arrivals)
 
     def final(self) -> ArrivalOutcome:
         return self.arrivals[-1]
@@ -64,12 +70,11 @@ def run_online(instance: Instance, lam: int, nhat_doubling: bool = False) -> Run
         for pair in instance.demands:
             advance(state, pair)
             outcomes.append(state.last_outcome)
-        return RunTrace(instance, lam, outcomes, state.ledger)
+        return RunTrace(instance, lam, outcomes)
 
     nhat = 1
     state = OnlineState(instance, lam)
     visible = frozenset()
-    ledger = RecourseLedger()
     outcomes = []
     for t, pair in enumerate(instance.demands, 1):
         if t > nhat:
@@ -82,11 +87,10 @@ def run_online(instance: Instance, lam: int, nhat_doubling: bool = False) -> Run
         ins, dels = recourse_diff(visible, out.snapshot.edges)
         entry = ArrivalLedger(t, ins, dels, out.ledger.pins_added,
                               out.ledger.pin_events, out.ledger.buffer_end)
-        ledger.record(entry)
         out = dataclasses.replace(out, ledger=entry)
         outcomes.append(out)
         visible = out.snapshot.edges
-    return RunTrace(instance, lam, outcomes, ledger, nhat_doubling=True)
+    return RunTrace(instance, lam, outcomes, nhat_doubling=True)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +343,6 @@ def load_trace(dirpath) -> RunTrace:
                 raise ValueError(f"{key}={meta[key]} but the instance has n={instance.n}")
 
     outcomes = []
-    ledger = RecourseLedger()
     for t in range(1, instance.n + 1):
         path = os.path.join(dirpath, f"arrival_{t:04d}.json")
         with _malformed(path):
@@ -348,6 +351,5 @@ def load_trace(dirpath) -> RunTrace:
             if _int(payload["t"]) != t:
                 raise ValueError(f"stores t={payload['t']}")
             out = _outcome_from_payload(instance, t, payload)
-        ledger.record(out.ledger)
         outcomes.append(out)
-    return RunTrace(instance, lam, outcomes, ledger, nhat_doubling=nhat_doubling)
+    return RunTrace(instance, lam, outcomes, nhat_doubling=nhat_doubling)

@@ -77,8 +77,8 @@ def big_fleet():
                 "lam": lam,
                 "feasible": feasible,
                 "pinned_ok": pinned_ok,
-                "insertions": trace.ledger.insertions_total,
-                "deletions": trace.ledger.deletions_total,
+                "insertions": trace.insertions_total,
+                "deletions": trace.deletions_total,
                 "fails": fails_by_check,
             })
     return {"runs": runs, "elapsed": time.time() - t0}
@@ -103,8 +103,7 @@ def small_fleet():
                 "report": check_run(trace, opt, with_witness=True),
                 "gluttonous": run_baseline(inst, "online-gluttonous"),
                 "greedy": run_baseline(inst, "greedy"),
-                "offline": [offline_gluttonous_forest(inst.view(t)).cost
-                            for t in range(1, n + 1)],
+                "offline": [res.cost for res in offline_gluttonous_forest(inst)],
             })
     return {"bundles": bundles, "elapsed": time.time() - t0}
 

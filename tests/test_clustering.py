@@ -135,14 +135,16 @@ def test_terminal_level_matches_float_log():
 def test_cluster_distance_same_supernode(w1):
     view = w1.view(2)
     cl = build_hierarchy(view)[0].clusterings[0]
-    path = cluster_distance(view, cl.assignment, [(0, 1)], 0, 1)
+    metric = ContractedMetric.of(view.dist_matrix(), cl.assignment)
+    path = cluster_distance(view, cl.assignment, [(0, 1)], 0, 1, metric)
     assert path == ClusterPath(0, (0,), ())
 
 
 def test_cluster_distance_two_singletons(w1):
     view = w1.view(1)
     cl = build_hierarchy(view)[0].clusterings[0]
-    path = cluster_distance(view, cl.assignment, [], 0, 1)
+    metric = ContractedMetric.of(view.dist_matrix(), cl.assignment)
+    path = cluster_distance(view, cl.assignment, [], 0, 1, metric)
     assert path.distance == 1
     assert path.edges == ((0, 1),)
 
@@ -152,7 +154,8 @@ def test_cluster_distance_goes_through_middle():
     inst = line_instance([0, 1, 2, 50])  # 4 terminals to keep pairs legal
     view = inst.view(2)
     cl = build_hierarchy(view)[0].clusterings[0]
-    path = cluster_distance(view, cl.assignment, [], 0, 2)
+    metric = ContractedMetric.of(view.dist_matrix(), cl.assignment)
+    path = cluster_distance(view, cl.assignment, [], 0, 2, metric)
     assert path.distance == 2
     assert path.nodes == (0, 1, 2)
     assert path.edges == ((0, 1), (1, 2))
@@ -161,8 +164,9 @@ def test_cluster_distance_goes_through_middle():
 def test_cluster_distance_rejects_unknown_cluster(w1):
     view = w1.view(2)
     cl = build_hierarchy(view)[0].clusterings[0]
+    metric = ContractedMetric.of(view.dist_matrix(), cl.assignment)
     with pytest.raises(ConfigError):
-        cluster_distance(view, cl.assignment, [], 0, 99)
+        cluster_distance(view, cl.assignment, [], 0, 99, metric)
 
 
 def test_cluster_distance_path_invariants_and_oracle():
@@ -177,21 +181,22 @@ def test_cluster_distance_path_invariants_and_oracle():
         labels = [rng.randrange(3) for _ in range(T)]
         anchor = {lab: min(k for k in range(T) if labels[k] == lab) for lab in set(labels)}
         assignment = tuple(anchor[lab] for lab in labels)
+        metric = ContractedMetric.of(view.dist_matrix(), assignment)
         all_edges = list(itertools.combinations(range(T), 2))
         contracted = rng.sample(all_edges, 3)
         cids = sorted(set(assignment))
         for C1, C2 in itertools.combinations(cids, 2):
-            path = cluster_distance(view, assignment, contracted, C1, C2)
+            path = cluster_distance(view, assignment, contracted, C1, C2, metric)
             brute = brute_contracted_distance(view, assignment, contracted, C1, C2)
             assert path.distance == brute
             assert path.distance == sum(view.d(a, b) for a, b in path.edges)
             # Symmetry of the contracted metric.
-            back = cluster_distance(view, assignment, contracted, C2, C1)
+            back = cluster_distance(view, assignment, contracted, C2, C1, metric)
             assert back.distance == path.distance
         # Monotone under contraction: adding contracted edges never lengthens.
         for C1, C2 in itertools.combinations(cids, 2):
-            d_more = cluster_distance(view, assignment, all_edges[:6], C1, C2).distance
-            d_less = cluster_distance(view, assignment, [], C1, C2).distance
+            d_more = cluster_distance(view, assignment, all_edges[:6], C1, C2, metric).distance
+            d_less = cluster_distance(view, assignment, [], C1, C2, metric).distance
             assert d_more <= d_less
 
 
@@ -200,10 +205,11 @@ def test_cluster_distance_triangle_over_supernodes():
     view = inst.view(3)
     cl = build_hierarchy(view)[0].clusterings[0]
     cids = cl.cluster_ids
+    metric = ContractedMetric.of(view.dist_matrix(), cl.assignment)
     for a, b, c in itertools.permutations(cids[:4], 3):
-        dab = cluster_distance(view, cl.assignment, [], a, b).distance
-        dbc = cluster_distance(view, cl.assignment, [], b, c).distance
-        dac = cluster_distance(view, cl.assignment, [], a, c).distance
+        dab = cluster_distance(view, cl.assignment, [], a, b, metric).distance
+        dbc = cluster_distance(view, cl.assignment, [], b, c, metric).distance
+        dac = cluster_distance(view, cl.assignment, [], a, c, metric).distance
         assert dac <= dab + dbc
 
 
@@ -370,9 +376,10 @@ def test_cluster_distance_level_metric_with_pins_matches_brute():
         for i in range(h.L + 1):
             cl = h.clustering(i)
             pins = rng.sample(all_edges, rng.randint(0, 5))
+            fresh = ContractedMetric.of(view.dist_matrix(), cl.assignment)
             for C1, C2 in itertools.combinations(cl.cluster_ids, 2):
                 path = cluster_distance(view, cl.assignment, pins, C1, C2, metrics[i])
-                assert path == cluster_distance(view, cl.assignment, pins, C1, C2)
+                assert path == cluster_distance(view, cl.assignment, pins, C1, C2, fresh)
                 brute = brute_contracted_distance(view, cl.assignment, pins, C1, C2)
                 assert path.distance == brute
                 assert path.distance == sum(view.d(a, b) for a, b in path.edges)
@@ -648,7 +655,7 @@ def reference_realize_hop(dist, members_p, members_q):
     return w, min((min(a, b), max(a, b)) for a, b in ends)
 
 
-def reference_cluster_distance(view, assignment, contracted_by, C1, C2, metric=None):
+def reference_cluster_distance(view, assignment, contracted_by, C1, C2, metric):
     """cluster_distance with a union-find over every cluster, one find per
     terminal for the member lists of every super-node, and a position dict."""
     if C1 not in assignment or C2 not in assignment:
@@ -665,8 +672,6 @@ def reference_cluster_distance(view, assignment, contracted_by, C1, C2, metric=N
     if src == dst:
         return ClusterPath(0, (src,), ())
     dist = view.dist_matrix()
-    if metric is None:
-        metric = ContractedMetric.of(dist, assignment)
     m = metric.merge(cross)
     W, D = m.W, m.D
     pos = {cid: k for k, cid in enumerate(m.ids)}
@@ -723,8 +728,9 @@ def realization_cases(draw):
 def test_cluster_distance_matches_the_reference(case):
     view, assignment, contracted_by, metric = case
     cids = sorted(set(assignment))
+    fresh = ContractedMetric.of(view.dist_matrix(), assignment)
     for C1, C2 in itertools.product(cids, repeat=2):
-        for m in (None, metric):
+        for m in (fresh, metric):
             path = cluster_distance(view, assignment, contracted_by, C1, C2, m)
             assert path == reference_cluster_distance(view, assignment, contracted_by,
                                                       C1, C2, m)

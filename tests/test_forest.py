@@ -205,8 +205,8 @@ def test_run_invariants_random(kind, seed, lam):
         assert (ins, dels) == (out.ledger.insertions, out.ledger.deletions)
         prev_edges = out.snapshot.edges
         assert out.ledger.buffer_end < lam
-    assert trace.ledger.insertions_total <= 2 * n + 21 * n * lam
-    assert trace.ledger.deletions_total <= trace.ledger.insertions_total
+    assert trace.insertions_total <= 2 * n + 21 * n * lam
+    assert trace.deletions_total <= trace.insertions_total
 
 
 def test_nhat_doubling_mode_runs_and_stays_feasible():

@@ -173,6 +173,28 @@ def test_load_rejects_metric_violation():
         load_instance(bad)
 
 
+@pytest.mark.parametrize("good", [True, False])
+def test_load_validates_the_metric_once(monkeypatch, good):
+    import sfonline.metric as metric_mod
+
+    calls = []
+    validate = metric_mod.validate_metric
+
+    def counted(dist):
+        calls.append(dist)
+        return validate(dist)
+
+    monkeypatch.setattr(metric_mod, "validate_metric", counted)
+    text = "SFONLINE 1 4 2\nMATRIX\n1\n10 10\n10 10 1\nDEMANDS\n0 1\n2 3\n"
+    if good:
+        load_instance(text)
+    else:
+        with pytest.raises(MetricError) as ei:
+            load_instance(text.replace("10 10 1", "1 1 1"))
+        assert ei.value.code == "E_METRIC"
+    assert len(calls) == 1
+
+
 def test_comments_and_label_roundtrip():
     inst = line_instance([0, 2, 7, 9], label="commented")
     text = "# leading comment\n" + save_instance(inst) + "# trailing\n"

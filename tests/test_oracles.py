@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from sfonline.clustering import ContractedMetric
+from sfonline.clustering import ContractedMetric, build_hierarchy, cluster_distance
 from sfonline.errors import OracleLimitError
+from sfonline.forest import select_spanning_forest
 from sfonline.metric import MAX_DIST, GeneratorSpec, Instance, generate_instance
 from sfonline.oracles import (
     GreedyOnlineState,
+    OfflineForestResult,
     OnlineGluttonousState,
     exact_optimum,
     offline_gluttonous_forest,
@@ -213,14 +215,14 @@ def test_exact_optimum_limit():
 
 def test_offline_gluttonous_single_pair():
     inst = line_instance([0, 1])
-    res = offline_gluttonous_forest(inst.view(1))
+    (res,) = offline_gluttonous_forest(inst)
     assert res.edges == frozenset([(0, 1)])
     assert res.cost == 1
     assert res.level_counts == (1,)
 
 
 def test_offline_gluttonous_w1(w1):
-    res = offline_gluttonous_forest(w1.view(2))
+    res = offline_gluttonous_forest(w1)[1]
     assert res.cost == 5
     assert res.edges == frozenset([(0, 1), (2, 3)])
     # Level counts: one merge at level 0, none at 1, one at 2.
@@ -229,11 +231,37 @@ def test_offline_gluttonous_w1(w1):
 
 def test_offline_gluttonous_feasible_on_random_views():
     inst = generate_instance(GeneratorSpec(kind="random-metric", n=6, seed=7, scale=50))
+    forests = offline_gluttonous_forest(inst)
     for t in (1, 3, 6):
         view = inst.view(t)
-        res = offline_gluttonous_forest(view)
+        res = forests[t - 1]
         assert feasible(res.edges, view.demands)
         assert res.cost >= exact_optimum(view).cost
+
+
+def reference_offline_forest(view):
+    """The offline forest of one prefix, from a hierarchy built with no
+    `prev`: every level's metric merged up from the trivial one."""
+    h, vgraphs, metrics = build_hierarchy(view)
+    edges = set()
+    counts = []
+    for i in range(h.L + 1):
+        f_inh, f_rest = select_spanning_forest(vgraphs[i], ())
+        cl = h.clustering(i)
+        for c1, c2 in f_inh + f_rest:
+            edges.update(cluster_distance(view, cl.assignment, (), c1, c2, metrics[i]).edges)
+        counts.append(len(cl.cluster_ids) - len(h.clustering(i + 1).cluster_ids))
+    cost = sum(view.d(a, b) for a, b in edges)
+    return OfflineForestResult(frozenset(edges), cost, tuple(counts))
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "random-metric", "line-chain"])
+def test_offline_forest_carried_matches_per_prefix_reference(kind):
+    inst = generate_instance(GeneratorSpec(kind=kind, n=12, seed=5))
+    forests = offline_gluttonous_forest(inst)
+    assert len(forests) == inst.n
+    for t, res in enumerate(forests, 1):
+        assert res == reference_offline_forest(inst.view(t))
 
 
 def test_online_gluttonous_first_arrival():
@@ -261,12 +289,18 @@ def test_online_gluttonous_feasible_prefixes():
         assert step.deletions == 0
 
 
-@pytest.mark.parametrize("kind", ["euclidean", "random-metric", "line-chain"])
-def test_online_gluttonous_carries_its_metric(monkeypatch, kind):
+BASELINE_STATES = {"online-gluttonous": OnlineGluttonousState, "greedy": GreedyOnlineState}
+
+
+@pytest.mark.parametrize("which,kind", [
+    pytest.param(which, kind, id=kind if which == "online-gluttonous" else f"{which}-{kind}")
+    for which in BASELINE_STATES for kind in ("euclidean", "random-metric", "line-chain")])
+def test_online_gluttonous_carries_its_metric(monkeypatch, which, kind):
     # After every step of run_baseline, the metric carried across arrivals
     # is the contracted metric of the clustering, built from the trivial one.
     inst = generate_instance(GeneratorSpec(kind=kind, n=10, seed=3))
-    step = OnlineGluttonousState.step
+    cls = BASELINE_STATES[which]
+    step = cls.step
     checked = []
 
     def checked_step(state, pair):
@@ -280,8 +314,8 @@ def test_online_gluttonous_carries_its_metric(monkeypatch, kind):
         checked.append(state.t)
         return out
 
-    monkeypatch.setattr(OnlineGluttonousState, "step", checked_step)
-    run_baseline(inst, "online-gluttonous")
+    monkeypatch.setattr(cls, "step", checked_step)
+    run_baseline(inst, which)
     assert checked == list(range(1, inst.n + 1))
 
 
@@ -289,15 +323,6 @@ def test_greedy_w1(w1):
     tr = run_baseline(w1, "greedy")
     assert tr.final_cost() == 5
     assert tr.deletions_total == 0
-
-
-def test_greedy_connected_pair_buys_nothing(w1):
-    state = GreedyOnlineState(w1)
-    state.step((0, 1))
-    state.bought.add((2, 3))  # pretend something already connects the next pair
-    step = state.step((2, 3))
-    assert step.insertions == 0
-    assert step.edges == frozenset([(0, 1), (2, 3)])
 
 
 def test_cross_oracle_no_method_beats_optimum():
@@ -313,5 +338,5 @@ def test_cross_oracle_no_method_beats_optimum():
             tr = run_baseline(inst, name)
             for step in tr.steps:
                 assert step.cost >= opt[step.t]
-        for t in range(1, 6):
-            assert offline_gluttonous_forest(inst.view(t)).cost >= opt[t]
+        for t, res in enumerate(offline_gluttonous_forest(inst), 1):
+            assert res.cost >= opt[t]
