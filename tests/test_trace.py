@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfonline import clustering
 from sfonline.certify import check_run
 from sfonline.clustering import (
     ContractedMetric,
@@ -16,6 +17,8 @@ from sfonline.cli import main
 from sfonline.errors import FormatError
 from sfonline.metric import GeneratorSpec, generate_instance
 from sfonline.trace import load_trace, run_online, save_trace
+
+from conftest import line_instance
 
 
 def _recomputed_vgraphs(view, hier):
@@ -289,6 +292,26 @@ def test_tampered_trace_gets_fail_rows(tmp_path, capsys, case):
     report = (tmp_path / "c" / "certify.csv").read_text()
     for row in rows:
         assert row in report, (row, [r for r in report.splitlines() if ",fail," in r])
+
+
+def test_trace_that_leaves_an_h_edge_unmerged_fails(tmp_path, capsys, monkeypatch):
+    # Terminals at 0, 4, 9 and 13 with demands (0,1) and (2,3): at arrival 2
+    # H_2 holds (0,1), (1,2) and (2,3), so all four terminals merge at level 2.
+    # The recorded run drops (1,2), at distance 5 < 2^3, from H_2 and keeps
+    # C_3 = {0,1},{2,3}; every other check holds on that trace.
+    def without_1_2(D, ids, cluster_level, i):
+        edges, gap = active_virtual_edges(D, ids, cluster_level, i)
+        return tuple(e for e in edges if e != (1, 2)), gap
+
+    monkeypatch.setattr(clustering, "active_virtual_edges", without_1_2)
+    d = tmp_path / "trace"
+    save_trace(run_online(line_instance([0, 4, 9, 13]), lam=1), d)
+    monkeypatch.undo()
+    assert main(["certify", "--trace", str(d), "--out", str(tmp_path / "c")]) == 1
+    assert "overall: FAIL" in capsys.readouterr().out
+    report = (tmp_path / "c" / "certify.csv").read_text()
+    assert [r for r in report.splitlines() if ",fail," in r] == [
+        "forest-contracts-to-next,2,2,fail,unmerged H_i edge (1;2) at distance 5"]
 
 
 def _leaves(node, path=()):
