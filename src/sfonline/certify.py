@@ -458,7 +458,7 @@ def _structural_pass(trace, add):
             cl = hier.clustering(i)
             cl_next = hier.clustering(i + 1)
             pos = {cid: k for k, cid in enumerate(m.ids)}
-            _, gap = active_virtual_edges(m.D, m.ids, cl.cluster_level, i)
+            h_edges, gap = active_virtual_edges(m.D, m.ids, cl.cluster_level, i)
             floor = min(1 << i, 1 << 62)
             add("active-cluster-gap", i, t, gap >= floor,
                 f"gap={gap} 2^i={floor}" if gap < floor else "")
@@ -482,9 +482,17 @@ def _structural_pass(trace, add):
                     break
             add("virtual-edge-valid", i, t, not bad_edge, bad_edge)
 
-            moved = _moved(contract_clustering(cl, [ve.endpoints for ve in fi]),
-                           cl_next.assignment)
-            add("forest-contracts-to-next", i, t, not moved, moved)
+            wrong = [_moved(contract_clustering(cl, [ve.endpoints for ve in fi]),
+                            cl_next.assignment)]
+            # C_{i+1} must merge every edge of H_i, not only the forest's.
+            nxt = cl_next.assignment
+            unmerged = next(((a, b) for a, b in h_edges if nxt[a] != nxt[b]), None)
+            if unmerged is not None:
+                a, b = unmerged
+                wrong.append(f"unmerged H_i edge {_edge_str(unmerged)} "
+                             f"at distance {int(m.D[pos[a], pos[b]])}")
+            wrong = " ".join(filter(None, wrong))
+            add("forest-contracts-to-next", i, t, not wrong, wrong)
             merged = len(cl.cluster_ids) - len(cl_next.cluster_ids)
             add("count-identity-forest", i, t, len(fi) == merged,
                 f"|F_i|={len(fi)} |C_i|-|C_i+1|={merged}" if len(fi) != merged else "")
