@@ -24,7 +24,7 @@ from .metric import (
     save_instance,
 )
 from .oracles import DEFAULT_ORACLE_LIMIT, exact_optimum, offline_gluttonous_forest, run_baseline
-from .trace import RunTrace, load_trace, run_online, save_trace
+from .trace import RunTrace, iter_online, load_trace, run_online, save_trace
 
 EXIT_CODES = {
     "E_CONFIG": 2,
@@ -243,10 +243,18 @@ def cmd_compare(args):
     _make_dirs(args.out)
     opt = _opt_map(inst, args.oracle_limit)
 
-    main = run_online(inst, lam)
+    outcomes = []
+
+    def online_prefixes():
+        # The offline forest reads each arrival's hierarchy while it is live.
+        for state in iter_online(inst, lam):
+            outcomes.append(state.last_outcome)
+            yield inst.view(state.t), state.hierarchy, state.vgraphs, state.metrics
+
+    offline = [res.cost for res in offline_gluttonous_forest(inst, online_prefixes())]
+    main = RunTrace(inst, lam, outcomes)
     glut = run_baseline(inst, "online-gluttonous")
     greedy = run_baseline(inst, "greedy")
-    offline = [res.cost for res in offline_gluttonous_forest(inst)]
 
     rows = ["t,cost_main,cost_online_gluttonous,cost_greedy,cost_offline_gluttonous,OPT"]
     for k in range(inst.n):

@@ -112,7 +112,11 @@ class Snapshot:
 
 
 class OnlineState:
-    """Mutable loop state of the online algorithm (one instance, one lambda)."""
+    """Mutable loop state of the online algorithm (one instance, one lambda).
+
+    The hierarchy, its virtual edges and its metrics are the latest
+    arrival's; the next arrival carries the metrics and replaces all three.
+    """
 
     def __init__(self, instance: Instance, lam: int):
         if lam < 1 or int(lam) != lam:
@@ -121,6 +125,7 @@ class OnlineState:
         self.lam = int(lam)
         self.t = 0
         self.hierarchy: Hierarchy | None = None
+        self.vgraphs: tuple = ()  # virtual edges of the hierarchy's H_0 .. H_L
         self.metrics: tuple = ()  # contracted metrics of the hierarchy's C_0 .. C_{L+1}
         self.forest: dict[int, list[VirtualEdge]] = {}
         self.cinh: dict[int, Clustering] = {}
@@ -323,6 +328,7 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
 
     state.t = t
     state.hierarchy = hier
+    state.vgraphs = vgraphs
     state.metrics = metrics
     state.forest = forest
     state.cinh = cinh

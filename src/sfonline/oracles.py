@@ -129,27 +129,62 @@ class OfflineForestResult:
     level_counts: tuple  # |C_i| - |C_{i+1}| for i = 0..L
 
 
-def offline_gluttonous_forest(instance: Instance) -> tuple[OfflineForestResult, ...]:
-    """Offline forest of every prefix t = 1..n, index t - 1: canonical
-    spanning forests of the prefix's hierarchy, each virtual edge realized by
-    a shortest path in the plain contracted metric (no pin contraction, no
-    inheritance). Each prefix's hierarchy carries the previous prefix's
-    contracted metrics, as run_online does."""
-    out = []
+def hierarchy_prefixes(instance: Instance):
+    """Yield (view, hierarchy, virtual edges, metrics) of every prefix
+    t = 1..n, each hierarchy carrying the previous prefix's contracted
+    metrics as run_online's does."""
     prev = None
     for t in range(1, instance.n + 1):
         view = instance.view(t)
         h, vgraphs, metrics = build_hierarchy(view, prev)
         prev = (h.clusterings, metrics)
+        yield view, h, vgraphs, metrics
+
+
+def offline_gluttonous_forest(instance: Instance, prefixes=None) -> tuple[OfflineForestResult, ...]:
+    """Offline forest of every prefix t = 1..n, index t - 1: canonical
+    spanning forests of the prefix's hierarchy, each virtual edge realized by
+    a shortest path in the plain contracted metric (no pin contraction, no
+    inheritance).
+
+    `prefixes` yields each prefix's (view, hierarchy, virtual edges, metrics)
+    in order; each is read before the next is asked for, so a caller may
+    yield state that the next prefix replaces. `compare` passes its online
+    run's, which builds the same hierarchies; the default builds them with
+    hierarchy_prefixes.
+
+    A level whose clustering is the previous prefix's plus the two new
+    terminals as singletons reuses the previous prefix's path for an edge it
+    realized there: extending a metric leaves the old entries of W and D as
+    they are and the new ids are the largest, so the smallest-id walk takes
+    the same hops over the same members.
+    """
+    out = []
+    # Level -> (the previous prefix's level-i assignment with the next two
+    # terminals appended as singletons, {edge: path} realized there).
+    prev_paths = {}
+    for view, h, vgraphs, metrics in (hierarchy_prefixes(instance) if prefixes is None
+                                      else prefixes):
+        T = view.num_terminals
         edges = set()
         counts = []
+        paths = {}
         for i in range(h.L + 1):
             f_inh, f_rest = select_spanning_forest(vgraphs[i], ())
             cl = h.clustering(i)
+            grown, prev = prev_paths.get(i, (None, {}))
+            if cl.assignment != grown:
+                prev = {}
+            realized = {}
             for c1, c2 in f_inh + f_rest:
-                path = cluster_distance(view, cl.assignment, (), c1, c2, metrics[i])
-                edges.update(path.edges)
+                path = prev.get((c1, c2))
+                if path is None:
+                    path = cluster_distance(view, cl.assignment, (), c1, c2, metrics[i]).edges
+                realized[c1, c2] = path
+                edges.update(path)
+            paths[i] = (cl.assignment + (T, T + 1), realized)
             counts.append(len(cl.cluster_ids) - len(h.clustering(i + 1).cluster_ids))
+        prev_paths = paths
         cost = sum(view.d(a, b) for a, b in edges)
         out.append(OfflineForestResult(frozenset(edges), cost, tuple(counts)))
     return tuple(out)

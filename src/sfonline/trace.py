@@ -56,6 +56,19 @@ class RunTrace:
         return self.arrivals[-1]
 
 
+def iter_online(instance: Instance, lam: int):
+    """Run the online algorithm, yielding its state after each arrival.
+
+    The state holds the latest arrival's outcome, hierarchy, virtual edges
+    and metrics; advancing the generator replaces them, so a caller reads
+    each arrival's before asking for the next.
+    """
+    state = OnlineState(instance, lam)
+    for pair in instance.demands:
+        advance(state, pair)
+        yield state
+
+
 def run_online(instance: Instance, lam: int, nhat_doubling: bool = False) -> RunTrace:
     """Run the online algorithm over the full demand sequence.
 
@@ -65,25 +78,20 @@ def run_online(instance: Instance, lam: int, nhat_doubling: bool = False) -> Run
     snapshots (the restarted internals are not charged edge by edge).
     """
     if not nhat_doubling:
-        state = OnlineState(instance, lam)
-        outcomes = []
-        for pair in instance.demands:
-            advance(state, pair)
-            outcomes.append(state.last_outcome)
+        outcomes = [state.last_outcome for state in iter_online(instance, lam)]
         return RunTrace(instance, lam, outcomes)
 
     nhat = 1
-    state = OnlineState(instance, lam)
+    run = iter_online(instance, lam)
     visible = frozenset()
     outcomes = []
-    for t, pair in enumerate(instance.demands, 1):
+    for t in range(1, instance.n + 1):
         if t > nhat:
             nhat *= 2
-            state = OnlineState(instance, lam)
-            for p in instance.demands[: t - 1]:
-                advance(state, p)
-        advance(state, pair)
-        out = state.last_outcome
+            run = iter_online(instance, lam)
+            for _ in range(t - 1):
+                next(run)
+        out = next(run).last_outcome
         ins, dels = recourse_diff(visible, out.snapshot.edges)
         entry = ArrivalLedger(t, ins, dels, out.ledger.pins_added,
                               out.ledger.pin_events, out.ledger.buffer_end)

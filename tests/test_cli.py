@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfonline import cli
+from sfonline import cli, forest, oracles, trace
 from sfonline.cli import main
 from sfonline.metric import (
     GeneratorSpec,
@@ -213,6 +213,26 @@ def test_one_oracle_call_per_command(tmp_path, monkeypatch, command):
     assert main([*command, "--kind", "euclid", "--n", "12", "--seed", "1",
                  "--out", str(tmp_path / "o"), "--quiet"]) == 0
     assert calls == [9]
+
+
+def test_compare_builds_each_prefix_hierarchy_once(tmp_path, monkeypatch):
+    # The offline forest reads the online run's hierarchies, and the online
+    # loop calls sfonline.trace.advance by name once per arrival.
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(trace, "advance", counted("advance", trace.advance))
+    for module in (forest, oracles):
+        monkeypatch.setattr(module, "build_hierarchy",
+                            counted("build_hierarchy", module.build_hierarchy))
+    assert main(["compare", "--kind", "euclid", "--n", "12", "--seed", "1",
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert calls.count("advance") == calls.count("build_hierarchy") == 12
 
 
 def test_sweep_needs_lams(tmp_path, w1_file):

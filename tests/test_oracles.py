@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from sfonline import oracles
 from sfonline.clustering import ContractedMetric, build_hierarchy, cluster_distance
 from sfonline.errors import OracleLimitError
 from sfonline.forest import select_spanning_forest
@@ -16,6 +17,7 @@ from sfonline.oracles import (
     prim_mst,
     run_baseline,
 )
+from sfonline.trace import iter_online
 from sfonline.unionfind import UnionFind
 
 from conftest import line_instance
@@ -256,12 +258,26 @@ def reference_offline_forest(view):
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "random-metric", "line-chain"])
-def test_offline_forest_carried_matches_per_prefix_reference(kind):
+def test_offline_forest_carried_matches_per_prefix_reference(monkeypatch, kind):
+    # Fed from its own hierarchy walk or from the online run's live states,
+    # the offline forest is the per-prefix reference at every prefix, and
+    # reusing the previous prefix's paths skips some realizations.
     inst = generate_instance(GeneratorSpec(kind=kind, n=12, seed=5))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cluster_distance(*args)
+
+    monkeypatch.setattr(oracles, "cluster_distance", counted)
     forests = offline_gluttonous_forest(inst)
-    assert len(forests) == inst.n
-    for t, res in enumerate(forests, 1):
-        assert res == reference_offline_forest(inst.view(t))
+    assert len(calls) < sum(sum(res.level_counts) for res in forests)
+    online = offline_gluttonous_forest(inst, (
+        (inst.view(state.t), state.hierarchy, state.vgraphs, state.metrics)
+        for state in iter_online(inst, lam=4)))
+    assert len(forests) == len(online) == inst.n
+    for t, (res, res_online) in enumerate(zip(forests, online), 1):
+        assert res == res_online == reference_offline_forest(inst.view(t))
 
 
 def test_online_gluttonous_first_arrival():
