@@ -3,10 +3,11 @@
 For every generator kind and n in the grid (lambda = ceil(log2 n), seed 1)
 this runs the online algorithm, saves its trace, loads it back and runs the
 structural certify pass (`check_run(..., with_witness=False)`) on the loaded
-trace. The baselines phase runs what `compare` runs besides the main
-algorithm: both `run_baseline`s and `offline_gluttonous_forest`, which gives
-every prefix's offline forest in one pass. It writes
-BENCH_scaling_<label>.json with, per cell, the three wall times (the median
+trace, timing the load and the pass apart. The baselines phase runs what
+`compare` runs besides the main algorithm: both `run_baseline`s and
+`offline_gluttonous_forest`, which gives every prefix's offline forest in one
+pass from its own hierarchy walk. It writes
+BENCH_scaling_<label>.json with, per cell, the four wall times (the median
 of REPEATS runs, and every run), the trace's sha256 over its files, a sha256
 over the baselines' per-prefix costs, and per kind and phase the
 least-squares exponent of time against n.
@@ -41,7 +42,7 @@ from sfonline.trace import load_trace, run_online, save_trace
 SIZES = (40, 80, 160)
 REPEATS = 3
 SEED = 1
-PHASES = ("run_online_s", "structural_s", "baselines_s")
+PHASES = ("run_online_s", "load_s", "structural_s", "baselines_s")
 
 
 def trace_sha256(dirpath) -> str:
@@ -71,14 +72,17 @@ def timed(fn, *args, **kwargs):
 def measure(kind, n, workdir):
     inst = generate_instance(GeneratorSpec(kind=kind, n=n, seed=SEED))
     lam = max(1, math.ceil(math.log2(n)))
-    run_s, structural_s, baselines_s, digests, cost_digests = [], [], [], set(), set()
+    run_s, load_s, structural_s, baselines_s = [], [], [], []
+    digests, cost_digests = set(), set()
     for r in range(REPEATS):
         trace, secs = timed(run_online, inst, lam)
         run_s.append(secs)
         d = os.path.join(workdir, f"{kind}_{n}_{r}")
         save_trace(trace, d)
         digests.add(trace_sha256(d))
-        report, secs = timed(check_run, load_trace(d), with_witness=False)
+        loaded, secs = timed(load_trace, d)
+        load_s.append(secs)
+        report, secs = timed(check_run, loaded, with_witness=False)
         structural_s.append(secs)
         if not report.ok:
             raise SystemExit(f"{kind} n={n}: structural pass FAILED")
@@ -90,9 +94,11 @@ def measure(kind, n, workdir):
     return {
         "kind": kind, "n": n, "lam": lam, "seed": SEED,
         "run_online_s": statistics.median(run_s),
+        "load_s": statistics.median(load_s),
         "structural_s": statistics.median(structural_s),
         "baselines_s": statistics.median(baselines_s),
         "run_online_runs_s": run_s,
+        "load_runs_s": load_s,
         "structural_runs_s": structural_s,
         "baselines_runs_s": baselines_s,
         "trace_sha256": digests.pop(),
@@ -120,6 +126,7 @@ def main(argv=None):
             for n in SIZES:
                 cell = measure(kind, n, workdir)
                 print(f"{kind:14s} n={n:4d} run {cell['run_online_s']:7.3f} s  "
+                      f"load {cell['load_s']:7.3f} s  "
                       f"structural {cell['structural_s']:7.3f} s  "
                       f"baselines {cell['baselines_s']:7.3f} s", flush=True)
                 cells.append(cell)

@@ -9,6 +9,11 @@ connected as cheaply as possible, and with all vertices being terminals the
 cheapest connector of a group is its MST. A subset DP over pair bitmasks
 (Dreyfus and Wagner, 1971) finds the best partition from the 2^k - 1 group
 MSTs in O(3^k) steps, and gives the optimum of every prefix on the way.
+
+The offline-gluttonous forest spans the algorithm's own hierarchy of every
+prefix. `compare` hands it the online run's hierarchies as each arrival
+lands, so each is built once; any other caller lets it build them with
+hierarchy_prefixes, the same walk as run_online's.
 """
 
 from __future__ import annotations
@@ -141,7 +146,8 @@ def hierarchy_prefixes(instance: Instance):
         yield view, h, vgraphs, metrics
 
 
-def offline_gluttonous_forest(instance: Instance, prefixes=None) -> tuple[OfflineForestResult, ...]:
+def offline_gluttonous_forest(instance: Instance,
+                              prefixes=None) -> tuple[OfflineForestResult, ...]:
     """Offline forest of every prefix t = 1..n, index t - 1: canonical
     spanning forests of the prefix's hierarchy, each virtual edge realized by
     a shortest path in the plain contracted metric (no pin contraction, no
@@ -173,11 +179,10 @@ def offline_gluttonous_forest(instance: Instance, prefixes=None) -> tuple[Offlin
             f_inh, f_rest = select_spanning_forest(vgraphs[i], ())
             cl = h.clustering(i)
             grown, prev = prev_paths.get(i, (None, {}))
-            if cl.assignment != grown:
-                prev = {}
+            reuse = prev if cl.assignment == grown else {}
             realized = {}
             for c1, c2 in f_inh + f_rest:
-                path = prev.get((c1, c2))
+                path = reuse.get((c1, c2))
                 if path is None:
                     path = cluster_distance(view, cl.assignment, (), c1, c2, metrics[i]).edges
                 realized[c1, c2] = path
