@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfonline import clustering
 from sfonline.clustering import (
     ClusterPath,
     Clustering,
@@ -468,6 +469,19 @@ def test_build_hierarchy_rejects_a_previous_level_that_does_not_refine():
     prev = ((h.top,) * len(h.clusterings), (metrics[-1],) * len(metrics))
     with pytest.raises(AssertionError, match="does not refine"):
         build_hierarchy(inst.view(4), prev)
+
+
+def test_build_hierarchy_rejects_active_clusters_closer_than_the_level(monkeypatch, w1):
+    real = clustering.active_virtual_edges
+    monkeypatch.setattr(clustering, "active_virtual_edges", lambda *a: (real(*a)[0], 0))
+    with pytest.raises(AssertionError, match="active clusters too close at level 0"):
+        build_hierarchy(w1.view(1))
+
+
+def test_build_hierarchy_rejects_a_split_demand_pair(monkeypatch, w1):
+    monkeypatch.setattr(clustering, "active_virtual_edges", lambda *a: ((), 1 << 62))
+    with pytest.raises(AssertionError, match="demand pair split at the top clustering"):
+        build_hierarchy(w1.view(1))
 
 
 def test_extend_near_max_dist():

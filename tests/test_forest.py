@@ -1,6 +1,11 @@
+import dataclasses
+import inspect
+
 import pytest
 
+from sfonline import forest
 from sfonline.clustering import (
+    ClusterPath,
     Clustering,
     build_hierarchy,
     terminal_levels,
@@ -217,3 +222,126 @@ def test_nhat_doubling_mode_runs_and_stays_feasible():
         assert connected_pairs(out.snapshot.edges, inst.view(out.t).demands)
     again = run_online(inst, lam=2, nhat_doubling=True)
     assert [o.snapshot for o in trace.arrivals] == [o.snapshot for o in again.arrivals]
+
+
+# Each internal-bug assertion of advance and pin_and_realize, fired by one
+# injected fault. A fault that no collaborator can cause (the buffer rules)
+# is a one-line change to pin_and_realize's own source.
+
+def _source_fault(monkeypatch, fn, old, new):
+    """Swap `fn`, in its module, for a copy of its source with the one
+    occurrence of `old` replaced by `new`."""
+    src = inspect.getsource(fn)
+    assert src.count(old) == 1
+    scope = {}
+    exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec"), fn.__globals__, scope)
+    monkeypatch.setattr(inspect.getmodule(fn), fn.__name__, scope[fn.__name__])
+
+
+def _patched(monkeypatch, name, fault):
+    """Replace forest's `name` by `fault` applied to the real one's result."""
+    real = getattr(forest, name)
+    monkeypatch.setattr(forest, name, lambda *args: fault(real(*args)))
+
+
+def test_advance_catches_a_dropped_forest_edge(monkeypatch, w1):
+    _patched(monkeypatch, "select_spanning_forest",
+             lambda f: (f[0], f[1][:-1]) if f[1] else (f[0][:-1], f[1]))
+    with pytest.raises(AssertionError, match="forest contraction disagrees with hierarchy"):
+        run_online(w1, lam=1)
+
+
+def test_advance_catches_a_repeated_forest_edge(monkeypatch, w1):
+    _patched(monkeypatch, "select_spanning_forest", lambda f: (f[0], f[1] + f[1][:1]))
+    with pytest.raises(AssertionError, match="^forest size identity broken"):
+        run_online(w1, lam=1)
+
+
+def test_advance_catches_a_wrong_inherited_clustering(monkeypatch):
+    # C_inh contracts the inherited edges into C_i. A contraction that loses
+    # one of them, after the hierarchy is built, leaves C_inh a cluster too
+    # many; chain5's arrival 2 inherits one level-0 edge beside a fresh one.
+    real_build, real_contract = forest.build_hierarchy, Clustering.contract
+    built = []
+
+    def build(*args):
+        built.clear()
+        out = real_build(*args)
+        built.append(True)
+        return out
+
+    monkeypatch.setattr(forest, "build_hierarchy", build)
+    monkeypatch.setattr(Clustering, "contract",
+                        lambda cl, edges: real_contract(cl, list(edges)[:-1] if built else edges))
+    with pytest.raises(AssertionError, match="inherited forest size identity broken"):
+        run_online(chain5(), lam=2)
+
+
+def test_advance_catches_a_previous_level_that_does_not_refine_cinh(monkeypatch, w1):
+    # Treating w1's inherited level-0 edge as fresh leaves C_inh = C_0, which
+    # the previous C_1 = {0, 1} does not refine.
+    _patched(monkeypatch, "select_spanning_forest", lambda f: (f[0][1:], f[1] + f[0][:1]))
+    with pytest.raises(AssertionError, match=r"previous C_\{i\+1\} does not refine C_inh"):
+        run_online(w1, lam=1)
+
+
+def test_advance_catches_an_inherited_image_missing_from_the_virtual_graph(monkeypatch, w1):
+    real = forest.build_hierarchy
+    calls = []
+
+    def build(*args):
+        calls.append(args)
+        h, vgraphs, metrics = real(*args)
+        return h, (vgraphs if len(calls) == 1 else tuple(() for _ in vgraphs)), metrics
+
+    monkeypatch.setattr(forest, "build_hierarchy", build)
+    with pytest.raises(AssertionError, match="inheritable edge image missing"):
+        run_online(w1, lam=1)
+
+
+def test_advance_catches_an_infeasible_snapshot(monkeypatch, w1):
+    _patched(monkeypatch, "cluster_distance", lambda path: ClusterPath(0, path.nodes[:1], ()))
+    with pytest.raises(AssertionError, match="snapshot infeasible"):
+        run_online(w1, lam=1)
+
+
+def test_pin_and_realize_catches_an_over_budget_path(monkeypatch, w1):
+    _patched(monkeypatch, "cluster_distance",
+             lambda path: dataclasses.replace(path, distance=1 << 64))
+    with pytest.raises(AssertionError, match="realized path exceeds the level budget"):
+        run_online(w1, lam=1)
+
+
+def test_pin_and_realize_catches_a_repeated_pin(monkeypatch, w1):
+    # (0, 1) is pinned at arrival 1; arrival 2's path offers it again.
+    _patched(monkeypatch, "cluster_distance",
+             lambda path: dataclasses.replace(path, edges=path.edges + ((0, 1),)))
+    with pytest.raises(AssertionError, match="pinned twice"):
+        run_online(w1, lam=1)
+
+
+def test_pin_and_realize_catches_a_pin_cycle(monkeypatch, w1):
+    # Arrival 2's path (2, 3) also offers (0, 2) and (1, 2), closing a cycle
+    # with the pinned (0, 1).
+    _patched(monkeypatch, "cluster_distance",
+             lambda path: dataclasses.replace(path, edges=path.edges + ((0, 2), (1, 2)))
+             if path.edges == ((2, 3),) else path)
+    with pytest.raises(AssertionError, match="would close a cycle"):
+        run_online(w1, lam=1)
+
+
+def test_pin_and_realize_catches_a_buffer_past_twice_lambda(monkeypatch):
+    # Sending long paths to the buffer too puts chain5's 5-edge path there.
+    _source_fault(monkeypatch, forest.pin_and_realize,
+                  "if len(eorig) >= lam:", "if False:")
+    with pytest.raises(AssertionError, match="buffer exceeded its momentary 2\\*lambda bound"):
+        run_online(chain5(), lam=2)
+
+
+def test_pin_and_realize_catches_an_undrained_buffer(monkeypatch):
+    # A buffer that never pins ends w3's arrival 3 holding four edges.
+    _source_fault(monkeypatch, forest.pin_and_realize,
+                  "if len(buffer) >= lam:\n                e = min(",
+                  "if False:\n                e = min(")
+    with pytest.raises(AssertionError, match="buffer not drained at end of arrival"):
+        run_online(w3(), lam=3)
