@@ -245,13 +245,13 @@ def cmd_compare(args):
 
     outcomes = []
 
-    def online_prefixes():
+    def online_states():
         # The offline forest reads each arrival's hierarchy while it is live.
         for state in iter_online(inst, lam):
             outcomes.append(state.last_outcome)
-            yield inst.view(state.t), state.hierarchy, state.vgraphs, state.metrics
+            yield state
 
-    offline = [res.cost for res in offline_gluttonous_forest(inst, online_prefixes())]
+    offline = [res.cost for res in offline_gluttonous_forest(online_states())]
     main = RunTrace(inst, lam, outcomes)
     glut = run_baseline(inst, "online-gluttonous")
     greedy = run_baseline(inst, "greedy")

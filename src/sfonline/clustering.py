@@ -405,10 +405,8 @@ class Hierarchy:
     """Per-arrival clustering hierarchy C_0 .. C_{L+1}, exactly what a trace
     records: a run and the trace loader build this same shape."""
 
-    t: int
     L: int
     clusterings: tuple[Clustering, ...]  # length L + 2
-    term_levels: tuple[int, ...]
 
     def clustering(self, i: int) -> Clustering:
         # Levels above the top alias C_{L+1}.
@@ -467,7 +465,7 @@ def build_hierarchy(view: InstanceView, prev=None):
     for u, v in view.demands:
         if top.assignment[u] != top.assignment[v]:
             raise AssertionError("demand pair split at the top clustering (internal bug)")
-    return Hierarchy(view.t, L, tuple(clusterings), levels), tuple(vgraphs), tuple(metrics)
+    return Hierarchy(L, tuple(clusterings)), tuple(vgraphs), tuple(metrics)
 
 
 def dump_hierarchy(h: Hierarchy) -> str:

@@ -11,16 +11,15 @@ cheapest connector of a group is its MST. A subset DP over pair bitmasks
 MSTs in O(3^k) steps, and gives the optimum of every prefix on the way.
 
 The offline-gluttonous forest spans the algorithm's own hierarchy of every
-prefix. `compare` hands it the online run's hierarchies as each arrival
-lands, so each is built once; any other caller lets it build them with
-hierarchy_prefixes, the same walk as run_online's.
+prefix. It reads them from the online run's states as each arrival lands,
+so a hierarchy is built once for both.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from .clustering import (
+from .clustering import (  # noqa: F401 (build_hierarchy is in perfbench/spans.py's table)
     ContractedMetric,
     active_virtual_edges,
     build_hierarchy,
@@ -134,30 +133,15 @@ class OfflineForestResult:
     level_counts: tuple  # |C_i| - |C_{i+1}| for i = 0..L
 
 
-def hierarchy_prefixes(instance: Instance):
-    """Yield (view, hierarchy, virtual edges, metrics) of every prefix
-    t = 1..n, each hierarchy carrying the previous prefix's contracted
-    metrics as run_online's does."""
-    prev = None
-    for t in range(1, instance.n + 1):
-        view = instance.view(t)
-        h, vgraphs, metrics = build_hierarchy(view, prev)
-        prev = (h.clusterings, metrics)
-        yield view, h, vgraphs, metrics
-
-
-def offline_gluttonous_forest(instance: Instance,
-                              prefixes=None) -> tuple[OfflineForestResult, ...]:
+def offline_gluttonous_forest(states) -> tuple[OfflineForestResult, ...]:
     """Offline forest of every prefix t = 1..n, index t - 1: canonical
     spanning forests of the prefix's hierarchy, each virtual edge realized by
     a shortest path in the plain contracted metric (no pin contraction, no
     inheritance).
 
-    `prefixes` yields each prefix's (view, hierarchy, virtual edges, metrics)
-    in order; each is read before the next is asked for, so a caller may
-    yield state that the next prefix replaces. `compare` passes its online
-    run's, which builds the same hierarchies; the default builds them with
-    hierarchy_prefixes.
+    `states` is an online run's walk, `iter_online(instance, lam)`; any
+    lambda gives the same hierarchies. Each state's hierarchy, virtual edges
+    and metrics are read before the next state is asked for.
 
     A level whose clustering is the previous prefix's plus the two new
     terminals as singletons reuses the previous prefix's path for an edge it
@@ -169,8 +153,9 @@ def offline_gluttonous_forest(instance: Instance,
     # Level -> (the previous prefix's level-i assignment with the next two
     # terminals appended as singletons, {edge: path} realized there).
     prev_paths = {}
-    for view, h, vgraphs, metrics in (hierarchy_prefixes(instance) if prefixes is None
-                                      else prefixes):
+    for state in states:
+        view = state.instance.view(state.t)
+        h, vgraphs, metrics = state.last_outcome.hierarchy, state.vgraphs, state.metrics
         T = view.num_terminals
         edges = set()
         counts = []

@@ -59,9 +59,10 @@ class RunTrace:
 def iter_online(instance: Instance, lam: int):
     """Run the online algorithm, yielding its state after each arrival.
 
-    The state holds the latest arrival's outcome, hierarchy, virtual edges
-    and metrics; advancing the generator replaces them, so a caller reads
-    each arrival's before asking for the next.
+    The state holds the latest arrival's outcome, with its hierarchy, and
+    that hierarchy's virtual edges and metrics; advancing the generator
+    replaces them, so a caller reads each arrival's before asking for the
+    next.
     """
     state = OnlineState(instance, lam)
     for pair in instance.demands:
@@ -93,9 +94,8 @@ def run_online(instance: Instance, lam: int, nhat_doubling: bool = False) -> Run
                 next(run)
         out = next(run).last_outcome
         ins, dels = recourse_diff(visible, out.snapshot.edges)
-        entry = ArrivalLedger(t, ins, dels, out.ledger.pins_added,
-                              out.ledger.pin_events, out.ledger.buffer_end)
-        out = dataclasses.replace(out, ledger=entry)
+        out = dataclasses.replace(
+            out, ledger=dataclasses.replace(out.ledger, insertions=ins, deletions=dels))
         outcomes.append(out)
         visible = out.snapshot.edges
     return RunTrace(instance, lam, outcomes, nhat_doubling=True)
@@ -227,7 +227,7 @@ def _hierarchy_from_payload(view, payload, levels) -> Hierarchy:
             clusterings.append(clusterings[-1])
         else:
             clusterings.append(_clustering_from_members(view, member_lists, levels))
-    return Hierarchy(view.t, L, tuple(clusterings), levels)
+    return Hierarchy(L, tuple(clusterings))
 
 
 def _int(value):
@@ -304,16 +304,15 @@ def _outcome_from_payload(instance, t, payload) -> ArrivalOutcome:
         cinh[i] = (hier.clusterings[same[0]] if same
                    else _clustering_from_members(view, member_lists, levels))
     pinned_after = tuple((_edge(e), _int(pt)) for e, pt in payload["pinned"])
-    snapshot = Snapshot(t, frozenset(_edge(e) for e in payload["snapshot"]),
+    snapshot = Snapshot(frozenset(_edge(e) for e in payload["snapshot"]),
                         _int(payload["cost_f"]))
     led = payload["ledger"]
     entry = ArrivalLedger(
-        t=t,
         insertions=_int(led["insertions"]),
         deletions=_int(led["deletions"]),
         pins_added=_int(led["pins_added"]),
         pin_events=tuple(
-            PinEvent(_pin_kind(ev["kind"]), t, _int(ev["level"]),
+            PinEvent(_pin_kind(ev["kind"]), _int(ev["level"]),
                      tuple(_edge(e) for e in ev["edges"]), _int(ev["cost"]),
                      _int(ev["source_size"]))
             for ev in led["pin_events"]

@@ -27,7 +27,7 @@ from sfonline.cli import main
 from sfonline.clustering import level_threshold
 from sfonline.metric import GeneratorSpec, generate_instance, save_instance_file
 from sfonline.oracles import exact_optimum, offline_gluttonous_forest, run_baseline
-from sfonline.trace import run_online
+from sfonline.trace import iter_online, run_online
 
 KINDS = ("euclidean", "random-metric", "line-chain")
 BIG_SIZES = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 16, 18, 21, 24, 28, 32, 36, 40)
@@ -103,7 +103,7 @@ def small_fleet():
                 "report": check_run(trace, opt, with_witness=True),
                 "gluttonous": run_baseline(inst, "online-gluttonous"),
                 "greedy": run_baseline(inst, "greedy"),
-                "offline": [res.cost for res in offline_gluttonous_forest(inst)],
+                "offline": [res.cost for res in offline_gluttonous_forest(iter_online(inst, lam))],
             })
     return {"bundles": bundles, "elapsed": time.time() - t0}
 

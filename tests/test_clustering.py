@@ -437,7 +437,7 @@ def test_carried_metrics_match_reference(kind, n, seed, lam):
     state = OnlineState(inst, lam)
     for pair in inst.demands:
         advance(state, pair)
-        h = state.hierarchy
+        h = state.last_outcome.hierarchy
         dist = inst.view(state.t).dist_matrix()
         assert len(state.metrics) == h.L + 2
         for cl, metric in zip(h.clusterings, state.metrics):

@@ -57,20 +57,19 @@ def test_recourse_diff_basics():
 def test_classify_inheritance_base_case(w1):
     view = w1.view(1)
     h, vgraphs, _ = build_hierarchy(view)
-    assert classify_inheritance((), None, h.clustering(0), vgraphs[0]) == {}
+    assert classify_inheritance((), h.clustering(0), vgraphs[0]) == {}
 
 
 def test_classify_inheritance_maps_and_absorbs(w1):
     # Previous edge ({0},{1}) with endpoints in distinct new clusters stays;
     # with both endpoints inside one new cluster it dies.
     view = w1.view(2)
-    prev_cl = build_hierarchy(view)[0].clusterings[0]
     pe = VirtualEdge(0, 0, 1, False, None, frozenset([(0, 1)]), 1)
     new_same = build_hierarchy(view)[0].clusterings[0]
-    parents = classify_inheritance([pe], prev_cl, new_same, [(0, 1)])
+    parents = classify_inheritance([pe], new_same, [(0, 1)])
     assert parents == {(0, 1): pe}
     merged = Clustering((0, 0, 2, 3), terminal_levels(view))
-    assert classify_inheritance([pe], prev_cl, merged, []) == {}
+    assert classify_inheritance([pe], merged, []) == {}
 
 
 def test_select_spanning_forest_cases():
