@@ -295,6 +295,9 @@ def cmd_oracle(args):
 
 def cmd_certify(args):
     trace = load_trace(args.trace)
+    top = trace.final().hierarchy.L
+    if args.levels is not None and args.levels > top:
+        raise ConfigError(f"--levels {args.levels} is above the trace's top level L={top}")
     opt = _opt_map(trace.instance, args.oracle_limit)
     levels = None if args.levels is None else [args.levels]
     report = check_run(trace, opt, with_witness=True, witness_levels=levels)
@@ -397,7 +400,7 @@ def build_parser():
     _add_common_flags(p)
     p.add_argument("--trace", required=True)
     p.add_argument("--levels", default="all", type=_level_choice,
-                   help="all or a single level index")
+                   help="all or a single level index, 0 .. the top level L")
     p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
     p.set_defaults(func=cmd_certify, out=None)  # default: CSV lands next to the trace
 

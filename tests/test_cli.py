@@ -293,7 +293,7 @@ def test_certify_single_level(tmp_path, w1_file, capsys):
     assert "value-identity,0," not in body
 
 
-@pytest.mark.parametrize("levels", ["x", "-1", ""])
+@pytest.mark.parametrize("levels", ["x", "-1", "", "3"])
 def test_certify_rejects_bad_levels(tmp_path, w1_file, capsys, levels):
     out = tmp_path / "r"
     assert main(["run", "--input", w1_file, "--lam", "1", "--out", str(out),
