@@ -1,16 +1,15 @@
-"""Scaling record: how run, structural certify and baselines grow with n.
+"""Scaling record: how run, structural certify and compare grow with n.
 
 For every generator kind and n in the grid (lambda = ceil(log2 n), seed 1)
 this runs the online algorithm, saves its trace, loads it back and runs the
 structural certify pass (`check_run(..., with_witness=False)`) on the loaded
-trace, timing the load and the pass apart. The baselines phase runs what
-`compare` runs besides the main algorithm: both `run_baseline`s and
-`offline_gluttonous_forest`, which gives every prefix's offline forest in one
-pass from its own hierarchy walk. It writes
-BENCH_scaling_<label>.json with, per cell, the four wall times (the median
-of REPEATS runs, and every run), the trace's sha256 over its files, a sha256
-over the baselines' per-prefix costs, and per kind and phase the
-least-squares exponent of time against n.
+trace, timing the load and the pass apart. The compare phase times what
+`compare` computes: one `iter_online(inst, lam)` walk feeding
+`offline_gluttonous_forest`, so each hierarchy is built once, and both
+`run_baseline`s. It writes BENCH_scaling_<label>.json with, per cell, the
+four wall times (the median of REPEATS runs, and every run), the trace's
+sha256 over its files, a sha256 over the baselines' per-prefix costs, and
+per kind and phase the least-squares exponent of time against n.
 
 Only the standard library and sfonline (with its numpy) are used:
 
@@ -37,12 +36,12 @@ import numpy as np
 from sfonline.certify import check_run
 from sfonline.metric import GENERATOR_KINDS, GeneratorSpec, generate_instance
 from sfonline.oracles import offline_gluttonous_forest, run_baseline
-from sfonline.trace import load_trace, run_online, save_trace
+from sfonline.trace import iter_online, load_trace, run_online, save_trace
 
 SIZES = (40, 80, 160)
 REPEATS = 3
 SEED = 1
-PHASES = ("run_online_s", "load_s", "structural_s", "baselines_s")
+PHASES = ("run_online_s", "load_s", "structural_s", "compare_s")
 
 
 def trace_sha256(dirpath) -> str:
@@ -55,12 +54,13 @@ def trace_sha256(dirpath) -> str:
     return h.hexdigest()
 
 
-def baseline_costs(inst):
+def baseline_costs(inst, lam):
     """Per-prefix costs of the online-gluttonous, greedy and offline
     gluttonous baselines, as `compare` tabulates them."""
+    offline = [res.cost for res in offline_gluttonous_forest(iter_online(inst, lam))]
     return [[step.cost for step in run_baseline(inst, "online-gluttonous").steps],
             [step.cost for step in run_baseline(inst, "greedy").steps],
-            [res.cost for res in offline_gluttonous_forest(inst)]]
+            offline]
 
 
 def timed(fn, *args, **kwargs):
@@ -72,7 +72,7 @@ def timed(fn, *args, **kwargs):
 def measure(kind, n, workdir):
     inst = generate_instance(GeneratorSpec(kind=kind, n=n, seed=SEED))
     lam = max(1, math.ceil(math.log2(n)))
-    run_s, load_s, structural_s, baselines_s = [], [], [], []
+    run_s, load_s, structural_s, compare_s = [], [], [], []
     digests, cost_digests = set(), set()
     for r in range(REPEATS):
         trace, secs = timed(run_online, inst, lam)
@@ -86,8 +86,8 @@ def measure(kind, n, workdir):
         structural_s.append(secs)
         if not report.ok:
             raise SystemExit(f"{kind} n={n}: structural pass FAILED")
-        costs, secs = timed(baseline_costs, inst)
-        baselines_s.append(secs)
+        costs, secs = timed(baseline_costs, inst, lam)
+        compare_s.append(secs)
         cost_digests.add(hashlib.sha256(json.dumps(costs).encode()).hexdigest())
     if len(digests) != 1 or len(cost_digests) != 1:
         raise SystemExit(f"{kind} n={n}: outputs differ between repeats")
@@ -96,11 +96,11 @@ def measure(kind, n, workdir):
         "run_online_s": statistics.median(run_s),
         "load_s": statistics.median(load_s),
         "structural_s": statistics.median(structural_s),
-        "baselines_s": statistics.median(baselines_s),
+        "compare_s": statistics.median(compare_s),
         "run_online_runs_s": run_s,
         "load_runs_s": load_s,
         "structural_runs_s": structural_s,
-        "baselines_runs_s": baselines_s,
+        "compare_runs_s": compare_s,
         "trace_sha256": digests.pop(),
         "baselines_sha256": cost_digests.pop(),
     }
@@ -128,7 +128,7 @@ def main(argv=None):
                 print(f"{kind:14s} n={n:4d} run {cell['run_online_s']:7.3f} s  "
                       f"load {cell['load_s']:7.3f} s  "
                       f"structural {cell['structural_s']:7.3f} s  "
-                      f"baselines {cell['baselines_s']:7.3f} s", flush=True)
+                      f"compare {cell['compare_s']:7.3f} s", flush=True)
                 cells.append(cell)
     exponents = {
         kind: {key: exponent([c for c in cells if c["kind"] == kind], key) for key in PHASES}
