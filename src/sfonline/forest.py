@@ -136,7 +136,7 @@ def classify_inheritance(prev_edges, new_cl: Clustering, h_edges):
     different current clusters; the image edge joins those clusters. When
     several inheritable edges share an image, the parent is the one with the
     lexicographically smallest endpoint pair. The previous C_i refines
-    `new_cl`, C_i: advance proved it at level i - 1.
+    `new_cl`, C_i: C_0 is trivial, and advance proved it at level i - 1.
     """
     h_set = set(h_edges)
     parents: dict[tuple[int, int], VirtualEdge] = {}
@@ -263,7 +263,10 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
         cl_i = hier.clustering(i)
         cl_next = hier.clustering(i + 1)
         prev_edges = () if prev is None else prev.forest.get(i, ())
-        parents = classify_inheritance(prev_edges, cl_i, h_edges) if prev_edges else {}
+        if prev_edges:
+            parents = classify_inheritance(prev_edges, cl_i, h_edges)
+        else:
+            parents = {}
         f_inh, f_rest = select_spanning_forest(h_edges, parents.keys())
 
         # C_inh is C_i when no forest edge is inherited and C_{i+1} when all are.

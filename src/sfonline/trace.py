@@ -94,8 +94,8 @@ def run_online(instance: Instance, lam: int, nhat_doubling: bool = False) -> Run
                 next(run)
         out = next(run).last_outcome
         ins, dels = recourse_diff(visible, out.snapshot.edges)
-        out = dataclasses.replace(
-            out, ledger=dataclasses.replace(out.ledger, insertions=ins, deletions=dels))
+        ledger = dataclasses.replace(out.ledger, insertions=ins, deletions=dels)
+        out = dataclasses.replace(out, ledger=ledger)
         outcomes.append(out)
         visible = out.snapshot.edges
     return RunTrace(instance, lam, outcomes, nhat_doubling=True)
