@@ -294,6 +294,44 @@ def test_tampered_trace_gets_fail_rows(tmp_path, capsys, case):
         assert row in report, (row, [r for r in report.splitlines() if ",fail," in r])
 
 
+# case -> (path of a member list, its new value). At arrival 2 of the
+# euclidean n=4, lambda=2 trace, C_0 .. C_8 and C_inh,0 .. C_inh,8 are the
+# four singletons and C_9 is {0}, {1, 2, 3}. JSON true equals 1 and 1.0
+# equals 1 in Python, so a level that only compares equal to the one below,
+# or a C_inh level to a stored C_i, must still be type-checked.
+MEMBER_TAMPERINGS = {
+    "member-true": (("clusterings", 0, 1), [True]),
+    "member-false": (("clusterings", 0, 0), [False]),
+    "member-true-repeated-level": (("clusterings", 1, 1), [True]),
+    "member-float": (("clusterings", 0, 1), [1.0]),
+    "member-float-repeated-level": (("clusterings", 1, 1), [1.0]),
+    "member-str": (("clusterings", 0, 1), ["1"]),
+    "member-null": (("clusterings", 0, 1), [None]),
+    "member-list-int": (("clusterings", 0, 1), 1),
+    "member-list-empty": (("clusterings", 9, 1), []),
+    "member-repeated": (("clusterings", 9, 0), [0, 1]),
+    "member-out-of-range": (("clusterings", 0, 3), [4]),
+    "member-negative": (("clusterings", 0, 3), [-1]),
+    "cinh-member-true": (("cinh", "0", 1), [True]),
+    "cinh-member-float": (("cinh", "0", 1), [1.0]),
+    "cinh-member-list-empty": (("cinh", "9", 0), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMBER_TAMPERINGS))
+def test_bad_cluster_member_is_a_format_error(tmp_path, capsys, case):
+    path, value = MEMBER_TAMPERINGS[case]
+    d = tmp_path / "trace"
+    save_trace(run_online(generate_instance(GeneratorSpec(kind="euclidean", n=4, seed=1)),
+                          lam=2), d)
+    name = "arrival_0002.json"
+    (d / name).write_text(_setting(path, value)((d / name).read_text()))
+    with pytest.raises(FormatError, match=name):
+        load_trace(d)
+    assert main(["certify", "--trace", str(d), "--out", str(tmp_path / "c"), "--quiet"]) == 3
+    assert "error[E_FORMAT]" in capsys.readouterr().err
+
+
 def test_trace_that_leaves_an_h_edge_unmerged_fails(tmp_path, capsys, monkeypatch):
     # Terminals at 0, 4, 9 and 13 with demands (0,1) and (2,3): at arrival 2
     # H_2 holds (0,1), (1,2) and (2,3), so all four terminals merge at level 2.
