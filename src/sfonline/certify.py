@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
+import typing
 
 import numpy as np
 
@@ -286,8 +288,7 @@ def witness_value_identity(witness: WitnessState, trace, dual: DualSolution | No
 # Full-run certification
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(typing.NamedTuple):
     check: str
     level: object  # int or None
     arrival: object  # int or None
@@ -454,10 +455,11 @@ def _structural_pass(trace, add):
         # Each level's metric follows the previous arrival's where it refines.
         metrics = tuple(level_metrics(view.dist_matrix(), hier.clusterings, prev_metrics))
         prev_metrics = (hier.clusterings, metrics)
+        # Levels share clustering objects: test each (fine, coarse) pair once.
+        split = functools.cache(_split)
         for i, m in zip(range(hier.L + 1), metrics):
             cl = hier.clustering(i)
             cl_next = hier.clustering(i + 1)
-            pos = {cid: k for k, cid in enumerate(m.ids)}
             h_edges, gap = active_virtual_edges(m.D, m.ids, cl.cluster_level, i)
             floor = min(1 << i, 1 << 62)
             add("active-cluster-gap", i, t, gap >= floor,
@@ -468,6 +470,7 @@ def _structural_pass(trace, add):
 
             bad_edge = ""
             uf = UnionFind()
+            pos = {cid: k for k, cid in enumerate(m.ids)} if fi else {}
             for ve in fi:
                 e = _edge_str(ve.endpoints)
                 if ve.c1 not in pos or ve.c2 not in pos or ve.c1 == ve.c2:
@@ -490,7 +493,7 @@ def _structural_pass(trace, add):
             if unmerged is not None:
                 a, b = unmerged
                 wrong.append(f"unmerged H_i edge {_edge_str(unmerged)} "
-                             f"at distance {int(m.D[pos[a], pos[b]])}")
+                             f"at distance {int(m.D[m.ids.index(a), m.ids.index(b)])}")
             wrong = " ".join(filter(None, wrong))
             add("forest-contracts-to-next", i, t, not wrong, wrong)
             merged = len(cl.cluster_ids) - len(cl_next.cluster_ids)
@@ -508,7 +511,7 @@ def _structural_pass(trace, add):
             over_budget = unjoined = ""
             # Clusters joined by the pins, shared by every edge of the level.
             pinned_uf = UnionFind()
-            for a, b in arrived_pins:
+            for a, b in arrived_pins if fi else ():
                 pinned_uf.union(cl.assignment[a], cl.assignment[b])
             for ve, cost in zip(fi, realized.get(i, ())):
                 if not over_budget and cost is None:
@@ -527,11 +530,11 @@ def _structural_pass(trace, add):
             add("realization-connects", i, t, not unjoined, unjoined)
 
             if prev_out is not None:
-                split = _split(prev_out.hierarchy.clustering(i), cl)
-                add("refine-across-arrivals", i, t, not split, split)
+                moved = split(prev_out.hierarchy.clustering(i), cl)
+                add("refine-across-arrivals", i, t, not moved, moved)
                 if cinh_i is not None:
-                    split = _split(prev_out.hierarchy.clustering(i + 1), cinh_i)
-                    add("refine-into-inherited", i, t, not split, split)
+                    moved = split(prev_out.hierarchy.clustering(i + 1), cinh_i)
+                    add("refine-into-inherited", i, t, not moved, moved)
 
                 bad_parent = ""
                 prev_forest = {pe.endpoints: pe for pe in prev_out.forest.get(i, [])}
@@ -551,8 +554,8 @@ def _structural_pass(trace, add):
                 add("inheritance-provenance", i, t, not bad_parent, bad_parent)
             # The top clustering index gets the cross-arrival check too.
             if prev_out is not None and i == hier.L:
-                split = _split(prev_out.hierarchy.clustering(hier.L + 1), hier.top)
-                add("refine-across-arrivals", hier.L + 1, t, not split, split)
+                moved = split(prev_out.hierarchy.clustering(hier.L + 1), hier.top)
+                add("refine-across-arrivals", hier.L + 1, t, not moved, moved)
 
         prev_snapshot = prev_out.snapshot.edges if prev_out is not None else frozenset()
         ins = len(out.snapshot.edges - prev_snapshot)
@@ -619,8 +622,7 @@ def check_run(trace, opt_per_arrival=None, with_witness=True,
     entries: list[CheckEntry] = []
 
     def add(check, level, arrival, ok, value=""):
-        entries.append(CheckEntry(check, level, arrival,
-                                  "pass" if ok else "fail", value if value else ""))
+        entries.append(CheckEntry(check, level, arrival, "pass" if ok else "fail", value or ""))
 
     _structural_pass(trace, add)
 

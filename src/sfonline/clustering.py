@@ -90,6 +90,14 @@ class Clustering:
         self.cluster_level = {cid: max(term_levels[k] for k in ms)
                               for cid, ms in self.members.items()}
 
+    @classmethod
+    def from_parts(cls, assignment, members, cluster_level) -> Clustering:
+        """The clustering with these canonical parts, taken as they are."""
+        out = object.__new__(cls)
+        out.assignment, out.members, out.cluster_level = assignment, members, cluster_level
+        out.cluster_ids = tuple(sorted(members))
+        return out
+
     def contract(self, cluster_edges) -> Clustering:
         """This partition with the clusters of each (cid1, cid2) edge merged;
         every endpoint must be one of its cluster ids.
@@ -107,13 +115,8 @@ class Clustering:
             if len(cids) > 1:
                 members[r] = tuple(sorted(itertools.chain.from_iterable(map(members.pop, cids))))
                 level[r] = max(map(level.pop, cids))
-        out = object.__new__(Clustering)
         a = self.assignment
-        out.assignment = tuple(map(root.get, a, a))
-        out.members = members
-        out.cluster_ids = tuple(sorted(members))
-        out.cluster_level = level
-        return out
+        return Clustering.from_parts(tuple(map(root.get, a, a)), members, level)
 
 
 def _roots(edges) -> dict:
@@ -130,6 +133,8 @@ def contract_clustering(cl: Clustering, cluster_edges) -> tuple[int, ...]:
     merged. The union-find covers the edge endpoints only and a terminal whose
     cluster no edge touches keeps its id. Recorded edges need not be valid:
     the certifier compares the result with the partition it should give."""
+    if not cluster_edges:
+        return cl.assignment
     root = _roots(cluster_edges)
     a = cl.assignment
     return tuple(map(root.get, a, a))

@@ -6,9 +6,10 @@ exact: every connected component of an optimal forest touches whole pairs
 only (a terminal is in a component iff its mate is, since pairs must be
 connected), so the optimum equals the best pairs-partition with each group
 connected as cheaply as possible, and with all vertices being terminals the
-cheapest connector of a group is its MST. A subset DP over pair bitmasks
-(Dreyfus and Wagner, 1971) finds the best partition from the 2^k - 1 group
-MSTs in O(3^k) steps, and gives the optimum of every prefix on the way.
+cheapest connector of a group is its MST. One Prim run vectorized over the
+pair subsets gives the 2^k - 1 group MST costs, a subset DP over pair bitmasks
+(Dreyfus and Wagner, 1971) the best partition in O(3^k) steps and the optimum
+of every prefix on the way, and prim_mst the edges of the chosen groups.
 
 The offline-gluttonous forest spans the algorithm's own hierarchy of every
 prefix. It reads them from the online run's states as each arrival lands,
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from .clustering import (  # noqa: F401 (build_hierarchy is in perfbench/spans.py's table)
     ContractedMetric,
     active_virtual_edges,
@@ -28,9 +31,10 @@ from .clustering import (  # noqa: F401 (build_hierarchy is in perfbench/spans.p
 )
 from .errors import ConfigError, OracleLimitError
 from .forest import recourse_diff, select_spanning_forest
-from .metric import Instance, InstanceView
+from .metric import MAX_DIST, Instance, InstanceView
 
 DEFAULT_ORACLE_LIMIT = 9
+MST_BLOCK = 2048  # pair subsets per vectorized Prim run, so memory is O(MST_BLOCK k)
 
 
 def prim_mst(d, terminals):
@@ -62,6 +66,30 @@ def _pairs(mask):
     return [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
+def _subset_mst_costs(dist):
+    """MST cost of every pair subset G = 0 .. 2^t - 1 of terminals 0 .. 2t - 1:
+    Prim on MST_BLOCK subsets at once, one numpy row each. `pen` is 0 at the
+    vertices a subset's tree still lacks and the sentinel MAX_DIST + 1
+    elsewhere, so a finished row picks the sentinel, counted 0. Each cost is
+    summed in Python ints, as 2t - 1 edges can sum past int64."""
+    d = np.asarray(dist, dtype=np.int64)
+    T, out = len(d), MAX_DIST + 1
+    costs = [0]
+    for lo in range(1, 1 << (T // 2), MST_BLOCK):
+        G = np.arange(lo, min(lo + MST_BLOCK, 1 << (T // 2)))
+        rows = np.arange(len(G))
+        pen = np.where((G[:, None] >> np.arange(T) // 2) & 1, 0, out)
+        j = pen.argmin(axis=1)  # each subset's least vertex, the root of its tree
+        key, steps = np.full(pen.shape, out), []
+        for _ in range(T - 1):
+            pen[rows, j] = out
+            key = np.maximum(np.minimum(key, d[j]), pen)
+            j = key.argmin(axis=1)
+            steps.append(np.where(key[rows, j] == out, 0, key[rows, j]))
+        costs.extend(map(sum, np.array(steps).T.tolist()))
+    return costs
+
+
 def _growth_string(S, G, sub):
     """Restricted-growth string of the partition {G} + `sub`'s of S, G ∋ min(S).
 
@@ -91,9 +119,7 @@ def exact_optimum(view: InstanceView, limit: int = DEFAULT_ORACLE_LIMIT) -> Opti
         raise OracleLimitError(f"{t} pairs exceed the oracle limit of {limit}")
     d = view.dist_matrix().tolist()  # Python ints, so no sum wraps
     full = (1 << t) - 1
-    msts = [(0, frozenset())] + [prim_mst(d, [x for p in _pairs(G) for x in (2 * p, 2 * p + 1)])
-                                 for G in range(1, full + 1)]
-    mst = [c for c, _ in msts]
+    mst = _subset_mst_costs(d)
 
     # f(S) = min over G ∋ min(S) of mst(G) + f(S - G), on (cost, growth string).
     cost = [0] * (full + 1)
@@ -121,7 +147,8 @@ def exact_optimum(view: InstanceView, limit: int = DEFAULT_ORACLE_LIMIT) -> Opti
     while S:
         groups.append(choice[S])
         S ^= choice[S]
-    forest = frozenset().union(*(msts[G][1] for G in groups))
+    forest = frozenset().union(*(prim_mst(d, [x for p in _pairs(G) for x in (2 * p, 2 * p + 1)])[1]
+                                 for G in groups))
     prefix = tuple(cost[(1 << s) - 1] for s in range(1, t + 1))
     return OptimumResult(cost[full], tuple(tuple(_pairs(G)) for G in groups), forest, prefix)
 

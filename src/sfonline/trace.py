@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import os
 
@@ -199,18 +200,20 @@ def save_trace(trace: RunTrace, dirpath) -> None:
 
 
 def _clustering_from_members(view, member_lists, levels):
+    """A stored level's clustering, in one pass; ValueError unless its integer
+    member lists are nonempty and partition the arrived terminals."""
     T = view.num_terminals
-    assignment = [None] * T
-    for ms in member_lists:
-        cid = min(ms)
+    lists = sorted(map(sorted, member_lists))  # a cluster's id is its least member
+    if [] in lists or sorted(itertools.chain(*lists)) != list(range(T)):
+        raise ValueError("cluster member lists do not partition the arrived terminals")
+    assignment, level = [0] * T, {}
+    for ms in lists:
+        top = 0
         for k in ms:
-            if not 0 <= k < T or assignment[k] is not None:
-                raise ValueError(f"cluster member {k} invalid or repeated")
-        for k in ms:
-            assignment[k] = cid
-    if any(a is None for a in assignment):
-        raise ValueError("clustering does not cover all arrived terminals")
-    return Clustering(tuple(assignment), levels)
+            assignment[k] = ms[0]
+            top = levels[k] if levels[k] > top else top
+        level[ms[0]] = top
+    return Clustering.from_parts(tuple(assignment), {ms[0]: tuple(ms) for ms in lists}, level)
 
 
 def _hierarchy_from_payload(view, payload, levels) -> Hierarchy:
@@ -223,10 +226,8 @@ def _hierarchy_from_payload(view, payload, levels) -> Hierarchy:
     # A level whose member lists repeat the previous level's shares its object.
     clusterings = []
     for i, member_lists in enumerate(stored):
-        if i and member_lists == stored[i - 1]:
-            clusterings.append(clusterings[-1])
-        else:
-            clusterings.append(_clustering_from_members(view, member_lists, levels))
+        clusterings.append(clusterings[-1] if i and member_lists == stored[i - 1]
+                           else _clustering_from_members(view, member_lists, levels))
     return Hierarchy(L, tuple(clusterings))
 
 
@@ -277,6 +278,10 @@ def _malformed(path):
 def _outcome_from_payload(instance, t, payload) -> ArrivalOutcome:
     view = instance.view(t)
     levels = terminal_levels(view)
+    # JSON true and 1.0 equal 1, so members are type-checked before levels are compared.
+    member_lists = itertools.chain(*payload["clusterings"], *payload["cinh"].values())
+    if set(map(type, itertools.chain.from_iterable(member_lists))) - {int}:
+        raise TypeError("cluster members must be integers")
     hier = _hierarchy_from_payload(view, payload, levels)
     # Level keys are canonical: "7" names level 7, "07" and "+7" name none.
     level_of = {str(i): i for i in range(hier.L + 1)}

@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfonline import oracles
 from sfonline.clustering import ContractedMetric, build_hierarchy, cluster_distance
 from sfonline.errors import OracleLimitError
 from sfonline.forest import select_spanning_forest
-from sfonline.metric import MAX_DIST, GeneratorSpec, Instance, generate_instance
+from sfonline.metric import GENERATOR_KINDS, MAX_DIST, GeneratorSpec, Instance, generate_instance
 from sfonline.oracles import (
     GreedyOnlineState,
     OfflineForestResult,
@@ -142,6 +144,42 @@ def test_subset_dp_matches_enumeration(kind, scale):
             assert (res.cost, res.partition, res.forest) == (cost, partition, forest), (seed, t)
             assert res.prefix_costs == tuple(costs) + (cost,)
             costs.append(cost)
+
+
+def prim_subset_mst_costs(dist):
+    """Reference for `_subset_mst_costs`: one `prim_mst` call per pair subset."""
+    d = np.asarray(dist).tolist()
+    t = len(d) // 2
+    return [0] + [prim_mst(d, [x for p in range(t) if G >> p & 1 for x in (2 * p, 2 * p + 1)])[0]
+                  for G in range(1, 1 << t)]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(GENERATOR_KINDS), scale=st.sampled_from([1, 2, 3, 1000]),
+       seed=st.integers(0, 10**6), t=st.integers(1, 9))
+def test_subset_mst_costs_match_prim_mst(kind, scale, seed, t):
+    # Scales 1 to 3 make most distances equal, so Prim's ties come up often.
+    dist = generate_instance(GeneratorSpec(kind=kind, n=t, seed=seed, scale=scale)).dist
+    assert oracles._subset_mst_costs(dist) == prim_subset_mst_costs(dist)
+
+
+def _uniform_max_dist(T):
+    dist = np.full((T, T), MAX_DIST, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    return dist
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 64])
+def test_subset_mst_costs_across_block_boundaries(monkeypatch, block):
+    # 2^7 - 1 and 2^9 - 1 subsets split unevenly into these blocks; the
+    # uniform MAX_DIST metric has trees whose cost passes 2^63.
+    cases = [generate_instance(GeneratorSpec(kind="random-metric", n=7, seed=2, scale=3)).dist,
+             _uniform_max_dist(18)]
+    want = [oracles._subset_mst_costs(dist) for dist in cases]
+    monkeypatch.setattr(oracles, "MST_BLOCK", block)
+    for dist, costs in zip(cases, want):
+        assert oracles._subset_mst_costs(dist) == costs == prim_subset_mst_costs(dist)
+    assert max(want[1]) == 17 * MAX_DIST
 
 
 def test_prim_mst_on_line():

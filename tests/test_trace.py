@@ -1,4 +1,5 @@
 import json
+import operator
 import os
 
 import pytest
@@ -15,7 +16,7 @@ from sfonline.clustering import (
 )
 from sfonline.cli import main
 from sfonline.errors import FormatError
-from sfonline.metric import GeneratorSpec, generate_instance
+from sfonline.metric import GENERATOR_KINDS, GeneratorSpec, generate_instance
 from sfonline.trace import load_trace, run_online, save_trace
 
 from conftest import line_instance
@@ -71,6 +72,18 @@ def test_trace_roundtrip(tmp_path, w1):
     assert reused and fresh
     assert sorted(os.listdir(tmp_path / "w1")) == [
         "arrival_0001.json", "arrival_0002.json", "instance.sfo", "meta.json"]
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_loaded_clusterings_equal_the_runs(tmp_path, kind):
+    trace = run_online(generate_instance(GeneratorSpec(kind=kind, n=12, seed=3)), lam=2)
+    save_trace(trace, tmp_path / "t")
+    fields = operator.attrgetter("assignment", "members", "cluster_ids", "cluster_level")
+    for run, loaded in zip(trace.arrivals, load_trace(tmp_path / "t").arrivals, strict=True):
+        assert ([fields(cl) for cl in loaded.hierarchy.clusterings]
+                == [fields(cl) for cl in run.hierarchy.clusterings])
+        assert ({i: fields(cl) for i, cl in loaded.cinh.items()}
+                == {i: fields(cl) for i, cl in run.cinh.items()})
 
 
 def test_load_trace_builds_no_contracted_metric(tmp_path, monkeypatch):
