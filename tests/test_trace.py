@@ -322,12 +322,14 @@ MEMBER_TAMPERINGS = {
     "member-null": (("clusterings", 0, 1), [None]),
     "member-list-int": (("clusterings", 0, 1), 1),
     "member-list-empty": (("clusterings", 9, 1), []),
+    "member-list-extra-empty": (("clusterings", 0), [[0], [1], [2], [3], []]),
     "member-repeated": (("clusterings", 9, 0), [0, 1]),
     "member-out-of-range": (("clusterings", 0, 3), [4]),
     "member-negative": (("clusterings", 0, 3), [-1]),
     "cinh-member-true": (("cinh", "0", 1), [True]),
     "cinh-member-float": (("cinh", "0", 1), [1.0]),
     "cinh-member-list-empty": (("cinh", "9", 0), []),
+    "cinh-member-list-extra-empty": (("cinh", "9"), [[], [0, 1, 2, 3]]),
 }
 
 
