@@ -313,11 +313,10 @@ class CertReport:
 
     def to_csv(self) -> str:
         rows = ["check,level,arrival,status,value"]
-        for e in self.entries:
-            lv = "" if e.level is None else str(e.level)
-            ar = "" if e.arrival is None else str(e.arrival)
-            val = e.value.replace(",", ";")
-            rows.append(f"{e.check},{lv},{ar},{e.status},{val}")
+        for check, level, arrival, status, value in self.entries:
+            lv = "" if level is None else str(level)
+            ar = "" if arrival is None else str(arrival)
+            rows.append(f"{check},{lv},{ar},{status},{value.replace(',', ';')}")
         return "\n".join(rows) + "\n"
 
     def summary_text(self) -> str:
