@@ -250,6 +250,33 @@ def test_advance_catches_a_dropped_forest_edge(monkeypatch, w1):
         run_online(w1, lam=1)
 
 
+def test_advance_speaks_the_certifiers_phrases(monkeypatch):
+    # The fault of test_trace.py's "forest-edge-dropped" tampering, made in
+    # the run: arrival 4 of euclidean n=4, lambda=2, seed 1 loses its greatest
+    # level-7 forest edge. advance names it as certify.csv does.
+    real_build, real_select = forest.build_hierarchy, forest.select_spanning_forest
+    levels = []  # per arrival, the levels whose forest is selected so far
+
+    def build(*args):
+        levels.append(0)
+        return real_build(*args)
+
+    def select(*args):
+        f_inh, f_rest = real_select(*args)
+        levels[-1] += 1
+        if (len(levels), levels[-1] - 1) != (4, 7):
+            return f_inh, f_rest
+        top = max(f_inh + f_rest)
+        return [e for e in f_inh if e != top], [e for e in f_rest if e != top]
+
+    monkeypatch.setattr(forest, "build_hierarchy", build)
+    monkeypatch.setattr(forest, "select_spanning_forest", select)
+    with pytest.raises(AssertionError) as err:
+        run_online(generate_instance(GeneratorSpec(kind="euclidean", n=4, seed=1)), lam=2)
+    assert "forest-contracts-to-next: terminal 7 in 7 want 3" in str(err.value)
+    assert "count-identity-forest: |F_i|=2 |C_i|-|C_i+1|=3" in str(err.value)
+
+
 def test_advance_catches_a_repeated_forest_edge(monkeypatch, w1):
     _patched(monkeypatch, "select_spanning_forest", lambda f: (f[0], f[1] + f[1][:1]))
     with pytest.raises(AssertionError, match="^forest size identity broken"):
