@@ -104,7 +104,7 @@ def build_dual_witness(trace, i: int) -> WitnessState:
     inst = trace.instance
     lv = terminal_levels(inst.view(inst.n))
     # Distances stay below 2^62, so clamping 2r = 2^i there keeps d < 2r exact.
-    two_r = min(1 << i, 1 << 62)
+    two_r = level_threshold(i - 1)
 
     xhat: set = set()
     x: set = set()
@@ -365,7 +365,7 @@ def _moved(got, want):
     return f"terminal {k} in {got[k]} want {want[k]}"
 
 
-def _split(fine, coarse):
+def refinement_fault(fine, coarse):
     """"" when `fine` refines `coarse`, else the first terminal whose fine
     cluster the coarse clustering splits."""
     if check_refinement(fine, coarse):
@@ -373,6 +373,25 @@ def _split(fine, coarse):
     c = coarse.assignment
     k = next(k for k, f in enumerate(fine.assignment) if c[f] != c[k])
     return f"fine cluster {fine.assignment[k]} split at terminal {k}"
+
+
+def forest_faults(cl, cl_next, cinh, edges, inherited):
+    """Level i's forest facts as {check: phrase}, "" where one holds, in
+    certify.csv row order: `edges` contract `cl` to `cl_next` with one edge per
+    merge, and (unless `cinh` is None) their sub-list `inherited` to `cinh`."""
+    got = contract_clustering(cl, edges)
+    merged = len(cl.cluster_ids) - len(cl_next.cluster_ids)
+    faults = {"forest-contracts-to-next": _moved(got, cl_next.assignment),
+              "count-identity-forest": "" if len(edges) == merged
+              else f"|F_i|={len(edges)} |C_i|-|C_i+1|={merged}"}
+    if cinh is not None:
+        merged = len(cl.cluster_ids) - len(cinh.cluster_ids)
+        faults["count-identity-inherited"] = "" if len(inherited) == merged else (
+            f"|F_inh|={len(inherited)} |C_i|-|C_inh|={merged}")
+        if len(inherited) != len(edges):  # else the sub-list is `edges` itself
+            got = contract_clustering(cl, inherited)
+        faults["cinh-matches-forest"] = _moved(got, cinh.assignment)
+    return faults
 
 
 def _pin_ledger_errors(out, prev_out):
@@ -455,12 +474,12 @@ def _structural_pass(trace, add):
         metrics = tuple(level_metrics(view.dist_matrix(), hier.clusterings, prev_metrics))
         prev_metrics = (hier.clusterings, metrics)
         # Levels share clustering objects: test each (fine, coarse) pair once.
-        split = functools.cache(_split)
+        split = functools.cache(refinement_fault)
         for i, m in zip(range(hier.L + 1), metrics):
             cl = hier.clustering(i)
             cl_next = hier.clustering(i + 1)
             h_edges, gap = active_virtual_edges(m.D, m.ids, cl.cluster_level, i)
-            floor = min(1 << i, 1 << 62)
+            floor = level_threshold(i - 1)
             add("active-cluster-gap", i, t, gap >= floor,
                 f"gap={gap} 2^i={floor}" if gap < floor else "")
 
@@ -484,28 +503,20 @@ def _structural_pass(trace, add):
                     break
             add("virtual-edge-valid", i, t, not bad_edge, bad_edge)
 
-            wrong = [_moved(contract_clustering(cl, [ve.endpoints for ve in fi]),
-                            cl_next.assignment)]
+            cinh_i = out.cinh.get(i)
+            faults = forest_faults(cl, cl_next, cinh_i, [ve.endpoints for ve in fi],
+                                   [ve.endpoints for ve in finh])
             # C_{i+1} must merge every edge of H_i, not only the forest's.
             nxt = cl_next.assignment
             unmerged = next(((a, b) for a, b in h_edges if nxt[a] != nxt[b]), None)
             if unmerged is not None:
                 a, b = unmerged
-                wrong.append(f"unmerged H_i edge {_edge_str(unmerged)} "
-                             f"at distance {int(m.D[m.ids.index(a), m.ids.index(b)])}")
-            wrong = " ".join(filter(None, wrong))
-            add("forest-contracts-to-next", i, t, not wrong, wrong)
-            merged = len(cl.cluster_ids) - len(cl_next.cluster_ids)
-            add("count-identity-forest", i, t, len(fi) == merged,
-                f"|F_i|={len(fi)} |C_i|-|C_i+1|={merged}" if len(fi) != merged else "")
-            cinh_i = out.cinh.get(i)
-            if cinh_i is not None:
-                merged = len(cl.cluster_ids) - len(cinh_i.cluster_ids)
-                add("count-identity-inherited", i, t, len(finh) == merged,
-                    f"|F_inh|={len(finh)} |C_i|-|C_inh|={merged}" if len(finh) != merged else "")
-                moved = _moved(contract_clustering(cl, [ve.endpoints for ve in finh]),
-                               cinh_i.assignment)
-                add("cinh-matches-forest", i, t, not moved, moved)
+                faults["forest-contracts-to-next"] = " ".join(filter(None, (
+                    faults["forest-contracts-to-next"],
+                    f"unmerged H_i edge {_edge_str(unmerged)} "
+                    f"at distance {int(m.D[m.ids.index(a), m.ids.index(b)])}")))
+            for check, phrase in faults.items():
+                add(check, i, t, not phrase, phrase)
 
             over_budget = unjoined = ""
             # Clusters joined by the pins, shared by every edge of the level.

@@ -450,7 +450,7 @@ def build_hierarchy(view: InstanceView, prev=None):
         edges, gap = active_virtual_edges(metric.D, metric.ids, cl.cluster_level, i)
         # Distinct i-active clusters must sit at contracted distance >= 2^i:
         # level i-1 already merged anything closer.
-        if gap < min(1 << i, 1 << 62):
+        if gap < level_threshold(i - 1):
             raise AssertionError(f"active clusters too close at level {i} (internal bug)")
 
         vgraphs.append(edges)

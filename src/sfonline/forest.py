@@ -11,30 +11,28 @@ pinned permanently; paths shorter than lambda edges accumulate in a buffer
 that pins its single cheapest edge once it reaches lambda entries.
 
 All iteration orders are canonical (levels ascending, edges by endpoint ids)
-so a rerun reproduces every snapshot and ledger row exactly.
+so a rerun reproduces every snapshot and ledger row exactly. Each level asserts
+the certifier's forest facts, and an AssertionError names the certify.csv check.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from .clustering import (
+from .certify import check_feasible, forest_faults, refinement_fault
+from .clustering import (  # noqa: F401 (contract_clustering is in perfbench/spans.py's table)
     Clustering,
     Hierarchy,
     build_hierarchy,
-    check_refinement,
     cluster_distance,
     contract_clustering,
+    level_threshold,
 )
 from .errors import ConfigError
-from .metric import Instance, InstanceView
+from .metric import Instance
 from .unionfind import UnionFind
 
 Edge = tuple  # (a, b) terminal ids, a < b
-
-
-def edge_cost(view: InstanceView, e: Edge) -> int:
-    return view.d(e[0], e[1])
 
 
 def recourse_diff(prev, now) -> tuple[int, int]:
@@ -198,26 +196,24 @@ def pin_and_realize(view, hier, metrics, pending, pinned, lam, t):
         eorig = frozenset(path.edges)
         ve.eorig = eorig
         ve.created_at = t
-        if path.distance > 1 << (ve.level + 1):
+        if path.distance > level_threshold(ve.level):
             raise AssertionError("realized path exceeds the level budget (internal bug)")
         if len(eorig) >= lam:
             take = len(eorig) // lam
-            chosen = sorted(eorig, key=lambda e: (edge_cost(view, e), e))[:take]
+            chosen = sorted(eorig, key=lambda e: (view.d(*e), e))[:take]
             for e in chosen:
                 pinned.add(e, t)
             events.append(PinEvent("batch", ve.level, tuple(chosen),
-                                   sum(edge_cost(view, e) for e in chosen), len(eorig)))
+                                   sum(view.d(*e) for e in chosen), len(eorig)))
             buffer.clear()
         else:
             buffer.extend(sorted(eorig))
             if len(buffer) > 2 * lam:
                 raise AssertionError("buffer exceeded its momentary 2*lambda bound (internal bug)")
             if len(buffer) >= lam:
-                e = min(buffer, key=lambda e: (edge_cost(view, e), e))
-                size_at_pin = len(buffer)
+                e = min(buffer, key=lambda e: (view.d(*e), e))
                 pinned.add(e, t)
-                events.append(PinEvent("single", ve.level, (e,),
-                                       edge_cost(view, e), size_at_pin))
+                events.append(PinEvent("single", ve.level, (e,), view.d(*e), len(buffer)))
                 buffer.clear()
     if len(buffer) >= lam:
         raise AssertionError("buffer not drained at end of arrival (internal bug)")
@@ -271,24 +267,21 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
 
         # C_inh is C_i when no forest edge is inherited and C_{i+1} when all are.
         cinh_i = cl_i if not f_inh else cl_next if not f_rest else cl_i.contract(f_inh)
-        if contract_clustering(cl_i, f_inh + f_rest) != cl_next.assignment:
-            raise AssertionError("forest contraction disagrees with hierarchy (internal bug)")
-        if len(f_inh) + len(f_rest) != len(cl_i.cluster_ids) - len(cl_next.cluster_ids):
-            raise AssertionError("forest size identity broken (internal bug)")
-        if len(f_inh) != len(cl_i.cluster_ids) - len(cinh_i.cluster_ids):
-            raise AssertionError("inherited forest size identity broken (internal bug)")
+        faults = forest_faults(cl_i, cl_next, cinh_i, f_inh + f_rest, f_inh)
         # C_inh contracts part of a forest whose full contraction is C_{i+1},
         # so this also proves that the previous C_{i+1} refines C_{i+1}, as
         # level i + 1's inheritance needs. When C_inh is C_{i+1} of a merging
         # level, build_hierarchy has tested that same pair.
-        if prev is not None and (f_rest or not f_inh) and not check_refinement(
-                prev.hierarchy.clustering(i + 1), cinh_i):
-            raise AssertionError("previous C_{i+1} does not refine C_inh (internal bug)")
+        if prev is not None and (f_rest or not f_inh):
+            faults["refine-into-inherited"] = refinement_fault(
+                prev.hierarchy.clustering(i + 1), cinh_i)
+        wrong = "; ".join(f"{check}: {phrase}" for check, phrase in faults.items() if phrase)
+        if wrong:
+            raise AssertionError(f"{wrong} (internal bug)")
 
-        inh_set = set(f_inh)
         entries = []
         for e in sorted(f_inh + f_rest):
-            if e in inh_set:
+            if e in parents:  # f_rest holds no inheritable image
                 pe = parents[e]
                 entries.append(VirtualEdge(i, e[0], e[1], True, pe.endpoints,
                                            pe.eorig, pe.created_at))
@@ -307,19 +300,15 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
     cost_ff = 0
     for entries in forest.values():
         for ve in entries:
-            cost_ff += sum(edge_cost(view, e) for e in ve.eorig)
+            cost_ff += sum(view.d(*e) for e in ve.eorig)
             F.update(ve.eorig)
     F = frozenset(F)
 
-    uf = UnionFind(range(view.num_terminals))
-    for a, b in F:
-        uf.union(a, b)
-    for u, v in view.demands:
-        if not uf.connected(u, v):
-            raise AssertionError("snapshot infeasible (internal bug)")
+    if not check_feasible(F, view.demands):
+        raise AssertionError("snapshot infeasible (internal bug)")
 
-    cost_f = sum(edge_cost(view, e) for e in F)
-    cost_a = sum(edge_cost(view, e) for e in state.pinned.edges())
+    cost_f = sum(view.d(*e) for e in F)
+    cost_a = sum(view.d(*e) for e in state.pinned.edges())
     ins, dels = recourse_diff(() if prev is None else prev.snapshot.edges, F)
     snapshot = Snapshot(F, cost_f)
     entry = ArrivalLedger(ins, dels, pins_added, tuple(events), buffer_end)

@@ -305,7 +305,7 @@ def _outcome_from_payload(instance, t, payload) -> ArrivalOutcome:
     cinh = {}
     for key, member_lists in payload["cinh"].items():
         i = _level(level_of, key)
-        same = [j for j in (i, i + 1) if 0 <= j <= hier.L + 1 and stored[j] == member_lists]
+        same = [j for j in (i, i + 1) if stored[j] == member_lists]
         cinh[i] = (hier.clusterings[same[0]] if same
                    else _clustering_from_members(view, member_lists, levels))
     pinned_after = tuple((_edge(e), _int(pt)) for e, pt in payload["pinned"])

@@ -246,7 +246,7 @@ def _patched(monkeypatch, name, fault):
 def test_advance_catches_a_dropped_forest_edge(monkeypatch, w1):
     _patched(monkeypatch, "select_spanning_forest",
              lambda f: (f[0], f[1][:-1]) if f[1] else (f[0][:-1], f[1]))
-    with pytest.raises(AssertionError, match="forest contraction disagrees with hierarchy"):
+    with pytest.raises(AssertionError, match="forest-contracts-to-next: terminal "):
         run_online(w1, lam=1)
 
 
@@ -279,7 +279,7 @@ def test_advance_speaks_the_certifiers_phrases(monkeypatch):
 
 def test_advance_catches_a_repeated_forest_edge(monkeypatch, w1):
     _patched(monkeypatch, "select_spanning_forest", lambda f: (f[0], f[1] + f[1][:1]))
-    with pytest.raises(AssertionError, match="^forest size identity broken"):
+    with pytest.raises(AssertionError, match=r"^count-identity-forest: \|F_i\|="):
         run_online(w1, lam=1)
 
 
@@ -299,7 +299,7 @@ def test_advance_catches_a_wrong_inherited_clustering(monkeypatch):
     monkeypatch.setattr(forest, "build_hierarchy", build)
     monkeypatch.setattr(Clustering, "contract",
                         lambda cl, edges: real_contract(cl, list(edges)[:-1] if built else edges))
-    with pytest.raises(AssertionError, match="inherited forest size identity broken"):
+    with pytest.raises(AssertionError, match=r"count-identity-inherited: \|F_inh\|="):
         run_online(chain5(), lam=2)
 
 
@@ -307,7 +307,7 @@ def test_advance_catches_a_previous_level_that_does_not_refine_cinh(monkeypatch,
     # Treating w1's inherited level-0 edge as fresh leaves C_inh = C_0, which
     # the previous C_1 = {0, 1} does not refine.
     _patched(monkeypatch, "select_spanning_forest", lambda f: (f[0][1:], f[1] + f[0][:1]))
-    with pytest.raises(AssertionError, match=r"previous C_\{i\+1\} does not refine C_inh"):
+    with pytest.raises(AssertionError, match="refine-into-inherited: fine cluster "):
         run_online(w1, lam=1)
 
 
