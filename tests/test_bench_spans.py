@@ -6,8 +6,7 @@ import ast
 import importlib.util
 import pathlib
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-SPANS = ROOT / "perfbench" / "spans.py"
+SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def test_benchmark_entry_points_resolve():
@@ -25,7 +24,7 @@ def test_every_unused_import_is_a_benchmark_entry_point():
     spec.loader.exec_module(spans)
     wrapped = {(module, name) for module, name, _, _ in spans.ENTRY_POINTS}
     unused = []
-    for path in sorted((ROOT / "src" / "sfonline").glob("*.py")):
+    for path in sorted((SPANS.parents[1] / "src" / "sfonline").glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
