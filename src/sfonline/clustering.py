@@ -8,13 +8,13 @@ whose edges join active clusters at contracted distance strictly below
 length so there is no floating point anywhere.
 
 Contracted distances are carried incrementally, never rebuilt. Merging
-clusters is adding zero-weight edges, so a merge reduces the closed metric
-group-wise and runs one Floyd-Warshall pivot per merged group
-(ContractedMetric.merge). Across arrivals, the previous arrival's level-i
-clustering refines this arrival's level i (the invariant the recourse
-analysis rests on), so a level's metric is the previous arrival's, extended
-by the two new terminals as singletons and then coarsened. A full
-Floyd-Warshall runs on no path.
+clusters is adding zero-weight edges, so a merge folds each merged group's
+rows and columns into its root's by minimum and runs one Floyd-Warshall
+pivot per merged group (ContractedMetric._fold). Across arrivals, the
+previous arrival's level-i clustering refines this arrival's level i (the
+invariant the recourse analysis rests on), so a level's metric is the
+previous arrival's, extended by the two new terminals as singletons and
+then coarsened. A full Floyd-Warshall runs on no path.
 
 A Clustering is a plain partition with no level label. Most levels merge
 nothing and share their predecessor's object. A level that merges is
@@ -157,14 +157,15 @@ class ContractedMetric:
     `ids` are the cluster ids (minimum member terminal) in ascending order,
     `W` the one-hop super-edge weights (minimum original distance between
     members, zero diagonal) and `D` their closure. Contracting clusters is
-    adding zero-weight edges, so a closed D is updated exactly by pivoting
-    on the merged groups only, O(K^2) per merged group (Ausiello, Italiano,
-    Marchetti-Spaccamela and Nanni, "Incremental algorithms for minimal
-    length paths", J. Algorithms 1991). Appending terminals as singletons
-    costs O(K^2) per terminal and leaves the old entries as they are
-    (vertex insertion; Demetrescu and Italiano, "A new approach to dynamic
-    all pairs shortest paths", J. ACM 2004). W and D are never written
-    after construction, so metrics share arrays.
+    adding zero-weight edges: each merged group's rows and columns fold into
+    its root's by minimum, and pivots on the merged groups alone, O(K^2)
+    each, then close D exactly (Ausiello, Italiano, Marchetti-Spaccamela and
+    Nanni, "Incremental algorithms for minimal length paths", J. Algorithms
+    1991). Appending terminals as singletons costs O(K^2) per terminal and
+    leaves the old entries as they are (vertex insertion; Demetrescu and
+    Italiano, "A new approach to dynamic all pairs shortest paths", J. ACM
+    2004). W and D are never written after construction, so metrics share
+    arrays.
     """
 
     ids: tuple[int, ...]
@@ -183,34 +184,41 @@ class ContractedMetric:
         return cls.trivial(dist).coarsen(assignment)
 
     def coarsen(self, assignment):
-        """Metric of a canonical clustering that this one refines."""
-        return self.merge((c, assignment[c]) for c in self.ids if assignment[c] != c)
+        """Metric of a canonical clustering that this one refines: id c folds into assignment[c]."""
+        return self._fold([(c, assignment[c]) for c in self.ids if assignment[c] != c])
 
     def merge(self, pairs):
-        """Metric after joining the two clusters of every (id, id) pair.
+        """Metric after joining the two clusters of every (id, id) pair."""
+        return self._fold([(c, r) for c, r in _roots(pairs).items() if c != r])
 
-        D is reduced to its group-wise minimum like W, then closed by one
-        Floyd-Warshall pivot per merged group. Pivots on unmerged clusters
-        are not needed: D is closed, so a path through one never beats the
-        direct entry (triangle inequality).
-        """
-        roots = _roots(pairs)
-        if all(map(operator.eq, roots, roots.values())):
+    def _fold(self, moves):
+        """Metric with each (id, root id) move's cluster folded into its root's:
+        moved rows first, then moved columns, so an entry between two roots is
+        the minimum over both groups' members. A pivot per merged group closes
+        D; unmerged clusters need none, as a path through one never beats the
+        direct entry (D is closed). With no move it is this metric."""
+        if not moves:
             return self
-        pos = dict(zip(self.ids, range(len(self.ids))))
-        # The root of a group is its smallest id, so groups sorted by root
-        # position come out in canonical order.
-        root = np.arange(len(self.ids))
-        for c, r in roots.items():
-            root[pos[c]] = pos[r]
-        keep = np.flatnonzero(root == np.arange(len(root)))
-        order = np.argsort(root, kind="stable")
-        starts = np.searchsorted(root[order], keep)
-        W, D = (_reduce_groups(M, order, starts) for M in (self.W, self.D))
+        ids, K = self.ids, len(self.ids)
+        pos = dict(zip(ids, range(K)))
+        src = np.array([pos[c] for c, _ in moves])
+        kept = np.bincount(src, minlength=K) == 0
+        keep = kept.nonzero()[0]
+        root = keep.searchsorted([pos[r] for _, r in moves])  # position after the drop
+        # Flat indices (into K' x K, then K' x K') keep minimum.at on its 1-D fast path.
+        rows = (root[:, None] * K + np.arange(K)).ravel()
+        cols = (np.arange(0, len(keep) ** 2, len(keep))[:, None] + root).ravel()
+        folded = []
+        for M in (self.W, self.D):
+            A = M.take(keep, axis=0)
+            np.minimum.at(A.reshape(-1), rows, M.take(src, axis=0).reshape(-1))
+            folded.append(A.take(keep, axis=1))
+            np.minimum.at(folded[-1].reshape(-1), cols, A.take(src, axis=1).reshape(-1))
+        W, D = folded
         # Entries are <= MAX_DIST, so a sum of two fits in int64.
-        for g in np.flatnonzero(np.diff(starts, append=len(root)) > 1):
+        for g in set(root.tolist()):
             np.minimum(D, D[:, g, None] + D[g], out=D)
-        return ContractedMetric(tuple(self.ids[k] for k in keep), W, D)
+        return ContractedMetric(tuple(itertools.compress(ids, kept.tolist())), W, D)
 
     def extend(self, dist, assignment):
         """Metric of the same clustering with the terminals past `assignment`
@@ -245,13 +253,6 @@ def _bordered(M, rows, corner):
     out[:K, K:] = rows.T
     out[K:, K:] = corner
     return out
-
-
-def _reduce_groups(M, order, starts):
-    """Group-wise minimum of a square matrix: groups are the runs of `order`
-    beginning at `starts`."""
-    M = np.minimum.reduceat(M[order], starts, axis=0)
-    return np.minimum.reduceat(M[:, order], starts, axis=1)
 
 
 def _carried(dist, prev, i, cl, extended):

@@ -24,7 +24,13 @@ from sfonline.clustering import (
 )
 from sfonline.errors import ConfigError
 from sfonline.forest import OnlineState, advance
-from sfonline.metric import GENERATOR_KINDS, MAX_DIST, GeneratorSpec, generate_instance
+from sfonline.metric import (
+    GENERATOR_KINDS,
+    MAX_DIST,
+    GeneratorSpec,
+    generate_instance,
+    validate_metric,
+)
 from sfonline.unionfind import UnionFind
 
 from conftest import line_instance
@@ -611,6 +617,71 @@ def test_contract_matches_a_clustering_built_from_scratch(case):
     assert got.members == want.members
     assert got.cluster_level == want.cluster_level
     assert contract_clustering(Clustering(assignment, levels), edges) == want.assignment
+
+
+@st.composite
+def merge_batches(draw):
+    """(dist, assignment, pairs): a generated metric, a clustering of its
+    terminals and a shuffled batch of pairs between its cluster ids. The
+    pairs chain each drawn group in a drawn order (a-b, b-c), so groups have
+    many members, and add self-pairs, repeats and reversed pairs."""
+    spec = GeneratorSpec(kind=draw(st.sampled_from(GENERATOR_KINDS)), n=draw(st.integers(2, 8)),
+                         seed=draw(st.integers(0, 30)), scale=draw(st.sampled_from((3, 50, 1000))))
+    dist = generate_instance(spec).view(spec.n).dist_matrix()
+    T = len(dist)
+    labels = draw(st.lists(st.integers(0, T - 1), min_size=T, max_size=T))
+    first = {}
+    assignment = tuple(first.setdefault(lab, k) for k, lab in enumerate(labels))
+    cids = draw(st.permutations(sorted(set(assignment))))
+    group = draw(st.lists(st.integers(0, 3), min_size=len(cids), max_size=len(cids)))
+    pairs = []
+    for g in range(4):
+        chain = [c for c, h in zip(cids, group) if h == g]
+        pairs += zip(chain, chain[1:])
+    pairs += [(c, c) for c in draw(st.lists(st.sampled_from(cids), max_size=2))]
+    if pairs:
+        pairs += [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=3))]
+    return dist, assignment, draw(st.permutations(pairs))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(merge_batches())
+def test_merge_folds_a_batch_like_the_reference_and_one_pair_at_a_time(case):
+    dist, assignment, pairs = case
+    metric = ContractedMetric.of(dist, assignment)
+    assert metric.coarsen(assignment) is metric
+    merged = metric.merge(pairs)
+    want = reference_contraction(assignment, pairs)
+    assert_matches_reference(merged, dist, want)
+    # One pair at a time, each endpoint named by its cluster's id so far.
+    one_by_one, current = metric, assignment
+    for a, b in pairs:
+        one_by_one = one_by_one.merge([(current[a], current[b])])
+        current = reference_contraction(current, [(current[a], current[b])])
+    assert one_by_one.ids == merged.ids
+    assert np.array_equal(one_by_one.W, merged.W)
+    assert np.array_equal(one_by_one.D, merged.D)
+    coarse = metric.coarsen(want)
+    assert coarse.ids == merged.ids and np.array_equal(coarse.D, merged.D)
+    assert (coarse is metric) == (want == assignment)
+
+
+def test_merge_of_two_groups_near_max_dist():
+    # Two sides at MAX_DIST from each other, a line inside each. Merging one
+    # group per side in one call pivots twice, and each pivot adds two
+    # MAX_DIST entries: 2^63 - 2, which must not wrap.
+    side = np.abs(np.array([0, 1, 3])[:, None] - np.array([0, 1, 3])[None])
+    dist = np.full((6, 6), MAX_DIST, dtype=np.int64)
+    dist[0::2, 0::2] = side
+    dist[1::2, 1::2] = side + side.T  # 0, 2, 6 apart
+    assert validate_metric(dist).ok
+    metric = ContractedMetric.trivial(dist)
+    for pairs in ([(0, 2), (1, 3)], [(4, 2), (5, 1), (3, 1)]):
+        merged = metric.merge(pairs)
+        want = reference_contraction(tuple(range(6)), pairs)
+        assert len(set(want)) == 4 - (len(pairs) == 3)
+        assert_matches_reference(merged, dist, want)
+        assert merged.D.min() >= 0 and merged.D.max() == MAX_DIST
 
 
 def reference_active_virtual_edges(D, ids, cluster_level, i):

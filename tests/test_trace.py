@@ -95,6 +95,7 @@ def test_load_trace_builds_no_contracted_metric(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ContractedMetric, "of", refuse)
     monkeypatch.setattr(ContractedMetric, "merge", refuse)
+    monkeypatch.setattr(ContractedMetric, "_fold", refuse)  # coarsen folds without merge
     assert len(load_trace(tmp_path / "t").arrivals) == inst.n
 
 
