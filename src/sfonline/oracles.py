@@ -122,25 +122,25 @@ def exact_optimum(view: InstanceView, limit: int = DEFAULT_ORACLE_LIMIT) -> Opti
     mst = _subset_mst_costs(d)
 
     # f(S) = min over G ∋ min(S) of mst(G) + f(S - G), on (cost, growth string).
-    cost = [0] * (full + 1)
-    choice = [0] * (full + 1)
-    rgs = [()] * (full + 1)
+    cost, choice, rgs = [0] * (full + 1), [0] * (full + 1), [()] * (full + 1)
     for S in range(1, full + 1):
         low = S & -S
         rest = S ^ low
-        best, best_g = mst[S], S
+        best, best_g, best_rgs = mst[S], S, None  # the incumbent's string, built at a tie
         sub = rest
         while sub:
             sub = (sub - 1) & rest
             G = sub | low
             c = mst[G] + cost[S ^ G]
             if c < best:
-                best, best_g = c, G
-            elif c == best and (_growth_string(S, G, rgs[S ^ G])
-                                < _growth_string(S, best_g, rgs[S ^ best_g])):
-                best_g = G
+                best, best_g, best_rgs = c, G, None
+            elif c == best:
+                best_rgs = best_rgs or _growth_string(S, best_g, rgs[S ^ best_g])
+                cand = _growth_string(S, G, rgs[S ^ G])
+                if cand < best_rgs:
+                    best_g, best_rgs = G, cand
         cost[S], choice[S] = best, best_g
-        rgs[S] = _growth_string(S, best_g, rgs[S ^ best_g])
+        rgs[S] = best_rgs or _growth_string(S, best_g, rgs[S ^ best_g])
 
     groups = []
     S = full
