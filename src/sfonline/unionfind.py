@@ -2,10 +2,8 @@
 
 
 class UnionFind:
-    def __init__(self, items=()):
+    def __init__(self):
         self.parent = {}
-        for x in items:
-            self.parent[x] = x
 
     def find(self, x):
         if x not in self.parent:

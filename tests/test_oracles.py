@@ -37,7 +37,7 @@ def brute_optimum_cost(view):
         cost = sum(view.d(a, b) for a, b in chosen)
         if best is not None and cost >= best:
             continue
-        uf = UnionFind(range(T))
+        uf = UnionFind()
         for a, b in chosen:
             uf.union(a, b)
         if all(uf.connected(u, v) for u, v in view.demands):
