@@ -7,14 +7,15 @@ whose edges join active clusters at contracted distance strictly below
 2^(i+1). A terminal's level is ceil(log2 dist(v, mate(v))), computed via bit
 length so there is no floating point anywhere.
 
-Contracted distances are carried incrementally, never rebuilt. Merging
-clusters is adding zero-weight edges, so a merge folds each merged group's
-rows and columns into its root's by minimum and runs one Floyd-Warshall
-pivot per merged group (ContractedMetric._fold). Across arrivals, the
-previous arrival's level-i clustering refines this arrival's level i (the
-invariant the recourse analysis rests on), so a level's metric is the
-previous arrival's, extended by the two new terminals as singletons and
-then coarsened. A full Floyd-Warshall runs on no path.
+Contracted distances are carried incrementally, never rebuilt, and a
+contracted metric is its distance closure alone: no one-hop weight matrix
+is kept. Merging clusters is adding zero-weight edges, so a merge folds
+each merged group's rows and columns into its root's by minimum and runs
+one Floyd-Warshall pivot per merged group (ContractedMetric._fold). Across
+arrivals, the previous arrival's level-i clustering refines this arrival's
+level i (the invariant the recourse analysis rests on), so a level's
+metric is the previous arrival's, extended by the two new terminals as
+singletons and then coarsened. A full Floyd-Warshall runs on no path.
 
 A Clustering is a plain partition with no level label. Most levels merge
 nothing and share their predecessor's object. A level that merges is
@@ -30,9 +31,10 @@ beside it, so kept hierarchies hold no arrays; the online state keeps the
 metrics of the latest arrival only, for the next one to carry.
 
 cluster_distance realizes a virtual edge as a shortest path of original
-edges in a level's metric with some pairs merged in. Its Python work is
-O(pairs + hops): terminal -> super-node is one array, and only the
-super-nodes the walk visits get their members listed.
+edges in a level's metric with some pairs merged in, walking on the
+closure and realizing one-hop weights only for the hops it tries. Its
+Python work is O(pairs + tried hops): terminal -> super-node is one array,
+and only the super-nodes the walk tries get their members listed.
 
 Everything here is deterministic: cluster ids are the minimum member
 terminal id, edges are ordered by (min endpoint, max endpoint), and
@@ -154,28 +156,29 @@ def check_refinement(fine: Clustering, coarse: Clustering) -> bool:
 class ContractedMetric:
     """Exact shortest-path metric of a clustering's contracted graph.
 
-    `ids` are the cluster ids (minimum member terminal) in ascending order,
-    `W` the one-hop super-edge weights (minimum original distance between
-    members, zero diagonal) and `D` their closure. Contracting clusters is
-    adding zero-weight edges: each merged group's rows and columns fold into
-    its root's by minimum, and pivots on the merged groups alone, O(K^2)
-    each, then close D exactly (Ausiello, Italiano, Marchetti-Spaccamela and
-    Nanni, "Incremental algorithms for minimal length paths", J. Algorithms
-    1991). Appending terminals as singletons costs O(K^2) per terminal and
-    leaves the old entries as they are (vertex insertion; Demetrescu and
-    Italiano, "A new approach to dynamic all pairs shortest paths", J. ACM
-    2004). W and D are never written after construction, so metrics share
-    arrays.
+    `ids` are the cluster ids (minimum member terminal) in ascending order
+    and `D` the closure of the one-hop super-edge weights (minimum original
+    distance between members, zero diagonal). No one-hop matrix is kept: a
+    shortest-path walk finds its hops on D and realizes the one-hop weight
+    of each hop it tries from the instance (cluster_distance). Contracting
+    clusters is adding zero-weight edges: each merged group's rows and
+    columns fold into its root's by minimum, and pivots on the merged groups
+    alone, O(K^2) each, then close D exactly (Ausiello, Italiano,
+    Marchetti-Spaccamela and Nanni, "Incremental algorithms for minimal
+    length paths", J. Algorithms 1991). Appending terminals as singletons
+    costs O(K^2) per terminal and leaves the old entries as they are (vertex
+    insertion; Demetrescu and Italiano, "A new approach to dynamic all pairs
+    shortest paths", J. ACM 2004). D is never written after construction, so
+    metrics share arrays.
     """
 
     ids: tuple[int, ...]
-    W: np.ndarray
     D: np.ndarray
 
     @classmethod
     def trivial(cls, dist):
         """Metric of the trivial clustering: the instance metric is closed."""
-        return cls(tuple(range(len(dist))), dist, dist)
+        return cls(tuple(range(len(dist))), dist)
 
     @classmethod
     def of(cls, dist, assignment):
@@ -195,8 +198,8 @@ class ContractedMetric:
         """Metric with each (id, root id) move's cluster folded into its root's:
         moved rows first, then moved columns, so an entry between two roots is
         the minimum over both groups' members. A pivot per merged group closes
-        D; unmerged clusters need none, as a path through one never beats the
-        direct entry (D is closed). With no move it is this metric."""
+        the result; unmerged clusters need none, as a path through one never
+        beats the direct entry (D is closed). With no move it is this metric."""
         if not moves:
             return self
         ids, K = self.ids, len(self.ids)
@@ -208,28 +211,26 @@ class ContractedMetric:
         # Flat indices (into K' x K, then K' x K') keep minimum.at on its 1-D fast path.
         rows = (root[:, None] * K + np.arange(K)).ravel()
         cols = (np.arange(0, len(keep) ** 2, len(keep))[:, None] + root).ravel()
-        folded = []
-        for M in (self.W, self.D):
-            A = M.take(keep, axis=0)
-            np.minimum.at(A.reshape(-1), rows, M.take(src, axis=0).reshape(-1))
-            folded.append(A.take(keep, axis=1))
-            np.minimum.at(folded[-1].reshape(-1), cols, A.take(src, axis=1).reshape(-1))
-        W, D = folded
+        A = self.D.take(keep, axis=0)
+        np.minimum.at(A.reshape(-1), rows, self.D.take(src, axis=0).reshape(-1))
+        D = A.take(keep, axis=1)
+        np.minimum.at(D.reshape(-1), cols, A.take(src, axis=1).reshape(-1))
         # Entries are <= MAX_DIST, so a sum of two fits in int64.
         for g in set(root.tolist()):
             np.minimum(D, D[:, g, None] + D[g], out=D)
-        return ContractedMetric(tuple(itertools.compress(ids, kept.tolist())), W, D)
+        return ContractedMetric(tuple(itertools.compress(ids, kept.tolist())), D)
 
     def extend(self, dist, assignment):
         """Metric of the same clustering with the terminals past `assignment`
         (its canonical assignment) appended as singletons.
 
-        `dist` is the metric over all terminals. A new row of W is the least
-        distance to each cluster's members; a new row of D is
-        min_y W[u, y] + D[y, :]. Old entries stay: a singleton never shortens
-        a path between others, since entering and leaving it costs at least
-        the direct distance (triangle inequality), and so a path from a new
-        terminal never needs another new one in between either.
+        `dist` is the metric over all terminals. A new terminal u's one-hop
+        row Wn[u], local to this call, is its least distance to each cluster's
+        members; its new row of D is min_y Wn[u, y] + D[y, :]. Old entries
+        stay: a singleton never shortens a path between others, since
+        entering and leaving it costs at least the direct distance (triangle
+        inequality), and so a path from a new terminal never needs another
+        new one in between either.
         """
         T0 = len(assignment)
         asn = np.asarray(assignment)
@@ -241,7 +242,7 @@ class ContractedMetric:
         Dn = (Wn[:, :, None] + self.D[None]).min(axis=1)  # new x old
         Dnn = np.minimum(new[:, T0:], (Wn[:, None, :] + Dn[None]).min(axis=2))
         return ContractedMetric(self.ids + tuple(range(T0, len(dist))),
-                                _bordered(self.W, Wn, new[:, T0:]), _bordered(self.D, Dn, Dnn))
+                                _bordered(self.D, Dn, Dnn))
 
 
 def _bordered(M, rows, corner):
@@ -322,8 +323,10 @@ def cluster_distance(view: InstanceView, assignment, contracted_by, C1: int, C2:
     distance together with the realized original edge of every hop; ties go
     to the lexicographically smallest super-node id sequence. `metric` is
     the contracted metric of `assignment`, into which the cluster pairs of
-    `contracted_by` are merged. The union-find covers the clusters those
-    pairs touch, so the Python work is O(pairs + hops).
+    `contracted_by` are merged. The walk reads that metric's closure and
+    realizes the one-hop weight of each hop it tries. The union-find covers
+    the clusters those pairs touch, so the Python work is O(pairs + tried
+    hops).
     """
     if C1 not in assignment or C2 not in assignment:
         raise ConfigError(f"cluster {C1 if C1 not in assignment else C2} not in clustering")
@@ -333,16 +336,17 @@ def cluster_distance(view: InstanceView, assignment, contracted_by, C1: int, C2:
         if a >= T or b >= T:
             raise ConfigError("contracted_by touches a terminal that has not arrived")
         pairs.append((assignment[a], assignment[b]))
-    root = _roots(pairs)
+    moves = [(c, r) for c, r in _roots(pairs).items() if c != r]
+    root = dict(moves)
     src, dst = root.get(C1, C1), root.get(C2, C2)
     if src == dst:
         return ClusterPath(0, (src,), ())
 
     dist = view.dist_matrix()
-    m = metric.merge(pairs)
-    W, D, ids = m.W, m.D, m.ids
+    m = metric._fold(moves)
+    D, ids = m.D, m.ids
     sup = np.asarray(assignment)
-    if any(map(operator.ne, root, root.values())):
+    if moves:
         lookup = np.arange(T)
         lookup[list(root)] = list(root.values())
         sup = lookup[sup]
@@ -350,31 +354,32 @@ def cluster_distance(view: InstanceView, assignment, contracted_by, C1: int, C2:
     total = int(D[si, di])
     to_dst = D[:, di]
 
-    # Greedy walk: always step to the smallest super id that still completes
-    # a shortest path; super-edge weights are >= 1 so this terminates. The
-    # test W + D == total - sofar keeps to sums of two entries <= MAX_DIST,
-    # which fit in int64.
+    # Greedy walk: step to the smallest super id q that still completes a
+    # shortest path through a single hop, i.e. D[ci, q] + D[q, dst] == rest
+    # and q's cheapest original edge from here costs D[ci, q] exactly. One-hop
+    # weights are never below D, so these are the q with one-hop weight plus
+    # D[q, dst] equal to rest. Every hop costs >= 1, so the walk terminates.
+    # Sums of two entries <= MAX_DIST fit in int64.
     nodes = [src]
     edges = []
     ci = si
     here = np.flatnonzero(sup == src)
     rest = total
     while ci != di:
-        hit = np.flatnonzero(W[ci] + to_dst == rest)
-        hit = hit[hit != ci]
-        if not hit.size:
+        row = D[ci]
+        for qi in np.flatnonzero(row + to_dst == rest).tolist():
+            if qi == ci:
+                continue
+            there = np.flatnonzero(sup == ids[qi])
+            w, edge = _realize_hop(dist, here, there)
+            if w == row[qi]:
+                break
+        else:
             raise AssertionError("shortest-path walk stalled (internal bug)")
-        qi = int(hit[0])
-        there = np.flatnonzero(sup == ids[qi])
-        w, edge = _realize_hop(dist, here, there)
-        if w != int(W[ci, qi]):
-            raise AssertionError("realized hop weight mismatch (internal bug)")
         rest -= w
         edges.append(edge)
         nodes.append(ids[qi])
         ci, here = qi, there
-    if rest != 0:
-        raise AssertionError("path length mismatch (internal bug)")
     return ClusterPath(total, tuple(nodes), tuple(edges))
 
 

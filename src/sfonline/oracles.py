@@ -172,9 +172,9 @@ def offline_gluttonous_forest(states) -> tuple[OfflineForestResult, ...]:
 
     A level whose clustering is the previous prefix's plus the two new
     terminals as singletons reuses the previous prefix's path for an edge it
-    realized there: extending a metric leaves the old entries of W and D as
-    they are and the new ids are the largest, so the smallest-id walk takes
-    the same hops over the same members.
+    realized there: extending a metric leaves the old entries of D as they
+    are and the new ids are the largest, so the smallest-id walk tries and
+    takes the same hops over the same members.
     """
     out = []
     # Level -> (the previous prefix's level-i assignment with the next two

@@ -66,7 +66,6 @@ def floyd_warshall(W):
 def assert_matches_reference(metric, dist, assignment):
     ids, W = contracted_weights(dist, assignment)
     assert metric.ids == ids
-    assert np.array_equal(metric.W, W)
     assert np.array_equal(metric.D, floyd_warshall(W))
 
 
@@ -166,6 +165,33 @@ def test_cluster_distance_goes_through_middle():
     assert path.distance == 2
     assert path.nodes == (0, 1, 2)
     assert path.edges == ((0, 1), (1, 2))
+
+
+def hub_case():
+    """Terminals at 200, 0, 1, 199 with terminals 2 and 3 in one cluster:
+    cluster 1 reaches cluster 0 in 2 through the hub cluster 2, while its
+    own cheapest edge to cluster 0 costs 200."""
+    view = line_instance([200, 0, 1, 199]).view(2)
+    assignment = (0, 1, 2, 2)
+    return view, assignment, ContractedMetric.of(view.dist_matrix(), assignment)
+
+
+def test_cluster_distance_rejects_a_candidate_that_is_not_one_hop():
+    # Cluster 0 is the smallest id on a shortest path from cluster 1
+    # (D[1, 0] + D[0, 0] == 2), but its one-hop cost is 200, not 2.
+    view, assignment, metric = hub_case()
+    path = cluster_distance(view, assignment, [], 1, 0, metric)
+    assert path == ClusterPath(2, (1, 2, 0), ((1, 2), (0, 3)))
+
+
+def test_cluster_distance_walk_stalls_on_a_closure_below_every_path():
+    # A closure entry below every real path leaves no hop to take.
+    view, assignment, metric = hub_case()
+    D = metric.D.copy()
+    D[1, 0] = D[0, 1] = 1
+    bad = ContractedMetric(metric.ids, D)
+    with pytest.raises(AssertionError, match="shortest-path walk stalled"):
+        cluster_distance(view, assignment, [], 1, 0, bad)
 
 
 def test_cluster_distance_rejects_unknown_cluster(w1):
@@ -464,7 +490,7 @@ def test_carried_metrics_equal_level_merged_ones():
         assert carried[1] == merged[1]
         for a, b in zip(carried[2], merged[2], strict=True):
             assert a.ids == b.ids
-            assert np.array_equal(a.W, b.W) and np.array_equal(a.D, b.D)
+            assert np.array_equal(a.D, b.D)
         prev = (carried[0].clusterings, carried[2])
 
 
@@ -659,7 +685,6 @@ def test_merge_folds_a_batch_like_the_reference_and_one_pair_at_a_time(case):
         one_by_one = one_by_one.merge([(current[a], current[b])])
         current = reference_contraction(current, [(current[a], current[b])])
     assert one_by_one.ids == merged.ids
-    assert np.array_equal(one_by_one.W, merged.W)
     assert np.array_equal(one_by_one.D, merged.D)
     coarse = metric.coarsen(want)
     assert coarse.ids == merged.ids and np.array_equal(coarse.D, merged.D)
@@ -742,7 +767,9 @@ def reference_realize_hop(dist, members_p, members_q):
 
 def reference_cluster_distance(view, assignment, contracted_by, C1, C2, metric):
     """cluster_distance with a union-find over every cluster, one find per
-    terminal for the member lists of every super-node, and a position dict."""
+    terminal for the member lists of every super-node, a position dict, and
+    a walk on the merged clustering's one-hop weights from contracted_weights
+    (the smallest id q with W[ci, q] + D[q, dst] == rest)."""
     if C1 not in assignment or C2 not in assignment:
         raise ConfigError(f"cluster {C1 if C1 not in assignment else C2} not in clustering")
     T = view.num_terminals
@@ -758,11 +785,14 @@ def reference_cluster_distance(view, assignment, contracted_by, C1, C2, metric):
         return ClusterPath(0, (src,), ())
     dist = view.dist_matrix()
     m = metric.merge(cross)
-    W, D = m.W, m.D
+    merged = tuple(uf.find(cid) for cid in assignment)
+    ids, W = contracted_weights(dist, merged)
+    assert ids == m.ids
+    D = m.D
     pos = {cid: k for k, cid in enumerate(m.ids)}
     members = {cid: [] for cid in m.ids}
-    for k, cid in enumerate(assignment):
-        members[uf.find(cid)].append(k)
+    for k, cid in enumerate(merged):
+        members[cid].append(k)
     si, di = pos[src], pos[dst]
     total = int(D[si, di])
     to_dst = D[:, di]

@@ -360,7 +360,6 @@ def test_online_gluttonous_carries_its_metric(monkeypatch, which, kind):
         assert_matches_reference(state.metric, dist, tuple(state.assignment))
         fresh = ContractedMetric.of(dist, state.assignment)
         assert state.metric.ids == fresh.ids
-        assert np.array_equal(state.metric.W, fresh.W)
         assert np.array_equal(state.metric.D, fresh.D)
         checked.append(state.t)
         return out
