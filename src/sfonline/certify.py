@@ -37,15 +37,13 @@ from .unionfind import UnionFind
 
 
 class WitnessError(SfonlineError):
-    """Dual-witness invariant violation; carries the failing (arrival, level)."""
+    """Dual-witness invariant violation; carries the failing arrival."""
 
     code = "E_WITNESS"
 
-    def __init__(self, message, t, level, dump=""):
+    def __init__(self, message, t):
         super().__init__(message)
         self.t = t
-        self.level = level
-        self.dump = dump
 
 
 def check_feasible(edges, demands) -> bool:
@@ -75,12 +73,9 @@ def check_pinned_forest(edges, terminal_count: int) -> bool:
 @dataclasses.dataclass
 class WitnessState:
     level: int
-    per_arrival: list  # (frozenset Xhat, frozenset X) per arrival
+    final_xhat: frozenset  # Xhat after the last arrival
+    final_sources: frozenset  # X after the last arrival
     noninherited_counts: list  # |F_i \ F_inh,i| per arrival
-
-    @property
-    def final_sources(self) -> frozenset:
-        return self.per_arrival[-1][1] if self.per_arrival else frozenset()
 
 
 def radius(level: int) -> int:
@@ -108,12 +103,7 @@ def build_dual_witness(trace, i: int) -> WitnessState:
 
     xhat: set = set()
     x: set = set()
-    per_arrival = []
     counts = []
-
-    def fail(msg, t):
-        dump = f"Xhat={sorted(xhat)} X={sorted(x)}"
-        raise WitnessError(msg, t, i, dump)
 
     for out in trace.arrivals:
         t = out.t
@@ -123,7 +113,7 @@ def build_dual_witness(trace, i: int) -> WitnessState:
         added = []
         if lv[u] >= i:
             if cinh_i is None:
-                fail("missing C_inh for a level the pair reaches", t)
+                raise WitnessError("missing C_inh for a level the pair reaches", t)
             cu = cinh_i.assignment[u]
             cv = cinh_i.assignment[v]
             high_u = [k for k in cinh_i.members[cu] if lv[k] >= i]
@@ -147,10 +137,11 @@ def build_dual_witness(trace, i: int) -> WitnessState:
         for cid in active:
             k = subclusters.get(cid, 0)
             if k == 0:
-                fail("active top cluster without active inherited subclusters", t)
+                raise WitnessError("active top cluster without active inherited subclusters", t)
             cands = fresh.get(cid, ())
             if len(cands) < k:
-                fail(f"cluster {cid} offers {len(cands)} fresh sources, needs {k}", t)
+                raise WitnessError(f"cluster {cid} offers {len(cands)} fresh sources, "
+                                   f"needs {k}", t)
             if k > 1:
                 x.update(sorted(cands)[: k - 1])
 
@@ -160,7 +151,7 @@ def build_dual_witness(trace, i: int) -> WitnessState:
         # Candidate sources must sit inside active next-level clusters.
         for z in xhat:
             if cl_next.cluster_level[top_of[z]] < i:
-                fail(f"source {z} sits in an inactive cluster", t)
+                raise WitnessError(f"source {z} sits in an inactive cluster", t)
         # Candidate sources stay pairwise 2r-separated. Earlier arrivals
         # checked every older pair and the new vertices have the largest ids,
         # so testing the pairs that end at a new vertex, in row-major order,
@@ -172,22 +163,20 @@ def build_dual_witness(trace, i: int) -> WitnessState:
             hits = np.argwhere(close)
             if len(hits):
                 a, b = hits[0]
-                fail(f"sources {xs[a]},{added[b]} closer than 2r", t)
+                raise WitnessError(f"sources {xs[a]},{added[b]} closer than 2r", t)
         # Grown sources stay within the candidates, and every active cluster
         # keeps at least one spare candidate outside the grown set.
         if not x <= xhat:
-            fail("X escapes Xhat", t)
+            raise WitnessError("X escapes Xhat", t)
         spare = {top_of[z] for z in xhat - x}
         for cid in active:
             if cid not in spare:
-                fail(f"cluster {cid} has no Xhat vertex outside X", t)
+                raise WitnessError(f"cluster {cid} has no Xhat vertex outside X", t)
         # The grown-source count tracks the non-inherited forest edges.
         if len(x) != sum(counts):
-            fail(f"|X| = {len(x)} but non-inherited count is {sum(counts)}", t)
+            raise WitnessError(f"|X| = {len(x)} but non-inherited count is {sum(counts)}", t)
 
-        per_arrival.append((frozenset(xhat), frozenset(x)))
-
-    return WitnessState(i, per_arrival, counts)
+    return WitnessState(i, frozenset(xhat), frozenset(x), counts)
 
 
 @dataclasses.dataclass

@@ -260,9 +260,9 @@ def test_empty_dual_is_feasible(w1):
 def test_w1_witness_level2(w1):
     trace = run_online(w1, lam=1)
     wit = build_dual_witness(trace, 2)
-    xhat2, x2 = wit.per_arrival[1]
-    assert xhat2 == frozenset([2, 3])
-    assert x2 == frozenset([2])
+    # w1 has two arrivals, so the final sets are those after arrival 2.
+    assert wit.final_xhat == frozenset([2, 3])
+    assert wit.final_sources == frozenset([2])
     assert wit.noninherited_counts == [0, 1]
     ok, d2, detail = witness_value_identity(wit, trace)
     assert ok, detail
