@@ -308,6 +308,21 @@ def test_tampered_trace_gets_fail_rows(tmp_path, capsys, case):
         assert row in report, (row, [r for r in report.splitlines() if ",fail," in r])
 
 
+def test_recourse_bound_holds_whatever_meta_says(tmp_path, capsys):
+    # meta.json's nhat_doubling is a format-1 key with no effect: a trace
+    # whose insertions pass 2n + 21n*lam = 176 fails the bound either way.
+    d = tmp_path / "trace"
+    save_trace(run_online(generate_instance(GeneratorSpec(kind="euclidean", n=4, seed=1)),
+                          lam=2), d)
+    for name, change in (("meta.json", lambda p: p.update(nhat_doubling=True)),
+                         ("arrival_0001.json", lambda p: p["ledger"].update(insertions=177))):
+        path = d / name
+        path.write_text(_edited(change)(path.read_text()))
+    assert main(["certify", "--trace", str(d), "--out", str(tmp_path / "c")]) == 1
+    assert "overall: FAIL" in capsys.readouterr().out
+    assert "recourse-bound,,,fail,ins=" in (tmp_path / "c" / "certify.csv").read_text()
+
+
 # case -> (path of a member list, its new value). At arrival 2 of the
 # euclidean n=4, lambda=2 trace, C_0 .. C_8 and C_inh,0 .. C_inh,8 are the
 # four singletons and C_9 is {0}, {1, 2, 3}. JSON true equals 1 and 1.0
