@@ -568,12 +568,7 @@ def _structural_pass(trace, add):
 
     ins, dels = trace.insertions_total, trace.deletions_total
     bound = 2 * n + 21 * n * trace.lam
-    if trace.nhat_doubling:
-        add("recourse-bound", None, None, dels <= ins,
-            f"ins={ins} (doubling mode: 2n+21n*lam not asserted)")
-    else:
-        add("recourse-bound", None, None, ins <= bound and dels <= ins,
-            f"ins={ins} bound={bound}")
+    add("recourse-bound", None, None, ins <= bound and dels <= ins, f"ins={ins} bound={bound}")
 
 
 def _witness_pass(trace, add, ratios, opt_final, levels=None):

@@ -43,7 +43,6 @@ class RunConfig:
     lam: int
     checks: str = "structural"  # none | structural | full-witness
     out_dir: str = "out"
-    nhat_doubling: bool = False
     dump_hierarchy: bool = False
     quiet: bool = False
 
@@ -121,7 +120,7 @@ def run_command(cfg: RunConfig, opt):
     """Execute one online run: CSV + summary + trace (+ optional certification).
     `opt` is the instance's `_opt_map`."""
     _make_dirs(cfg.out_dir)
-    trace = run_online(cfg.instance, cfg.lam, nhat_doubling=cfg.nhat_doubling)
+    trace = run_online(cfg.instance, cfg.lam)
 
     _write_text(os.path.join(cfg.out_dir, "per_arrival.csv"), _per_arrival_rows(trace, opt))
 
@@ -196,7 +195,6 @@ def cmd_run(args):
         lam=lam,
         checks=args.checks,
         out_dir=args.out,
-        nhat_doubling=args.nhat_doubling,
         dump_hierarchy=args.dump_hierarchy,
         quiet=args.quiet,
     )
@@ -367,8 +365,6 @@ def build_parser():
     p.add_argument("--checks", choices=["none", "structural", "full-witness"],
                    default="structural")
     p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
-    p.add_argument("--nhat-doubling", action="store_true",
-                   help="pretend n is unknown: double the estimate and restart")
     p.add_argument("--dump-hierarchy", action="store_true")
     p.set_defaults(func=cmd_run)
 

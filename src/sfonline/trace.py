@@ -27,7 +27,6 @@ from .forest import (
     Snapshot,
     VirtualEdge,
     advance,
-    recourse_diff,
 )
 from .metric import Instance, load_instance_file, save_instance_file
 
@@ -39,7 +38,6 @@ class RunTrace:
     instance: Instance
     lam: int
     arrivals: list  # ArrivalOutcome per arrival
-    nhat_doubling: bool = False
 
     @property
     def n(self) -> int:
@@ -71,35 +69,9 @@ def iter_online(instance: Instance, lam: int):
         yield state
 
 
-def run_online(instance: Instance, lam: int, nhat_doubling: bool = False) -> RunTrace:
-    """Run the online algorithm over the full demand sequence.
-
-    With nhat_doubling the run pretends n is unknown: whenever the arrival
-    count exceeds the current estimate the estimate doubles and the algorithm
-    restarts on the whole prefix. Recourse is then measured on the visible
-    snapshots (the restarted internals are not charged edge by edge).
-    """
-    if not nhat_doubling:
-        outcomes = [state.last_outcome for state in iter_online(instance, lam)]
-        return RunTrace(instance, lam, outcomes)
-
-    nhat = 1
-    run = iter_online(instance, lam)
-    visible = frozenset()
-    outcomes = []
-    for t in range(1, instance.n + 1):
-        if t > nhat:
-            nhat *= 2
-            run = iter_online(instance, lam)
-            for _ in range(t - 1):
-                next(run)
-        out = next(run).last_outcome
-        ins, dels = recourse_diff(visible, out.snapshot.edges)
-        ledger = dataclasses.replace(out.ledger, insertions=ins, deletions=dels)
-        out = dataclasses.replace(out, ledger=ledger)
-        outcomes.append(out)
-        visible = out.snapshot.edges
-    return RunTrace(instance, lam, outcomes, nhat_doubling=True)
+def run_online(instance: Instance, lam: int) -> RunTrace:
+    """Run the online algorithm over the full demand sequence."""
+    return RunTrace(instance, lam, [state.last_outcome for state in iter_online(instance, lam)])
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +159,7 @@ def save_trace(trace: RunTrace, dirpath) -> None:
         "lam": trace.lam,
         "n": trace.n,
         "arrivals": len(trace.arrivals),
-        "nhat_doubling": trace.nhat_doubling,
+        "nhat_doubling": False,  # format 1 keeps the key; nothing reads its value
     }
     with open(os.path.join(dirpath, "meta.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, sort_keys=True, separators=_SEPARATORS)
@@ -347,7 +319,7 @@ def load_trace(dirpath) -> RunTrace:
         lam = _int(meta["lam"])
         if lam < 1:
             raise ValueError(f"lam={lam} is below 1")
-        nhat_doubling = _bool(meta["nhat_doubling"])
+        _bool(meta["nhat_doubling"])  # a format-1 key; its value is ignored
     instance = load_instance_file(os.path.join(dirpath, "instance.sfo"))
     with _malformed(meta_path):
         for key in ("n", "arrivals"):
@@ -364,4 +336,4 @@ def load_trace(dirpath) -> RunTrace:
                 raise ValueError(f"stores t={payload['t']}")
             out = _outcome_from_payload(instance, t, payload)
         outcomes.append(out)
-    return RunTrace(instance, lam, outcomes, nhat_doubling=nhat_doubling)
+    return RunTrace(instance, lam, outcomes)

@@ -213,16 +213,6 @@ def test_run_invariants_random(kind, seed, lam):
     assert trace.deletions_total <= trace.insertions_total
 
 
-def test_nhat_doubling_mode_runs_and_stays_feasible():
-    inst = generate_instance(GeneratorSpec(kind="euclidean", n=7, seed=5))
-    trace = run_online(inst, lam=2, nhat_doubling=True)
-    assert trace.nhat_doubling
-    for out in trace.arrivals:
-        assert connected_pairs(out.snapshot.edges, inst.view(out.t).demands)
-    again = run_online(inst, lam=2, nhat_doubling=True)
-    assert [o.snapshot for o in trace.arrivals] == [o.snapshot for o in again.arrivals]
-
-
 # Each internal-bug assertion of advance and pin_and_realize, fired by one
 # injected fault. A fault that no collaborator can cause (the buffer rules)
 # is a one-line change to pin_and_realize's own source.
