@@ -73,24 +73,18 @@ class Clustering:
     assignment[k] is the cluster id of terminal k; cluster ids are canonical
     (minimum member id). Cluster level is the max member level; a cluster is
     active at level j iff its level >= j. The levels of a hierarchy that
-    merge nothing share one object. The constructor builds a partition from
-    scratch in O(T); contract derives a coarser one from this one.
+    merge nothing share one object. `trivial` builds the singletons,
+    `from_parts` takes canonical parts as they are, and `contract` derives a
+    coarser partition from this one.
     """
 
     __slots__ = ("assignment", "cluster_ids", "members", "cluster_level")
 
-    def __init__(self, assignment, term_levels):
-        if len(assignment) % 2 or len(term_levels) < len(assignment):
-            raise ConfigError("assignment is not one cluster id per arrived terminal")
-        groups: dict[int, list[int]] = {}
-        for k, cid in enumerate(assignment):
-            groups.setdefault(cid, []).append(k)
-        # Canonicalize: cluster id = min member, the first one listed.
-        self.assignment = tuple(groups[cid][0] for cid in assignment)
-        self.members = {ms[0]: tuple(ms) for ms in groups.values()}
-        self.cluster_ids = tuple(sorted(self.members))
-        self.cluster_level = {cid: max(term_levels[k] for k in ms)
-                              for cid, ms in self.members.items()}
+    @classmethod
+    def trivial(cls, term_levels) -> Clustering:
+        """Every arrived terminal in a cluster of its own."""
+        ids = tuple(range(len(term_levels)))
+        return cls.from_parts(ids, {k: (k,) for k in ids}, dict(enumerate(term_levels)))
 
     @classmethod
     def from_parts(cls, assignment, members, cluster_level) -> Clustering:
@@ -446,7 +440,7 @@ def build_hierarchy(view: InstanceView, prev=None):
     L = max(levels)
 
     dist = view.dist_matrix()
-    cl = Clustering(tuple(range(view.num_terminals)), levels)
+    cl = Clustering.trivial(levels)
     clusterings = [cl]
     vgraphs = []
     metric = ContractedMetric.trivial(dist)

@@ -171,10 +171,11 @@ def save_trace(trace: RunTrace, dirpath) -> None:
             fh.write("\n")
 
 
-def _clustering_from_members(view, member_lists, levels):
+def _clustering_from_members(member_lists, levels):
     """A stored level's clustering, in one pass; ValueError unless its integer
-    member lists are nonempty and partition the arrived terminals."""
-    T = view.num_terminals
+    member lists are nonempty and partition the arrived terminals, one per
+    entry of `levels`."""
+    T = len(levels)
     lists = sorted(map(sorted, member_lists))  # a cluster's id is its least member
     if [] in lists or sorted(itertools.chain(*lists)) != list(range(T)):
         raise ValueError("cluster member lists do not partition the arrived terminals")
@@ -188,7 +189,7 @@ def _clustering_from_members(view, member_lists, levels):
     return Clustering.from_parts(tuple(assignment), {ms[0]: tuple(ms) for ms in lists}, level)
 
 
-def _hierarchy_from_payload(view, payload, levels) -> Hierarchy:
+def _hierarchy_from_payload(payload, levels) -> Hierarchy:
     L = _int(payload["L"])
     if L != max(levels):
         raise ValueError(f"L={L} but the top terminal level is {max(levels)}")
@@ -199,7 +200,7 @@ def _hierarchy_from_payload(view, payload, levels) -> Hierarchy:
     clusterings = []
     for i, member_lists in enumerate(stored):
         clusterings.append(clusterings[-1] if i and member_lists == stored[i - 1]
-                           else _clustering_from_members(view, member_lists, levels))
+                           else _clustering_from_members(member_lists, levels))
     return Hierarchy(L, tuple(clusterings))
 
 
@@ -248,13 +249,12 @@ def _malformed(path):
 
 
 def _outcome_from_payload(instance, t, payload) -> ArrivalOutcome:
-    view = instance.view(t)
-    levels = terminal_levels(view)
+    levels = terminal_levels(instance.view(t))
     # JSON true and 1.0 equal 1, so members are type-checked before levels are compared.
     member_lists = itertools.chain(*payload["clusterings"], *payload["cinh"].values())
     if set(map(type, itertools.chain.from_iterable(member_lists))) - {int}:
         raise TypeError("cluster members must be integers")
-    hier = _hierarchy_from_payload(view, payload, levels)
+    hier = _hierarchy_from_payload(payload, levels)
     # Level keys are canonical: "7" names level 7, "07" and "+7" name none.
     level_of = {str(i): i for i in range(hier.L + 1)}
     forest = {}
@@ -279,7 +279,7 @@ def _outcome_from_payload(instance, t, payload) -> ArrivalOutcome:
         i = _level(level_of, key)
         same = [j for j in (i, i + 1) if stored[j] == member_lists]
         cinh[i] = (hier.clusterings[same[0]] if same
-                   else _clustering_from_members(view, member_lists, levels))
+                   else _clustering_from_members(member_lists, levels))
     pinned_after = tuple((_edge(e), _int(pt)) for e, pt in payload["pinned"])
     snapshot = Snapshot(frozenset(_edge(e) for e in payload["snapshot"]),
                         _int(payload["cost_f"]))

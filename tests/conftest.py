@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sfonline.metric import Instance
+from sfonline.trace import _clustering_from_members
 
 
 def line_instance(positions, label="line"):
@@ -12,6 +13,15 @@ def line_instance(positions, label="line"):
     n = len(p) // 2
     demands = tuple((2 * t - 2, 2 * t - 1) for t in range(1, n + 1))
     return Instance(n=n, dist=dist, demands=demands, label=label)
+
+
+def clustering_of(labels, levels):
+    """The clustering that groups terminals k with equal labels[k], one
+    terminal per entry of `levels`, built as the trace loader builds one."""
+    groups = {}
+    for k, label in enumerate(labels):
+        groups.setdefault(label, []).append(k)
+    return _clustering_from_members(list(groups.values()), levels)
 
 
 @pytest.fixture

@@ -18,17 +18,13 @@ from sfonline.certify import (
     radius,
     witness_value_identity,
 )
-from sfonline.clustering import (
-    Clustering,
-    build_hierarchy,
-    terminal_levels,
-)
+from sfonline.clustering import build_hierarchy, terminal_levels
 from sfonline.errors import SfonlineError
 from sfonline.metric import MAX_DIST, GeneratorSpec, Instance, generate_instance
 from sfonline.oracles import exact_optimum
 from sfonline.trace import run_online
 
-from conftest import line_instance
+from conftest import clustering_of, line_instance
 
 
 def opt_map(instance, limit=9):
@@ -131,8 +127,8 @@ def dual_cases(draw, separated):
     if draw(st.booleans()):
         top = build_hierarchy(view)[0].top
     else:
-        top = Clustering(draw(st.lists(st.integers(0, 3), min_size=T, max_size=T)),
-                         terminal_levels(view))
+        top = clustering_of(draw(st.lists(st.integers(0, 3), min_size=T, max_size=T)),
+                            terminal_levels(view))
     return view, sources, i, top
 
 
@@ -189,7 +185,7 @@ def test_dual_check_loads_past_int64():
     np.fill_diagonal(dist, 0)
     inst = Instance(n=2, dist=dist, demands=((0, 1), (2, 3)))
     view = inst.view(2)
-    top = Clustering((0, 0, 0, 0), terminal_levels(view))
+    top = clustering_of((0, 0, 0, 0), terminal_levels(view))
     ref = ref_overlapping_dual(view, range(T), 1 << 62)
     assert ref_check_dual_feasibility(ref, view, top) == (
         False, f"edge (0,1) overloaded: {2 * MAX_DIST} > {MAX_DIST}")

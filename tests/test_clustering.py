@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sfonline import clustering
 from sfonline.clustering import (
     ClusterPath,
-    Clustering,
     ContractedMetric,
     build_hierarchy,
     check_refinement,
@@ -33,7 +32,7 @@ from sfonline.metric import (
 )
 from sfonline.unionfind import UnionFind
 
-from conftest import line_instance
+from conftest import clustering_of, line_instance
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +254,15 @@ def test_virtual_graph_thresholds(w1):
     # Two active singletons at distance 3 with i=1: 3 < 4 gives one edge.
     inst = line_instance([0, 3, 100, 1000])
     view = inst.view(1)
-    cl = Clustering((0, 1), terminal_levels(view))
+    cl = clustering_of((0, 1), terminal_levels(view))
     assert level_edges(view, cl, 1) == ((0, 1),)
     # Distance exactly 2^(i+1) gives no edge (strict inequality).
     inst4 = line_instance([0, 4])
     view4 = inst4.view(1)
-    cl4 = Clustering((0, 1), terminal_levels(view4))
+    cl4 = clustering_of((0, 1), terminal_levels(view4))
     assert level_edges(view4, cl4, 1) == ()
     # Single active cluster: empty edge set.
-    clw = Clustering((0, 0), terminal_levels(w1.view(1)))
+    clw = clustering_of((0, 0), terminal_levels(w1.view(1)))
     assert level_edges(w1.view(1), clw, 0) == ()
 
 
@@ -296,11 +295,11 @@ def test_refinement_basics(w1):
     triv, top = h.clusterings[0], h.top
     assert check_refinement(triv, triv)
     assert check_refinement(triv, top)
-    a = Clustering((0, 0, 2, 3), terminal_levels(view))  # {ab},{c},{d}
-    b = Clustering((0, 1, 0, 3), terminal_levels(view))  # {ac},{b},{d}
+    a = clustering_of((0, 0, 2, 3), terminal_levels(view))  # {ab},{c},{d}
+    b = clustering_of((0, 1, 0, 3), terminal_levels(view))  # {ac},{b},{d}
     assert not check_refinement(a, b)
     with pytest.raises(ConfigError):
-        check_refinement(top, Clustering((0, 1), terminal_levels(w1.view(1))))
+        check_refinement(top, clustering_of((0, 1), terminal_levels(w1.view(1))))
 
 
 def test_hierarchy_invariants_on_random_instances():
@@ -636,13 +635,13 @@ def partitions_and_edges(draw):
 @given(partitions_and_edges())
 def test_contract_matches_a_clustering_built_from_scratch(case):
     assignment, levels, edges = case
-    got = Clustering(assignment, levels).contract(edges)
-    want = Clustering(reference_contraction(assignment, edges), levels)
+    got = clustering_of(assignment, levels).contract(edges)
+    want = clustering_of(reference_contraction(assignment, edges), levels)
     assert got.assignment == want.assignment
     assert got.cluster_ids == want.cluster_ids
     assert got.members == want.members
     assert got.cluster_level == want.cluster_level
-    assert contract_clustering(Clustering(assignment, levels), edges) == want.assignment
+    assert contract_clustering(clustering_of(assignment, levels), edges) == want.assignment
 
 
 @st.composite

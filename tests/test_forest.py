@@ -23,7 +23,7 @@ from sfonline.metric import GeneratorSpec, generate_instance
 from sfonline.trace import run_online
 from sfonline.unionfind import UnionFind
 
-from conftest import line_instance
+from conftest import clustering_of, line_instance
 
 
 def chain5():
@@ -68,7 +68,7 @@ def test_classify_inheritance_maps_and_absorbs(w1):
     new_same = build_hierarchy(view)[0].clusterings[0]
     parents = classify_inheritance([pe], new_same, [(0, 1)])
     assert parents == {(0, 1): pe}
-    merged = Clustering((0, 0, 2, 3), terminal_levels(view))
+    merged = clustering_of((0, 0, 2, 3), terminal_levels(view))
     assert classify_inheritance([pe], merged, []) == {}
 
 
