@@ -54,8 +54,6 @@ from .errors import ConfigError
 from .metric import InstanceView, mate
 from .unionfind import UnionFind
 
-MAX_LEVEL = 63
-
 
 def terminal_level(view: InstanceView, v: int) -> int:
     """ceil(log2 dist(v, mate(v))), exact integer arithmetic."""

@@ -1,6 +1,7 @@
 """The benchmark wraps package entry points by name (perfbench/spans.py); a
 renamed or removed one would make its layer read zero, so tier-1 resolves
-them all."""
+them all. Any other import that nothing reads is dead code, and so is a
+module-level name that nothing in src/ reads."""
 
 import ast
 import importlib.util
@@ -39,3 +40,32 @@ def test_every_unused_import_is_a_benchmark_entry_point():
         unused += [(module, name) for name in sorted(imported - used)
                    if (module, name) not in wrapped]
     assert unused == []
+
+
+def test_every_module_level_name_is_read_in_src():
+    # A module-level assignment, def or class that no code in src/ reads is
+    # dead; importing it (as __init__.py re-exports a name) counts as a read.
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((SPANS.parents[1] / "src" / "sfonline").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [(module, name) for name in names
+                       if not (name.startswith("__") and name.endswith("__")) and name not in read]
+    assert unread == []
