@@ -63,8 +63,7 @@ class PinnedSet:
     """Growing forest of permanently pinned original edges."""
 
     def __init__(self):
-        self._pin_arrival: dict[Edge, int] = {}
-        self._order: list[Edge] = []
+        self._pin_arrival: dict[Edge, int] = {}  # in pinning order
         self._uf = UnionFind()
 
     def add(self, e: Edge, t: int) -> None:
@@ -73,13 +72,12 @@ class PinnedSet:
         if not self._uf.union(e[0], e[1]):
             raise AssertionError(f"pinning {e} would close a cycle (internal bug)")
         self._pin_arrival[e] = t
-        self._order.append(e)
 
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(self._order)
+        return tuple(self._pin_arrival)
 
     def items(self) -> tuple[tuple[Edge, int], ...]:
-        return tuple((e, self._pin_arrival[e]) for e in self._order)
+        return tuple(self._pin_arrival.items())
 
 
 @dataclasses.dataclass(frozen=True)
