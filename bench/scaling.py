@@ -3,17 +3,17 @@
 For every generator kind and n in the grid (lambda = ceil(log2 n), seed 1)
 this runs the online algorithm, saves its trace, loads it back and runs the
 structural certify pass (`check_run(..., with_witness=False)`) on the loaded
-trace, timing the load and the pass apart. The witness phase times the
-witness pass alone over every level, as `certify` runs it after the
+trace, timing the save, the load and the pass apart. The witness phase times
+the witness pass alone over every level, as `certify` runs it after the
 structural pass; the oracle phase times `exact_optimum` at the default
 limit, the call every `run`, `compare` and `certify` makes. The compare
 phase times what `compare` computes: one `iter_online(inst, lam)` walk
 feeding `offline_gluttonous_forest`, so each hierarchy is built once, and
 both `run_baseline`s. It writes BENCH_scaling_<label>.json with, per cell,
-the six wall times (the median of REPEATS runs, and every run), the trace's
-sha256 over its files, a sha256 over the baselines' per-prefix costs and
-one over the oracle's, and per kind and phase the least-squares exponent of
-time against n.
+the seven wall times (the median of REPEATS runs, and every run), the
+trace's byte count and sha256 over its files, a sha256 over the baselines'
+per-prefix costs and one over the oracle's, and per kind and phase the
+least-squares exponent of time against n.
 
 Only the standard library and sfonline (with its numpy) are used:
 
@@ -50,17 +50,21 @@ from sfonline.trace import iter_online, load_trace, run_online, save_trace
 SIZES = (40, 80, 160)
 REPEATS = 3
 SEED = 1
-PHASES = ("run_online_s", "load_s", "structural_s", "witness_s", "oracle_s", "compare_s")
+PHASES = ("run_online_s", "save_s", "load_s", "structural_s", "witness_s", "oracle_s",
+          "compare_s")
 
 
-def trace_sha256(dirpath) -> str:
-    """sha256 over the trace's file names and bytes, in name order."""
+def trace_digest(dirpath) -> tuple[str, int]:
+    """(sha256 over the trace's file names and bytes in name order, byte count)."""
     h = hashlib.sha256()
+    size = 0
     for name in sorted(os.listdir(dirpath)):
         h.update(name.encode() + b"\0")
         with open(os.path.join(dirpath, name), "rb") as fh:
-            h.update(fh.read())
-    return h.hexdigest()
+            data = fh.read()
+        h.update(data)
+        size += len(data)
+    return h.hexdigest(), size
 
 
 def baseline_costs(inst, lam):
@@ -88,14 +92,15 @@ def timed(fn, *args, **kwargs):
 def measure(kind, n, workdir):
     inst = generate_instance(GeneratorSpec(kind=kind, n=n, seed=SEED))
     lam = max(1, math.ceil(math.log2(n)))
-    run_s, load_s, structural_s, witness_s, oracle_s, compare_s = [], [], [], [], [], []
+    run_s, save_s, load_s, structural_s, witness_s, oracle_s, compare_s = ([] for _ in PHASES)
     digests, cost_digests, opt_digests = set(), set(), set()
     for r in range(REPEATS):
         trace, secs = timed(run_online, inst, lam)
         run_s.append(secs)
         d = os.path.join(workdir, f"{kind}_{n}_{r}")
-        save_trace(trace, d)
-        digests.add(trace_sha256(d))
+        _, secs = timed(save_trace, trace, d)
+        save_s.append(secs)
+        digests.add(trace_digest(d))
         loaded, secs = timed(load_trace, d)
         load_s.append(secs)
         report, secs = timed(check_run, loaded, with_witness=False)
@@ -114,21 +119,25 @@ def measure(kind, n, workdir):
         cost_digests.add(hashlib.sha256(json.dumps(costs).encode()).hexdigest())
     if len(digests) != 1 or len(cost_digests) != 1 or len(opt_digests) != 1:
         raise SystemExit(f"{kind} n={n}: outputs differ between repeats")
+    trace_sha256, trace_bytes = digests.pop()
     return {
         "kind": kind, "n": n, "lam": lam, "seed": SEED,
         "run_online_s": statistics.median(run_s),
+        "save_s": statistics.median(save_s),
         "load_s": statistics.median(load_s),
         "structural_s": statistics.median(structural_s),
         "witness_s": statistics.median(witness_s),
         "oracle_s": statistics.median(oracle_s),
         "compare_s": statistics.median(compare_s),
         "run_online_runs_s": run_s,
+        "save_runs_s": save_s,
         "load_runs_s": load_s,
         "structural_runs_s": structural_s,
         "witness_runs_s": witness_s,
         "oracle_runs_s": oracle_s,
         "compare_runs_s": compare_s,
-        "trace_sha256": digests.pop(),
+        "trace_sha256": trace_sha256,
+        "trace_bytes": trace_bytes,
         "baselines_sha256": cost_digests.pop(),
         "oracle_sha256": opt_digests.pop(),
     }
@@ -154,6 +163,7 @@ def main(argv=None):
             for n in SIZES:
                 cell = measure(kind, n, workdir)
                 print(f"{kind:14s} n={n:4d} run {cell['run_online_s']:7.3f} s  "
+                      f"save {cell['save_s']:7.3f} s  "
                       f"load {cell['load_s']:7.3f} s  "
                       f"structural {cell['structural_s']:7.3f} s  "
                       f"witness {cell['witness_s']:7.3f} s  "
