@@ -2,7 +2,7 @@
 
 For every generator kind and n in the grid (lambda = ceil(log2 n), seed 1)
 this runs the online algorithm, saves its trace, loads it back and runs the
-structural certify pass (`check_run(..., with_witness=False)`) on the loaded
+structural certify pass (`check_run(..., witness_levels=())`) on the loaded
 trace, timing the save, the load and the pass apart. The witness phase times
 the witness pass alone over every level, as `certify` runs it after the
 structural pass; the oracle phase times `exact_optimum` at the default
@@ -103,7 +103,7 @@ def measure(kind, n, workdir):
         digests.add(trace_digest(d))
         loaded, secs = timed(load_trace, d)
         load_s.append(secs)
-        report, secs = timed(check_run, loaded, with_witness=False)
+        report, secs = timed(check_run, loaded, witness_levels=())
         structural_s.append(secs)
         if not report.ok:
             raise SystemExit(f"{kind} n={n}: structural pass FAILED")

@@ -603,13 +603,12 @@ def _witness_pass(trace, add, ratios, opt_final, levels=None):
         ratios["D/OPT-max"] = max_budget / (4 * opt_final)
 
 
-def check_run(trace, opt_per_arrival=None, with_witness=True,
-              witness_levels=None) -> CertReport:
+def check_run(trace, opt_per_arrival=None, witness_levels=None) -> CertReport:
     """Re-verify a recorded run and measure its ratios against the oracle.
 
     opt_per_arrival maps t -> exact optimum cost (arrivals past the oracle
-    limit simply absent). witness_levels narrows the witness pass to the
-    given levels (default: all of 0..L). Ratios are reported, never asserted
+    limit simply absent). witness_levels names the levels the witness pass
+    checks: None is all of 0..L, and () skips the pass. Ratios are reported, never asserted
     against the analysis constants; structural and witness checks are exact
     pass/fail.
     """
@@ -644,8 +643,7 @@ def check_run(trace, opt_per_arrival=None, with_witness=True,
         )
         ratios["hierarchy-budget/OPT"] = budget / opt_final
 
-    if with_witness:
-        _witness_pass(trace, add, ratios, opt_final, witness_levels)
+    _witness_pass(trace, add, ratios, opt_final, witness_levels)
 
     for name in sorted(ratios):
         entries.append(CheckEntry("ratio:" + name, None, None, "info",

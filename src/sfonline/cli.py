@@ -137,7 +137,8 @@ def run_command(cfg: RunConfig, opt):
 
     report = None
     if cfg.checks != "none":
-        report = check_run(trace, opt, with_witness=(cfg.checks == "full-witness"))
+        report = check_run(trace, opt,
+                           witness_levels=None if cfg.checks == "full-witness" else ())
 
     n = trace.n
     lines = [
@@ -298,7 +299,7 @@ def cmd_certify(args):
         raise ConfigError(f"--levels {args.levels} is above the trace's top level L={top}")
     opt = _opt_map(trace.instance, args.oracle_limit)
     levels = None if args.levels is None else [args.levels]
-    report = check_run(trace, opt, with_witness=True, witness_levels=levels)
+    report = check_run(trace, opt, witness_levels=levels)
     out_dir = args.out or args.trace
     _make_dirs(out_dir)
     _write_text(os.path.join(out_dir, "certify.csv"), report.to_csv())

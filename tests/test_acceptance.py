@@ -65,7 +65,7 @@ def big_fleet():
                 check_pinned_forest([e for e, _ in o.pinned_after], 2 * n)
                 for o in trace.arrivals
             ) and len(trace.final().pinned_after) <= 2 * n - 1
-            report = check_run(trace, with_witness=False)
+            report = check_run(trace, witness_levels=())
             fails_by_check = {}
             for e in report.entries:
                 if e.status == "fail":
@@ -100,7 +100,7 @@ def small_fleet():
                 "opt": opt,
                 "lam": lam,
                 "trace": trace,
-                "report": check_run(trace, opt, with_witness=True),
+                "report": check_run(trace, opt),
                 "gluttonous": run_baseline(inst, "online-gluttonous"),
                 "greedy": run_baseline(inst, "greedy"),
                 "offline": [res.cost for res in offline_gluttonous_forest(iter_online(inst, lam))],

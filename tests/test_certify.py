@@ -306,7 +306,7 @@ def test_check_run_detects_corrupted_snapshot(w1):
     removed = bad.snapshot.edges - dropped
     trace.arrivals[1] = dataclasses.replace(
         bad, snapshot=dataclasses.replace(bad.snapshot, edges=removed))
-    report = check_run(trace, with_witness=False)
+    report = check_run(trace, witness_levels=())
     assert not report.ok
     fails = {(e.check, e.arrival) for e in report.failures()}
     assert ("feasible", 2) in fails or ("snapshot-consistency", 2) in fails
@@ -339,8 +339,8 @@ def test_lambda_one_pins_more_per_edge(w1):
     lam_big = max(1, (inst.n - 1).bit_length())  # ceil(log2 n)
     t1 = run_online(inst, lam=1)
     t2 = run_online(inst, lam=lam_big)
-    assert check_run(t1, with_witness=True).ok
-    assert check_run(t2, with_witness=True).ok
+    assert check_run(t1).ok
+    assert check_run(t2).ok
 
     def pins_and_edges(trace):
         pins = sum(e.ledger.pins_added for e in trace.arrivals)
