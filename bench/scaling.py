@@ -2,18 +2,19 @@
 
 For every generator kind and n in the grid (lambda = ceil(log2 n), seed 1)
 this runs the online algorithm, saves its trace, loads it back and runs the
-structural certify pass (`check_run(..., witness_levels=())`) on the loaded
-trace, timing the save, the load and the pass apart. The witness phase times
-the witness pass alone over every level, as `certify` runs it after the
-structural pass; the oracle phase times `exact_optimum` at the default
-limit, the call every `run`, `compare` and `certify` makes. The compare
-phase times what `compare` computes: one `iter_online(inst, lam)` walk
-feeding `offline_gluttonous_forest`, so each hierarchy is built once, and
-both `run_baseline`s. It writes BENCH_scaling_<label>.json with, per cell,
-the seven wall times (the median of REPEATS runs, and every run), the
-trace's byte count and sha256 over its files, a sha256 over the baselines'
-per-prefix costs and one over the oracle's, and per kind and phase the
-least-squares exponent of time against n.
+structural certify pass on the loaded trace, as `check_run` runs it, timing
+the save, the load and the pass apart. The witness phase times the witness
+pass alone over every level, as `check_run` runs it after the structural
+pass, whose derived inherited clusterings it reads; the oracle phase times
+`exact_optimum` at the default limit, the call every `run`, `compare` and
+`certify` makes. The compare phase times what `compare` computes: one
+`iter_online(inst, lam)` walk feeding `offline_gluttonous_forest`, so each
+hierarchy is built once, and both `run_baseline`s. It writes
+BENCH_scaling_<label>.json with, per cell, the seven wall times (the median
+of REPEATS runs, and every run), the trace's byte count and sha256 over its
+files, a sha256 over the baselines' per-prefix costs and one over the
+oracle's, and per kind and phase the least-squares exponent of time
+against n.
 
 Only the standard library and sfonline (with its numpy) are used:
 
@@ -37,7 +38,7 @@ import time
 
 import numpy as np
 
-from sfonline.certify import _witness_pass, check_run
+from sfonline.certify import _inherited_clusterings, _structural_pass, _witness_pass
 from sfonline.metric import GENERATOR_KINDS, GeneratorSpec, generate_instance
 from sfonline.oracles import (
     DEFAULT_ORACLE_LIMIT,
@@ -76,10 +77,17 @@ def baseline_costs(inst, lam):
             offline]
 
 
-def witness_fails(trace, opt_final):
+def structural_fails(trace, inherited):
+    """Run the structural pass; return its FAIL rows."""
+    rows = []
+    _structural_pass(trace, lambda *row: rows.append(row), inherited)
+    return [row for row in rows if not row[3]]
+
+
+def witness_fails(trace, opt_final, inherited):
     """Run the witness pass on every level; return its FAIL rows."""
     rows = []
-    _witness_pass(trace, lambda *row: rows.append(row), {}, opt_final)
+    _witness_pass(trace, lambda *row: rows.append(row), {}, opt_final, None, inherited)
     return [row for row in rows if not row[3]]
 
 
@@ -103,14 +111,16 @@ def measure(kind, n, workdir):
         digests.add(trace_digest(d))
         loaded, secs = timed(load_trace, d)
         load_s.append(secs)
-        report, secs = timed(check_run, loaded, witness_levels=())
+        inherited = _inherited_clusterings(loaded)
+        fails, secs = timed(structural_fails, loaded, inherited)
         structural_s.append(secs)
-        if not report.ok:
-            raise SystemExit(f"{kind} n={n}: structural pass FAILED")
+        if fails:
+            raise SystemExit(f"{kind} n={n}: structural pass FAILED: {fails[0]}")
         opt, secs = timed(exact_optimum, inst.view(min(n, DEFAULT_ORACLE_LIMIT)))
         oracle_s.append(secs)
         opt_digests.add(hashlib.sha256(json.dumps(opt.prefix_costs).encode()).hexdigest())
-        fails, secs = timed(witness_fails, loaded, opt.cost if n <= DEFAULT_ORACLE_LIMIT else None)
+        fails, secs = timed(witness_fails, loaded,
+                            opt.cost if n <= DEFAULT_ORACLE_LIMIT else None, inherited)
         witness_s.append(secs)
         if fails:
             raise SystemExit(f"{kind} n={n}: witness pass FAILED: {fails[0]}")

@@ -96,6 +96,11 @@ def build_dual_witness(trace, i: int) -> WitnessState:
     smallest fresh Xhat vertices per top cluster glued out of k inherited
     clusters. The four invariants are asserted after every arrival.
     """
+    return _replay_witness(trace, i, _inherited_clusterings(trace))
+
+
+def _replay_witness(trace, i, inherited) -> WitnessState:
+    """build_dual_witness, reading arrival t's C_inh,i as inherited(t, i)."""
     inst = trace.instance
     lv = terminal_levels(inst.view(inst.n))
     # Distances stay below 2^62, so clamping 2r = 2^i there keeps d < 2r exact.
@@ -108,12 +113,12 @@ def build_dual_witness(trace, i: int) -> WitnessState:
     for out in trace.arrivals:
         t = out.t
         u, v = 2 * t - 2, 2 * t - 1
-        hier = out.hierarchy
-        cinh_i = out.cinh.get(i)
+        cl_next = out.hierarchy.clustering(i + 1)
+        cinh_i = inherited(t, i)
+        if cinh_i is None:
+            raise WitnessError("an inherited edge does not join two clusters", t)
         added = []
         if lv[u] >= i:
-            if cinh_i is None:
-                raise WitnessError("missing C_inh for a level the pair reaches", t)
             cu = cinh_i.assignment[u]
             cv = cinh_i.assignment[v]
             high_u = [k for k in cinh_i.members[cu] if lv[k] >= i]
@@ -125,12 +130,10 @@ def build_dual_witness(trace, i: int) -> WitnessState:
                 added = [z for z, high in ((u, high_u), (v, high_v)) if high == [z]]
             xhat.update(added)
 
-        cl_next = hier.clustering(i + 1)
         top_of = cl_next.assignment
         active = [cid for cid in cl_next.cluster_ids if cl_next.cluster_level[cid] >= i]
         subclusters = collections.Counter(
-            top_of[c2] for c2 in cinh_i.cluster_ids if cinh_i.cluster_level[c2] >= i
-        ) if cinh_i is not None else {}
+            top_of[c2] for c2 in cinh_i.cluster_ids if cinh_i.cluster_level[c2] >= i)
         fresh: dict = {}
         for z in xhat - x:
             fresh.setdefault(top_of[z], []).append(z)
@@ -145,8 +148,7 @@ def build_dual_witness(trace, i: int) -> WitnessState:
             if k > 1:
                 x.update(sorted(cands)[: k - 1])
 
-        fi = out.forest.get(i, [])
-        counts.append(sum(1 for ve in fi if not ve.inherited))
+        counts.append(sum(1 for ve in out.forest.get(i, ()) if not ve.inherited))
 
         # Candidate sources must sit inside active next-level clusters.
         for z in xhat:
@@ -364,22 +366,44 @@ def refinement_fault(fine, coarse):
     return f"fine cluster {fine.assignment[k]} split at terminal {k}"
 
 
-def forest_faults(cl, cl_next, cinh, edges, inherited):
+def inherited_clustering(cl, cl_next, inherited):
+    """C_inh,i: C_i (`cl`) contracted by the level's inherited forest edges;
+    `cl` itself when nothing is inherited, the `cl_next` object when that is
+    C_{i+1}, and None when an endpoint is not a cluster id of `cl`."""
+    if not inherited:
+        return cl
+    if any(c not in cl.members for edge in inherited for c in edge):
+        return None
+    if contract_clustering(cl, inherited) == cl_next.assignment:
+        return cl_next
+    return cl.contract(inherited)
+
+
+def _inherited_clusterings(trace):
+    """C_inh,i of arrival t as a function of (t, i) that derives each once,
+    so that the structural and witness passes share the derivation."""
+    @functools.cache
+    def of(t, i):
+        out = trace.arrivals[t - 1]
+        return inherited_clustering(out.hierarchy.clustering(i), out.hierarchy.clustering(i + 1),
+                                    [ve.endpoints for ve in out.forest.get(i, ()) if ve.inherited])
+    return of
+
+
+def forest_faults(cl, cl_next, edges, inherited):
     """Level i's forest facts as {check: phrase}, "" where one holds, in
     certify.csv row order: `edges` contract `cl` to `cl_next` with one edge per
-    merge, and (unless `cinh` is None) their sub-list `inherited` to `cinh`."""
+    merge, and their sub-list `inherited` merges once per edge too."""
     got = contract_clustering(cl, edges)
     merged = len(cl.cluster_ids) - len(cl_next.cluster_ids)
     faults = {"forest-contracts-to-next": _moved(got, cl_next.assignment),
               "count-identity-forest": "" if len(edges) == merged
               else f"|F_i|={len(edges)} |C_i|-|C_i+1|={merged}"}
-    if cinh is not None:
-        merged = len(cl.cluster_ids) - len(cinh.cluster_ids)
-        faults["count-identity-inherited"] = "" if len(inherited) == merged else (
-            f"|F_inh|={len(inherited)} |C_i|-|C_inh|={merged}")
-        if len(inherited) != len(edges):  # else the sub-list is `edges` itself
-            got = contract_clustering(cl, inherited)
-        faults["cinh-matches-forest"] = _moved(got, cinh.assignment)
+    if len(inherited) != len(edges):  # else the sub-list is `edges` itself
+        got = contract_clustering(cl, inherited)
+    merged = len(cl.cluster_ids) - len(set(got))
+    faults["count-identity-inherited"] = "" if len(inherited) == merged else (
+        f"|F_inh|={len(inherited)} |C_i|-|C_inh|={merged}")
     return faults
 
 
@@ -412,7 +436,7 @@ def _maps_onto(assignment, parent, ve):
     return d1 != d2 and {d1, d2} == {ve.c1, ve.c2}
 
 
-def _structural_pass(trace, add):
+def _structural_pass(trace, add, inherited):
     inst = trace.instance
     n = inst.n
     prev_out = prev_metrics = None
@@ -492,8 +516,7 @@ def _structural_pass(trace, add):
                     break
             add("virtual-edge-valid", i, t, not bad_edge, bad_edge)
 
-            cinh_i = out.cinh.get(i)
-            faults = forest_faults(cl, cl_next, cinh_i, [ve.endpoints for ve in fi],
+            faults = forest_faults(cl, cl_next, [ve.endpoints for ve in fi],
                                    [ve.endpoints for ve in finh])
             # C_{i+1} must merge every edge of H_i, not only the forest's.
             nxt = cl_next.assignment
@@ -531,7 +554,7 @@ def _structural_pass(trace, add):
             if prev_out is not None:
                 moved = split(prev_out.hierarchy.clustering(i), cl)
                 add("refine-across-arrivals", i, t, not moved, moved)
-                if cinh_i is not None:
+                if (cinh_i := inherited(t, i)) is not None:
                     moved = split(prev_out.hierarchy.clustering(i + 1), cinh_i)
                     add("refine-into-inherited", i, t, not moved, moved)
 
@@ -571,16 +594,14 @@ def _structural_pass(trace, add):
     add("recourse-bound", None, None, ins <= bound and dels <= ins, f"ins={ins} bound={bound}")
 
 
-def _witness_pass(trace, add, ratios, opt_final, levels=None):
+def _witness_pass(trace, add, ratios, opt_final, levels, inherited):
     final = trace.final()
     view = trace.instance.view(trace.n)
     top = final.hierarchy.top
     max_budget = None  # the largest ratio to OPT, as every level shares OPT
-    if levels is None:
-        levels = range(final.hierarchy.L + 1)
-    for i in levels:
+    for i in range(final.hierarchy.L + 1) if levels is None else levels:
         try:
-            witness = build_dual_witness(trace, i)
+            witness = _replay_witness(trace, i, inherited)
         except WitnessError as err:
             add("witness-invariants", i, err.t, False, str(err))
             continue
@@ -617,7 +638,8 @@ def check_run(trace, opt_per_arrival=None, witness_levels=None) -> CertReport:
     def add(check, level, arrival, ok, value=""):
         entries.append(CheckEntry(check, level, arrival, "pass" if ok else "fail", value or ""))
 
-    _structural_pass(trace, add)
+    inherited = _inherited_clusterings(trace)
+    _structural_pass(trace, add, inherited)
 
     ratios: dict = {}
     opt_per_arrival = opt_per_arrival or {}
@@ -643,7 +665,7 @@ def check_run(trace, opt_per_arrival=None, witness_levels=None) -> CertReport:
         )
         ratios["hierarchy-budget/OPT"] = budget / opt_final
 
-    _witness_pass(trace, add, ratios, opt_final, witness_levels)
+    _witness_pass(trace, add, ratios, opt_final, witness_levels, inherited)
 
     for name in sorted(ratios):
         entries.append(CheckEntry("ratio:" + name, None, None, "info",

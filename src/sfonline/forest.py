@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .certify import check_feasible, forest_faults, refinement_fault
+from .certify import check_feasible, forest_faults, inherited_clustering, refinement_fault
 from .clustering import (  # noqa: F401 (contract_clustering is in perfbench/spans.py's table)
     Clustering,
     Hierarchy,
@@ -225,7 +225,6 @@ class ArrivalOutcome:
     t: int
     hierarchy: Hierarchy
     forest: dict
-    cinh: dict
     pinned_after: tuple  # ((edge, pin arrival), ...)
     snapshot: Snapshot
     ledger: ArrivalLedger
@@ -250,7 +249,6 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
         view, None if prev is None else (prev.hierarchy.clusterings, state.metrics))
 
     forest: dict[int, list[VirtualEdge]] = {}
-    cinh: dict[int, Clustering] = {}
     pending: list[VirtualEdge] = []
     for i in range(hier.L + 1):
         h_edges = vgraphs[i]
@@ -263,16 +261,13 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
             parents = {}
         f_inh, f_rest = select_spanning_forest(h_edges, parents.keys())
 
-        # C_inh is C_i when no forest edge is inherited and C_{i+1} when all are.
-        cinh_i = cl_i if not f_inh else cl_next if not f_rest else cl_i.contract(f_inh)
-        faults = forest_faults(cl_i, cl_next, cinh_i, f_inh + f_rest, f_inh)
-        # C_inh contracts part of a forest whose full contraction is C_{i+1},
-        # so this also proves that the previous C_{i+1} refines C_{i+1}, as
-        # level i + 1's inheritance needs. When C_inh is C_{i+1} of a merging
-        # level, build_hierarchy has tested that same pair.
+        faults = forest_faults(cl_i, cl_next, f_inh + f_rest, f_inh)
+        # C_inh contracts part of a forest whose full contraction is C_{i+1}, so this
+        # proves the previous C_{i+1} refines C_{i+1} too, as level i + 1 needs. With
+        # every edge inherited, C_inh is C_{i+1}: build_hierarchy tested that pair.
         if prev is not None and (f_rest or not f_inh):
             faults["refine-into-inherited"] = refinement_fault(
-                prev.hierarchy.clustering(i + 1), cinh_i)
+                prev.hierarchy.clustering(i + 1), inherited_clustering(cl_i, cl_next, f_inh))
         wrong = "; ".join(f"{check}: {phrase}" for check, phrase in faults.items() if phrase)
         if wrong:
             raise AssertionError(f"{wrong} (internal bug)")
@@ -288,7 +283,6 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
                 entries.append(ve)
                 pending.append(ve)
         forest[i] = entries
-        cinh[i] = cinh_i
 
     events, buffer_end = pin_and_realize(view, hier, metrics, pending, state.pinned,
                                          state.lam, t)
@@ -318,7 +312,6 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
         t=t,
         hierarchy=hier,
         forest=forest,
-        cinh=cinh,
         pinned_after=state.pinned.items(),
         snapshot=snapshot,
         ledger=entry,

@@ -2,11 +2,11 @@
 
 A run trace is everything the certifier needs to re-verify a run without
 re-executing it: per arrival, the clustering hierarchy, the chosen forests
-with their realized edge sets, the intermediate inherited-only clusterings,
-the pin set, and the snapshot. On disk a trace is a directory of plain-text
-files (instance + meta + one JSON document per arrival), so runs and
-certification are decoupled and traces from other implementations can be
-checked for conformance.
+with their realized edge sets (the inherited-only clusterings follow from
+these), the pin set, and the snapshot. On disk a trace is a directory of
+plain-text files (instance + meta + one JSON document per arrival), so runs
+and certification are decoupled and traces from other implementations can
+be checked for conformance.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .forest import (
 )
 from .metric import Instance, load_instance_file, save_instance_file
 
-TRACE_FORMAT = 1
+TRACE_FORMAT = 2
 
 
 @dataclasses.dataclass
@@ -86,7 +86,7 @@ _SEPARATORS = (",", ":")
 
 
 def _arrival_payload(out: ArrivalOutcome) -> dict:
-    """An arrival's JSON document, less its clusterings and C_inh levels."""
+    """An arrival's JSON document, less its clusterings."""
     led = out.ledger
     return {
         "t": out.t,
@@ -131,10 +131,9 @@ def _arrival_payload(out: ArrivalOutcome) -> dict:
 
 def _arrival_json(out: ArrivalOutcome) -> str:
     """The arrival's document as `json.dumps(..., sort_keys=True)` would
-    write it, with every clustering's member lists as a list per level and
-    `cinh` keyed by str(level). Levels share Clustering objects, so each
-    distinct one is encoded once and its text spliced in wherever it occurs.
-    """
+    write it, with every clustering's member lists as a list per level.
+    Levels share Clustering objects, so each distinct one is encoded once and
+    its text spliced in wherever it occurs."""
     encoded = {}
 
     def members(cl):
@@ -146,8 +145,6 @@ def _arrival_json(out: ArrivalOutcome) -> str:
     parts = {key: json.dumps(value, sort_keys=True, separators=_SEPARATORS)
              for key, value in _arrival_payload(out).items()}
     parts["clusterings"] = "[" + ",".join(map(members, out.hierarchy.clusterings)) + "]"
-    cinh = sorted((str(i), cl) for i, cl in out.cinh.items())  # "10" before "2"
-    parts["cinh"] = "{" + ",".join(f'"{i}":{members(cl)}' for i, cl in cinh) + "}"
     return "{" + ",".join(f'"{key}":{parts[key]}' for key in sorted(parts)) + "}"
 
 
@@ -159,7 +156,6 @@ def save_trace(trace: RunTrace, dirpath) -> None:
         "lam": trace.lam,
         "n": trace.n,
         "arrivals": len(trace.arrivals),
-        "nhat_doubling": False,  # format 1 keeps the key; nothing reads its value
     }
     with open(os.path.join(dirpath, "meta.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, sort_keys=True, separators=_SEPARATORS)
@@ -231,13 +227,6 @@ def _edge(value):
     return _int(a), _int(b)
 
 
-def _level(level_of, key):
-    """The level a forest or C_inh key names, else ValueError."""
-    if key not in level_of:
-        raise ValueError(f"level key {key!r} is not one of 0..{len(level_of) - 1}")
-    return level_of[key]
-
-
 @contextlib.contextmanager
 def _malformed(path):
     """Report an unreadable file, bad JSON (a ValueError), a missing key or a
@@ -251,15 +240,16 @@ def _malformed(path):
 def _outcome_from_payload(instance, t, payload) -> ArrivalOutcome:
     levels = terminal_levels(instance.view(t))
     # JSON true and 1.0 equal 1, so members are type-checked before levels are compared.
-    member_lists = itertools.chain(*payload["clusterings"], *payload["cinh"].values())
-    if set(map(type, itertools.chain.from_iterable(member_lists))) - {int}:
+    if set(map(type, itertools.chain(*itertools.chain(*payload["clusterings"])))) - {int}:
         raise TypeError("cluster members must be integers")
     hier = _hierarchy_from_payload(payload, levels)
     # Level keys are canonical: "7" names level 7, "07" and "+7" name none.
     level_of = {str(i): i for i in range(hier.L + 1)}
     forest = {}
     for key, entries in payload["forest"].items():
-        i = _level(level_of, key)
+        if key not in level_of:
+            raise ValueError(f"level key {key!r} is not one of 0..{hier.L}")
+        i = level_of[key]
         forest[i] = [
             VirtualEdge(
                 level=i,
@@ -272,14 +262,6 @@ def _outcome_from_payload(instance, t, payload) -> ArrivalOutcome:
             )
             for rec in entries
         ]
-    # C_inh mostly equals C_i or C_{i+1}; such a level reuses the loaded object.
-    stored = payload["clusterings"]
-    cinh = {}
-    for key, member_lists in payload["cinh"].items():
-        i = _level(level_of, key)
-        same = [j for j in (i, i + 1) if stored[j] == member_lists]
-        cinh[i] = (hier.clusterings[same[0]] if same
-                   else _clustering_from_members(member_lists, levels))
     pinned_after = tuple((_edge(e), _int(pt)) for e, pt in payload["pinned"])
     snapshot = Snapshot(frozenset(_edge(e) for e in payload["snapshot"]),
                         _int(payload["cost_f"]))
@@ -300,7 +282,6 @@ def _outcome_from_payload(instance, t, payload) -> ArrivalOutcome:
         t=t,
         hierarchy=hier,
         forest=forest,
-        cinh=cinh,
         pinned_after=pinned_after,
         snapshot=snapshot,
         ledger=entry,
@@ -319,7 +300,6 @@ def load_trace(dirpath) -> RunTrace:
         lam = _int(meta["lam"])
         if lam < 1:
             raise ValueError(f"lam={lam} is below 1")
-        _bool(meta["nhat_doubling"])  # a format-1 key; its value is ignored
     instance = load_instance_file(os.path.join(dirpath, "instance.sfo"))
     with _malformed(meta_path):
         for key in ("n", "arrivals"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sfonline.certify import inherited_clustering
 from sfonline.metric import Instance
 from sfonline.trace import _clustering_from_members
 
@@ -22,6 +23,16 @@ def clustering_of(labels, levels):
     for k, label in enumerate(labels):
         groups.setdefault(label, []).append(k)
     return _clustering_from_members(list(groups.values()), levels)
+
+
+def inherited_clusterings(out):
+    """An arrival's C_inh,0 .. C_inh,L, each derived from C_i, C_{i+1} and
+    the level's inherited forest edges."""
+    h = out.hierarchy
+    return {i: inherited_clustering(h.clustering(i), h.clustering(i + 1),
+                                    [ve.endpoints for ve in out.forest.get(i, [])
+                                     if ve.inherited])
+            for i in range(h.L + 1)}
 
 
 @pytest.fixture

@@ -15,12 +15,24 @@ from sfonline.certify import (
     check_pinned_forest,
     check_run,
     grow_balls,
+    inherited_clustering,
     radius,
     witness_value_identity,
 )
-from sfonline.clustering import build_hierarchy, terminal_levels
+from sfonline.clustering import (
+    build_hierarchy,
+    check_refinement,
+    contract_clustering,
+    terminal_levels,
+)
 from sfonline.errors import SfonlineError
-from sfonline.metric import MAX_DIST, GeneratorSpec, Instance, generate_instance
+from sfonline.metric import (
+    GENERATOR_KINDS,
+    MAX_DIST,
+    GeneratorSpec,
+    Instance,
+    generate_instance,
+)
 from sfonline.oracles import exact_optimum
 from sfonline.trace import run_online
 
@@ -312,15 +324,43 @@ def test_check_run_detects_corrupted_snapshot(w1):
     assert ("feasible", 2) in fails or ("snapshot-consistency", 2) in fails
 
 
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+@pytest.mark.parametrize("n,lam", [(8, 1), (8, 2), (16, 1), (16, 2)])
+def test_inherited_clustering_contracts_the_inherited_edges(kind, n, lam):
+    trace = run_online(generate_instance(GeneratorSpec(kind=kind, n=n, seed=1)), lam=lam)
+    prev = None
+    for out in trace.arrivals:
+        h = out.hierarchy
+        for i in range(h.L + 1):
+            cl, cl_next = h.clustering(i), h.clustering(i + 1)
+            finh = [ve.endpoints for ve in out.forest.get(i, []) if ve.inherited]
+            cinh = inherited_clustering(cl, cl_next, finh)
+            if not finh:
+                assert cinh is cl
+            assert (cinh is cl_next) == (cinh.assignment == cl_next.assignment)
+            assert cinh.assignment == contract_clustering(cl, finh)
+            if prev is not None:
+                assert check_refinement(prev.hierarchy.clustering(i + 1), cinh)
+        prev = out
+
+
 def test_check_run_detects_tampered_witness_counts(w1):
-    # Flip an inherited flag: the witness's source-count bookkeeping must notice.
+    # Flip a fresh edge's inherited flag: C_inh follows the flag, so the
+    # forest no longer vouches for the edge, but provenance does.
     trace = run_online(w1, lam=1)
     a2 = trace.arrivals[1]
     ve = a2.forest[2][0]
     ve.inherited = True
     ve.parent = (2, 3)
-    with pytest.raises(WitnessError):
-        build_dual_witness(trace, 2)
+    assert [(e.check, e.level, e.arrival) for e in check_run(trace).failures()] == [
+        ("inheritance-provenance", 2, 2)]
+    # Flip an inherited one: arrival 4 of euclidean n=4 inherits level-8 edge
+    # (1,2), and as a fresh edge it leaves the witness one source short.
+    trace = run_online(generate_instance(GeneratorSpec(kind="euclidean", n=4, seed=1)), lam=2)
+    ve = next(ve for ve in trace.arrivals[3].forest[8] if ve.inherited)
+    ve.inherited, ve.parent = False, None
+    with pytest.raises(WitnessError, match="cluster 0 offers 2 fresh sources, needs 3"):
+        build_dual_witness(trace, 8)
 
 
 def test_check_run_random_runs_certify():

@@ -6,7 +6,6 @@ import pytest
 from sfonline import forest
 from sfonline.clustering import (
     ClusterPath,
-    Clustering,
     build_hierarchy,
     terminal_levels,
 )
@@ -23,7 +22,7 @@ from sfonline.metric import GeneratorSpec, generate_instance
 from sfonline.trace import run_online
 from sfonline.unionfind import UnionFind
 
-from conftest import clustering_of, line_instance
+from conftest import clustering_of, inherited_clusterings, line_instance
 
 
 def chain5():
@@ -199,11 +198,13 @@ def test_run_invariants_random(kind, seed, lam):
         assert frozenset(rebuilt) == out.snapshot.edges
         # Counting identities per level.
         h = out.hierarchy
+        cinh = inherited_clusterings(out)
         for i in range(h.L + 1):
             fi = out.forest.get(i, [])
             finh = [ve for ve in fi if ve.inherited]
-            assert len(fi) == len(h.clustering(i).cluster_ids) - len(h.clustering(i + 1).cluster_ids)
-            assert len(finh) == len(h.clustering(i).cluster_ids) - len(out.cinh[i].cluster_ids)
+            sizes = [len(c.cluster_ids) for c in (h.clustering(i), h.clustering(i + 1), cinh[i])]
+            assert len(fi) == sizes[0] - sizes[1]
+            assert len(finh) == sizes[0] - sizes[2]
         # Ledger row matches the actual diff.
         ins, dels = recourse_diff(prev_edges, out.snapshot.edges)
         assert (ins, dels) == (out.ledger.insertions, out.ledger.deletions)
@@ -274,22 +275,11 @@ def test_advance_catches_a_repeated_forest_edge(monkeypatch, w1):
 
 
 def test_advance_catches_a_wrong_inherited_clustering(monkeypatch):
-    # C_inh contracts the inherited edges into C_i. A contraction that loses
-    # one of them, after the hierarchy is built, leaves C_inh a cluster too
-    # many; chain5's arrival 2 inherits one level-0 edge beside a fresh one.
-    real_build, real_contract = forest.build_hierarchy, Clustering.contract
-    built = []
-
-    def build(*args):
-        built.clear()
-        out = real_build(*args)
-        built.append(True)
-        return out
-
-    monkeypatch.setattr(forest, "build_hierarchy", build)
-    monkeypatch.setattr(Clustering, "contract",
-                        lambda cl, edges: real_contract(cl, list(edges)[:-1] if built else edges))
-    with pytest.raises(AssertionError, match=r"count-identity-inherited: \|F_inh\|="):
+    # C_inh contracts the inherited edges into C_i, one merge per edge. An
+    # inherited edge listed twice merges once; chain5's arrival 2 inherits
+    # one level-0 edge beside a fresh one.
+    _patched(monkeypatch, "select_spanning_forest", lambda f: (f[0] + f[0][:1], f[1]))
+    with pytest.raises(AssertionError, match=r"count-identity-inherited: \|F_inh\|=2 "):
         run_online(chain5(), lam=2)
 
 

@@ -19,7 +19,7 @@ from sfonline.errors import FormatError
 from sfonline.metric import GENERATOR_KINDS, GeneratorSpec, generate_instance
 from sfonline.trace import load_trace, run_online, save_trace
 
-from conftest import line_instance
+from conftest import inherited_clusterings, line_instance
 
 
 def _recomputed_vgraphs(view, hier):
@@ -53,11 +53,11 @@ def test_trace_roundtrip(tmp_path, w1):
             cls = b.hierarchy.clusterings
             for prev, cl in zip(cls, cls[1:]):
                 assert (cl is prev) == (cl.assignment == prev.assignment)
-            # A loaded C_inh is the C_i or C_{i+1} object exactly when it
-            # equals that level (C_i first).
-            assert a.cinh.keys() == b.cinh.keys()
-            for i, cl in b.cinh.items():
-                assert cl.assignment == a.cinh[i].assignment
+            # A C_inh derived from the loaded trace is the C_i or C_{i+1}
+            # object exactly when it equals that level (C_i first).
+            run_cinh = inherited_clusterings(a)
+            for i, cl in inherited_clusterings(b).items():
+                assert cl.assignment == run_cinh[i].assignment
                 same = [c for c in (cls[i], cls[i + 1]) if c.assignment == cl.assignment]
                 if same:
                     assert cl is same[0]
@@ -82,8 +82,8 @@ def test_loaded_clusterings_equal_the_runs(tmp_path, kind):
     for run, loaded in zip(trace.arrivals, load_trace(tmp_path / "t").arrivals, strict=True):
         assert ([fields(cl) for cl in loaded.hierarchy.clusterings]
                 == [fields(cl) for cl in run.hierarchy.clusterings])
-        assert ({i: fields(cl) for i, cl in loaded.cinh.items()}
-                == {i: fields(cl) for i, cl in run.cinh.items()})
+        assert ({i: fields(cl) for i, cl in inherited_clusterings(loaded).items()}
+                == {i: fields(cl) for i, cl in inherited_clusterings(run).items()})
 
 
 def test_load_trace_builds_no_contracted_metric(tmp_path, monkeypatch):
@@ -186,16 +186,16 @@ TAMPERINGS = {
     "meta-n-wrong": _meta(n=4),
     "meta-lam-float": _meta(lam=2.9),
     "meta-lam-zero": _meta(lam=0),
-    "meta-nhat-doubling-str": _meta(nhat_doubling="no"),
     # Scalars and keys that must be canonical: the format and t are integers,
     # and a level key is str(i) for a level 0 <= i <= L (L = 10 here).
     "meta-format-bool": _meta(format=True),
+    # Format 1 stored C_inh; this loader reads format 2 only.
+    "meta-format-1": _meta(format=1),
     "t-bool": ("arrival_0001.json", _setting(("t",), True)),
     "t-float": (ARRIVAL, _setting(("t",), 2.0)),
     "forest-key-signed": (ARRIVAL, _copying("forest", "9", "+9")),
     "forest-key-zero-padded": (ARRIVAL, _copying("forest", "9", "09")),
     "forest-key-above-top": (ARRIVAL, _setting(("forest", "40"), [])),
-    "cinh-key-above-top": (ARRIVAL, _copying("cinh", "0", "40")),
 }
 
 
@@ -245,8 +245,7 @@ SEMANTIC_TAMPERINGS = {
     "fresh-edge-marked-inherited": (
         "arrival_0004.json",
         _mark_first_fresh_edge_inherited,
-        ["cinh-matches-forest,7,4,fail,terminal 6 in 1 want 6",
-         "count-identity-inherited,7,4,fail,|F_inh|=2 |C_i|-|C_inh|=1"]),
+        ["inheritance-provenance,7,4,fail,(1;6) has no parent in the previous forest"]),
     "edge-to-itself": (
         "arrival_0004.json",
         lambda p: p["forest"]["7"][0].update(c2=p["forest"]["7"][0]["c1"]),
@@ -276,16 +275,19 @@ SEMANTIC_TAMPERINGS = {
         lambda p: p["pinned"][-1].__setitem__(1, 3),
         ["snapshot-consistency,,4,fail,pin (3;7) stamped 3"]),
     # Arrival 3's C_8 holds {1, 5} and its C_9 {1, 2, 3, 5}; arrival 4's C_8
-    # and C_inh,8 are edited to leave 5 out of 1's cluster.
+    # is edited to leave 5 out of 1's cluster.
     "clustering-splits-previous": (
         "arrival_0004.json",
         lambda p: p["clusterings"].__setitem__(8, [[0], [1, 6], [2], [3, 7], [4], [5]]),
         ["refine-across-arrivals,8,4,fail,fine cluster 1 split at terminal 5",
          "active-cluster-gap,8,4,fail,gap=192 2^i=256"]),
-    "cinh-splits-previous": (
+    # Arrival 4 inherits level-8 edge (1,2); marked fresh, it leaves C_inh,8
+    # splitting arrival 3's C_9 and the witness one source short.
+    "inherited-edge-marked-fresh": (
         "arrival_0004.json",
-        lambda p: p["cinh"].__setitem__("8", [[0], [1, 2, 3, 6, 7], [4], [5]]),
-        ["refine-into-inherited,8,4,fail,fine cluster 1 split at terminal 5"]),
+        lambda p: p["forest"]["8"][1].update(inherited=False, parent=None),
+        ["refine-into-inherited,8,4,fail,fine cluster 1 split at terminal 2",
+         "witness-invariants,8,4,fail,cluster 0 offers 2 fresh sources; needs 3"]),
     "pin-event-dropped": (
         "arrival_0004.json",
         lambda p: p["ledger"].update(pin_events=[], pins_added=0),
@@ -309,25 +311,22 @@ def test_tampered_trace_gets_fail_rows(tmp_path, capsys, case):
 
 
 def test_recourse_bound_holds_whatever_meta_says(tmp_path, capsys):
-    # meta.json's nhat_doubling is a format-1 key with no effect: a trace
-    # whose insertions pass 2n + 21n*lam = 176 fails the bound either way.
+    # No meta.json key turns the bound off: a trace whose insertions pass
+    # 2n + 21n*lam = 176 fails it.
     d = tmp_path / "trace"
     save_trace(run_online(generate_instance(GeneratorSpec(kind="euclidean", n=4, seed=1)),
                           lam=2), d)
-    for name, change in (("meta.json", lambda p: p.update(nhat_doubling=True)),
-                         ("arrival_0001.json", lambda p: p["ledger"].update(insertions=177))):
-        path = d / name
-        path.write_text(_edited(change)(path.read_text()))
+    path = d / "arrival_0001.json"
+    path.write_text(_edited(lambda p: p["ledger"].update(insertions=177))(path.read_text()))
     assert main(["certify", "--trace", str(d), "--out", str(tmp_path / "c")]) == 1
     assert "overall: FAIL" in capsys.readouterr().out
     assert "recourse-bound,,,fail,ins=" in (tmp_path / "c" / "certify.csv").read_text()
 
 
 # case -> (path of a member list, its new value). At arrival 2 of the
-# euclidean n=4, lambda=2 trace, C_0 .. C_8 and C_inh,0 .. C_inh,8 are the
-# four singletons and C_9 is {0}, {1, 2, 3}. JSON true equals 1 and 1.0
-# equals 1 in Python, so a level that only compares equal to the one below,
-# or a C_inh level to a stored C_i, must still be type-checked.
+# euclidean n=4, lambda=2 trace, C_0 .. C_8 are the four singletons and C_9
+# is {0}, {1, 2, 3}. JSON true equals 1 and 1.0 equals 1 in Python, so a
+# level that only compares equal to the one below must still be type-checked.
 MEMBER_TAMPERINGS = {
     "member-true": (("clusterings", 0, 1), [True]),
     "member-false": (("clusterings", 0, 0), [False]),
@@ -342,10 +341,6 @@ MEMBER_TAMPERINGS = {
     "member-repeated": (("clusterings", 9, 0), [0, 1]),
     "member-out-of-range": (("clusterings", 0, 3), [4]),
     "member-negative": (("clusterings", 0, 3), [-1]),
-    "cinh-member-true": (("cinh", "0", 1), [True]),
-    "cinh-member-float": (("cinh", "0", 1), [1.0]),
-    "cinh-member-list-empty": (("cinh", "9", 0), []),
-    "cinh-member-list-extra-empty": (("cinh", "9"), [[], [0, 1, 2, 3]]),
 }
 
 
