@@ -30,33 +30,33 @@ ORACLE_LIMIT = "5"
 
 # (kind, n, lam) -> (run: trace dir + per_arrival.csv, compare.csv, certify.csv)
 GOLDEN = {
-    ('euclidean', 3, 1): ('53ddc3fd479e9267', '579a470ccbb6a92c', 'b2288593d93fe388'),
-    ('euclidean', 3, 2): ('1aab1eb38386f6ab', 'e57e546cb078fe19', '9a777846967e72a9'),
-    ('euclidean', 3, 5): ('0152fb32d79da25e', 'e57e546cb078fe19', '90bd4f90f3811faa'),
-    ('euclidean', 7, 1): ('3a836c566ec94607', 'c17ada2382aa8be8', '3f6c3ff8b3616d74'),
-    ('euclidean', 7, 2): ('cd3708f1ea8db38f', 'e4540863934cad72', '538835b189f6aca6'),
-    ('euclidean', 7, 5): ('dd44aac3d1c95d2f', 'e4540863934cad72', '547c3fd9d58110b9'),
-    ('euclidean', 12, 1): ('1ae76133d35ef72c', 'f6d78bcd66ff5f13', 'b23abf6d30acb314'),
-    ('euclidean', 12, 2): ('9db057d4ab4b03c4', 'f3cf38cc3d191df1', '0e25185ab3319eda'),
-    ('euclidean', 12, 5): ('89ffe2747d31865f', 'b1cb5b6d90b0c617', 'fb8b6e6f1e2406fd'),
-    ('random-metric', 3, 1): ('2b3284d89bee859b', 'c84abe70c250deca', '7dcf93f964099a44'),
-    ('random-metric', 3, 2): ('4924e58f10cdda7c', '4fb8520f9d415b7d', '50e312b2b10aada0'),
-    ('random-metric', 3, 5): ('74a50ef13aac3abe', '4fb8520f9d415b7d', '7ef4aa67d690e644'),
-    ('random-metric', 7, 1): ('8d2736f228c0cf43', '6432cae02b72107a', '2435d52257db8d9a'),
-    ('random-metric', 7, 2): ('2fac84ec9dfabe24', 'fd934da344a1bb47', '7242e436ba3b7106'),
-    ('random-metric', 7, 5): ('5e5dfcb1b7b33284', '9aa9fe511cb4093d', '094f89e920221d22'),
-    ('random-metric', 12, 1): ('d78c11bf39662145', '5353649c29787779', '80d4d37b9fcc1cf3'),
-    ('random-metric', 12, 2): ('3883d854af01b172', '91cac76b4473970e', 'a9e06bdac4488485'),
-    ('random-metric', 12, 5): ('368978ca39119c05', '904484fedff827bf', '38d7d46e9699a64e'),
-    ('line-chain', 3, 1): ('ffdfeb77c10b9ff9', '037c68c97cf82c66', '2a0dc3e6ec54da19'),
-    ('line-chain', 3, 2): ('457802963d269730', '037c68c97cf82c66', '23e9492f6bbfb1c2'),
-    ('line-chain', 3, 5): ('3b001f465077140f', '037c68c97cf82c66', '09a866a52a6cb933'),
-    ('line-chain', 7, 1): ('ef59481823e67e13', '408dfb38386c7ec1', '327fff2966efa1f5'),
-    ('line-chain', 7, 2): ('12d78244ff9a4ccb', '408dfb38386c7ec1', '0ae2105840ba1f67'),
-    ('line-chain', 7, 5): ('5e1558981405df28', '408dfb38386c7ec1', 'f94e890af6bdbd7f'),
-    ('line-chain', 12, 1): ('f3565a7c20538dea', '680ac1e2c1bbd728', '858aa0333803f3c0'),
-    ('line-chain', 12, 2): ('546cb0cbd8a10486', '680ac1e2c1bbd728', '64648a64cf66c91d'),
-    ('line-chain', 12, 5): ('18463e5b5e3b6b46', '680ac1e2c1bbd728', 'db25ef1b9017be74'),
+    ('euclidean', 3, 1): ('93a1455160e9daad', '579a470ccbb6a92c', 'a68b7a395c91814b'),
+    ('euclidean', 3, 2): ('f3ec888204c7d89a', 'e57e546cb078fe19', 'a8e92eb3666b4b66'),
+    ('euclidean', 3, 5): ('4c755d0b1f50ce7b', 'e57e546cb078fe19', 'c84f0c6d41bda10f'),
+    ('euclidean', 7, 1): ('9705643c2c4c4163', 'c17ada2382aa8be8', '4639c6d063080da3'),
+    ('euclidean', 7, 2): ('e6cf00a3bd6a98b0', 'e4540863934cad72', 'cc88f6f443b4e5d1'),
+    ('euclidean', 7, 5): ('1df535f1595c6320', 'e4540863934cad72', '9624ec997193667e'),
+    ('euclidean', 12, 1): ('42b3338e43cae6f4', 'f6d78bcd66ff5f13', 'b13bb6aad69af961'),
+    ('euclidean', 12, 2): ('dda85db1788b8002', 'f3cf38cc3d191df1', '6fc97aa946015b11'),
+    ('euclidean', 12, 5): ('4151d140c8937477', 'b1cb5b6d90b0c617', 'adf76fe6c29599a8'),
+    ('random-metric', 3, 1): ('a6c4a9e41b3279de', 'c84abe70c250deca', '4d1841e02781026a'),
+    ('random-metric', 3, 2): ('2f72e1851c0ac1d5', '4fb8520f9d415b7d', '76e693ebd5c3d76c'),
+    ('random-metric', 3, 5): ('ebf2f40e7d8e0446', '4fb8520f9d415b7d', '8c4ca2513f204b66'),
+    ('random-metric', 7, 1): ('3c52bdff835ceb84', '6432cae02b72107a', '5bbc75d97e245fae'),
+    ('random-metric', 7, 2): ('5fc019ee16ce5590', 'fd934da344a1bb47', '514423b819f2b803'),
+    ('random-metric', 7, 5): ('aee91cc5f19b098a', '9aa9fe511cb4093d', '920023425b8473bb'),
+    ('random-metric', 12, 1): ('1bc050ea44ae20d0', '5353649c29787779', '9cdc8f39857fb372'),
+    ('random-metric', 12, 2): ('d8c1c5b8a7130c37', '91cac76b4473970e', '9d314b80eb83115b'),
+    ('random-metric', 12, 5): ('f1dedf233ffb63d7', '904484fedff827bf', '8f4150b1b3c0dbe4'),
+    ('line-chain', 3, 1): ('1364a5b0653198bb', '037c68c97cf82c66', 'a76513850c9387ff'),
+    ('line-chain', 3, 2): ('341e5b9cb2a56023', '037c68c97cf82c66', 'ead308c7eac1c6d6'),
+    ('line-chain', 3, 5): ('906bb374e4252f8b', '037c68c97cf82c66', '413626e6694f8f63'),
+    ('line-chain', 7, 1): ('596fb5c88ada1c1a', '408dfb38386c7ec1', 'a91866af5b6620a4'),
+    ('line-chain', 7, 2): ('e74a8f9c0b75536f', '408dfb38386c7ec1', '88e8a379eebd8341'),
+    ('line-chain', 7, 5): ('e5913039c0e64dba', '408dfb38386c7ec1', 'fbeb374ea474c65c'),
+    ('line-chain', 12, 1): ('941f96706dababc7', '680ac1e2c1bbd728', '3abcf23a65167488'),
+    ('line-chain', 12, 2): ('b92308ab9fa42ce8', '680ac1e2c1bbd728', '3d6d130508218bfa'),
+    ('line-chain', 12, 5): ('313126bf4bf2fe83', '680ac1e2c1bbd728', 'f929aa1b3598bd8a'),
 }
 
 
