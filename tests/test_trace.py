@@ -288,6 +288,12 @@ SEMANTIC_TAMPERINGS = {
         lambda p: p["forest"]["8"][1].update(inherited=False, parent=None),
         ["refine-into-inherited,8,4,fail,fine cluster 1 split at terminal 2",
          "witness-invariants,8,4,fail,cluster 0 offers 2 fresh sources; needs 3"]),
+    # An inherited edge whose endpoint is no cluster id has no C_inh,8.
+    "inherited-edge-endpoint-unknown": (
+        "arrival_0004.json",
+        lambda p: p["forest"]["8"][1].update(c1=99),
+        ["virtual-edge-valid,8,4,fail,(99;2) does not join two clusters",
+         "witness-invariants,8,4,fail,an inherited edge does not join two clusters"]),
     "pin-event-dropped": (
         "arrival_0004.json",
         lambda p: p["ledger"].update(pin_events=[], pins_added=0),
