@@ -13,8 +13,9 @@ hierarchy is built once, and both `run_baseline`s. It writes
 BENCH_scaling_<label>.json with, per cell, the seven wall times (the median
 of REPEATS runs, and every run), the trace's byte count and sha256 over its
 files, a sha256 over the baselines' per-prefix costs and one over the
-oracle's, and per kind and phase the least-squares exponent of time
-against n.
+oracle's, the run's (arrival, level) pair count and how many of those
+pairs the arrival left unchanged, and per kind and phase the
+least-squares exponent of time against n.
 
 Only the standard library and sfonline (with its numpy) are used:
 
@@ -29,6 +30,7 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import os
 import platform
 import statistics
@@ -77,6 +79,24 @@ def baseline_costs(inst, lam):
             offline]
 
 
+def level_counts(trace) -> tuple[int, int]:
+    """(levels, unchanged levels) of a run: its (arrival, level i = 0..L)
+    pairs, and those whose C_i and C_{i+1} are the previous arrival's plus
+    the arrival's new terminals as singletons."""
+    levels = unchanged = 0
+    prev = None
+    for out in trace.arrivals:
+        h = out.hierarchy
+        levels += h.L + 1
+        if prev is not None:
+            new = tuple(range(len(prev.clusterings[0].assignment), len(h.clusterings[0].assignment)))
+            grown = [prev.clustering(i).assignment + new == cl.assignment
+                     for i, cl in enumerate(h.clusterings)]
+            unchanged += sum(map(operator.and_, grown, grown[1:]))
+        prev = h
+    return levels, unchanged
+
+
 def structural_fails(trace, inherited):
     """Run the structural pass; return its FAIL rows."""
     rows = []
@@ -101,10 +121,11 @@ def measure(kind, n, workdir):
     inst = generate_instance(GeneratorSpec(kind=kind, n=n, seed=SEED))
     lam = max(1, math.ceil(math.log2(n)))
     run_s, save_s, load_s, structural_s, witness_s, oracle_s, compare_s = ([] for _ in PHASES)
-    digests, cost_digests, opt_digests = set(), set(), set()
+    digests, cost_digests, opt_digests, counts = set(), set(), set(), set()
     for r in range(REPEATS):
         trace, secs = timed(run_online, inst, lam)
         run_s.append(secs)
+        counts.add(level_counts(trace))
         d = os.path.join(workdir, f"{kind}_{n}_{r}")
         _, secs = timed(save_trace, trace, d)
         save_s.append(secs)
@@ -127,9 +148,10 @@ def measure(kind, n, workdir):
         costs, secs = timed(baseline_costs, inst, lam)
         compare_s.append(secs)
         cost_digests.add(hashlib.sha256(json.dumps(costs).encode()).hexdigest())
-    if len(digests) != 1 or len(cost_digests) != 1 or len(opt_digests) != 1:
+    if len(digests) != 1 or len(cost_digests) != 1 or len(opt_digests) != 1 or len(counts) != 1:
         raise SystemExit(f"{kind} n={n}: outputs differ between repeats")
     trace_sha256, trace_bytes = digests.pop()
+    levels, unchanged_levels = counts.pop()
     return {
         "kind": kind, "n": n, "lam": lam, "seed": SEED,
         "run_online_s": statistics.median(run_s),
@@ -150,6 +172,8 @@ def measure(kind, n, workdir):
         "trace_bytes": trace_bytes,
         "baselines_sha256": cost_digests.pop(),
         "oracle_sha256": opt_digests.pop(),
+        "levels": levels,
+        "unchanged_levels": unchanged_levels,
     }
 
 
@@ -178,7 +202,8 @@ def main(argv=None):
                       f"structural {cell['structural_s']:7.3f} s  "
                       f"witness {cell['witness_s']:7.3f} s  "
                       f"oracle {cell['oracle_s']:7.3f} s  "
-                      f"compare {cell['compare_s']:7.3f} s", flush=True)
+                      f"compare {cell['compare_s']:7.3f} s  "
+                      f"unchanged {cell['unchanged_levels']}/{cell['levels']}", flush=True)
                 cells.append(cell)
     exponents = {
         kind: {key: exponent([c for c in cells if c["kind"] == kind], key) for key in PHASES}
