@@ -24,6 +24,7 @@ import typing
 import numpy as np
 
 from .clustering import (
+    _roots,
     active_virtual_edges,
     check_refinement,
     contract_clustering,
@@ -374,9 +375,10 @@ def inherited_clustering(cl, cl_next, inherited):
         return cl
     if any(c not in cl.members for edge in inherited for c in edge):
         return None
-    if contract_clustering(cl, inherited) == cl_next.assignment:
-        return cl_next
-    return cl.contract(inherited)
+    root = _roots(inherited)
+    a = cl.assignment
+    got = tuple(map(root.get, a, a))
+    return cl_next if got == cl_next.assignment else cl.merged(root, got)
 
 
 def _inherited_clusterings(trace):

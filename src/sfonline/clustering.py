@@ -17,6 +17,13 @@ level i (the invariant the recourse analysis rests on), so a level's
 metric is the previous arrival's, extended by the two new terminals as
 singletons and then coarsened. A full Floyd-Warshall runs on no path.
 
+build_hierarchy takes the previous arrival's (clusterings, metrics, virtual
+edges) as `prev`. Most levels of an arrival are the previous arrival's plus
+the two new singletons, and on that unchanged prefix, from C_0 up, only the
+new terminals' two rows of the metric can add a virtual edge: when neither
+does, the level reuses the previous H_i and C_{i+1} in O(K) steps instead
+of searching the O(K^2) metric and contracting.
+
 A Clustering is a plain partition with no level label. Most levels merge
 nothing and share their predecessor's object. A level that merges is
 contracted from its parent (Clustering.contract): the union-find runs over
@@ -52,7 +59,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .metric import InstanceView, mate
-from .unionfind import UnionFind
 
 
 def terminal_level(view: InstanceView, v: int) -> int:
@@ -100,6 +106,12 @@ class Clustering:
         union and their level the max. Every other cluster's entry is copied.
         """
         root = _roots(cluster_edges)
+        a = self.assignment
+        return self.merged(root, tuple(map(root.get, a, a)))
+
+    def merged(self, root, assignment) -> Clustering:
+        """This partition with every id of the `root` map moved into its
+        root's cluster; `assignment` is the result's, as the map gives it."""
         members = dict(self.members)
         level = dict(self.cluster_level)
         groups: dict[int, list[int]] = {}
@@ -109,17 +121,29 @@ class Clustering:
             if len(cids) > 1:
                 members[r] = tuple(sorted(itertools.chain.from_iterable(map(members.pop, cids))))
                 level[r] = max(map(level.pop, cids))
-        a = self.assignment
-        return Clustering.from_parts(tuple(map(root.get, a, a)), members, level)
+        return Clustering.from_parts(assignment, members, level)
 
 
 def _roots(edges) -> dict:
-    """Root of every id an edge touches: a union-find over the touched ids
-    only, where the smaller root wins, so a root is its group's least id."""
-    uf = UnionFind()
+    """Root of every id an edge touches, keyed in order of first touch: a
+    path-halving union-find over the touched ids only, where the smaller
+    root wins, so a root is its group's least id."""
+    parent = {}
     for a, b in edges:
-        uf.union(a, b)
-    return {x: uf.find(x) for x in uf.parent}
+        a, b = parent.setdefault(a, a), parent.setdefault(b, b)
+        while a != (p := parent[a]):
+            parent[a] = a = parent[p]
+        while b != (p := parent[b]):
+            parent[b] = b = parent[p]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for x, r in parent.items():
+        while r != (p := parent[r]):
+            r = p
+        parent[x] = r
+    return parent
 
 
 def contract_clustering(cl: Clustering, cluster_edges) -> tuple[int, ...]:
@@ -248,23 +272,27 @@ def _bordered(M, rows, corner):
     return out
 
 
-def _carried(dist, prev, i, cl, extended):
-    """Metric of `cl`, level i of an arrival, from the previous arrival's
-    level-i metric extended by the new terminals; None when that level does
-    not refine `cl`.
-
-    `prev` is the previous arrival's (clusterings, metrics), C_0 .. C_{L+1};
-    levels above its top alias the top. `extended` caches one extension per
-    distinct previous metric.
-    """
-    clusterings, metrics = prev
+def _extended(dist, prev, i, extended):
+    """The previous arrival's level-i metric extended by the new terminals as
+    singletons. `prev` starts with that arrival's clusterings and metrics,
+    C_0 .. C_{L+1}; levels above its top alias the top. `extended` caches
+    one extension per distinct previous metric."""
+    clusterings, metrics = prev[0], prev[1]
     j = min(i, len(clusterings) - 1)
-    if not check_refinement(clusterings[j], cl):
-        return None
     base = metrics[j]
     if base not in extended:
         extended[base] = base.extend(dist, clusterings[j].assignment)
-    return extended[base].coarsen(cl.assignment)
+    return extended[base]
+
+
+def _carried(dist, prev, i, cl, extended):
+    """Metric of `cl`, level i of an arrival, from the previous arrival's
+    level-i metric extended by the new terminals; None when that level does
+    not refine `cl`."""
+    clusterings = prev[0]
+    if not check_refinement(clusterings[min(i, len(clusterings) - 1)], cl):
+        return None
+    return _extended(dist, prev, i, extended).coarsen(cl.assignment)
 
 
 def level_metrics(dist, clusterings, prev=None):
@@ -420,17 +448,44 @@ class Hierarchy:
         return self.clusterings[self.L + 1]
 
 
+def _new_row_edge(metric, cluster_level, i: int, new: int) -> bool:
+    """True iff one of the last `new` rows of `metric`, the new terminals',
+    holds an entry below 2^(i+1) between two distinct i-active clusters."""
+    ids, K = metric.ids, len(metric.ids)
+    hits = np.argwhere(metric.D[K - new:] < level_threshold(i)).tolist()
+    return any(c != K - new + r and
+               min(cluster_level[ids[K - new + r]], cluster_level[ids[c]]) >= i
+               for r, c in hits)
+
+
+def _grown(cl: Clustering, levels) -> Clustering:
+    """`cl` with the terminals past it appended as singletons of `levels`."""
+    new = range(len(cl.assignment), len(levels))
+    return Clustering.from_parts(cl.assignment + tuple(new),
+                                 {**cl.members, **{k: (k,) for k in new}},
+                                 {**cl.cluster_level, **{k: levels[k] for k in new}})
+
+
 def build_hierarchy(view: InstanceView, prev=None):
     """Run the clustering procedure for one arrival prefix.
 
     Returns (hierarchy, virtual edges of H_0 .. H_L, contracted metrics of
     C_0 .. C_{L+1}); the caller keeps the last two for this arrival only, or
-    passes the hierarchy's clusterings and the metrics on as `prev` to the
-    next arrival's call. A level that merges nothing keeps the metric, and
-    the clustering, of the level below. Any other level's metric is the
-    previous arrival's level-i metric extended by the two new terminals and
-    coarsened, as that level refines this one; with no `prev` it is the
-    level below's with this level's virtual edges merged in.
+    passes the hierarchy's clusterings, the metrics and the virtual edges on
+    as `prev` to the next arrival's call. A level that merges nothing keeps
+    the metric, and the clustering, of the level below. Any other level's
+    metric is the previous arrival's level-i metric extended by the new
+    terminals and coarsened, as that level refines this one; with no `prev`
+    it is the level below's with this level's virtual edges merged in.
+
+    With `prev`, the levels from C_0 up where C_i is still the previous C_i
+    plus the new singletons skip the search: the metric there extends the
+    previous one, old entries unchanged, and old clusters keep their levels,
+    so only the new terminals' rows can add an edge to the previous H_i.
+    While none does, H_i is the previous H_i and C_{i+1} the previous one
+    plus the singletons; the first level where one does, and every level
+    above, searches. The prefix needs the previous C_0 trivial over fewer
+    terminals.
     """
     if view.t < 1:
         raise ConfigError("hierarchy needs at least one arrived pair")
@@ -444,23 +499,34 @@ def build_hierarchy(view: InstanceView, prev=None):
     metric = ContractedMetric.trivial(dist)
     metrics = [metric]
     extended = {}
+    grown = False
+    if prev is not None:
+        prev_cls, _, prev_vgraphs = prev
+        new = len(levels) - len(prev_cls[0].assignment)
+        grown = new > 0 and len(prev_cls[0].cluster_ids) == len(prev_cls[0].assignment)
     for i in range(L + 1):
-        edges, gap = active_virtual_edges(metric.D, metric.ids, cl.cluster_level, i)
-        # Distinct i-active clusters must sit at contracted distance >= 2^i:
-        # level i-1 already merged anything closer.
-        if gap < level_threshold(i - 1):
-            raise AssertionError(f"active clusters too close at level {i} (internal bug)")
-
+        grown = grown and not _new_row_edge(metric, cl.cluster_level, i, new)
+        if grown:
+            edges = prev_vgraphs[i] if i < len(prev_vgraphs) else ()
+            if edges:
+                cl = _grown(prev_cls[i + 1], levels)
+                metric = _extended(dist, prev, i + 1, extended)
+        else:
+            edges, gap = active_virtual_edges(metric.D, metric.ids, cl.cluster_level, i)
+            # Distinct i-active clusters must sit at contracted distance >= 2^i:
+            # level i-1 already merged anything closer.
+            if gap < level_threshold(i - 1):
+                raise AssertionError(f"active clusters too close at level {i} (internal bug)")
+            if edges:
+                cl = cl.contract(edges)
+                if prev is None:
+                    metric = metric.merge(edges)
+                else:
+                    metric = _carried(dist, prev, i + 1, cl, extended)
+                    if metric is None:
+                        raise AssertionError(f"previous C_{i + 1} does not refine C_{i + 1} "
+                                             "(internal bug)")
         vgraphs.append(edges)
-        if edges:
-            cl = cl.contract(edges)
-            if prev is None:
-                metric = metric.merge(edges)
-            else:
-                metric = _carried(dist, prev, i + 1, cl, extended)
-                if metric is None:
-                    raise AssertionError(f"previous C_{i + 1} does not refine C_{i + 1} "
-                                         "(internal bug)")
         clusterings.append(cl)
         metrics.append(metric)
 

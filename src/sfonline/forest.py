@@ -246,7 +246,7 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
     view = inst.view(t)
     prev = state.last_outcome
     hier, vgraphs, metrics = build_hierarchy(
-        view, None if prev is None else (prev.hierarchy.clusterings, state.metrics))
+        view, None if prev is None else (prev.hierarchy.clusterings, state.metrics, state.vgraphs))
 
     forest: dict[int, list[VirtualEdge]] = {}
     pending: list[VirtualEdge] = []

@@ -490,14 +490,91 @@ def test_carried_metrics_equal_level_merged_ones():
         for a, b in zip(carried[2], merged[2], strict=True):
             assert a.ids == b.ids
             assert np.array_equal(a.D, b.D)
-        prev = (carried[0].clusterings, carried[2])
+        prev = (carried[0].clusterings, carried[2], carried[1])
+
+
+def assert_same_hierarchy(got, want):
+    """Two build_hierarchy results hold equal clusterings, virtual edges and
+    metrics."""
+    assert got[0].L == want[0].L
+    for a, b in zip(got[0].clusterings, want[0].clusterings, strict=True):
+        assert a.assignment == b.assignment
+        assert a.cluster_ids == b.cluster_ids
+        assert a.members == b.members
+        assert a.cluster_level == b.cluster_level
+    assert got[1] == want[1]
+    for a, b in zip(got[2], want[2], strict=True):
+        assert a.ids == b.ids
+        assert np.array_equal(a.D, b.D)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(GENERATOR_KINDS), n=st.integers(2, 12),
+       seed=st.integers(0, 100), lam=st.sampled_from((1, 2, 3)))
+def test_carried_hierarchy_equals_one_built_from_scratch(kind, n, seed, lam):
+    # The online run passes each arrival's clusterings, metrics and virtual
+    # edges to the next; the hierarchy it builds from them, through the
+    # unchanged prefix and past it, is the one built with no previous arrival.
+    inst = generate_instance(GeneratorSpec(kind=kind, n=n, seed=seed, scale=200))
+    state = OnlineState(inst, lam)
+    for pair in inst.demands:
+        advance(state, pair)
+        carried = (state.last_outcome.hierarchy, state.vgraphs, state.metrics)
+        assert_same_hierarchy(carried, build_hierarchy(inst.view(state.t)))
+
+
+def _searched_levels(monkeypatch):
+    """The level of every active_virtual_edges call, in call order."""
+    levels = []
+    real = clustering.active_virtual_edges
+
+    def counted(D, ids, cluster_level, i):
+        levels.append(i)
+        return real(D, ids, cluster_level, i)
+
+    monkeypatch.setattr(clustering, "active_virtual_edges", counted)
+    return levels
+
+
+def _first_arrival(inst):
+    """`prev` for the second arrival's build_hierarchy call."""
+    first = build_hierarchy(inst.view(1))
+    return first[0].clusterings, first[2], first[1]
+
+
+def test_build_hierarchy_skips_the_levels_an_arrival_leaves_alone(monkeypatch):
+    # Pair 1 (0, 2) merges at level 1 into a cluster of level 1. Pair 2
+    # (6, 70) merges at level 6; terminal 2 sits within 2^3 of that cluster,
+    # but the cluster is inactive from level 2 on. So levels 0-5 are the
+    # first arrival's plus the two singletons (level 1 takes the previous H_1
+    # and C_2), and only level 6 searches for H_6.
+    inst = line_instance([0, 2, 6, 70])
+    want, prev = build_hierarchy(inst.view(2)), _first_arrival(inst)
+    searched = _searched_levels(monkeypatch)
+    got = build_hierarchy(inst.view(2), prev)
+    assert searched == [6] and got[0].L == 6
+    assert got[1][1] == ((0, 1),)
+    assert_same_hierarchy(got, want)
+
+
+def test_build_hierarchy_searches_from_the_level_a_new_row_joins(monkeypatch):
+    # Pair 1 (0, 64) merges at level 6. Terminal 2, at 8, is within 2^4 of
+    # the active cluster 0, so levels 0-2 are left alone and the search
+    # starts at level 3, where H_3 gains (0, 2).
+    inst = line_instance([0, 64, 8, 72])
+    want, prev = build_hierarchy(inst.view(2)), _first_arrival(inst)
+    searched = _searched_levels(monkeypatch)
+    got = build_hierarchy(inst.view(2), prev)
+    assert searched == [3, 4, 5, 6]
+    assert got[1][:4] == ((), (), (), ((0, 2), (1, 3)))
+    assert_same_hierarchy(got, want)
 
 
 def test_build_hierarchy_rejects_a_previous_level_that_does_not_refine():
     inst = generate_instance(GeneratorSpec(kind="euclidean", n=4, seed=1, scale=100))
-    h, _, metrics = build_hierarchy(inst.view(3))
+    h, vgraphs, metrics = build_hierarchy(inst.view(3))
     # Claim the top clustering for every level of the previous arrival.
-    prev = ((h.top,) * len(h.clusterings), (metrics[-1],) * len(metrics))
+    prev = ((h.top,) * len(h.clusterings), (metrics[-1],) * len(metrics), vgraphs)
     with pytest.raises(AssertionError, match="does not refine"):
         build_hierarchy(inst.view(4), prev)
 
@@ -642,6 +719,24 @@ def test_contract_matches_a_clustering_built_from_scratch(case):
     assert got.members == want.members
     assert got.cluster_level == want.cluster_level
     assert contract_clustering(clustering_of(assignment, levels), edges) == want.assignment
+
+
+@st.composite
+def edge_lists(draw):
+    """Edges between small ids, with self-pairs, repeats and reversed pairs."""
+    ids = st.integers(0, draw(st.integers(1, 12)))
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=12))
+    again = draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    return edges + [pair[::-1] if draw(st.booleans()) else pair for pair in again]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(edge_lists())
+def test_roots_match_a_union_find_in_the_same_key_order(edges):
+    uf = UnionFind()
+    for a, b in edges:
+        uf.union(a, b)
+    assert list(clustering._roots(edges).items()) == [(x, uf.find(x)) for x in uf.parent]
 
 
 @st.composite
