@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sfonline.certify import inherited_clustering
+from sfonline.clustering import Clustering
 from sfonline.metric import Instance
-from sfonline.trace import _clustering_from_members
 
 
 def line_instance(positions, label="line"):
@@ -18,11 +18,12 @@ def line_instance(positions, label="line"):
 
 def clustering_of(labels, levels):
     """The clustering that groups terminals k with equal labels[k], one
-    terminal per entry of `levels`, built as the trace loader builds one."""
-    groups = {}
-    for k, label in enumerate(labels):
-        groups.setdefault(label, []).append(k)
-    return _clustering_from_members(list(groups.values()), levels)
+    terminal per entry of `levels`: the trivial one with each terminal
+    joined to the first of its label."""
+    assert len(labels) == len(levels)
+    first = {}
+    return Clustering.trivial(levels).contract(
+        [(first.setdefault(label, k), k) for k, label in enumerate(labels)])
 
 
 def inherited_clusterings(out):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import operator
 import os
@@ -10,6 +11,7 @@ from sfonline import clustering
 from sfonline.certify import check_run
 from sfonline.clustering import (
     ContractedMetric,
+    Hierarchy,
     active_virtual_edges,
     build_hierarchy,
     level_metrics,
@@ -19,7 +21,7 @@ from sfonline.errors import FormatError
 from sfonline.metric import GENERATOR_KINDS, GeneratorSpec, generate_instance
 from sfonline.trace import load_trace, run_online, save_trace
 
-from conftest import inherited_clusterings, line_instance
+from conftest import clustering_of, inherited_clusterings, line_instance
 
 
 def _recomputed_vgraphs(view, hier):
@@ -213,102 +215,119 @@ def test_malformed_arrival_is_a_format_error(tmp_path, capsys, case):
     assert "error[E_FORMAT]" in capsys.readouterr().err
 
 
-def _first_virtual_edge(payload):
-    level = min((k for k, entries in payload["forest"].items() if entries), key=int)
-    return payload["forest"][level][0]
+def _set_entry(out, level, index, **fields):
+    """Replace `fields` of a decoded arrival's level-`level` forest entry `index`."""
+    entries = out.forest[level]
+    entries[index] = dataclasses.replace(entries[index], **fields)
 
 
-def _mark_first_fresh_edge_inherited(payload):
-    rec = next(rec for key in sorted(payload["forest"], key=int)
-               for rec in payload["forest"][key] if not rec["inherited"])
-    rec.update(inherited=True, parent=[rec["c1"], rec["c2"]])
+def _mark_first_fresh_edge_inherited(out):
+    level, index = next((i, k) for i, entries in sorted(out.forest.items())
+                        for k, ve in enumerate(entries) if not ve.inherited)
+    ve = out.forest[level][index]
+    _set_entry(out, level, index, inherited=True, parent=ve.endpoints)
 
 
-# case -> (arrival file, edit, substrings of the certify.csv FAIL rows)
+def _split_level_8(out):
+    h = out.hierarchy
+    c0 = h.clusterings[0]
+    levels = [c0.cluster_level[k] for k in range(len(c0.assignment))]
+    cls = list(h.clusterings)
+    cls[8] = clustering_of([0, 1, 2, 3, 4, 5, 1, 3], levels)  # {0} {1,6} {2} {3,7} {4} {5}
+    out.hierarchy = Hierarchy(h.L, tuple(cls))
+
+
+# case -> (arrival, edit of the decoded arrival, substrings of the certify.csv
+# FAIL rows). The edited trace is saved again with save_trace, so each case
+# states what the trace says, not how its files spell it.
 SEMANTIC_TAMPERINGS = {
     "costs-set-to-one": (
-        "arrival_0004.json",
-        lambda p: p.update(cost_pinned=1, cost_forestforming=1),
+        4,
+        lambda out: vars(out).update(cost_pinned=1, cost_forestforming=1),
         ["snapshot-consistency,,4,fail,cost_pinned=1 rederived=",
          " cost_forestforming=1 rederived="]),
+    # Arrival 2's first forest entry is level 8's fresh (1,2).
     "eorig-not-arrived": (
-        "arrival_0002.json",
-        lambda p: _first_virtual_edge(p).update(eorig=[[0, 7]]),
+        2,
+        lambda out: _set_entry(out, 8, 0, eorig=frozenset({(0, 7)})),
         ["snapshot-consistency,,2,fail,edges ",
          "edge (0;7) has an endpoint not yet arrived",
          ",2,fail,edge (0;7) of ("]),
     "forest-edge-dropped": (
-        "arrival_0004.json",
-        lambda p: p["forest"]["7"].pop(),
+        4,
+        lambda out: out.forest[7].pop(),
         ["forest-contracts-to-next,7,4,fail,terminal 7 in 7 want 3",
          "count-identity-forest,7,4,fail,|F_i|=2 |C_i|-|C_i+1|=3"]),
     "fresh-edge-marked-inherited": (
-        "arrival_0004.json",
+        4,
         _mark_first_fresh_edge_inherited,
         ["inheritance-provenance,7,4,fail,(1;6) has no parent in the previous forest"]),
     "edge-to-itself": (
-        "arrival_0004.json",
-        lambda p: p["forest"]["7"][0].update(c2=p["forest"]["7"][0]["c1"]),
+        4,
+        lambda out: _set_entry(out, 7, 0, c2=out.forest[7][0].c1),
         ["virtual-edge-valid,7,4,fail,(1;1) does not join two clusters"]),
     # Level 8's fresh edge (0,3) realized by (0,1) instead, which does not
     # join clusters 0 and 3 even with the pins contracted.
     "eorig-does-not-connect": (
-        "arrival_0004.json",
-        lambda p: p["forest"]["8"][0].update(eorig=[[0, 1]]),
+        4,
+        lambda out: _set_entry(out, 8, 0, eorig=frozenset({(0, 1)})),
         ["realization-connects,8,4,fail,eorig of (0;3) does not join its clusters"]),
     # The pin ledger: arrival 4 pins (3,7) in one single event, and level 7
     # holds an inherited edge (1,5) created at arrival 3, then fresh (1,6).
     "pins-added-five": (
-        "arrival_0004.json",
-        lambda p: p["ledger"].update(pins_added=5),
+        4,
+        lambda out: setattr(out, "ledger", dataclasses.replace(out.ledger, pins_added=5)),
         ["snapshot-consistency,,4,fail,pins_added=5 pin event edges=1"]),
     "inherited-created-at-huge": (
-        "arrival_0004.json",
-        lambda p: p["forest"]["7"][0].update(created_at=10**30),
+        4,
+        lambda out: _set_entry(out, 7, 0, created_at=10**30),
         [f"inheritance-provenance,7,4,fail,(1;5) created_at={10**30} parent's=3"]),
     "fresh-created-at-huge": (
-        "arrival_0004.json",
-        lambda p: p["forest"]["7"][1].update(created_at=10**30),
+        4,
+        lambda out: _set_entry(out, 7, 1, created_at=10**30),
         [f"snapshot-consistency,,4,fail,fresh (1;6) created_at={10**30}"]),
     "pin-stamped-earlier": (
-        "arrival_0004.json",
-        lambda p: p["pinned"][-1].__setitem__(1, 3),
+        4,
+        lambda out: setattr(out, "pinned_after",
+                            out.pinned_after[:-1] + ((out.pinned_after[-1][0], 3),)),
         ["snapshot-consistency,,4,fail,pin (3;7) stamped 3"]),
     # Arrival 3's C_8 holds {1, 5} and its C_9 {1, 2, 3, 5}; arrival 4's C_8
     # is edited to leave 5 out of 1's cluster.
     "clustering-splits-previous": (
-        "arrival_0004.json",
-        lambda p: p["clusterings"].__setitem__(8, [[0], [1, 6], [2], [3, 7], [4], [5]]),
+        4,
+        _split_level_8,
         ["refine-across-arrivals,8,4,fail,fine cluster 1 split at terminal 5",
          "active-cluster-gap,8,4,fail,gap=192 2^i=256"]),
     # Arrival 4 inherits level-8 edge (1,2); marked fresh, it leaves C_inh,8
     # splitting arrival 3's C_9 and the witness one source short.
     "inherited-edge-marked-fresh": (
-        "arrival_0004.json",
-        lambda p: p["forest"]["8"][1].update(inherited=False, parent=None),
+        4,
+        lambda out: _set_entry(out, 8, 1, inherited=False, parent=None),
         ["refine-into-inherited,8,4,fail,fine cluster 1 split at terminal 2",
          "witness-invariants,8,4,fail,cluster 0 offers 2 fresh sources; needs 3"]),
     # An inherited edge whose endpoint is no cluster id has no C_inh,8.
     "inherited-edge-endpoint-unknown": (
-        "arrival_0004.json",
-        lambda p: p["forest"]["8"][1].update(c1=99),
+        4,
+        lambda out: _set_entry(out, 8, 1, c1=99),
         ["virtual-edge-valid,8,4,fail,(99;2) does not join two clusters",
          "witness-invariants,8,4,fail,an inherited edge does not join two clusters"]),
     "pin-event-dropped": (
-        "arrival_0004.json",
-        lambda p: p["ledger"].update(pin_events=[], pins_added=0),
+        4,
+        lambda out: setattr(out, "ledger", dataclasses.replace(out.ledger, pin_events=(),
+                                                               pins_added=0)),
         ["snapshot-consistency,,4,fail,pinned grew by 1 edges not the pin events' 0"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SEMANTIC_TAMPERINGS))
 def test_tampered_trace_gets_fail_rows(tmp_path, capsys, case):
-    name, change, rows = SEMANTIC_TAMPERINGS[case]
-    d = tmp_path / "trace"
+    t, change, rows = SEMANTIC_TAMPERINGS[case]
     save_trace(run_online(generate_instance(GeneratorSpec(kind="euclidean", n=4, seed=1)),
-                          lam=2), d)
-    path = d / name
-    path.write_text(_edited(change)(path.read_text()))
+                          lam=2), tmp_path / "honest")
+    trace = load_trace(tmp_path / "honest")
+    change(trace.arrivals[t - 1])
+    d = tmp_path / "trace"
+    save_trace(trace, d)
     assert main(["certify", "--trace", str(d), "--out", str(tmp_path / "c")]) == 1
     assert "overall: FAIL" in capsys.readouterr().out
     report = (tmp_path / "c" / "certify.csv").read_text()
