@@ -12,14 +12,22 @@ pass, whose derived inherited clusterings it reads; the oracle phase times
 hierarchy is built once, and both `run_baseline`s. It writes
 BENCH_scaling_<label>.json with, per cell, the seven wall times (the median
 of REPEATS runs, and every run), the trace's byte count and sha256 over its
-files, a sha256 over the baselines' per-prefix costs and one over the
-oracle's, the run's (arrival, level) pair count and how many of those
-pairs the arrival left unchanged, and per kind and phase the
-least-squares exponent of time against n.
+files, a sha256 over the structural and witness rows (which, unlike the
+trace's, does not change with the trace format), a sha256 over the
+baselines' per-prefix costs and one over the oracle's, the run's (arrival,
+level) pair count and how many of those pairs the arrival left unchanged,
+and per kind and phase the least-squares exponent of time against n (when
+the grid has more than one n).
 
 Only the standard library and sfonline (with its numpy) are used:
 
-    PYTHONPATH=src python3 bench/scaling.py --label mytree
+    PYTHONPATH=src python3 bench/scaling.py --label mytree [--sizes 160]
+
+With `--parent DIR`, every cell is measured twice, each time in a fresh
+interpreter: once with this tree's sfonline and once with DIR/src's, the
+order alternating from cell to cell, so that host drift over the grid
+lands on both trees alike. It writes BENCH_scaling_<label>.json and
+BENCH_scaling_<label>-parent.json.
 
 It is too slow for the test suite: line-chain n=160 takes seconds per phase.
 """
@@ -34,6 +42,7 @@ import operator
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -97,18 +106,18 @@ def level_counts(trace) -> tuple[int, int]:
     return levels, unchanged
 
 
-def structural_fails(trace, inherited):
-    """Run the structural pass; return its FAIL rows."""
+def structural_rows(trace, inherited):
+    """Run the structural pass; return its rows."""
     rows = []
     _structural_pass(trace, lambda *row: rows.append(row), inherited)
-    return [row for row in rows if not row[3]]
+    return rows
 
 
-def witness_fails(trace, opt_final, inherited):
-    """Run the witness pass on every level; return its FAIL rows."""
+def witness_rows(trace, opt_final, inherited):
+    """Run the witness pass on every level; return its rows."""
     rows = []
     _witness_pass(trace, lambda *row: rows.append(row), {}, opt_final, None, inherited)
-    return [row for row in rows if not row[3]]
+    return rows
 
 
 def timed(fn, *args, **kwargs):
@@ -121,7 +130,7 @@ def measure(kind, n, workdir):
     inst = generate_instance(GeneratorSpec(kind=kind, n=n, seed=SEED))
     lam = max(1, math.ceil(math.log2(n)))
     run_s, save_s, load_s, structural_s, witness_s, oracle_s, compare_s = ([] for _ in PHASES)
-    digests, cost_digests, opt_digests, counts = set(), set(), set(), set()
+    digests, row_digests, cost_digests, opt_digests, counts = set(), set(), set(), set(), set()
     for r in range(REPEATS):
         trace, secs = timed(run_online, inst, lam)
         run_s.append(secs)
@@ -133,22 +142,23 @@ def measure(kind, n, workdir):
         loaded, secs = timed(load_trace, d)
         load_s.append(secs)
         inherited = _inherited_clusterings(loaded)
-        fails, secs = timed(structural_fails, loaded, inherited)
+        rows, secs = timed(structural_rows, loaded, inherited)
         structural_s.append(secs)
-        if fails:
+        if fails := [row for row in rows if not row[3]]:
             raise SystemExit(f"{kind} n={n}: structural pass FAILED: {fails[0]}")
         opt, secs = timed(exact_optimum, inst.view(min(n, DEFAULT_ORACLE_LIMIT)))
         oracle_s.append(secs)
         opt_digests.add(hashlib.sha256(json.dumps(opt.prefix_costs).encode()).hexdigest())
-        fails, secs = timed(witness_fails, loaded,
-                            opt.cost if n <= DEFAULT_ORACLE_LIMIT else None, inherited)
+        more, secs = timed(witness_rows, loaded,
+                           opt.cost if n <= DEFAULT_ORACLE_LIMIT else None, inherited)
         witness_s.append(secs)
-        if fails:
+        if fails := [row for row in more if not row[3]]:
             raise SystemExit(f"{kind} n={n}: witness pass FAILED: {fails[0]}")
+        row_digests.add(hashlib.sha256(repr(rows + more).encode()).hexdigest())
         costs, secs = timed(baseline_costs, inst, lam)
         compare_s.append(secs)
         cost_digests.add(hashlib.sha256(json.dumps(costs).encode()).hexdigest())
-    if len(digests) != 1 or len(cost_digests) != 1 or len(opt_digests) != 1 or len(counts) != 1:
+    if any(len(seen) != 1 for seen in (digests, row_digests, cost_digests, opt_digests, counts)):
         raise SystemExit(f"{kind} n={n}: outputs differ between repeats")
     trace_sha256, trace_bytes = digests.pop()
     levels, unchanged_levels = counts.pop()
@@ -170,6 +180,7 @@ def measure(kind, n, workdir):
         "compare_runs_s": compare_s,
         "trace_sha256": trace_sha256,
         "trace_bytes": trace_bytes,
+        "rows_sha256": row_digests.pop(),
         "baselines_sha256": cost_digests.pop(),
         "oracle_sha256": opt_digests.pop(),
         "levels": levels,
@@ -185,32 +196,24 @@ def exponent(cells, key):
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--label", required=True, help="names the output BENCH_scaling_<label>.json")
-    p.add_argument("--out", default=".", help="directory to write the record into")
-    args = p.parse_args(argv)
+def measure_with(src, kind, n):
+    """measure(kind, n) in a fresh interpreter that imports sfonline from `src`."""
+    code = ("import json, sys, tempfile; sys.path[:0] = sys.argv[1:3]; import scaling\n"
+            "with tempfile.TemporaryDirectory() as d:\n"
+            "    print(json.dumps(scaling.measure(sys.argv[3], int(sys.argv[4]), d)))")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    argv = [sys.executable, "-c", code, src, os.path.dirname(os.path.abspath(__file__)),
+            kind, str(n)]
+    return json.loads(subprocess.run(argv, env=env, check=True, stdout=subprocess.PIPE).stdout)
 
-    cells = []
-    with tempfile.TemporaryDirectory() as workdir:
-        for kind in GENERATOR_KINDS:
-            for n in SIZES:
-                cell = measure(kind, n, workdir)
-                print(f"{kind:14s} n={n:4d} run {cell['run_online_s']:7.3f} s  "
-                      f"save {cell['save_s']:7.3f} s  "
-                      f"load {cell['load_s']:7.3f} s  "
-                      f"structural {cell['structural_s']:7.3f} s  "
-                      f"witness {cell['witness_s']:7.3f} s  "
-                      f"oracle {cell['oracle_s']:7.3f} s  "
-                      f"compare {cell['compare_s']:7.3f} s  "
-                      f"unchanged {cell['unchanged_levels']}/{cell['levels']}", flush=True)
-                cells.append(cell)
+
+def write_record(label, cells, sizes, outdir):
     exponents = {
         kind: {key: exponent([c for c in cells if c["kind"] == kind], key) for key in PHASES}
         for kind in GENERATOR_KINDS
-    }
+    } if len(sizes) > 1 else {}
     record = {
-        "label": args.label,
+        "label": label,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
@@ -219,11 +222,42 @@ def main(argv=None):
         "cells": cells,
         "exponents": exponents,
     }
-    path = os.path.join(args.out, f"BENCH_scaling_{args.label}.json")
+    path = os.path.join(outdir, f"BENCH_scaling_{label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {path}")
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--label", required=True, help="names the output BENCH_scaling_<label>.json")
+    p.add_argument("--out", default=".", help="directory to write the record into")
+    p.add_argument("--sizes", type=lambda text: tuple(map(int, text.split(","))), default=SIZES,
+                   help="comma-separated n values (default %(default)s)")
+    p.add_argument("--parent", help="a parent tree to measure too, cell by cell, from its src/")
+    args = p.parse_args(argv)
+
+    here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    trees = [(args.label, None)] if args.parent is None else [
+        (args.label, here), (f"{args.label}-parent", os.path.join(args.parent, "src"))]
+    cells = {label: [] for label, _ in trees}
+    grid = [(kind, n) for kind in GENERATOR_KINDS for n in args.sizes]
+    with tempfile.TemporaryDirectory() as workdir:
+        for index, (kind, n) in enumerate(grid):
+            for label, src in trees[::-1] if index % 2 else trees:
+                cell = measure(kind, n, workdir) if src is None else measure_with(src, kind, n)
+                print(f"{label:20s} {kind:14s} n={n:4d} run {cell['run_online_s']:7.3f} s  "
+                      f"save {cell['save_s']:7.3f} s  "
+                      f"load {cell['load_s']:7.3f} s  "
+                      f"structural {cell['structural_s']:7.3f} s  "
+                      f"witness {cell['witness_s']:7.3f} s  "
+                      f"oracle {cell['oracle_s']:7.3f} s  "
+                      f"compare {cell['compare_s']:7.3f} s  "
+                      f"unchanged {cell['unchanged_levels']}/{cell['levels']}", flush=True)
+                cells[label].append(cell)
+    for label, got in cells.items():
+        write_record(label, got, args.sizes, args.out)
     return 0
 
 
