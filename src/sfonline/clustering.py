@@ -78,8 +78,9 @@ class Clustering:
     (minimum member id). Cluster level is the max member level; a cluster is
     active at level j iff its level >= j. The levels of a hierarchy that
     merge nothing share one object. `trivial` builds the singletons,
-    `from_parts` takes canonical parts as they are, and `contract` derives a
-    coarser partition from this one.
+    `from_parts` takes canonical parts as they are, `contract` derives a
+    coarser partition from this one, and `grown` adds the terminals of a
+    later arrival and, for the trace loader, a stored level's new clusters.
     """
 
     __slots__ = ("assignment", "cluster_ids", "members", "cluster_level")
@@ -87,8 +88,7 @@ class Clustering:
     @classmethod
     def trivial(cls, term_levels) -> Clustering:
         """Every arrived terminal in a cluster of its own."""
-        ids = tuple(range(len(term_levels)))
-        return cls.from_parts(ids, {k: (k,) for k in ids}, dict(enumerate(term_levels)))
+        return cls.from_parts((), {}, {}).grown(term_levels)
 
     @classmethod
     def from_parts(cls, assignment, members, cluster_level) -> Clustering:
@@ -122,6 +122,43 @@ class Clustering:
                 members[r] = tuple(sorted(itertools.chain.from_iterable(map(members.pop, cids))))
                 level[r] = max(map(level.pop, cids))
         return Clustering.from_parts(assignment, members, level)
+
+    def grown(self, term_levels, clusters=()) -> Clustering:
+        """This partition with the terminals past it appended, one per entry
+        of `term_levels`, as singletons, and then the member lists of
+        `clusters` in place of every cluster they touch.
+
+        ValueError unless the lists are nonempty, disjoint, hold arrived
+        terminals only and cover whole every cluster they touch. Only the
+        touched clusters are rebuilt: O(K + their members) steps, of which
+        O(new terminals + touched members) run in Python.
+        """
+        T0, T = len(self.assignment), len(term_levels)
+        assignment = [*self.assignment, *range(T0, T)]
+        members = dict(self.members)
+        level = dict(self.cluster_level)
+        for k in range(T0, T):
+            members[k] = (k,)
+            level[k] = term_levels[k]
+        parts = [sorted(ms) for ms in clusters]  # a cluster's id is its least member
+        if not parts:
+            return Clustering.from_parts(tuple(assignment), members, level)
+        if not all(parts) or min(ms[0] for ms in parts) < 0 or max(ms[-1] for ms in parts) >= T:
+            raise ValueError(f"a member list is empty or holds a terminal outside 0..{T - 1}")
+        claimed = set(itertools.chain.from_iterable(parts))
+        if len(claimed) != sum(map(len, parts)):
+            raise ValueError("member lists overlap")
+        touched = {assignment[k] for k in claimed}
+        for cid in touched:
+            if not claimed.issuperset(members.pop(cid)):
+                raise ValueError(f"member lists cover part of cluster {cid}")
+            del level[cid]
+        for ms in parts:
+            members[ms[0]] = tuple(ms)
+            level[ms[0]] = max(map(term_levels.__getitem__, ms))
+            for k in ms:
+                assignment[k] = ms[0]
+        return Clustering.from_parts(tuple(assignment), members, level)
 
 
 def _roots(edges) -> dict:
@@ -458,14 +495,6 @@ def _new_row_edge(metric, cluster_level, i: int, new: int) -> bool:
                for r, c in hits)
 
 
-def _grown(cl: Clustering, levels) -> Clustering:
-    """`cl` with the terminals past it appended as singletons of `levels`."""
-    new = range(len(cl.assignment), len(levels))
-    return Clustering.from_parts(cl.assignment + tuple(new),
-                                 {**cl.members, **{k: (k,) for k in new}},
-                                 {**cl.cluster_level, **{k: levels[k] for k in new}})
-
-
 def build_hierarchy(view: InstanceView, prev=None):
     """Run the clustering procedure for one arrival prefix.
 
@@ -509,7 +538,7 @@ def build_hierarchy(view: InstanceView, prev=None):
         if grown:
             edges = prev_vgraphs[i] if i < len(prev_vgraphs) else ()
             if edges:
-                cl = _grown(prev_cls[i + 1], levels)
+                cl = prev_cls[i + 1].grown(levels)
                 metric = _extended(dist, prev, i + 1, extended)
         else:
             edges, gap = active_virtual_edges(metric.D, metric.ids, cl.cluster_level, i)

@@ -7,6 +7,13 @@ these), the pin set, and the snapshot. On disk a trace is a directory of
 plain-text files (instance + meta + one JSON document per arrival), so runs
 and certification are decoupled and traces from other implementations can
 be checked for conformance.
+
+An arrival's document records its clusterings and inherited forest entries
+as a delta against the arrival before: each level lists only its clusters
+that the previous arrival's same level lacks, and an inherited entry omits
+the realized edges and creation time it shares with its parent. So the
+loader needs the previous arrival only, and rebuilds a level in
+O(changed members) Python steps.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import operator
 import os
 
 from .clustering import Clustering, Hierarchy, terminal_levels
@@ -30,7 +38,9 @@ from .forest import (
 )
 from .metric import Instance, load_instance_file, save_instance_file
 
-TRACE_FORMAT = 2
+TRACE_FORMAT = 3
+# The base of the first arrival's levels: no terminal has arrived.
+_NO_TERMINALS = Clustering.from_parts((), {}, {})
 
 
 @dataclasses.dataclass
@@ -85,26 +95,47 @@ def _edge_list(edges):
 _SEPARATORS = (",", ":")
 
 
+def _parents(prev) -> dict:
+    """The previous arrival's forest entries by (level, endpoints), the last
+    of equal ones: where an inherited entry looks up its parent."""
+    return {} if prev is None else {(i, (pe.c1, pe.c2)): pe for i, entries in prev.forest.items()
+                                    for pe in entries}
+
+
+# Stands in for the parent of an inherited entry that has none: the fields
+# such an entry omits are unknown, and inheritance-provenance FAILs.
+_NO_PARENT = VirtualEdge(-1, -1, -1, False, None, frozenset(), None)
+
+
+def _forest_json(out: ArrivalOutcome, prev) -> str:
+    """The arrival's forest as `json.dumps(..., sort_keys=True)` would write
+    it, spelled out here as that is most of an arrival's encoding time. An
+    inherited entry omits `eorig` and `created_at` where they equal its
+    parent's; `prev` is the previous arrival's outcome (None at the first)."""
+    parents = _parents(prev)
+    levels = []
+    for i, entries in sorted(out.forest.items(), key=lambda item: str(item[0])):
+        recs = []
+        for ve in entries:
+            pe = parents.get((i, ve.parent), _NO_PARENT) if ve.inherited else None
+            text = f'{{"c1":{ve.c1},"c2":{ve.c2}'
+            if pe is None or pe.created_at != ve.created_at:
+                text += f',"created_at":{ve.created_at}'
+            if pe is None or pe.eorig != ve.eorig:
+                text += ',"eorig":' + json.dumps(_edge_list(ve.eorig), separators=_SEPARATORS)
+            parent = f"[{ve.parent[0]},{ve.parent[1]}]" if ve.parent else "null"
+            recs.append(f'{text},"inherited":{"true" if ve.inherited else "false"},'
+                        f'"parent":{parent}}}')
+        levels.append(f'"{i}":[{",".join(recs)}]')
+    return "{" + ",".join(levels) + "}"
+
+
 def _arrival_payload(out: ArrivalOutcome) -> dict:
-    """An arrival's JSON document, less its clusterings."""
+    """An arrival's JSON document, less its clusterings and forest."""
     led = out.ledger
     return {
         "t": out.t,
         "L": out.hierarchy.L,
-        "forest": {
-            str(i): [
-                {
-                    "c1": ve.c1,
-                    "c2": ve.c2,
-                    "inherited": ve.inherited,
-                    "parent": list(ve.parent) if ve.parent else None,
-                    "eorig": _edge_list(ve.eorig),
-                    "created_at": ve.created_at,
-                }
-                for ve in entries
-            ]
-            for i, entries in sorted(out.forest.items())
-        },
         "pinned": [[list(e), pt] for e, pt in out.pinned_after],
         "snapshot": _edge_list(out.snapshot.edges),
         "cost_f": out.snapshot.cost,
@@ -129,22 +160,34 @@ def _arrival_payload(out: ArrivalOutcome) -> dict:
     }
 
 
-def _arrival_json(out: ArrivalOutcome) -> str:
+def _arrival_json(out: ArrivalOutcome, prev) -> str:
     """The arrival's document as `json.dumps(..., sort_keys=True)` would
-    write it, with every clustering's member lists as a list per level.
-    Levels share Clustering objects, so each distinct one is encoded once and
-    its text spliced in wherever it occurs."""
+    write it. Level i lists, in cluster-id order, the member lists of the
+    clusters of C_i that are not clusters of the previous arrival's C_i
+    grown by the new terminals as singletons. Levels share Clustering
+    objects, so each distinct (level, previous level) pair is encoded once
+    and its text spliced in wherever it occurs."""
+    T0 = len(prev.hierarchy.clusterings[0].assignment) if prev else 0
+    new = tuple(range(T0, len(out.hierarchy.clusterings[0].assignment)))
     encoded = {}
 
-    def members(cl):
-        if cl not in encoded:
-            encoded[cl] = json.dumps([cl.members[cid] for cid in cl.cluster_ids],
-                                     separators=_SEPARATORS)
-        return encoded[cl]
+    def delta(cl, base):
+        if (cl, base) not in encoded:
+            # A cluster differs from the grown previous one with its id iff it
+            # holds a terminal that moved, or the id of a cluster one left.
+            a, b = cl.assignment, base.assignment + new
+            moved = list(itertools.compress(range(len(a)), map(operator.ne, a, b)))
+            ids = sorted({a[k] for k in moved}.union(a[b[k]] for k in moved))
+            encoded[cl, base] = json.dumps([cl.members[cid] for cid in ids],
+                                           separators=_SEPARATORS) if ids else "[]"
+        return encoded[cl, base]
 
     parts = {key: json.dumps(value, sort_keys=True, separators=_SEPARATORS)
              for key, value in _arrival_payload(out).items()}
-    parts["clusterings"] = "[" + ",".join(map(members, out.hierarchy.clusterings)) + "]"
+    parts["forest"] = _forest_json(out, prev)
+    bases = map(prev.hierarchy.clustering, itertools.count()) if prev else \
+        itertools.repeat(_NO_TERMINALS)
+    parts["clusterings"] = "[" + ",".join(map(delta, out.hierarchy.clusterings, bases)) + "]"
     return "{" + ",".join(f'"{key}":{parts[key]}' for key in sorted(parts)) + "}"
 
 
@@ -160,43 +203,37 @@ def save_trace(trace: RunTrace, dirpath) -> None:
     with open(os.path.join(dirpath, "meta.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, sort_keys=True, separators=_SEPARATORS)
         fh.write("\n")
-    for out in trace.arrivals:
+    for prev, out in zip([None, *trace.arrivals], trace.arrivals):
         path = os.path.join(dirpath, f"arrival_{out.t:04d}.json")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_arrival_json(out))
+            fh.write(_arrival_json(out, prev))
             fh.write("\n")
 
 
-def _clustering_from_members(member_lists, levels):
-    """A stored level's clustering, in one pass; ValueError unless its integer
-    member lists are nonempty and partition the arrived terminals, one per
-    entry of `levels`."""
-    T = len(levels)
-    lists = sorted(map(sorted, member_lists))  # a cluster's id is its least member
-    if [] in lists or sorted(itertools.chain(*lists)) != list(range(T)):
-        raise ValueError("cluster member lists do not partition the arrived terminals")
-    assignment, level = [0] * T, {}
-    for ms in lists:
-        top = 0
-        for k in ms:
-            assignment[k] = ms[0]
-            top = levels[k] if levels[k] > top else top
-        level[ms[0]] = top
-    return Clustering.from_parts(tuple(assignment), {ms[0]: tuple(ms) for ms in lists}, level)
-
-
-def _hierarchy_from_payload(payload, levels) -> Hierarchy:
+def _hierarchy_from_payload(payload, levels, prev) -> Hierarchy:
+    """The stored hierarchy, each level grown from `prev`'s same level (the
+    previous arrival's hierarchy, None at the first)."""
     L = _int(payload["L"])
     if L != max(levels):
         raise ValueError(f"L={L} but the top terminal level is {max(levels)}")
     stored = payload["clusterings"]
     if len(stored) != L + 2:
         raise ValueError(f"{len(stored)} clusterings stored, want L+2 = {L + 2}")
-    # A level whose member lists repeat the previous level's shares its object.
+    # JSON true and 1.0 equal 1, so members are type-checked before levels are compared.
+    if set(map(type, itertools.chain(*itertools.chain(*stored)))) - {int}:
+        raise TypeError("cluster members must be integers")
+    # A level equal to the level below shares its object, as in a run.
     clusterings = []
-    for i, member_lists in enumerate(stored):
-        clusterings.append(clusterings[-1] if i and member_lists == stored[i - 1]
-                           else _clustering_from_members(member_lists, levels))
+    for i, delta in enumerate(stored):
+        base = prev.clustering(i) if prev else _NO_TERMINALS
+        if i and delta == stored[i - 1] and base is below:
+            cl = clusterings[-1]
+        else:
+            cl = base.grown(levels, delta)
+            if i and cl.assignment == clusterings[-1].assignment:
+                cl = clusterings[-1]
+        clusterings.append(cl)
+        below = base
     return Hierarchy(L, tuple(clusterings))
 
 
@@ -237,31 +274,38 @@ def _malformed(path):
         raise FormatError(f"bad trace file {path}: {type(err).__name__}: {err}") from err
 
 
-def _outcome_from_payload(instance, t, payload) -> ArrivalOutcome:
-    levels = terminal_levels(instance.view(t))
-    # JSON true and 1.0 equal 1, so members are type-checked before levels are compared.
-    if set(map(type, itertools.chain(*itertools.chain(*payload["clusterings"])))) - {int}:
-        raise TypeError("cluster members must be integers")
-    hier = _hierarchy_from_payload(payload, levels)
+def _virtual_edge(i, rec, parents) -> VirtualEdge:
+    """A stored level-i forest entry; an inherited one's omitted `eorig` and
+    `created_at` are its parent's, the parent's frozenset reused."""
+    inherited = _bool(rec["inherited"])
+    parent = _edge(rec["parent"]) if rec["parent"] else None
+    pe = parents.get((i, parent), _NO_PARENT) if inherited else None
+    return VirtualEdge(
+        level=i,
+        c1=_int(rec["c1"]),
+        c2=_int(rec["c2"]),
+        inherited=inherited,
+        parent=parent,
+        eorig=(frozenset(_edge(e) for e in rec["eorig"]) if pe is None or "eorig" in rec
+               else pe.eorig),
+        created_at=(_int(rec["created_at"]) if pe is None or "created_at" in rec
+                    else pe.created_at),
+    )
+
+
+def _outcome_from_payload(levels, t, payload, prev) -> ArrivalOutcome:
+    """Arrival t from its document, the levels of its terminals and the
+    previous arrival's outcome (None at the first)."""
+    hier = _hierarchy_from_payload(payload, levels, prev.hierarchy if prev else None)
     # Level keys are canonical: "7" names level 7, "07" and "+7" name none.
     level_of = {str(i): i for i in range(hier.L + 1)}
+    parents = _parents(prev)
     forest = {}
     for key, entries in payload["forest"].items():
         if key not in level_of:
             raise ValueError(f"level key {key!r} is not one of 0..{hier.L}")
         i = level_of[key]
-        forest[i] = [
-            VirtualEdge(
-                level=i,
-                c1=_int(rec["c1"]),
-                c2=_int(rec["c2"]),
-                inherited=_bool(rec["inherited"]),
-                parent=_edge(rec["parent"]) if rec["parent"] else None,
-                eorig=frozenset(_edge(e) for e in rec["eorig"]),
-                created_at=_int(rec["created_at"]),
-            )
-            for rec in entries
-        ]
+        forest[i] = [_virtual_edge(i, rec, parents) for rec in entries]
     pinned_after = tuple((_edge(e), _int(pt)) for e, pt in payload["pinned"])
     snapshot = Snapshot(frozenset(_edge(e) for e in payload["snapshot"]),
                         _int(payload["cost_f"]))
@@ -306,6 +350,7 @@ def load_trace(dirpath) -> RunTrace:
             if _int(meta[key]) != instance.n:
                 raise ValueError(f"{key}={meta[key]} but the instance has n={instance.n}")
 
+    levels = terminal_levels(instance.view(instance.n))  # a terminal's level is fixed
     outcomes = []
     for t in range(1, instance.n + 1):
         path = os.path.join(dirpath, f"arrival_{t:04d}.json")
@@ -314,6 +359,7 @@ def load_trace(dirpath) -> RunTrace:
                 payload = json.load(fh)
             if _int(payload["t"]) != t:
                 raise ValueError(f"stores t={payload['t']}")
-            out = _outcome_from_payload(instance, t, payload)
+            out = _outcome_from_payload(levels[:2 * t], t, payload,
+                                        outcomes[-1] if outcomes else None)
         outcomes.append(out)
     return RunTrace(instance, lam, outcomes)

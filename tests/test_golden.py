@@ -30,33 +30,33 @@ ORACLE_LIMIT = "5"
 
 # (kind, n, lam) -> (run: trace dir + per_arrival.csv, compare.csv, certify.csv)
 GOLDEN = {
-    ('euclidean', 3, 1): ('93a1455160e9daad', '579a470ccbb6a92c', 'a68b7a395c91814b'),
-    ('euclidean', 3, 2): ('f3ec888204c7d89a', 'e57e546cb078fe19', 'a8e92eb3666b4b66'),
-    ('euclidean', 3, 5): ('4c755d0b1f50ce7b', 'e57e546cb078fe19', 'c84f0c6d41bda10f'),
-    ('euclidean', 7, 1): ('9705643c2c4c4163', 'c17ada2382aa8be8', '4639c6d063080da3'),
-    ('euclidean', 7, 2): ('e6cf00a3bd6a98b0', 'e4540863934cad72', 'cc88f6f443b4e5d1'),
-    ('euclidean', 7, 5): ('1df535f1595c6320', 'e4540863934cad72', '9624ec997193667e'),
-    ('euclidean', 12, 1): ('42b3338e43cae6f4', 'f6d78bcd66ff5f13', 'b13bb6aad69af961'),
-    ('euclidean', 12, 2): ('dda85db1788b8002', 'f3cf38cc3d191df1', '6fc97aa946015b11'),
-    ('euclidean', 12, 5): ('4151d140c8937477', 'b1cb5b6d90b0c617', 'adf76fe6c29599a8'),
-    ('random-metric', 3, 1): ('a6c4a9e41b3279de', 'c84abe70c250deca', '4d1841e02781026a'),
-    ('random-metric', 3, 2): ('2f72e1851c0ac1d5', '4fb8520f9d415b7d', '76e693ebd5c3d76c'),
-    ('random-metric', 3, 5): ('ebf2f40e7d8e0446', '4fb8520f9d415b7d', '8c4ca2513f204b66'),
-    ('random-metric', 7, 1): ('3c52bdff835ceb84', '6432cae02b72107a', '5bbc75d97e245fae'),
-    ('random-metric', 7, 2): ('5fc019ee16ce5590', 'fd934da344a1bb47', '514423b819f2b803'),
-    ('random-metric', 7, 5): ('aee91cc5f19b098a', '9aa9fe511cb4093d', '920023425b8473bb'),
-    ('random-metric', 12, 1): ('1bc050ea44ae20d0', '5353649c29787779', '9cdc8f39857fb372'),
-    ('random-metric', 12, 2): ('d8c1c5b8a7130c37', '91cac76b4473970e', '9d314b80eb83115b'),
-    ('random-metric', 12, 5): ('f1dedf233ffb63d7', '904484fedff827bf', '8f4150b1b3c0dbe4'),
-    ('line-chain', 3, 1): ('1364a5b0653198bb', '037c68c97cf82c66', 'a76513850c9387ff'),
-    ('line-chain', 3, 2): ('341e5b9cb2a56023', '037c68c97cf82c66', 'ead308c7eac1c6d6'),
-    ('line-chain', 3, 5): ('906bb374e4252f8b', '037c68c97cf82c66', '413626e6694f8f63'),
-    ('line-chain', 7, 1): ('596fb5c88ada1c1a', '408dfb38386c7ec1', 'a91866af5b6620a4'),
-    ('line-chain', 7, 2): ('e74a8f9c0b75536f', '408dfb38386c7ec1', '88e8a379eebd8341'),
-    ('line-chain', 7, 5): ('e5913039c0e64dba', '408dfb38386c7ec1', 'fbeb374ea474c65c'),
-    ('line-chain', 12, 1): ('941f96706dababc7', '680ac1e2c1bbd728', '3abcf23a65167488'),
-    ('line-chain', 12, 2): ('b92308ab9fa42ce8', '680ac1e2c1bbd728', '3d6d130508218bfa'),
-    ('line-chain', 12, 5): ('313126bf4bf2fe83', '680ac1e2c1bbd728', 'f929aa1b3598bd8a'),
+    ('euclidean', 3, 1): ('40eeb3fb05235944', '579a470ccbb6a92c', 'a68b7a395c91814b'),
+    ('euclidean', 3, 2): ('8d577e53563f170e', 'e57e546cb078fe19', 'a8e92eb3666b4b66'),
+    ('euclidean', 3, 5): ('9e25ff22e76a8358', 'e57e546cb078fe19', 'c84f0c6d41bda10f'),
+    ('euclidean', 7, 1): ('c83a9fe01a406db6', 'c17ada2382aa8be8', '4639c6d063080da3'),
+    ('euclidean', 7, 2): ('2bd735aa15ac2379', 'e4540863934cad72', 'cc88f6f443b4e5d1'),
+    ('euclidean', 7, 5): ('c147cfb33fee02c3', 'e4540863934cad72', '9624ec997193667e'),
+    ('euclidean', 12, 1): ('ac7085f8e3372959', 'f6d78bcd66ff5f13', 'b13bb6aad69af961'),
+    ('euclidean', 12, 2): ('152ff4177972720f', 'f3cf38cc3d191df1', '6fc97aa946015b11'),
+    ('euclidean', 12, 5): ('e51fc1cd9c1b9bae', 'b1cb5b6d90b0c617', 'adf76fe6c29599a8'),
+    ('random-metric', 3, 1): ('cf1c307de348c10e', 'c84abe70c250deca', '4d1841e02781026a'),
+    ('random-metric', 3, 2): ('dbedd5aa6912d95a', '4fb8520f9d415b7d', '76e693ebd5c3d76c'),
+    ('random-metric', 3, 5): ('1a745c6688f22bd1', '4fb8520f9d415b7d', '8c4ca2513f204b66'),
+    ('random-metric', 7, 1): ('1b646bda15fd0769', '6432cae02b72107a', '5bbc75d97e245fae'),
+    ('random-metric', 7, 2): ('c31396eb0d6963fb', 'fd934da344a1bb47', '514423b819f2b803'),
+    ('random-metric', 7, 5): ('d3f8aa640446d51d', '9aa9fe511cb4093d', '920023425b8473bb'),
+    ('random-metric', 12, 1): ('5f1c27458d292768', '5353649c29787779', '9cdc8f39857fb372'),
+    ('random-metric', 12, 2): ('cec4921ee7cc8445', '91cac76b4473970e', '9d314b80eb83115b'),
+    ('random-metric', 12, 5): ('792c9c6e5a632d58', '904484fedff827bf', '8f4150b1b3c0dbe4'),
+    ('line-chain', 3, 1): ('8807de6ecd2338cf', '037c68c97cf82c66', 'a76513850c9387ff'),
+    ('line-chain', 3, 2): ('4ab6595314f61e84', '037c68c97cf82c66', 'ead308c7eac1c6d6'),
+    ('line-chain', 3, 5): ('7e9341ef253d2a59', '037c68c97cf82c66', '413626e6694f8f63'),
+    ('line-chain', 7, 1): ('c6a60d8a04198098', '408dfb38386c7ec1', 'a91866af5b6620a4'),
+    ('line-chain', 7, 2): ('4919ebfa57f582d0', '408dfb38386c7ec1', '88e8a379eebd8341'),
+    ('line-chain', 7, 5): ('cacc046701521f6a', '408dfb38386c7ec1', 'fbeb374ea474c65c'),
+    ('line-chain', 12, 1): ('ffaa32f059aaca50', '680ac1e2c1bbd728', '3abcf23a65167488'),
+    ('line-chain', 12, 2): ('c586e0f82c4e926c', '680ac1e2c1bbd728', '3d6d130508218bfa'),
+    ('line-chain', 12, 5): ('071404f2c2a02fd9', '680ac1e2c1bbd728', 'f929aa1b3598bd8a'),
 }
 
 

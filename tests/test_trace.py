@@ -173,6 +173,8 @@ TAMPERINGS = {
     "inherited-str": (ARRIVAL, _setting(("forest", "9", 0, "inherited"), "x")),
     "inherited-one": (ARRIVAL, _setting(("forest", "9", 0, "inherited"), 1)),
     "inherited-zero": (ARRIVAL, _setting(("forest", "9", 0, "inherited"), 0)),
+    # Only an inherited entry may omit its realization: this one is marked fresh.
+    "fresh-omits-eorig": (ARRIVAL, _setting(("forest", "9", 0, "inherited"), False)),
     "pin-kind-int": (ARRIVAL, _setting(("ledger", "pin_events", 0, "kind"), 7)),
     "pin-kind-unknown": (ARRIVAL, _setting(("ledger", "pin_events", 0, "kind"), "x")),
     "pin-level-null": (ARRIVAL, _setting(("ledger", "pin_events", 0, "level"), None)),
@@ -191,8 +193,10 @@ TAMPERINGS = {
     # Scalars and keys that must be canonical: the format and t are integers,
     # and a level key is str(i) for a level 0 <= i <= L (L = 10 here).
     "meta-format-bool": _meta(format=True),
-    # Format 1 stored C_inh; this loader reads format 2 only.
+    # Format 1 stored C_inh, format 2 every level whole; this loader reads
+    # format 3 only.
     "meta-format-1": _meta(format=1),
+    "meta-format-2": _meta(format=2),
     "t-bool": ("arrival_0001.json", _setting(("t",), True)),
     "t-float": (ARRIVAL, _setting(("t",), 2.0)),
     "forest-key-signed": (ARRIVAL, _copying("forest", "9", "+9")),
@@ -348,39 +352,81 @@ def test_recourse_bound_holds_whatever_meta_says(tmp_path, capsys):
     assert "recourse-bound,,,fail,ins=" in (tmp_path / "c" / "certify.csv").read_text()
 
 
-# case -> (path of a member list, its new value). At arrival 2 of the
-# euclidean n=4, lambda=2 trace, C_0 .. C_8 are the four singletons and C_9
-# is {0}, {1, 2, 3}. JSON true equals 1 and 1.0 equals 1 in Python, so a
-# level that only compares equal to the one below must still be type-checked.
+# case -> (path in the document, its new value, a phrase of the error). At
+# arrival 2 of the euclidean n=4, lambda=2 trace, C_0 .. C_8 are the four
+# singletons, C_9 is {0}, {1, 2, 3} and C_10 = C_11 is {0, 1, 2, 3}. Arrival
+# 1's C_9 is {0}, {1} and its C_10 = C_11 is {0, 1}, so the stored levels
+# are [] for C_0 .. C_8, [[1, 2, 3]] and twice [[0, 1, 2, 3]]. JSON true
+# equals 1 and 1.0 equals 1 in Python, so a level that only compares equal
+# to the one below must still be type-checked.
 MEMBER_TAMPERINGS = {
-    "member-true": (("clusterings", 0, 1), [True]),
-    "member-false": (("clusterings", 0, 0), [False]),
-    "member-true-repeated-level": (("clusterings", 1, 1), [True]),
-    "member-float": (("clusterings", 0, 1), [1.0]),
-    "member-float-repeated-level": (("clusterings", 1, 1), [1.0]),
-    "member-str": (("clusterings", 0, 1), ["1"]),
-    "member-null": (("clusterings", 0, 1), [None]),
-    "member-list-int": (("clusterings", 0, 1), 1),
-    "member-list-empty": (("clusterings", 9, 1), []),
-    "member-list-extra-empty": (("clusterings", 0), [[0], [1], [2], [3], []]),
-    "member-repeated": (("clusterings", 9, 0), [0, 1]),
-    "member-out-of-range": (("clusterings", 0, 3), [4]),
-    "member-negative": (("clusterings", 0, 3), [-1]),
+    "member-true": (("clusterings", 0), [[True]], "must be integers"),
+    "member-false": (("clusterings", 0), [[False]], "must be integers"),
+    "member-true-repeated-level": (("clusterings", 11, 0), [0, True, 2, 3],
+                                   "must be integers"),
+    "member-float": (("clusterings", 0), [[1.0]], "must be integers"),
+    "member-float-repeated-level": (("clusterings", 11, 0), [0, 1.0, 2, 3],
+                                    "must be integers"),
+    "member-str": (("clusterings", 0), [["1"]], "must be integers"),
+    "member-null": (("clusterings", 0), [[None]], "must be integers"),
+    "member-list-int": (("clusterings", 9, 0), 1, "TypeError"),
+    "member-list-empty": (("clusterings", 9, 0), [], "is empty"),
+    "member-list-extra-empty": (("clusterings", 9), [[1, 2, 3], []], "is empty"),
+    "member-repeated": (("clusterings", 9, 0), [1, 2, 3, 3], "overlap"),
+    "member-lists-overlap": (("clusterings", 9), [[1, 2], [2, 3]], "overlap"),
+    "member-out-of-range": (("clusterings", 0), [[4]], "outside 0..3"),
+    "member-not-arrived": (("clusterings", 9, 0), [1, 2, 3, 4], "outside 0..3"),
+    "member-negative": (("clusterings", 0), [[-1]], "outside 0..3"),
+    # {1, 2, 3} replaces arrival 1's {0, 1} at level 10 but leaves 0 out.
+    "previous-cluster-partly-covered": (("clusterings", 10, 0), [1, 2, 3],
+                                        "cover part of cluster 0"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MEMBER_TAMPERINGS))
 def test_bad_cluster_member_is_a_format_error(tmp_path, capsys, case):
-    path, value = MEMBER_TAMPERINGS[case]
+    path, value, phrase = MEMBER_TAMPERINGS[case]
     d = tmp_path / "trace"
     save_trace(run_online(generate_instance(GeneratorSpec(kind="euclidean", n=4, seed=1)),
                           lam=2), d)
     name = "arrival_0002.json"
     (d / name).write_text(_setting(path, value)((d / name).read_text()))
-    with pytest.raises(FormatError, match=name):
+    with pytest.raises(FormatError, match=name) as err:
         load_trace(d)
+    assert phrase in str(err.value)
     assert main(["certify", "--trace", str(d), "--out", str(tmp_path / "c"), "--quiet"]) == 3
     assert "error[E_FORMAT]" in capsys.readouterr().err
+
+
+# case -> (edit of arrival 4's document, the certify.csv FAIL row). Its
+# level-7 forest holds (1,5), inherited from arrival 3's (1,5) with
+# realization {(1,5)}; the document omits both fields it shares with that
+# parent. An explicit field is read as given.
+OMITTED_FIELD_TAMPERINGS = {
+    # (1,6) is no edge of arrival 3's level-7 forest, so nothing fills the
+    # omitted fields in.
+    "omitted-fields-no-parent": (
+        _setting(("forest", "7", 0, "parent"), [1, 6]),
+        "inheritance-provenance,7,4,fail,(1;5) has no parent in the previous forest"),
+    "explicit-eorig-differs": (
+        _setting(("forest", "7", 0, "eorig"), [[1, 6]]),
+        "inheritance-provenance,7,4,fail,(1;5) realizes other edges than its parent"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OMITTED_FIELD_TAMPERINGS))
+def test_omitted_inherited_fields_are_checked(tmp_path, capsys, case):
+    edit, row = OMITTED_FIELD_TAMPERINGS[case]
+    d = tmp_path / "trace"
+    save_trace(run_online(generate_instance(GeneratorSpec(kind="euclidean", n=4, seed=1)),
+                          lam=2), d)
+    path = d / "arrival_0004.json"
+    assert "eorig" not in json.loads(path.read_text())["forest"]["7"][0]
+    path.write_text(edit(path.read_text()))
+    assert main(["certify", "--trace", str(d), "--out", str(tmp_path / "c")]) == 1
+    assert "overall: FAIL" in capsys.readouterr().out
+    report = (tmp_path / "c" / "certify.csv").read_text()
+    assert row in report.splitlines(), [r for r in report.splitlines() if ",fail," in r]
 
 
 def test_trace_that_leaves_an_h_edge_unmerged_fails(tmp_path, capsys, monkeypatch):
