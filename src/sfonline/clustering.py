@@ -124,32 +124,23 @@ class Clustering:
         return Clustering.from_parts(assignment, members, level)
 
     def grown(self, term_levels, clusters=()) -> Clustering:
-        """This partition with the terminals past it appended, one per entry
-        of `term_levels`, as singletons, and then the member lists of
-        `clusters` in place of every cluster they touch.
-
-        ValueError unless the lists are nonempty, disjoint, hold arrived
-        terminals only and cover whole every cluster they touch. Only the
-        touched clusters are rebuilt: O(K + their members) steps, of which
-        O(new terminals + touched members) run in Python.
-        """
+        """This partition with the terminals past it appended as singletons,
+        one per entry of `term_levels`, and then the member lists of
+        `clusters` in place of every cluster they touch: ValueError unless
+        those are nonempty and disjoint, hold arrived terminals only and
+        cover each touched cluster whole. O(K) steps, of which O(new
+        terminals + listed members) run in Python."""
         T0, T = len(self.assignment), len(term_levels)
         assignment = [*self.assignment, *range(T0, T)]
-        members = dict(self.members)
-        level = dict(self.cluster_level)
-        for k in range(T0, T):
-            members[k] = (k,)
-            level[k] = term_levels[k]
+        members = {**self.members, **{k: (k,) for k in range(T0, T)}}
+        level = {**self.cluster_level, **{k: term_levels[k] for k in range(T0, T)}}
         parts = [sorted(ms) for ms in clusters]  # a cluster's id is its least member
-        if not parts:
-            return Clustering.from_parts(tuple(assignment), members, level)
-        if not all(parts) or min(ms[0] for ms in parts) < 0 or max(ms[-1] for ms in parts) >= T:
-            raise ValueError(f"a member list is empty or holds a terminal outside 0..{T - 1}")
         claimed = set(itertools.chain.from_iterable(parts))
+        if not all(parts) or min(claimed, default=0) < 0 or max(claimed, default=0) >= T:
+            raise ValueError(f"a member list is empty or holds a terminal outside 0..{T - 1}")
         if len(claimed) != sum(map(len, parts)):
             raise ValueError("member lists overlap")
-        touched = {assignment[k] for k in claimed}
-        for cid in touched:
+        for cid in {assignment[k] for k in claimed}:
             if not claimed.issuperset(members.pop(cid)):
                 raise ValueError(f"member lists cover part of cluster {cid}")
             del level[cid]

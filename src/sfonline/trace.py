@@ -8,12 +8,9 @@ plain-text files (instance + meta + one JSON document per arrival), so runs
 and certification are decoupled and traces from other implementations can
 be checked for conformance.
 
-An arrival's document records its clusterings and inherited forest entries
-as a delta against the arrival before: each level lists only its clusters
-that the previous arrival's same level lacks, and an inherited entry omits
-the realized edges and creation time it shares with its parent. So the
-loader needs the previous arrival only, and rebuilds a level in
-O(changed members) Python steps.
+An arrival's clusterings and inherited forest entries are stored as a
+delta against the arrival before, so the loader needs only that arrival
+and rebuilds a level in O(changed members) Python steps.
 """
 
 from __future__ import annotations
@@ -107,35 +104,45 @@ def _parents(prev) -> dict:
 _NO_PARENT = VirtualEdge(-1, -1, -1, False, None, frozenset(), None)
 
 
-def _forest_json(out: ArrivalOutcome, prev) -> str:
-    """The arrival's forest as `json.dumps(..., sort_keys=True)` would write
-    it, spelled out here as that is most of an arrival's encoding time. An
-    inherited entry omits `eorig` and `created_at` where they equal its
-    parent's; `prev` is the previous arrival's outcome (None at the first)."""
-    parents = _parents(prev)
-    levels = []
-    for i, entries in sorted(out.forest.items(), key=lambda item: str(item[0])):
-        recs = []
-        for ve in entries:
-            pe = parents.get((i, ve.parent), _NO_PARENT) if ve.inherited else None
-            text = f'{{"c1":{ve.c1},"c2":{ve.c2}'
-            if pe is None or pe.created_at != ve.created_at:
-                text += f',"created_at":{ve.created_at}'
-            if pe is None or pe.eorig != ve.eorig:
-                text += ',"eorig":' + json.dumps(_edge_list(ve.eorig), separators=_SEPARATORS)
-            parent = f"[{ve.parent[0]},{ve.parent[1]}]" if ve.parent else "null"
-            recs.append(f'{text},"inherited":{"true" if ve.inherited else "false"},'
-                        f'"parent":{parent}}}')
-        levels.append(f'"{i}":[{",".join(recs)}]')
-    return "{" + ",".join(levels) + "}"
+def _forest_entry(ve, pe) -> dict:
+    """A forest entry's record. An inherited entry omits `eorig` and
+    `created_at` where they equal those of its parent `pe`; a fresh one
+    (`pe` None) states both."""
+    rec = {"c1": ve.c1, "c2": ve.c2, "inherited": ve.inherited,
+           "parent": list(ve.parent) if ve.parent else None}
+    if pe is None or pe.eorig != ve.eorig:
+        rec["eorig"] = _edge_list(ve.eorig)
+    if pe is None or pe.created_at != ve.created_at:
+        rec["created_at"] = ve.created_at
+    return rec
 
 
-def _arrival_payload(out: ArrivalOutcome) -> dict:
-    """An arrival's JSON document, less its clusterings and forest."""
+def _delta(cl, base) -> list:
+    """Member lists, in id order, of the clusters of `cl` that are not
+    clusters of `base` grown by the terminals past it as singletons."""
+    # A cluster differs from the grown one with its id iff it holds a
+    # terminal that moved, or the id of a cluster that one left.
+    a, b = cl.assignment, base.assignment + tuple(range(len(base.assignment), len(cl.assignment)))
+    moved = list(itertools.compress(range(len(a)), map(operator.ne, a, b)))
+    return [cl.members[cid] for cid in sorted({a[k] for k in moved}.union(a[b[k]] for k in moved))]
+
+
+def _arrival_payload(out: ArrivalOutcome, prev) -> dict:
+    """An arrival's JSON document; `prev` is the previous arrival's outcome
+    (None at the first), against which its levels and inherited forest
+    entries are stored."""
     led = out.ledger
+    parents = _parents(prev)
     return {
         "t": out.t,
         "L": out.hierarchy.L,
+        "clusterings": [_delta(cl, prev.hierarchy.clustering(i) if prev else _NO_TERMINALS)
+                        for i, cl in enumerate(out.hierarchy.clusterings)],
+        "forest": {
+            str(i): [_forest_entry(ve, parents.get((i, ve.parent), _NO_PARENT)
+                                   if ve.inherited else None) for ve in entries]
+            for i, entries in sorted(out.forest.items())
+        },
         "pinned": [[list(e), pt] for e, pt in out.pinned_after],
         "snapshot": _edge_list(out.snapshot.edges),
         "cost_f": out.snapshot.cost,
@@ -160,37 +167,6 @@ def _arrival_payload(out: ArrivalOutcome) -> dict:
     }
 
 
-def _arrival_json(out: ArrivalOutcome, prev) -> str:
-    """The arrival's document as `json.dumps(..., sort_keys=True)` would
-    write it. Level i lists, in cluster-id order, the member lists of the
-    clusters of C_i that are not clusters of the previous arrival's C_i
-    grown by the new terminals as singletons. Levels share Clustering
-    objects, so each distinct (level, previous level) pair is encoded once
-    and its text spliced in wherever it occurs."""
-    T0 = len(prev.hierarchy.clusterings[0].assignment) if prev else 0
-    new = tuple(range(T0, len(out.hierarchy.clusterings[0].assignment)))
-    encoded = {}
-
-    def delta(cl, base):
-        if (cl, base) not in encoded:
-            # A cluster differs from the grown previous one with its id iff it
-            # holds a terminal that moved, or the id of a cluster one left.
-            a, b = cl.assignment, base.assignment + new
-            moved = list(itertools.compress(range(len(a)), map(operator.ne, a, b)))
-            ids = sorted({a[k] for k in moved}.union(a[b[k]] for k in moved))
-            encoded[cl, base] = json.dumps([cl.members[cid] for cid in ids],
-                                           separators=_SEPARATORS) if ids else "[]"
-        return encoded[cl, base]
-
-    parts = {key: json.dumps(value, sort_keys=True, separators=_SEPARATORS)
-             for key, value in _arrival_payload(out).items()}
-    parts["forest"] = _forest_json(out, prev)
-    bases = map(prev.hierarchy.clustering, itertools.count()) if prev else \
-        itertools.repeat(_NO_TERMINALS)
-    parts["clusterings"] = "[" + ",".join(map(delta, out.hierarchy.clusterings, bases)) + "]"
-    return "{" + ",".join(f'"{key}":{parts[key]}' for key in sorted(parts)) + "}"
-
-
 def save_trace(trace: RunTrace, dirpath) -> None:
     os.makedirs(dirpath, exist_ok=True)
     save_instance_file(trace.instance, os.path.join(dirpath, "instance.sfo"))
@@ -206,7 +182,8 @@ def save_trace(trace: RunTrace, dirpath) -> None:
     for prev, out in zip([None, *trace.arrivals], trace.arrivals):
         path = os.path.join(dirpath, f"arrival_{out.t:04d}.json")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_arrival_json(out, prev))
+            fh.write(json.dumps(_arrival_payload(out, prev), sort_keys=True,
+                                separators=_SEPARATORS))
             fh.write("\n")
 
 
@@ -222,13 +199,12 @@ def _hierarchy_from_payload(payload, levels, prev) -> Hierarchy:
     # JSON true and 1.0 equal 1, so members are type-checked before levels are compared.
     if set(map(type, itertools.chain(*itertools.chain(*stored)))) - {int}:
         raise TypeError("cluster members must be integers")
-    # A level equal to the level below shares its object, as in a run.
+    # A level equal to the level below shares its object, as in a run; one
+    # whose delta and base repeat the level below's is not built at all.
     clusterings = []
     for i, delta in enumerate(stored):
         base = prev.clustering(i) if prev else _NO_TERMINALS
-        if i and delta == stored[i - 1] and base is below:
-            cl = clusterings[-1]
-        else:
+        if not (i and delta == stored[i - 1] and base is below):
             cl = base.grown(levels, delta)
             if i and cl.assignment == clusterings[-1].assignment:
                 cl = clusterings[-1]
@@ -280,17 +256,10 @@ def _virtual_edge(i, rec, parents) -> VirtualEdge:
     inherited = _bool(rec["inherited"])
     parent = _edge(rec["parent"]) if rec["parent"] else None
     pe = parents.get((i, parent), _NO_PARENT) if inherited else None
-    return VirtualEdge(
-        level=i,
-        c1=_int(rec["c1"]),
-        c2=_int(rec["c2"]),
-        inherited=inherited,
-        parent=parent,
-        eorig=(frozenset(_edge(e) for e in rec["eorig"]) if pe is None or "eorig" in rec
-               else pe.eorig),
-        created_at=(_int(rec["created_at"]) if pe is None or "created_at" in rec
-                    else pe.created_at),
-    )
+    eorig = frozenset(map(_edge, rec["eorig"])) if pe is None or "eorig" in rec else pe.eorig
+    created_at = (_int(rec["created_at"]) if pe is None or "created_at" in rec
+                  else pe.created_at)
+    return VirtualEdge(i, _int(rec["c1"]), _int(rec["c2"]), inherited, parent, eorig, created_at)
 
 
 def _outcome_from_payload(levels, t, payload, prev) -> ArrivalOutcome:
