@@ -84,6 +84,11 @@ def test_loaded_clusterings_equal_the_runs(tmp_path, kind):
     for run, loaded in zip(trace.arrivals, load_trace(tmp_path / "t").arrivals, strict=True):
         assert ([fields(cl) for cl in loaded.hierarchy.clusterings]
                 == [fields(cl) for cl in run.hierarchy.clusterings])
+        # Levels share objects as in the run, also where the stored deltas
+        # of two equal levels differ (once on euclidean).
+        shared = [[a is b for a, b in zip(out.hierarchy.clusterings, out.hierarchy.clusterings[1:])]
+                  for out in (run, loaded)]
+        assert shared[0] == shared[1]
         assert ({i: fields(cl) for i, cl in inherited_clusterings(loaded).items()}
                 == {i: fields(cl) for i, cl in inherited_clusterings(run).items()})
 
@@ -248,13 +253,15 @@ def _mark_first_fresh_edge_inherited(out):
     _set_entry(out, level, index, inherited=True, parent=ve.endpoints)
 
 
-def _split_level_8(out):
-    h = out.hierarchy
-    c0 = h.clusterings[0]
-    levels = [c0.cluster_level[k] for k in range(len(c0.assignment))]
-    cls = list(h.clusterings)
-    cls[8] = clustering_of([0, 1, 2, 3, 4, 5, 1, 3], levels)  # {0} {1,6} {2} {3,7} {4} {5}
-    out.hierarchy = Hierarchy(h.L, tuple(cls))
+def _level_8_as(labels):
+    """Edit that sets a decoded arrival's C_8 to the clustering of `labels`."""
+    def edit(out):
+        h = out.hierarchy
+        c0 = h.clusterings[0]
+        cls = list(h.clusterings)
+        cls[8] = clustering_of(labels, [c0.cluster_level[k] for k in range(len(c0.assignment))])
+        out.hierarchy = Hierarchy(h.L, tuple(cls))
+    return edit
 
 
 # case -> (arrival, edit of the decoded arrival, substrings of the certify.csv
@@ -312,12 +319,19 @@ SEMANTIC_TAMPERINGS = {
                             out.pinned_after[:-1] + ((out.pinned_after[-1][0], 3),)),
         ["snapshot-consistency,,4,fail,pin (3;7) stamped 3"]),
     # Arrival 3's C_8 holds {1, 5} and its C_9 {1, 2, 3, 5}; arrival 4's C_8
-    # is edited to leave 5 out of 1's cluster.
+    # is edited to leave 5 out of 1's cluster: {0} {1,6} {2} {3,7} {4} {5}.
     "clustering-splits-previous": (
         4,
-        _split_level_8,
+        _level_8_as([0, 1, 2, 3, 4, 5, 1, 3]),
         ["refine-across-arrivals,8,4,fail,fine cluster 1 split at terminal 5",
          "active-cluster-gap,8,4,fail,gap=192 2^i=256"]),
+    # Now 1's cluster only shrinks, to {1}, and 5 joins 6: a cluster that
+    # loses members and gains none is stored too.
+    "clustering-shrinks-previous": (
+        4,
+        _level_8_as([0, 1, 2, 3, 4, 5, 5, 3]),
+        ["refine-across-arrivals,8,4,fail,fine cluster 1 split at terminal 5",
+         "forest-contracts-to-next,8,4,fail,terminal 5 in 5 want 0"]),
     # Arrival 4 inherits level-8 edge (1,2); marked fresh, it leaves C_inh,8
     # splitting arrival 3's C_9 and the witness one source short.
     "inherited-edge-marked-fresh": (
