@@ -126,9 +126,9 @@ def test_trace_bytes_deterministic(tmp_path):
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_arrival_files_are_canonical_and_resave_byte_for_byte(tmp_path, kind):
-    # The writer spells part of a document out by hand; every file must still
-    # be the canonical dump of its document, and a loaded trace saved again
-    # must give the same files.
+    # Every file is the canonical dump of its document, and a loaded trace,
+    # whose arrivals the writer diffs against each other again, saves to the
+    # same files.
     save_trace(run_online(generate_instance(GeneratorSpec(kind=kind, n=9, seed=2)), lam=2),
                tmp_path / "a")
     save_trace(load_trace(tmp_path / "a"), tmp_path / "b")
