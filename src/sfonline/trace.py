@@ -92,11 +92,12 @@ def _edge_list(edges):
 _SEPARATORS = (",", ":")
 
 
-def _parents(prev) -> dict:
+def _parents(prev) -> dict | None:
     """The previous arrival's forest entries by (level, endpoints), the last
-    of equal ones: where an inherited entry looks up its parent."""
-    return {} if prev is None else {(i, (pe.c1, pe.c2)): pe for i, entries in prev.forest.items()
-                                    for pe in entries}
+    of equal ones: where an inherited entry looks up its parent. None at the
+    first arrival, where every entry states all its fields."""
+    return None if prev is None else {(i, (pe.c1, pe.c2)): pe for i, entries in prev.forest.items()
+                                      for pe in entries}
 
 
 # Stands in for the parent of an inherited entry that has none: the fields
@@ -104,10 +105,17 @@ def _parents(prev) -> dict:
 _NO_PARENT = VirtualEdge(-1, -1, -1, False, None, frozenset(), None)
 
 
+def _parent_entry(parents, i, parent, inherited):
+    """The entry whose omitted fields a level-i entry shares: its parent,
+    `_NO_PARENT` if it has none, and None if it is fresh or the arrival is
+    the first."""
+    return parents.get((i, parent), _NO_PARENT) if inherited and parents is not None else None
+
+
 def _forest_entry(ve, pe) -> dict:
     """A forest entry's record. An inherited entry omits `eorig` and
-    `created_at` where they equal those of its parent `pe`; a fresh one
-    (`pe` None) states both."""
+    `created_at` where they equal those of its parent `pe`; with `pe` None
+    the entry states both."""
     rec = {"c1": ve.c1, "c2": ve.c2, "inherited": ve.inherited,
            "parent": list(ve.parent) if ve.parent else None}
     if pe is None or pe.eorig != ve.eorig:
@@ -139,8 +147,8 @@ def _arrival_payload(out: ArrivalOutcome, prev) -> dict:
         "clusterings": [_delta(cl, prev.hierarchy.clustering(i) if prev else _NO_TERMINALS)
                         for i, cl in enumerate(out.hierarchy.clusterings)],
         "forest": {
-            str(i): [_forest_entry(ve, parents.get((i, ve.parent), _NO_PARENT)
-                                   if ve.inherited else None) for ve in entries]
+            str(i): [_forest_entry(ve, _parent_entry(parents, i, ve.parent, ve.inherited))
+                     for ve in entries]
             for i, entries in sorted(out.forest.items())
         },
         "pinned": [[list(e), pt] for e, pt in out.pinned_after],
@@ -199,17 +207,13 @@ def _hierarchy_from_payload(payload, levels, prev) -> Hierarchy:
     # JSON true and 1.0 equal 1, so members are type-checked before levels are compared.
     if set(map(type, itertools.chain(*itertools.chain(*stored)))) - {int}:
         raise TypeError("cluster members must be integers")
-    # A level equal to the level below shares its object, as in a run; one
-    # whose delta and base repeat the level below's is not built at all.
+    # A level equal to the level below shares its object, as in a run.
     clusterings = []
     for i, delta in enumerate(stored):
-        base = prev.clustering(i) if prev else _NO_TERMINALS
-        if not (i and delta == stored[i - 1] and base is below):
-            cl = base.grown(levels, delta)
-            if i and cl.assignment == clusterings[-1].assignment:
-                cl = clusterings[-1]
+        cl = (prev.clustering(i) if prev else _NO_TERMINALS).grown(levels, delta)
+        if i and cl.assignment == clusterings[-1].assignment:
+            cl = clusterings[-1]
         clusterings.append(cl)
-        below = base
     return Hierarchy(L, tuple(clusterings))
 
 
@@ -252,10 +256,11 @@ def _malformed(path):
 
 def _virtual_edge(i, rec, parents) -> VirtualEdge:
     """A stored level-i forest entry; an inherited one's omitted `eorig` and
-    `created_at` are its parent's, the parent's frozenset reused."""
+    `created_at` are its parent's, the parent's frozenset reused. At the
+    first arrival (`parents` None) an omitted field is a KeyError."""
     inherited = _bool(rec["inherited"])
     parent = _edge(rec["parent"]) if rec["parent"] else None
-    pe = parents.get((i, parent), _NO_PARENT) if inherited else None
+    pe = _parent_entry(parents, i, parent, inherited)
     eorig = frozenset(map(_edge, rec["eorig"])) if pe is None or "eorig" in rec else pe.eorig
     created_at = (_int(rec["created_at"]) if pe is None or "created_at" in rec
                   else pe.created_at)

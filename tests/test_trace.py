@@ -174,6 +174,16 @@ def _pad_top(payload):
     payload["L"] += 1
 
 
+def _first_arrival_inherited_omitting(field):
+    """Edit of arrival 1's document: its level-9 fresh entry marked inherited,
+    with `field` dropped. No arrival precedes it to fill the field in."""
+    def edit(payload):
+        entry = payload["forest"]["9"][0]
+        entry.update(inherited=True, parent=[entry["c1"], entry["c2"]])
+        del entry[field]
+    return "arrival_0001.json", _edited(edit)
+
+
 # case -> (file, edit of its text); the trace is euclidean n=3, lambda=2.
 ARRIVAL = "arrival_0002.json"
 TAMPERINGS = {
@@ -196,6 +206,9 @@ TAMPERINGS = {
     "inherited-zero": (ARRIVAL, _setting(("forest", "9", 0, "inherited"), 0)),
     # Only an inherited entry may omit its realization: this one is marked fresh.
     "fresh-omits-eorig": (ARRIVAL, _setting(("forest", "9", 0, "inherited"), False)),
+    # Nor may one at the first arrival, which has no previous forest.
+    "first-arrival-omits-eorig": _first_arrival_inherited_omitting("eorig"),
+    "first-arrival-omits-created-at": _first_arrival_inherited_omitting("created_at"),
     "pin-kind-int": (ARRIVAL, _setting(("ledger", "pin_events", 0, "kind"), 7)),
     "pin-kind-unknown": (ARRIVAL, _setting(("ledger", "pin_events", 0, "kind"), "x")),
     "pin-level-null": (ARRIVAL, _setting(("ledger", "pin_events", 0, "level"), None)),
