@@ -16,18 +16,17 @@ files, a sha256 over the structural and witness rows (which, unlike the
 trace's, does not change with the trace format), a sha256 over the
 baselines' per-prefix costs and one over the oracle's, the run's (arrival,
 level) pair count and how many of those pairs the arrival left unchanged,
-and per kind and phase the least-squares exponent of time against n (when
-the grid has more than one n).
+and per kind and phase the least-squares exponent of time against n.
 
 Only the standard library and sfonline (with its numpy) are used:
 
-    PYTHONPATH=src python3 bench/scaling.py --label mytree [--sizes 160]
+    PYTHONPATH=src python3 bench/scaling.py --label mytree
 
-With `--parent DIR`, every cell is measured twice, each time in a fresh
-interpreter: once with this tree's sfonline and once with DIR/src's, the
-order alternating from cell to cell, so that host drift over the grid
-lands on both trees alike. It writes BENCH_scaling_<label>.json and
-BENCH_scaling_<label>-parent.json.
+Every cell is measured in a fresh interpreter that imports this tree's
+sfonline. With `--parent DIR`, every cell is measured a second time, with
+DIR/src's sfonline, the order alternating from cell to cell, so that host
+drift over the grid lands on both trees alike. It writes
+BENCH_scaling_<label>.json and BENCH_scaling_<label>-parent.json.
 
 It is too slow for the test suite: line-chain n=160 takes seconds per phase.
 """
@@ -44,7 +43,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -207,11 +205,11 @@ def measure_with(src, kind, n):
     return json.loads(subprocess.run(argv, env=env, check=True, stdout=subprocess.PIPE).stdout)
 
 
-def write_record(label, cells, sizes, outdir):
+def write_record(label, cells, outdir):
     exponents = {
         kind: {key: exponent([c for c in cells if c["kind"] == kind], key) for key in PHASES}
         for kind in GENERATOR_KINDS
-    } if len(sizes) > 1 else {}
+    }
     record = {
         "label": label,
         "python": platform.python_version(),
@@ -233,31 +231,29 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True, help="names the output BENCH_scaling_<label>.json")
     p.add_argument("--out", default=".", help="directory to write the record into")
-    p.add_argument("--sizes", type=lambda text: tuple(map(int, text.split(","))), default=SIZES,
-                   help="comma-separated n values (default %(default)s)")
     p.add_argument("--parent", help="a parent tree to measure too, cell by cell, from its src/")
     args = p.parse_args(argv)
 
     here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    trees = [(args.label, None)] if args.parent is None else [
-        (args.label, here), (f"{args.label}-parent", os.path.join(args.parent, "src"))]
+    trees = [(args.label, here)]
+    if args.parent is not None:
+        trees.append((f"{args.label}-parent", os.path.join(args.parent, "src")))
     cells = {label: [] for label, _ in trees}
-    grid = [(kind, n) for kind in GENERATOR_KINDS for n in args.sizes]
-    with tempfile.TemporaryDirectory() as workdir:
-        for index, (kind, n) in enumerate(grid):
-            for label, src in trees[::-1] if index % 2 else trees:
-                cell = measure(kind, n, workdir) if src is None else measure_with(src, kind, n)
-                print(f"{label:20s} {kind:14s} n={n:4d} run {cell['run_online_s']:7.3f} s  "
-                      f"save {cell['save_s']:7.3f} s  "
-                      f"load {cell['load_s']:7.3f} s  "
-                      f"structural {cell['structural_s']:7.3f} s  "
-                      f"witness {cell['witness_s']:7.3f} s  "
-                      f"oracle {cell['oracle_s']:7.3f} s  "
-                      f"compare {cell['compare_s']:7.3f} s  "
-                      f"unchanged {cell['unchanged_levels']}/{cell['levels']}", flush=True)
-                cells[label].append(cell)
+    grid = [(kind, n) for kind in GENERATOR_KINDS for n in SIZES]
+    for index, (kind, n) in enumerate(grid):
+        for label, src in trees[::-1] if index % 2 else trees:
+            cell = measure_with(src, kind, n)
+            print(f"{label:20s} {kind:14s} n={n:4d} run {cell['run_online_s']:7.3f} s  "
+                  f"save {cell['save_s']:7.3f} s  "
+                  f"load {cell['load_s']:7.3f} s  "
+                  f"structural {cell['structural_s']:7.3f} s  "
+                  f"witness {cell['witness_s']:7.3f} s  "
+                  f"oracle {cell['oracle_s']:7.3f} s  "
+                  f"compare {cell['compare_s']:7.3f} s  "
+                  f"unchanged {cell['unchanged_levels']}/{cell['levels']}", flush=True)
+            cells[label].append(cell)
     for label, got in cells.items():
-        write_record(label, got, args.sizes, args.out)
+        write_record(label, got, args.out)
     return 0
 
 
