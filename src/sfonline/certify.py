@@ -587,7 +587,7 @@ def _structural_pass(trace, add, inherited):
         add("ledger-diff", None, t,
             (ins, dels) == (out.ledger.insertions, out.ledger.deletions),
             f"ins={ins} dels={dels}")
-        add("buffer-bound", None, t, out.ledger.buffer_end < trace.lam,
+        add("buffer-bound", None, t, 0 <= out.ledger.buffer_end < trace.lam,
             f"|B|={out.ledger.buffer_end}")
         prev_out = out
 

@@ -363,6 +363,11 @@ SEMANTIC_TAMPERINGS = {
         lambda out: setattr(out, "ledger", dataclasses.replace(out.ledger, pin_events=(),
                                                                pins_added=0)),
         ["snapshot-consistency,,4,fail,pinned grew by 1 edges not the pin events' 0"]),
+    # A buffer never holds fewer than zero edges.
+    "buffer-end-negative": (
+        2,
+        lambda out: setattr(out, "ledger", dataclasses.replace(out.ledger, buffer_end=-1)),
+        ["buffer-bound,,2,fail,|B|=-1"]),
 }
 
 
