@@ -1,22 +1,24 @@
 """Scaling record: how run, structural certify and compare grow with n.
 
 For every generator kind and n in the grid (lambda = ceil(log2 n), seed 1)
-this runs the online algorithm, saves its trace, loads it back and runs the
-structural certify pass on the loaded trace, as `check_run` runs it, timing
-the save, the load and the pass apart. The witness phase times the witness
-pass alone over every level, as `check_run` runs it after the structural
-pass, whose derived inherited clusterings it reads; the oracle phase times
-`exact_optimum` at the default limit, the call every `run`, `compare` and
-`certify` makes. The compare phase times what `compare` computes: one
-`iter_online(inst, lam)` walk feeding `offline_gluttonous_forest`, so each
-hierarchy is built once, and both `run_baseline`s. It writes
-BENCH_scaling_<label>.json with, per cell, the seven wall times (the median
-of REPEATS runs, and every run), the trace's byte count and sha256 over its
-files, a sha256 over the structural and witness rows (which, unlike the
-trace's, does not change with the trace format), a sha256 over the
-baselines' per-prefix costs and one over the oracle's, the run's (arrival,
-level) pair count and how many of those pairs the arrival left unchanged,
-and per kind and phase the least-squares exponent of time against n.
+this runs the online algorithm, saves its trace and loads it back, timing
+the save and the load apart. The structural phase times
+`check_run(trace, witness_levels=())` on the loaded trace: its one walk
+without witness levels. The oracle phase times `exact_optimum` at the
+default limit, the call every `run`, `compare` and `certify` makes. The
+certify phase times the whole `check_run(trace, opt)` at every level, as
+`certify --levels all` runs it. The compare phase times what `compare`
+computes: one `iter_online(inst, lam)` walk feeding
+`offline_gluttonous_forest`, so each hierarchy is built once, and both
+`run_baseline`s. It writes BENCH_scaling_<label>.json with, per cell, the
+seven wall times (the median of REPEATS runs, and every run), the trace's
+byte count and sha256 over its files, a sha256 over the certify phase's
+`certify.csv` text (which, unlike the trace's, does not change with the
+trace format), a sha256 over the baselines' per-prefix costs and one over
+the oracle's, the run's (arrival, level) pair count and how many of those
+pairs the arrival left unchanged, and per kind and phase the least-squares
+exponent of time against n. It calls only sfonline's public API, so
+`--parent` can measure any tree that has it.
 
 Only the standard library and sfonline (with its numpy) are used:
 
@@ -47,7 +49,7 @@ import time
 
 import numpy as np
 
-from sfonline.certify import _inherited_clusterings, _structural_pass, _witness_pass
+from sfonline.certify import check_run
 from sfonline.metric import GENERATOR_KINDS, GeneratorSpec, generate_instance
 from sfonline.oracles import (
     DEFAULT_ORACLE_LIMIT,
@@ -60,7 +62,7 @@ from sfonline.trace import iter_online, load_trace, run_online, save_trace
 SIZES = (40, 80, 160)
 REPEATS = 3
 SEED = 1
-PHASES = ("run_online_s", "save_s", "load_s", "structural_s", "witness_s", "oracle_s",
+PHASES = ("run_online_s", "save_s", "load_s", "structural_s", "certify_s", "oracle_s",
           "compare_s")
 
 
@@ -104,20 +106,6 @@ def level_counts(trace) -> tuple[int, int]:
     return levels, unchanged
 
 
-def structural_rows(trace, inherited):
-    """Run the structural pass; return its rows."""
-    rows = []
-    _structural_pass(trace, lambda *row: rows.append(row), inherited)
-    return rows
-
-
-def witness_rows(trace, opt_final, inherited):
-    """Run the witness pass on every level; return its rows."""
-    rows = []
-    _witness_pass(trace, lambda *row: rows.append(row), {}, opt_final, None, inherited)
-    return rows
-
-
 def timed(fn, *args, **kwargs):
     start = time.perf_counter()
     result = fn(*args, **kwargs)
@@ -127,7 +115,7 @@ def timed(fn, *args, **kwargs):
 def measure(kind, n, workdir):
     inst = generate_instance(GeneratorSpec(kind=kind, n=n, seed=SEED))
     lam = max(1, math.ceil(math.log2(n)))
-    run_s, save_s, load_s, structural_s, witness_s, oracle_s, compare_s = ([] for _ in PHASES)
+    run_s, save_s, load_s, structural_s, certify_s, oracle_s, compare_s = ([] for _ in PHASES)
     digests, row_digests, cost_digests, opt_digests, counts = set(), set(), set(), set(), set()
     for r in range(REPEATS):
         trace, secs = timed(run_online, inst, lam)
@@ -139,20 +127,18 @@ def measure(kind, n, workdir):
         digests.add(trace_digest(d))
         loaded, secs = timed(load_trace, d)
         load_s.append(secs)
-        inherited = _inherited_clusterings(loaded)
-        rows, secs = timed(structural_rows, loaded, inherited)
+        report, secs = timed(check_run, loaded, witness_levels=())
         structural_s.append(secs)
-        if fails := [row for row in rows if not row[3]]:
+        if fails := report.failures():
             raise SystemExit(f"{kind} n={n}: structural pass FAILED: {fails[0]}")
         opt, secs = timed(exact_optimum, inst.view(min(n, DEFAULT_ORACLE_LIMIT)))
         oracle_s.append(secs)
         opt_digests.add(hashlib.sha256(json.dumps(opt.prefix_costs).encode()).hexdigest())
-        more, secs = timed(witness_rows, loaded,
-                           opt.cost if n <= DEFAULT_ORACLE_LIMIT else None, inherited)
-        witness_s.append(secs)
-        if fails := [row for row in more if not row[3]]:
-            raise SystemExit(f"{kind} n={n}: witness pass FAILED: {fails[0]}")
-        row_digests.add(hashlib.sha256(repr(rows + more).encode()).hexdigest())
+        report, secs = timed(check_run, loaded, dict(enumerate(opt.prefix_costs, 1)))
+        certify_s.append(secs)
+        if fails := report.failures():
+            raise SystemExit(f"{kind} n={n}: certify FAILED: {fails[0]}")
+        row_digests.add(hashlib.sha256(report.to_csv().encode()).hexdigest())
         costs, secs = timed(baseline_costs, inst, lam)
         compare_s.append(secs)
         cost_digests.add(hashlib.sha256(json.dumps(costs).encode()).hexdigest())
@@ -166,14 +152,14 @@ def measure(kind, n, workdir):
         "save_s": statistics.median(save_s),
         "load_s": statistics.median(load_s),
         "structural_s": statistics.median(structural_s),
-        "witness_s": statistics.median(witness_s),
+        "certify_s": statistics.median(certify_s),
         "oracle_s": statistics.median(oracle_s),
         "compare_s": statistics.median(compare_s),
         "run_online_runs_s": run_s,
         "save_runs_s": save_s,
         "load_runs_s": load_s,
         "structural_runs_s": structural_s,
-        "witness_runs_s": witness_s,
+        "certify_runs_s": certify_s,
         "oracle_runs_s": oracle_s,
         "compare_runs_s": compare_s,
         "trace_sha256": trace_sha256,
@@ -247,7 +233,7 @@ def main(argv=None):
                   f"save {cell['save_s']:7.3f} s  "
                   f"load {cell['load_s']:7.3f} s  "
                   f"structural {cell['structural_s']:7.3f} s  "
-                  f"witness {cell['witness_s']:7.3f} s  "
+                  f"certify {cell['certify_s']:7.3f} s  "
                   f"oracle {cell['oracle_s']:7.3f} s  "
                   f"compare {cell['compare_s']:7.3f} s  "
                   f"unchanged {cell['unchanged_levels']}/{cell['levels']}", flush=True)

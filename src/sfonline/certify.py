@@ -1,12 +1,13 @@
 """Mechanical certification of a recorded run.
 
 Everything here re-derives its verdicts from the trace plus the instance
-metric; nothing trusts the online loop's own bookkeeping. The structural
-pass re-checks feasibility, the pinned forest, refinements, cluster-gap and
-co-clustering observations, per-level counting identities, and the per-edge
-cost budget. The witness pass replays the dual-fitting construction level by
-level: the source sets, the four invariants, the ball-growing dual, its
-exact feasibility, and the value identities.
+metric; nothing trusts the online loop's own bookkeeping. `check_run`
+walks the arrivals once. Each arrival gets its structural rows: feasibility,
+the pinned forest, refinements, cluster-gap and co-clustering observations,
+per-level counting identities, and the per-edge cost budget. It then steps
+the dual-fitting source sets of every witness level, asserting their four
+invariants. After the walk, each level's rows follow: the ball-growing
+dual, its exact feasibility, and the value identities.
 
 The dual radius at level i is 2^(i-1), a half at level 0, so the witness
 holds every radius and dual value doubled: all are integers, and every
@@ -73,55 +74,28 @@ def check_pinned_forest(edges, terminal_count: int) -> bool:
 
 @dataclasses.dataclass
 class WitnessState:
+    """Level i's source sets after the arrivals stepped so far."""
+
     level: int
-    final_xhat: frozenset  # Xhat after the last arrival
-    final_sources: frozenset  # X after the last arrival
-    noninherited_counts: list  # |F_i \ F_inh,i| per arrival
+    final_xhat: set = dataclasses.field(default_factory=set)  # Xhat
+    final_sources: set = dataclasses.field(default_factory=set)  # X
+    noninherited_counts: list = dataclasses.field(default_factory=list)  # |F_i \ F_inh,i| per t
 
-
-def radius(level: int) -> int:
-    """The doubled dual radius 2r = 2^i at level i (the radius is 2^(i-1))."""
-    return 1 << level
-
-
-def _halves(x2: int) -> str:
-    """A doubled value printed as the rational it stands for: 3 -> '3/2'."""
-    return str(x2 // 2) if x2 % 2 == 0 else f"{x2}/2"
-
-
-def build_dual_witness(trace, i: int) -> WitnessState:
-    """Replay the source-set construction for level i over the whole run.
-
-    Per arrival: the new pair's endpoints join Xhat when they are the only
-    high-level vertices of their inherited-contraction cluster; X gains k-1
-    smallest fresh Xhat vertices per top cluster glued out of k inherited
-    clusters. The four invariants are asserted after every arrival.
-    """
-    return _replay_witness(trace, i, _inherited_clusterings(trace))
-
-
-def _replay_witness(trace, i, inherited) -> WitnessState:
-    """build_dual_witness, reading arrival t's C_inh,i as inherited(t, i)."""
-    inst = trace.instance
-    lv = terminal_levels(inst.view(inst.n))
-    # Distances stay below 2^62, so clamping 2r = 2^i there keeps d < 2r exact.
-    two_r = level_threshold(i - 1)
-
-    xhat: set = set()
-    x: set = set()
-    counts = []
-
-    for out in trace.arrivals:
-        t = out.t
+    def step(self, out, cinh_i, lv, dist) -> None:
+        """Advance by arrival `out`, whose C_inh,i is `cinh_i` (`lv`: terminal
+        levels, `dist`: instance distances). The new pair's endpoints join Xhat
+        when they are the only high-level vertices of their C_inh,i cluster; X
+        gains k-1 smallest fresh Xhat vertices per top cluster glued out of k
+        inherited clusters. The four invariants are asserted after the step."""
+        t, i = out.t, self.level
+        xhat, x, counts = self.final_xhat, self.final_sources, self.noninherited_counts
         u, v = 2 * t - 2, 2 * t - 1
         cl_next = out.hierarchy.clustering(i + 1)
-        cinh_i = inherited(t, i)
         if cinh_i is None:
             raise WitnessError("an inherited edge does not join two clusters", t)
         added = []
         if lv[u] >= i:
-            cu = cinh_i.assignment[u]
-            cv = cinh_i.assignment[v]
+            cu, cv = cinh_i.assignment[u], cinh_i.assignment[v]
             high_u = [k for k in cinh_i.members[cu] if lv[k] >= i]
             if cu == cv:
                 if sorted(high_u) == sorted([u, v]):
@@ -158,10 +132,11 @@ def _replay_witness(trace, i, inherited) -> WitnessState:
         # Candidate sources stay pairwise 2r-separated. Earlier arrivals
         # checked every older pair and the new vertices have the largest ids,
         # so testing the pairs that end at a new vertex, in row-major order,
-        # finds the same first close pair as testing all of them.
+        # finds the same first close pair as testing all of them. Distances
+        # stay below 2^62, so clamping 2r = 2^i there keeps d < 2r exact.
         if added:
             xs = sorted(xhat)
-            close = (inst.dist[np.ix_(xs, added)] < two_r) \
+            close = (dist[np.ix_(xs, added)] < level_threshold(i - 1)) \
                 & (np.array(xs)[:, None] < np.array(added)[None, :])
             hits = np.argwhere(close)
             if len(hits):
@@ -179,7 +154,26 @@ def _replay_witness(trace, i, inherited) -> WitnessState:
         if len(x) != sum(counts):
             raise WitnessError(f"|X| = {len(x)} but non-inherited count is {sum(counts)}", t)
 
-    return WitnessState(i, frozenset(xhat), frozenset(x), counts)
+
+def radius(level: int) -> int:
+    """The doubled dual radius 2r = 2^i at level i (the radius is 2^(i-1))."""
+    return 1 << level
+
+
+def _halves(x2: int) -> str:
+    """A doubled value printed as the rational it stands for: 3 -> '3/2'."""
+    return str(x2 // 2) if x2 % 2 == 0 else f"{x2}/2"
+
+
+def build_dual_witness(trace, i: int) -> WitnessState:
+    """Step level i's source sets over the whole run; a broken invariant
+    raises WitnessError with its arrival."""
+    inst = trace.instance
+    lv = terminal_levels(inst.view(inst.n))
+    witness = WitnessState(i)
+    for out in trace.arrivals:
+        witness.step(out, _inherited_at(out, i), lv, inst.dist)
+    return witness
 
 
 @dataclasses.dataclass
@@ -381,15 +375,11 @@ def inherited_clustering(cl, cl_next, inherited):
     return cl_next if got == cl_next.assignment else cl.merged(root, got)
 
 
-def _inherited_clusterings(trace):
-    """C_inh,i of arrival t as a function of (t, i) that derives each once,
-    so that the structural and witness passes share the derivation."""
-    @functools.cache
-    def of(t, i):
-        out = trace.arrivals[t - 1]
-        return inherited_clustering(out.hierarchy.clustering(i), out.hierarchy.clustering(i + 1),
-                                    [ve.endpoints for ve in out.forest.get(i, ()) if ve.inherited])
-    return of
+def _inherited_at(out, i):
+    """C_inh,i of arrival `out`, as inherited_clustering derives it."""
+    h = out.hierarchy
+    return inherited_clustering(h.clustering(i), h.clustering(i + 1),
+                                [ve.endpoints for ve in out.forest.get(i, ()) if ve.inherited])
 
 
 def forest_faults(cl, cl_next, edges, inherited):
@@ -438,10 +428,13 @@ def _maps_onto(assignment, parent, ve):
     return d1 != d2 and {d1, d2} == {ve.c1, ve.c2}
 
 
-def _structural_pass(trace, add, inherited):
+def _structural_pass(trace, add, levels):
+    """Write each arrival's structural rows, then yield the arrival with its
+    C_inh,i for i in 0..L and in `levels`; write `recourse-bound` last."""
     inst = trace.instance
     n = inst.n
     prev_out = prev_metrics = None
+    ins_total = dels_total = 0
     for out in trace.arrivals:
         t = out.t
         view = inst.view(t)
@@ -488,6 +481,7 @@ def _structural_pass(trace, add, inherited):
         # Each level's metric follows the previous arrival's where it refines.
         metrics = tuple(level_metrics(view.dist_matrix(), hier.clusterings, prev_metrics))
         prev_metrics = (hier.clusterings, metrics)
+        cinh = {i: _inherited_at(out, i) for i in {*range(hier.L + 1), *levels}}
         # Levels share clustering objects: test each (fine, coarse) pair once.
         split = functools.cache(refinement_fault)
         for i, m in zip(range(hier.L + 1), metrics):
@@ -556,8 +550,8 @@ def _structural_pass(trace, add, inherited):
             if prev_out is not None:
                 moved = split(prev_out.hierarchy.clustering(i), cl)
                 add("refine-across-arrivals", i, t, not moved, moved)
-                if (cinh_i := inherited(t, i)) is not None:
-                    moved = split(prev_out.hierarchy.clustering(i + 1), cinh_i)
+                if cinh[i] is not None:
+                    moved = split(prev_out.hierarchy.clustering(i + 1), cinh[i])
                     add("refine-into-inherited", i, t, not moved, moved)
 
                 bad_parent = ""
@@ -589,28 +583,76 @@ def _structural_pass(trace, add, inherited):
             f"ins={ins} dels={dels}")
         add("buffer-bound", None, t, 0 <= out.ledger.buffer_end < trace.lam,
             f"|B|={out.ledger.buffer_end}")
+        ins_total += out.ledger.insertions
+        dels_total += out.ledger.deletions
+        yield out, cinh
         prev_out = out
 
-    ins, dels = trace.insertions_total, trace.deletions_total
     bound = 2 * n + 21 * n * trace.lam
-    add("recourse-bound", None, None, ins <= bound and dels <= ins, f"ins={ins} bound={bound}")
+    add("recourse-bound", None, None, ins_total <= bound and dels_total <= ins_total,
+        f"ins={ins_total} bound={bound}")
 
 
-def _witness_pass(trace, add, ratios, opt_final, levels, inherited):
+def check_run(trace, opt_per_arrival=None, witness_levels=None) -> CertReport:
+    """Re-verify a recorded run and measure its ratios against the oracle.
+
+    opt_per_arrival maps t -> exact optimum cost (arrivals past the oracle
+    limit simply absent). witness_levels names the levels the witness pass
+    checks: None is all of 0..L, and () skips the pass. Ratios are reported,
+    never asserted against the analysis constants; structural and witness
+    checks are exact pass/fail. The arrivals are walked once: each writes its
+    structural rows and steps every witness level, whose rows follow.
+    """
+    entries: list[CheckEntry] = []
+
+    def add(check, level, arrival, ok, value=""):
+        entries.append(CheckEntry(check, level, arrival, "pass" if ok else "fail", value or ""))
+
     final = trace.final()
+    levels = range(final.hierarchy.L + 1) if witness_levels is None else witness_levels
+    witnesses = [WitnessState(i) for i in levels]
+    broken = [None] * len(witnesses)  # the WitnessError that stopped each level
     view = trace.instance.view(trace.n)
-    top = final.hierarchy.top
+    lv = terminal_levels(view)
+    opt_per_arrival = opt_per_arrival or {}
+    # Ratios are compared exactly by cross-multiplying; int true division
+    # rounds each one correctly to the float it is reported as.
+    worst = None  # (cost, OPT) of the largest cost/OPT
+    for out, cinh in _structural_pass(trace, add, levels):
+        for k, witness in enumerate(witnesses):
+            if broken[k] is None:
+                try:
+                    witness.step(out, cinh[witness.level], lv, trace.instance.dist)
+                except WitnessError as err:
+                    broken[k] = err
+        opt_t = opt_per_arrival.get(out.t)
+        if opt_t and (worst is None or out.snapshot.cost * worst[1] > worst[0] * opt_t):
+            worst = (out.snapshot.cost, opt_t)
+
+    ratios: dict = {}
+    opt_final = opt_per_arrival.get(trace.n)
+    if worst is not None:
+        ratios["cost/OPT-max"] = worst[0] / worst[1]
+    if opt_final:
+        ratios["pinned/OPT"] = final.cost_pinned / opt_final
+        ratios["forestforming/OPT"] = final.cost_forestforming / opt_final
+        h = final.hierarchy
+        budget = sum(
+            (len(h.clustering(i).cluster_ids) - len(h.clustering(i + 1).cluster_ids))
+            * level_threshold(i)
+            for i in range(h.L + 1)
+        )
+        ratios["hierarchy-budget/OPT"] = budget / opt_final
+
     max_budget = None  # the largest ratio to OPT, as every level shares OPT
-    for i in range(final.hierarchy.L + 1) if levels is None else levels:
-        try:
-            witness = _replay_witness(trace, i, inherited)
-        except WitnessError as err:
+    for witness, err in zip(witnesses, broken):
+        i = witness.level
+        if err is not None:
             add("witness-invariants", i, err.t, False, str(err))
             continue
-        add("witness-invariants", i, None, True,
-            f"|X|={len(witness.final_sources)}")
+        add("witness-invariants", i, None, True, f"|X|={len(witness.final_sources)}")
         dual = grow_balls(view, witness.final_sources, radius(i))
-        ok, detail = check_dual_feasibility(dual, view, top)
+        ok, detail = check_dual_feasibility(dual, view, final.hierarchy.top)
         add("dual-feasible", i, None, ok, detail)
         ok, d2, detail = witness_value_identity(witness, trace, dual)
         add("value-identity", i, None, ok, detail or f"D={_halves(d2)}")
@@ -624,50 +666,6 @@ def _witness_pass(trace, add, ratios, opt_final, levels, inherited):
     if max_budget is not None:
         ratios["merge-budget/OPT-max"] = max_budget / opt_final
         ratios["D/OPT-max"] = max_budget / (4 * opt_final)
-
-
-def check_run(trace, opt_per_arrival=None, witness_levels=None) -> CertReport:
-    """Re-verify a recorded run and measure its ratios against the oracle.
-
-    opt_per_arrival maps t -> exact optimum cost (arrivals past the oracle
-    limit simply absent). witness_levels names the levels the witness pass
-    checks: None is all of 0..L, and () skips the pass. Ratios are reported, never asserted
-    against the analysis constants; structural and witness checks are exact
-    pass/fail.
-    """
-    entries: list[CheckEntry] = []
-
-    def add(check, level, arrival, ok, value=""):
-        entries.append(CheckEntry(check, level, arrival, "pass" if ok else "fail", value or ""))
-
-    inherited = _inherited_clusterings(trace)
-    _structural_pass(trace, add, inherited)
-
-    ratios: dict = {}
-    opt_per_arrival = opt_per_arrival or {}
-    opt_final = opt_per_arrival.get(trace.n)
-    # Ratios are compared exactly by cross-multiplying; int true division
-    # rounds each one correctly to the float it is reported as.
-    worst = None  # (cost, OPT) of the largest cost/OPT
-    for out in trace.arrivals:
-        opt_t = opt_per_arrival.get(out.t)
-        if opt_t and (worst is None or out.snapshot.cost * worst[1] > worst[0] * opt_t):
-            worst = (out.snapshot.cost, opt_t)
-    if worst is not None:
-        ratios["cost/OPT-max"] = worst[0] / worst[1]
-    if opt_final:
-        final = trace.final()
-        ratios["pinned/OPT"] = final.cost_pinned / opt_final
-        ratios["forestforming/OPT"] = final.cost_forestforming / opt_final
-        h = final.hierarchy
-        budget = sum(
-            (len(h.clustering(i).cluster_ids) - len(h.clustering(i + 1).cluster_ids))
-            * level_threshold(i)
-            for i in range(h.L + 1)
-        )
-        ratios["hierarchy-budget/OPT"] = budget / opt_final
-
-    _witness_pass(trace, add, ratios, opt_final, witness_levels, inherited)
 
     for name in sorted(ratios):
         entries.append(CheckEntry("ratio:" + name, None, None, "info",

@@ -363,6 +363,36 @@ def test_check_run_detects_tampered_witness_counts(w1):
         build_dual_witness(trace, 8)
 
 
+class _CountingList(list):
+    """A list that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("witness_levels", [None, (), [3]])
+def test_check_run_walks_the_arrivals_once(monkeypatch, witness_levels):
+    trace = run_online(generate_instance(GeneratorSpec(kind="line-chain", n=12, seed=1)), lam=2)
+    want = {i: build_dual_witness(trace, i) for i in range(trace.final().hierarchy.L + 1)}
+    used = []
+
+    def identity(witness, *args):
+        used.append(witness)
+        return witness_value_identity(witness, *args)
+
+    monkeypatch.setattr("sfonline.certify.witness_value_identity", identity)
+    trace.arrivals = _CountingList(trace.arrivals)
+    report = check_run(trace, witness_levels=witness_levels)
+    assert trace.arrivals.walks == 1
+    assert report.ok, report.failures()[:3]
+    # Each level's rows come from the same sets that build_dual_witness steps.
+    assert [w.level for w in used] == list(want if witness_levels is None else witness_levels)
+    assert all(w == want[w.level] for w in used)
+
+
 def test_check_run_random_runs_certify():
     for kind, seed, lam in [("euclidean", 0, 1), ("random-metric", 1, 2),
                             ("line-chain", 2, 2)]:
