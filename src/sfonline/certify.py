@@ -95,7 +95,8 @@ class WitnessState:
             raise WitnessError("an inherited edge does not join two clusters", t)
         added = []
         if lv[u] >= i:
-            cu, cv = cinh_i.assignment[u], cinh_i.assignment[v]
+            cu = cinh_i.assignment[u]
+            cv = cinh_i.assignment[v]
             high_u = [k for k in cinh_i.members[cu] if lv[k] >= i]
             if cu == cv:
                 if sorted(high_u) == sorted([u, v]):
