@@ -11,7 +11,8 @@ certify phase times the whole `check_run(trace, opt)` at every level, as
 computes: one `iter_online(inst, lam)` walk feeding
 `offline_gluttonous_forest`, so each hierarchy is built once, and both
 `run_baseline`s. It writes BENCH_scaling_<label>.json with, per cell, the
-seven wall times (the median of REPEATS runs, and every run), the trace's
+seven wall times (the median of REPEATS runs, every run, and the distance
+between the runs' quartiles over the median), the trace's
 byte count and sha256 over its files, a sha256 over the certify phase's
 `certify.csv` text (which, unlike the trace's, does not change with the
 trace format), a sha256 over the baselines' per-prefix costs and one over
@@ -60,7 +61,7 @@ from sfonline.oracles import (
 from sfonline.trace import iter_online, load_trace, run_online, save_trace
 
 SIZES = (40, 80, 160)
-REPEATS = 3
+REPEATS = 5
 SEED = 1
 PHASES = ("run_online_s", "save_s", "load_s", "structural_s", "certify_s", "oracle_s",
           "compare_s")
@@ -146,22 +147,8 @@ def measure(kind, n, workdir):
         raise SystemExit(f"{kind} n={n}: outputs differ between repeats")
     trace_sha256, trace_bytes = digests.pop()
     levels, unchanged_levels = counts.pop()
-    return {
+    cell = {
         "kind": kind, "n": n, "lam": lam, "seed": SEED,
-        "run_online_s": statistics.median(run_s),
-        "save_s": statistics.median(save_s),
-        "load_s": statistics.median(load_s),
-        "structural_s": statistics.median(structural_s),
-        "certify_s": statistics.median(certify_s),
-        "oracle_s": statistics.median(oracle_s),
-        "compare_s": statistics.median(compare_s),
-        "run_online_runs_s": run_s,
-        "save_runs_s": save_s,
-        "load_runs_s": load_s,
-        "structural_runs_s": structural_s,
-        "certify_runs_s": certify_s,
-        "oracle_runs_s": oracle_s,
-        "compare_runs_s": compare_s,
         "trace_sha256": trace_sha256,
         "trace_bytes": trace_bytes,
         "rows_sha256": row_digests.pop(),
@@ -170,6 +157,15 @@ def measure(kind, n, workdir):
         "levels": levels,
         "unchanged_levels": unchanged_levels,
     }
+    for phase, runs in zip(PHASES, (run_s, save_s, load_s, structural_s, certify_s, oracle_s,
+                                    compare_s)):
+        # The distance between the quartiles over the median: the run-to-run
+        # noise that a change to this phase must beat to be seen.
+        q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+        cell[phase] = median = statistics.median(runs)
+        cell[phase[:-2] + "_runs_s"] = runs
+        cell[phase[:-2] + "_iqr_rel"] = (q3 - q1) / median
+    return cell
 
 
 def exponent(cells, key):

@@ -25,7 +25,6 @@ import typing
 import numpy as np
 
 from .clustering import (
-    _roots,
     active_virtual_edges,
     check_refinement,
     contract_clustering,
@@ -48,11 +47,14 @@ class WitnessError(SfonlineError):
         self.t = t
 
 
+def recourse_bound(n: int, lam: int) -> int:
+    """2n + 21n*lambda: the most insertions a run of n arrivals may make."""
+    return 2 * n + 21 * n * lam
+
+
 def check_feasible(edges, demands) -> bool:
     """True iff every demand pair is connected by the edge set."""
-    uf = UnionFind()
-    for a, b in edges:
-        uf.union(a, b)
+    uf = UnionFind(edges)
     return all(uf.connected(u, v) for u, v in demands)
 
 
@@ -62,10 +64,7 @@ def check_pinned_forest(edges, terminal_count: int) -> bool:
     if len(edges) > max(terminal_count - 1, 0):
         return False
     uf = UnionFind()
-    for a, b in edges:
-        if not uf.union(a, b):
-            return False
-    return True
+    return all(uf.union(a, b) for a, b in edges)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +369,7 @@ def inherited_clustering(cl, cl_next, inherited):
         return cl
     if any(c not in cl.members for edge in inherited for c in edge):
         return None
-    root = _roots(inherited)
+    root = UnionFind(inherited).roots()
     a = cl.assignment
     got = tuple(map(root.get, a, a))
     return cl_next if got == cl_next.assignment else cl.merged(root, got)
@@ -529,9 +528,8 @@ def _structural_pass(trace, add, levels):
 
             over_budget = unjoined = ""
             # Clusters joined by the pins, shared by every edge of the level.
-            pinned_uf = UnionFind()
-            for a, b in arrived_pins if fi else ():
-                pinned_uf.union(cl.assignment[a], cl.assignment[b])
+            pinned_uf = UnionFind((cl.assignment[a], cl.assignment[b])
+                                  for a, b in (arrived_pins if fi else ()))
             for ve, cost in zip(fi, realized.get(i, ())):
                 if not over_budget and cost is None:
                     over_budget = (f"edge {_edge_str(_unarrived(ve.eorig, T))} of "
@@ -539,9 +537,9 @@ def _structural_pass(trace, add, levels):
                 elif not over_budget and cost > level_threshold(ve.level):
                     over_budget = f"({ve.c1},{ve.c2}) costs {cost} > {level_threshold(ve.level)}"
                 # Does eorig join ve's clusters once the pins are contracted?
-                uf2 = UnionFind()
-                for a, b in ve.eorig if cost is not None else ():
-                    uf2.union(pinned_uf.find(cl.assignment[a]), pinned_uf.find(cl.assignment[b]))
+                uf2 = UnionFind((pinned_uf.find(cl.assignment[a]),
+                                 pinned_uf.find(cl.assignment[b]))
+                                for a, b in (ve.eorig if cost is not None else ()))
                 if not unjoined and (uf2.find(pinned_uf.find(ve.c1))
                                      != uf2.find(pinned_uf.find(ve.c2))):
                     unjoined = f"eorig of {_edge_str(ve.endpoints)} does not join its clusters"
@@ -589,7 +587,7 @@ def _structural_pass(trace, add, levels):
         yield out, cinh
         prev_out = out
 
-    bound = 2 * n + 21 * n * trace.lam
+    bound = recourse_bound(n, trace.lam)
     add("recourse-bound", None, None, ins_total <= bound and dels_total <= ins_total,
         f"ins={ins_total} bound={bound}")
 

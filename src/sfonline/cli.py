@@ -13,7 +13,7 @@ import dataclasses
 import os
 import sys
 
-from .certify import check_run
+from .certify import check_run, recourse_bound
 from .clustering import dump_hierarchy
 from .errors import ConfigError, SfonlineError
 from .metric import (
@@ -150,7 +150,7 @@ def run_command(cfg: RunConfig, opt):
         f"final forest-forming cost: {trace.final().cost_forestforming}",
         f"insertions total: {trace.insertions_total}",
         f"deletions total: {trace.deletions_total}",
-        f"recourse bound 2n+21n*lambda: {2 * n + 21 * n * cfg.lam}",
+        f"recourse bound 2n+21n*lambda: {recourse_bound(n, cfg.lam)}",
         f"insertions/(n*lambda): {trace.insertions_total / (n * cfg.lam):.6f}",
     ]
     if opt.get(n):
@@ -242,23 +242,24 @@ def cmd_compare(args):
     _make_dirs(args.out)
     opt = _opt_map(inst, args.oracle_limit)
 
-    outcomes = []
+    main = []  # (snapshot cost, insertions, deletions) per arrival; no outcome is kept
 
     def online_states():
         # The offline forest reads each arrival's hierarchy while it is live.
         for state in iter_online(inst, lam):
-            outcomes.append(state.last_outcome)
+            out = state.last_outcome
+            main.append((out.snapshot.cost, out.ledger.insertions, out.ledger.deletions))
             yield state
 
     offline = [res.cost for res in offline_gluttonous_forest(online_states())]
-    main = RunTrace(inst, lam, outcomes)
+    costs, ins, dels = zip(*main)
     glut = run_baseline(inst, "online-gluttonous")
     greedy = run_baseline(inst, "greedy")
 
     rows = ["t,cost_main,cost_online_gluttonous,cost_greedy,cost_offline_gluttonous,OPT"]
     for k in range(inst.n):
         t = k + 1
-        rows.append(f"{t},{main.arrivals[k].snapshot.cost},{glut.steps[k].cost},"
+        rows.append(f"{t},{costs[k]},{glut.steps[k].cost},"
                     f"{greedy.steps[k].cost},{offline[k]},{opt.get(t, '')}")
     table = "\n".join(rows) + "\n"
     _write_text(os.path.join(args.out, "compare.csv"), table)
@@ -266,8 +267,7 @@ def cmd_compare(args):
     summary = [
         f"instance: {inst.label} [{inst.content_hash()}]",
         f"lambda (main): {lam}",
-        f"final main: {main.final().snapshot.cost} "
-        f"(ins {main.insertions_total}, dels {main.deletions_total})",
+        f"final main: {costs[-1]} (ins {sum(ins)}, dels {sum(dels)})",
         f"final online-gluttonous: {glut.final_cost()} (dels {glut.deletions_total})",
         f"final greedy: {greedy.final_cost()} (dels {greedy.deletions_total})",
         f"final offline-gluttonous: {offline[-1]}",
@@ -340,9 +340,7 @@ def _add_common_flags(p):
     p.add_argument("--quiet", action="store_true")
 
 
-def _add_instance_flags(p, with_input=True):
-    if with_input:
-        p.add_argument("--input", help="SFONLINE instance file")
+def _add_generator_flags(p):
     p.add_argument("--kind", help="generator kind: euclidean|random-metric|line-chain")
     p.add_argument("--n", type=int, help="number of demand pairs")
     p.add_argument("--scale", type=int, default=1000, help="generator fixed-point scale")
@@ -354,14 +352,14 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate an instance file")
     _add_common_flags(p)
-    _add_instance_flags(p, with_input=False)
-    p.add_argument("--input", help=argparse.SUPPRESS, default=None)
+    _add_generator_flags(p)
     p.add_argument("--file", help="explicit output path")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("run", help="run the online algorithm")
     _add_common_flags(p)
-    _add_instance_flags(p)
+    _add_generator_flags(p)
+    p.add_argument("--input", help="SFONLINE instance file")
     p.add_argument("--lam", type=int, default=None, help="pinning tradeoff (default ceil log2 n)")
     p.add_argument("--checks", choices=["none", "structural", "full-witness"],
                    default="structural")
@@ -371,7 +369,8 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="run several lambdas on one instance")
     _add_common_flags(p)
-    _add_instance_flags(p)
+    _add_generator_flags(p)
+    p.add_argument("--input", help="SFONLINE instance file")
     p.add_argument("--lams", required=True, type=_lambda_list,
                    help="comma-separated lambda list")
     p.add_argument("--checks", choices=["none", "structural", "full-witness"],
@@ -381,7 +380,8 @@ def build_parser():
 
     p = sub.add_parser("compare", help="main algorithm vs baselines")
     _add_common_flags(p)
-    _add_instance_flags(p)
+    _add_generator_flags(p)
+    p.add_argument("--input", help="SFONLINE instance file")
     p.add_argument("--lam", type=int, default=None)
     p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
     p.set_defaults(func=cmd_compare)

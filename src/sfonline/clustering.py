@@ -59,6 +59,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .metric import InstanceView, mate
+from .unionfind import UnionFind
 
 
 def terminal_level(view: InstanceView, v: int) -> int:
@@ -102,10 +103,11 @@ class Clustering:
         """This partition with the clusters of each (cid1, cid2) edge merged;
         every endpoint must be one of its cluster ids.
 
+        A UnionFind over the edges roots each merged group at its least id.
         Only the merged clusters are rebuilt: their members are the sorted
         union and their level the max. Every other cluster's entry is copied.
         """
-        root = _roots(cluster_edges)
+        root = UnionFind(cluster_edges).roots()
         a = self.assignment
         return self.merged(root, tuple(map(root.get, a, a)))
 
@@ -152,28 +154,6 @@ class Clustering:
         return Clustering.from_parts(tuple(assignment), members, level)
 
 
-def _roots(edges) -> dict:
-    """Root of every id an edge touches, keyed in order of first touch: a
-    path-halving union-find over the touched ids only, where the smaller
-    root wins, so a root is its group's least id."""
-    parent = {}
-    for a, b in edges:
-        a, b = parent.setdefault(a, a), parent.setdefault(b, b)
-        while a != (p := parent[a]):
-            parent[a] = a = parent[p]
-        while b != (p := parent[b]):
-            parent[b] = b = parent[p]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
-    for x, r in parent.items():
-        while r != (p := parent[r]):
-            r = p
-        parent[x] = r
-    return parent
-
-
 def contract_clustering(cl: Clustering, cluster_edges) -> tuple[int, ...]:
     """Canonical assignment of `cl` with the clusters of each (cid1, cid2) edge
     merged. The union-find covers the edge endpoints only and a terminal whose
@@ -181,7 +161,7 @@ def contract_clustering(cl: Clustering, cluster_edges) -> tuple[int, ...]:
     the certifier compares the result with the partition it should give."""
     if not cluster_edges:
         return cl.assignment
-    root = _roots(cluster_edges)
+    root = UnionFind(cluster_edges).roots()
     a = cl.assignment
     return tuple(map(root.get, a, a))
 
@@ -236,7 +216,7 @@ class ContractedMetric:
 
     def merge(self, pairs):
         """Metric after joining the two clusters of every (id, id) pair."""
-        return self._fold([(c, r) for c, r in _roots(pairs).items() if c != r])
+        return self._fold([(c, r) for c, r in UnionFind(pairs).roots().items() if c != r])
 
     def _fold(self, moves):
         """Metric with each (id, root id) move's cluster folded into its root's:
@@ -372,9 +352,9 @@ def cluster_distance(view: InstanceView, assignment, contracted_by, C1: int, C2:
     to the lexicographically smallest super-node id sequence. `metric` is
     the contracted metric of `assignment`, into which the cluster pairs of
     `contracted_by` are merged. The walk reads that metric's closure and
-    realizes the one-hop weight of each hop it tries. The union-find covers
-    the clusters those pairs touch, so the Python work is O(pairs + tried
-    hops).
+    realizes the one-hop weight of each hop it tries. A UnionFind over the
+    pairs' clusters covers only the clusters they touch, so the Python work
+    is O(pairs + tried hops).
     """
     if C1 not in assignment or C2 not in assignment:
         raise ConfigError(f"cluster {C1 if C1 not in assignment else C2} not in clustering")
@@ -384,7 +364,7 @@ def cluster_distance(view: InstanceView, assignment, contracted_by, C1: int, C2:
         if a >= T or b >= T:
             raise ConfigError("contracted_by touches a terminal that has not arrived")
         pairs.append((assignment[a], assignment[b]))
-    moves = [(c, r) for c, r in _roots(pairs).items() if c != r]
+    moves = [(c, r) for c, r in UnionFind(pairs).roots().items() if c != r]
     root = dict(moves)
     src, dst = root.get(C1, C1), root.get(C2, C2)
     if src == dst:

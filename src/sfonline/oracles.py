@@ -23,11 +23,12 @@ import dataclasses
 import numpy as np
 
 from .clustering import (  # noqa: F401 (build_hierarchy is in perfbench/spans.py's table)
+    Clustering,
     ContractedMetric,
     active_virtual_edges,
     build_hierarchy,
     cluster_distance,
-    terminal_level,
+    terminal_levels,
 )
 from .errors import ConfigError, OracleLimitError
 from .forest import recourse_diff, select_spanning_forest
@@ -233,26 +234,25 @@ class _CarriedBaseline:
     """No-recourse baseline over a persistent clustering of the arrived
     terminals: it only buys edges and merges clusters.
 
-    `assignment` is canonical (cluster id = least member) and `metric` is
-    its contracted metric, carried across arrivals: each arrival extends it
-    by the two new singletons and each purchase merges it. A subclass's
+    `cl` is that Clustering and `metric` its contracted metric, both carried
+    across arrivals: each arrival grows them by the two new singletons, and
+    each purchase contracts `cl` and coarsens `metric` to it. A subclass's
     `_connect` buys what the new pair `u`, `v` needs.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.t = 0
-        self.assignment: list[int] = []  # terminal -> cluster id (min member)
+        self.levels = terminal_levels(instance.view(instance.n))  # fixed per terminal
+        self.cl = Clustering.from_parts((), {}, {})
         self.bought: set = set()
         self.metric: ContractedMetric | None = None
 
     def _buy(self, path, cids):
         """Buy `path`'s edges and merge the clusters `cids` into the least."""
         self.bought.update(path.edges)
-        root = min(cids)
-        gone = set(cids) - {root}
-        self.assignment = [root if c in gone else c for c in self.assignment]
-        self.metric = self.metric.merge([(root, c) for c in gone])
+        self.cl = self.cl.contract(zip(cids, cids[1:]))
+        self.metric = self.metric.coarsen(self.cl.assignment)
 
     def step(self, pair) -> BaselineStep:
         t = self.t + 1
@@ -262,9 +262,9 @@ class _CarriedBaseline:
         view = self.instance.view(t)
         dist = view.dist_matrix()
         self.metric = (ContractedMetric.trivial(dist) if self.metric is None
-                       else self.metric.extend(dist, self.assignment))
+                       else self.metric.extend(dist, self.cl.assignment))
+        self.cl = self.cl.grown(self.levels[:2 * t])
         u, v = pair
-        self.assignment.extend([u, v])
         before = frozenset(self.bought)
         self._connect(view, u, v)
         after = frozenset(self.bought)
@@ -276,24 +276,15 @@ class _CarriedBaseline:
 class OnlineGluttonousState(_CarriedBaseline):
     """Appendix-style no-recourse baseline: a persistent clustering, merged
     level by level whenever two active clusters come within 2^(i+1), buying
-    the realized shortest path of every merge. `level` carries each
-    cluster's level (its highest member's) across arrivals."""
-
-    def __init__(self, instance: Instance):
-        super().__init__(instance)
-        self.level: dict[int, int] = {}
+    the realized shortest path of every merge."""
 
     def _connect(self, view, u, v):
-        self.level[u] = self.level[v] = terminal_level(view, u)
-        for i in range(max(self.level.values()) + 1):
-            while True:
-                hits, _ = active_virtual_edges(self.metric.D, self.metric.ids, self.level, i)
-                if not hits:
-                    break
+        for i in range(max(self.cl.cluster_level.values()) + 1):
+            while hits := active_virtual_edges(self.metric.D, self.metric.ids,
+                                               self.cl.cluster_level, i)[0]:
                 c1, c2 = hits[0]  # c1 < c2
-                path = cluster_distance(view, tuple(self.assignment), (), c1, c2, self.metric)
+                path = cluster_distance(view, self.cl.assignment, (), c1, c2, self.metric)
                 self._buy(path, (c1, c2))
-                self.level[c1] = max(self.level[c1], self.level.pop(c2))
 
 
 class GreedyOnlineState(_CarriedBaseline):
@@ -304,7 +295,7 @@ class GreedyOnlineState(_CarriedBaseline):
     """
 
     def _connect(self, view, u, v):
-        path = cluster_distance(view, tuple(self.assignment), (), u, v, self.metric)
+        path = cluster_distance(view, self.cl.assignment, (), u, v, self.metric)
         self._buy(path, path.nodes)
 
 

@@ -3,6 +3,7 @@ break only the next scaling record; tier-1 measures one tiny cell per kind."""
 
 import importlib.util
 import pathlib
+import statistics
 
 import pytest
 
@@ -20,6 +21,9 @@ def test_scaling_measures_a_cell(tmp_path, kind):
     cell = scaling.measure(kind, 4, tmp_path)
     for phase in scaling.PHASES:
         assert cell[phase] > 0
-        assert len(cell[phase[:-2] + "_runs_s"]) == scaling.REPEATS
+        runs = cell[phase[:-2] + "_runs_s"]
+        assert len(runs) == scaling.REPEATS
+        assert cell[phase] == statistics.median(runs)
+        assert 0 <= cell[phase[:-2] + "_iqr_rel"] <= (max(runs) - min(runs)) / cell[phase]
     assert cell["kind"] == kind and cell["n"] == 4
     assert len(cell["rows_sha256"]) == 64

@@ -48,6 +48,20 @@ def test_gen_rejects_n_zero(tmp_path):
     assert rc == 2
 
 
+def test_gen_takes_no_input_file(tmp_path, capsys):
+    # gen only generates: an instance file passed to it is a usage error, not
+    # an instance written under a generator name.
+    source = tmp_path / "a.sfo"
+    assert main(["gen", "--kind", "euclid", "--n", "3", "--seed", "1", "--file", str(source),
+                 "--quiet"]) == 0
+    out = tmp_path / "d"
+    rc = main(["gen", "--input", str(source), "--kind", "line", "--n", "7", "--out", str(out),
+               "--quiet"])
+    assert rc == 2
+    assert "--input" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_w1_report(tmp_path, w1_file, capsys):
     out = tmp_path / "out"
     rc = main(["run", "--input", w1_file, "--lam", "1", "--checks", "structural",

@@ -732,11 +732,24 @@ def edge_lists(draw):
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(edge_lists())
-def test_roots_match_a_union_find_in_the_same_key_order(edges):
-    uf = UnionFind()
+def test_union_find_roots_are_least_ids_of_bfs_components(edges):
+    adjacent = {}
     for a, b in edges:
-        uf.union(a, b)
-    assert list(clustering._roots(edges).items()) == [(x, uf.find(x)) for x in uf.parent]
+        adjacent.setdefault(a, set()).add(b)
+        adjacent.setdefault(b, set()).add(a)
+    least = {}
+    for start in adjacent:
+        if start not in least:
+            component, frontier = {start}, [start]
+            while frontier:
+                frontier = [y for x in frontier for y in adjacent[x] - component]
+                component.update(frontier)
+            least.update(dict.fromkeys(component, min(component)))
+    first_touch = list(dict.fromkeys(x for edge in edges for x in edge))
+    uf = UnionFind(edges)
+    roots = uf.roots()
+    assert roots is uf.parent
+    assert list(roots.items()) == [(x, least[x]) for x in first_touch]
 
 
 @st.composite

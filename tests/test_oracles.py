@@ -357,8 +357,8 @@ def test_online_gluttonous_carries_its_metric(monkeypatch, which, kind):
     def checked_step(state, pair):
         out = step(state, pair)
         dist = inst.view(state.t).dist_matrix()
-        assert_matches_reference(state.metric, dist, tuple(state.assignment))
-        fresh = ContractedMetric.of(dist, state.assignment)
+        assert_matches_reference(state.metric, dist, state.cl.assignment)
+        fresh = ContractedMetric.of(dist, state.cl.assignment)
         assert state.metric.ids == fresh.ids
         assert np.array_equal(state.metric.D, fresh.D)
         checked.append(state.t)
@@ -367,6 +367,16 @@ def test_online_gluttonous_carries_its_metric(monkeypatch, which, kind):
     monkeypatch.setattr(cls, "step", checked_step)
     run_baseline(inst, which)
     assert checked == list(range(1, inst.n + 1))
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_greedy_clustering_is_the_components_of_its_bought_edges(kind):
+    inst = generate_instance(GeneratorSpec(kind=kind, n=10, seed=4))
+    state = GreedyOnlineState(inst)
+    for t, pair in enumerate(inst.demands, 1):
+        state.step(pair)
+        root = UnionFind(state.bought).roots()
+        assert state.cl.assignment == tuple(root.get(k, k) for k in range(2 * t))
 
 
 def test_greedy_w1(w1):
