@@ -25,6 +25,7 @@ import typing
 import numpy as np
 
 from .clustering import (
+    NO_METRIC,
     active_virtual_edges,
     check_refinement,
     contract_clustering,
@@ -409,7 +410,7 @@ def _pin_ledger_errors(out, prev_out):
     wrong = []
     if out.ledger.pins_added != len(events):
         wrong.append(f"pins_added={out.ledger.pins_added} pin event edges={len(events)}")
-    grown = out.pinned_after[len(prev_out.pinned_after) if prev_out is not None else 0:]
+    grown = out.pinned_after[len(prev_out.pinned_after):]
     if sorted(e for e, _ in grown) != sorted(events):
         wrong.append(f"pinned grew by {len(grown)} edges not the pin events' {len(events)}")
     late = next(((e, pt) for e, pt in grown if pt != t), None)
@@ -433,9 +434,9 @@ def _structural_pass(trace, add, levels):
     C_inh,i for i in 0..L and in `levels`; write `recourse-bound` last."""
     inst = trace.instance
     n = inst.n
-    prev_out = prev_metrics = None
+    metrics = (NO_METRIC,)  # the previous arrival's level metrics, arrival zero's first
     ins_total = dels_total = 0
-    for out in trace.arrivals:
+    for prev_out, out in trace.with_previous():
         t = out.t
         view = inst.view(t)
         hier = out.hierarchy
@@ -446,9 +447,8 @@ def _structural_pass(trace, add, levels):
         pinned = [e for e, _ in out.pinned_after]
         ok = check_pinned_forest(pinned, 2 * n)
         add("pinned-forest", None, t, ok, f"|A|={len(out.pinned_after)}")
-        if prev_out is not None:
-            ok = out.pinned_after[: len(prev_out.pinned_after)] == prev_out.pinned_after
-            add("pinned-monotone", None, t, ok)
+        ok = out.pinned_after[: len(prev_out.pinned_after)] == prev_out.pinned_after
+        add("pinned-monotone", None, t, ok)
 
         T = view.num_terminals
         rebuilt = set(pinned)
@@ -479,8 +479,8 @@ def _structural_pass(trace, add, levels):
             all(top.assignment[u] == top.assignment[v] for u, v in view.demands))
 
         # Each level's metric follows the previous arrival's where it refines.
-        metrics = tuple(level_metrics(view.dist_matrix(), hier.clusterings, prev_metrics))
-        prev_metrics = (hier.clusterings, metrics)
+        metrics = tuple(level_metrics(view.dist_matrix(), hier.clusterings,
+                                      (prev_out.hierarchy.clusterings, metrics)))
         cinh = {i: _inherited_at(out, i) for i in {*range(hier.L + 1), *levels}}
         # Levels share clustering objects: test each (fine, coarse) pair once.
         split = functools.cache(refinement_fault)
@@ -546,37 +546,34 @@ def _structural_pass(trace, add, levels):
             add("edge-budget", i, t, not over_budget, over_budget)
             add("realization-connects", i, t, not unjoined, unjoined)
 
-            if prev_out is not None:
-                moved = split(prev_out.hierarchy.clustering(i), cl)
-                add("refine-across-arrivals", i, t, not moved, moved)
-                if cinh[i] is not None:
-                    moved = split(prev_out.hierarchy.clustering(i + 1), cinh[i])
-                    add("refine-into-inherited", i, t, not moved, moved)
+            moved = split(prev_out.hierarchy.clustering(i), cl)
+            add("refine-across-arrivals", i, t, not moved, moved)
+            if cinh[i] is not None:
+                moved = split(prev_out.hierarchy.clustering(i + 1), cinh[i])
+                add("refine-into-inherited", i, t, not moved, moved)
 
-                bad_parent = ""
-                prev_forest = {pe.endpoints: pe for pe in prev_out.forest.get(i, [])}
-                for ve in finh:
-                    e = _edge_str(ve.endpoints)
-                    pe = prev_forest.get(ve.parent)
-                    if pe is None:
-                        bad_parent = f"{e} has no parent in the previous forest"
-                    elif pe.eorig != ve.eorig:
-                        bad_parent = f"{e} realizes other edges than its parent"
-                    elif pe.created_at != ve.created_at:
-                        bad_parent = f"{e} created_at={ve.created_at} parent's={pe.created_at}"
-                    elif not _maps_onto(cl.assignment, pe, ve):
-                        bad_parent = f"{e} is not its parent's image"
-                    if bad_parent:
-                        break
-                add("inheritance-provenance", i, t, not bad_parent, bad_parent)
-            # The top clustering index gets the cross-arrival check too.
-            if prev_out is not None and i == hier.L:
-                moved = split(prev_out.hierarchy.clustering(hier.L + 1), hier.top)
-                add("refine-across-arrivals", hier.L + 1, t, not moved, moved)
+            bad_parent = ""
+            prev_forest = {pe.endpoints: pe for pe in prev_out.forest.get(i, [])}
+            for ve in finh:
+                e = _edge_str(ve.endpoints)
+                pe = prev_forest.get(ve.parent)
+                if pe is None:
+                    bad_parent = f"{e} has no parent in the previous forest"
+                elif pe.eorig != ve.eorig:
+                    bad_parent = f"{e} realizes other edges than its parent"
+                elif pe.created_at != ve.created_at:
+                    bad_parent = f"{e} created_at={ve.created_at} parent's={pe.created_at}"
+                elif not _maps_onto(cl.assignment, pe, ve):
+                    bad_parent = f"{e} is not its parent's image"
+                if bad_parent:
+                    break
+            add("inheritance-provenance", i, t, not bad_parent, bad_parent)
+        # The top clustering index gets the cross-arrival check too.
+        moved = split(prev_out.hierarchy.clustering(hier.L + 1), hier.top)
+        add("refine-across-arrivals", hier.L + 1, t, not moved, moved)
 
-        prev_snapshot = prev_out.snapshot.edges if prev_out is not None else frozenset()
-        ins = len(out.snapshot.edges - prev_snapshot)
-        dels = len(prev_snapshot - out.snapshot.edges)
+        ins = len(out.snapshot.edges - prev_out.snapshot.edges)
+        dels = len(prev_out.snapshot.edges - out.snapshot.edges)
         add("ledger-diff", None, t,
             (ins, dels) == (out.ledger.insertions, out.ledger.deletions),
             f"ins={ins} dels={dels}")
@@ -585,7 +582,6 @@ def _structural_pass(trace, add, levels):
         ins_total += out.ledger.insertions
         dels_total += out.ledger.deletions
         yield out, cinh
-        prev_out = out
 
     bound = recourse_bound(n, trace.lam)
     add("recourse-bound", None, None, ins_total <= bound and dels_total <= ins_total,

@@ -56,7 +56,8 @@ def _load_from_args(args) -> Instance:
     if getattr(args, "input", None):
         return load_instance_file(args.input)
     if getattr(args, "kind", None) is None:
-        raise ConfigError("need --input FILE or --kind/--n generator flags")
+        flags = "--input FILE or --kind/--n" if hasattr(args, "input") else "--kind/--n"
+        raise ConfigError(f"need {flags} generator flags")
     if args.n is None:
         raise ConfigError("generator needs --n")
     spec = GeneratorSpec(kind=args.kind, n=args.n, seed=args.seed, scale=args.scale)

@@ -18,11 +18,12 @@ metric is the previous arrival's, extended by the two new terminals as
 singletons and then coarsened. A full Floyd-Warshall runs on no path.
 
 build_hierarchy takes the previous arrival's (clusterings, metrics, virtual
-edges) as `prev`. Most levels of an arrival are the previous arrival's plus
-the two new singletons, and on that unchanged prefix, from C_0 up, only the
-new terminals' two rows of the metric can add a virtual edge: when neither
-does, the level reuses the previous H_i and C_{i+1} in O(K) steps instead
-of searching the O(K^2) metric and contracting.
+edges) as `prev`, arrival zero's (NO_TERMINALS, NO_METRIC) by default. Most
+levels of an arrival are the previous arrival's plus the two new singletons,
+and on that unchanged prefix, from C_0 up, only the new terminals' two rows
+of the metric can add a virtual edge: when neither does, the level reuses
+the previous H_i and C_{i+1} in O(K) steps instead of searching the O(K^2)
+metric and contracting.
 
 A Clustering is a plain partition with no level label. Most levels merge
 nothing and share their predecessor's object. A level that merges is
@@ -58,7 +59,7 @@ import operator
 import numpy as np
 
 from .errors import ConfigError
-from .metric import InstanceView, mate
+from .metric import MAX_DIST, InstanceView, mate
 from .unionfind import UnionFind
 
 
@@ -78,18 +79,13 @@ class Clustering:
     assignment[k] is the cluster id of terminal k; cluster ids are canonical
     (minimum member id). Cluster level is the max member level; a cluster is
     active at level j iff its level >= j. The levels of a hierarchy that
-    merge nothing share one object. `trivial` builds the singletons,
-    `from_parts` takes canonical parts as they are, `contract` derives a
-    coarser partition from this one, and `grown` adds the terminals of a
-    later arrival and, for the trace loader, a stored level's new clusters.
+    merge nothing share one object. `from_parts` takes canonical parts as
+    they are, `contract` derives a coarser partition from this one, and
+    `grown` adds the terminals of a later arrival (NO_TERMINALS.grown gives
+    the singletons) and, for the trace loader, a stored level's new clusters.
     """
 
     __slots__ = ("assignment", "cluster_ids", "members", "cluster_level")
-
-    @classmethod
-    def trivial(cls, term_levels) -> Clustering:
-        """Every arrived terminal in a cluster of its own."""
-        return cls.from_parts((), {}, {}).grown(term_levels)
 
     @classmethod
     def from_parts(cls, assignment, members, cluster_level) -> Clustering:
@@ -214,10 +210,6 @@ class ContractedMetric:
         """Metric of a canonical clustering that this one refines: id c folds into assignment[c]."""
         return self._fold([(c, assignment[c]) for c in self.ids if assignment[c] != c])
 
-    def merge(self, pairs):
-        """Metric after joining the two clusters of every (id, id) pair."""
-        return self._fold([(c, r) for c, r in UnionFind(pairs).roots().items() if c != r])
-
     def _fold(self, moves):
         """Metric with each (id, root id) move's cluster folded into its root's:
         moved rows first, then moved columns, so an entry between two roots is
@@ -246,7 +238,7 @@ class ContractedMetric:
 
     def extend(self, dist, assignment):
         """Metric of the same clustering with the terminals past `assignment`
-        (its canonical assignment) appended as singletons.
+        (its canonical assignment, empty for NO_METRIC) appended as singletons.
 
         `dist` is the metric over all terminals. A new terminal u's one-hop
         row Wn[u], local to this call, is its least distance to each cluster's
@@ -262,11 +254,18 @@ class ContractedMetric:
         starts = np.searchsorted(asn[order], self.ids)
         new = dist[T0:]
         Wn = np.minimum.reduceat(new[:, order], starts, axis=1)  # new x old
-        # Sums of two entries <= MAX_DIST fit in int64.
-        Dn = (Wn[:, :, None] + self.D[None]).min(axis=1)  # new x old
-        Dnn = np.minimum(new[:, T0:], (Wn[:, None, :] + Dn[None]).min(axis=2))
+        # Sums of two entries <= MAX_DIST fit in int64, which caps empty minima.
+        Dn = (Wn[:, :, None] + self.D[None]).min(axis=1, initial=MAX_DIST)  # new x old
+        Dnn = np.minimum(new[:, T0:], (Wn[:, None, :] + Dn[None]).min(axis=2, initial=MAX_DIST))
         return ContractedMetric(self.ids + tuple(range(T0, len(dist))),
                                 _bordered(self.D, Dn, Dnn))
+
+
+# Arrival zero, before the first: its clustering (no terminal has arrived), that
+# clustering's metric, and its (clusterings, metrics, virtual edges).
+NO_TERMINALS = Clustering.from_parts((), {}, {})
+NO_METRIC = ContractedMetric((), np.zeros((0, 0), np.int64))
+_ARRIVAL_ZERO = ((NO_TERMINALS,), (NO_METRIC,), ())
 
 
 def _bordered(M, rows, corner):
@@ -303,21 +302,21 @@ def _carried(dist, prev, i, cl, extended):
     return _extended(dist, prev, i, extended).coarsen(cl.assignment)
 
 
-def level_metrics(dist, clusterings, prev=None):
+def level_metrics(dist, clusterings, prev=_ARRIVAL_ZERO):
     """Yield the contracted metric of each clustering of a recorded hierarchy.
 
-    A level follows the previous recorded arrival's level when `prev`, that
-    arrival's (clusterings, metrics), is given and its level refines this
-    one. Anything else (the first arrival, or an untrusted recorded hierarchy
-    that breaks the refinement) starts over from the trivial metric. A level
-    equal to the one below shares its metric.
+    A level follows the previous recorded arrival's level when that level,
+    of `prev` (the arrival's clusterings and metrics, arrival zero's by
+    default), refines this one. An untrusted recorded hierarchy that breaks
+    the refinement starts over from the trivial metric. A level equal to the
+    one below shares its metric.
     """
     below = metric = None
     extended = {}
     for i, cl in enumerate(clusterings):
         if below is None or cl.assignment != below.assignment:
-            carried = None if prev is None else _carried(dist, prev, i, cl, extended)
-            metric = carried if carried is not None else ContractedMetric.of(dist, cl.assignment)
+            metric = (_carried(dist, prev, i, cl, extended)
+                      or ContractedMetric.of(dist, cl.assignment))
         below = cl
         yield metric
 
@@ -466,26 +465,26 @@ def _new_row_edge(metric, cluster_level, i: int, new: int) -> bool:
                for r, c in hits)
 
 
-def build_hierarchy(view: InstanceView, prev=None):
+def build_hierarchy(view: InstanceView, prev=_ARRIVAL_ZERO):
     """Run the clustering procedure for one arrival prefix.
 
     Returns (hierarchy, virtual edges of H_0 .. H_L, contracted metrics of
     C_0 .. C_{L+1}); the caller keeps the last two for this arrival only, or
     passes the hierarchy's clusterings, the metrics and the virtual edges on
-    as `prev` to the next arrival's call. A level that merges nothing keeps
-    the metric, and the clustering, of the level below. Any other level's
-    metric is the previous arrival's level-i metric extended by the new
-    terminals and coarsened, as that level refines this one; with no `prev`
-    it is the level below's with this level's virtual edges merged in.
+    as `prev` to the next arrival's call; the default is arrival zero's. A
+    level that merges nothing keeps the metric, and the clustering, of the
+    level below. Any other level's metric is the previous arrival's level-i
+    metric extended by the new terminals and coarsened, as that level
+    refines this one.
 
-    With `prev`, the levels from C_0 up where C_i is still the previous C_i
-    plus the new singletons skip the search: the metric there extends the
-    previous one, old entries unchanged, and old clusters keep their levels,
+    The levels from C_0 up where C_i is still the previous C_i plus the new
+    singletons skip the search: the metric there extends the previous one,
+    old entries unchanged, and old clusters keep their levels,
     so only the new terminals' rows can add an edge to the previous H_i.
     While none does, H_i is the previous H_i and C_{i+1} the previous one
     plus the singletons; the first level where one does, and every level
     above, searches. The prefix needs the previous C_0 trivial over fewer
-    terminals.
+    terminals; after arrival zero every row is new.
     """
     if view.t < 1:
         raise ConfigError("hierarchy needs at least one arrived pair")
@@ -493,17 +492,15 @@ def build_hierarchy(view: InstanceView, prev=None):
     L = max(levels)
 
     dist = view.dist_matrix()
-    cl = Clustering.trivial(levels)
+    cl = NO_TERMINALS.grown(levels)
     clusterings = [cl]
     vgraphs = []
     metric = ContractedMetric.trivial(dist)
     metrics = [metric]
     extended = {}
-    grown = False
-    if prev is not None:
-        prev_cls, _, prev_vgraphs = prev
-        new = len(levels) - len(prev_cls[0].assignment)
-        grown = new > 0 and len(prev_cls[0].cluster_ids) == len(prev_cls[0].assignment)
+    prev_cls, _, prev_vgraphs = prev
+    new = len(levels) - len(prev_cls[0].assignment)
+    grown = new > 0 and len(prev_cls[0].cluster_ids) == len(prev_cls[0].assignment)
     for i in range(L + 1):
         grown = grown and not _new_row_edge(metric, cl.cluster_level, i, new)
         if grown:
@@ -519,13 +516,10 @@ def build_hierarchy(view: InstanceView, prev=None):
                 raise AssertionError(f"active clusters too close at level {i} (internal bug)")
             if edges:
                 cl = cl.contract(edges)
-                if prev is None:
-                    metric = metric.merge(edges)
-                else:
-                    metric = _carried(dist, prev, i + 1, cl, extended)
-                    if metric is None:
-                        raise AssertionError(f"previous C_{i + 1} does not refine C_{i + 1} "
-                                             "(internal bug)")
+                metric = _carried(dist, prev, i + 1, cl, extended)
+                if metric is None:
+                    raise AssertionError(f"previous C_{i + 1} does not refine C_{i + 1} "
+                                         "(internal bug)")
         vgraphs.append(edges)
         clusterings.append(cl)
         metrics.append(metric)

@@ -21,6 +21,8 @@ import dataclasses
 
 from .certify import check_feasible, forest_faults, inherited_clustering, refinement_fault
 from .clustering import (  # noqa: F401 (contract_clustering is in perfbench/spans.py's table)
+    NO_METRIC,
+    NO_TERMINALS,
     Clustering,
     Hierarchy,
     build_hierarchy,
@@ -107,10 +109,10 @@ class Snapshot:
 class OnlineState:
     """Mutable loop state of the online algorithm (one instance, one lambda).
 
-    `last_outcome` is the latest arrival's outcome: the next arrival reads
-    its hierarchy, forests and snapshot. `vgraphs` and `metrics` belong to
-    that outcome's hierarchy and are kept for this arrival only; the next
-    one carries the metrics and replaces both.
+    `last_outcome` is the latest arrival's outcome, at first ARRIVAL_ZERO:
+    the next arrival reads its hierarchy, forests and snapshot. `vgraphs` and
+    `metrics` belong to that outcome's hierarchy and are kept for this
+    arrival only; the next one carries the metrics and replaces both.
     """
 
     def __init__(self, instance: Instance, lam: int):
@@ -120,9 +122,9 @@ class OnlineState:
         self.lam = int(lam)
         self.t = 0
         self.vgraphs: tuple = ()  # virtual edges of the hierarchy's H_0 .. H_L
-        self.metrics: tuple = ()  # contracted metrics of the hierarchy's C_0 .. C_{L+1}
+        self.metrics: tuple = (NO_METRIC,)  # contracted metrics of the hierarchy's C_0 .. C_{L+1}
         self.pinned = PinnedSet()
-        self.last_outcome: ArrivalOutcome | None = None
+        self.last_outcome = ARRIVAL_ZERO
 
 
 def classify_inheritance(prev_edges, new_cl: Clustering, h_edges):
@@ -232,6 +234,12 @@ class ArrivalOutcome:
     cost_forestforming: int
 
 
+# The outcome before the first arrival, where every walk over arrivals starts: no
+# forest, pin or snapshot edge, every level NO_TERMINALS. Shared: never write to it.
+ARRIVAL_ZERO = ArrivalOutcome(0, Hierarchy(-1, (NO_TERMINALS,)), {}, (), Snapshot(frozenset(), 0),
+                              ArrivalLedger(0, 0, 0, (), 0), 0, 0)
+
+
 def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLedger]:
     """Process the next demand pair and rebuild the snapshot.
 
@@ -246,7 +254,7 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
     view = inst.view(t)
     prev = state.last_outcome
     hier, vgraphs, metrics = build_hierarchy(
-        view, None if prev is None else (prev.hierarchy.clusterings, state.metrics, state.vgraphs))
+        view, (prev.hierarchy.clusterings, state.metrics, state.vgraphs))
 
     forest: dict[int, list[VirtualEdge]] = {}
     pending: list[VirtualEdge] = []
@@ -254,18 +262,15 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
         h_edges = vgraphs[i]
         cl_i = hier.clustering(i)
         cl_next = hier.clustering(i + 1)
-        prev_edges = () if prev is None else prev.forest.get(i, ())
-        if prev_edges:
-            parents = classify_inheritance(prev_edges, cl_i, h_edges)
-        else:
-            parents = {}
+        prev_edges = prev.forest.get(i, ())
+        parents = classify_inheritance(prev_edges, cl_i, h_edges) if prev_edges else {}
         f_inh, f_rest = select_spanning_forest(h_edges, parents.keys())
 
         faults = forest_faults(cl_i, cl_next, f_inh + f_rest, f_inh)
         # C_inh contracts part of a forest whose full contraction is C_{i+1}, so this
         # proves the previous C_{i+1} refines C_{i+1} too, as level i + 1 needs. With
         # every edge inherited, C_inh is C_{i+1}: build_hierarchy tested that pair.
-        if prev is not None and (f_rest or not f_inh):
+        if f_rest or not f_inh:
             faults["refine-into-inherited"] = refinement_fault(
                 prev.hierarchy.clustering(i + 1), inherited_clustering(cl_i, cl_next, f_inh))
         wrong = "; ".join(f"{check}: {phrase}" for check, phrase in faults.items() if phrase)
@@ -301,7 +306,7 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
 
     cost_f = sum(view.d(*e) for e in F)
     cost_a = sum(view.d(*e) for e in state.pinned.edges())
-    ins, dels = recourse_diff(() if prev is None else prev.snapshot.edges, F)
+    ins, dels = recourse_diff(prev.snapshot.edges, F)
     snapshot = Snapshot(F, cost_f)
     entry = ArrivalLedger(ins, dels, pins_added, tuple(events), buffer_end)
 

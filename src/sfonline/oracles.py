@@ -23,8 +23,8 @@ import dataclasses
 import numpy as np
 
 from .clustering import (  # noqa: F401 (build_hierarchy is in perfbench/spans.py's table)
-    Clustering,
-    ContractedMetric,
+    NO_METRIC,
+    NO_TERMINALS,
     active_virtual_edges,
     build_hierarchy,
     cluster_distance,
@@ -235,18 +235,19 @@ class _CarriedBaseline:
     terminals: it only buys edges and merges clusters.
 
     `cl` is that Clustering and `metric` its contracted metric, both carried
-    across arrivals: each arrival grows them by the two new singletons, and
-    each purchase contracts `cl` and coarsens `metric` to it. A subclass's
-    `_connect` buys what the new pair `u`, `v` needs.
+    across arrivals from the empty NO_TERMINALS and NO_METRIC: each arrival
+    grows them by the two new singletons, and each purchase contracts `cl`
+    and coarsens `metric` to it. A subclass's `_connect` buys what the new
+    pair `u`, `v` needs.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.t = 0
         self.levels = terminal_levels(instance.view(instance.n))  # fixed per terminal
-        self.cl = Clustering.from_parts((), {}, {})
+        self.cl = NO_TERMINALS
         self.bought: set = set()
-        self.metric: ContractedMetric | None = None
+        self.metric = NO_METRIC
 
     def _buy(self, path, cids):
         """Buy `path`'s edges and merge the clusters `cids` into the least."""
@@ -261,8 +262,7 @@ class _CarriedBaseline:
         self.t = t
         view = self.instance.view(t)
         dist = view.dist_matrix()
-        self.metric = (ContractedMetric.trivial(dist) if self.metric is None
-                       else self.metric.extend(dist, self.cl.assignment))
+        self.metric = self.metric.extend(dist, self.cl.assignment)
         self.cl = self.cl.grown(self.levels[:2 * t])
         u, v = pair
         before = frozenset(self.bought)

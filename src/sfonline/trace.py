@@ -22,9 +22,10 @@ import json
 import operator
 import os
 
-from .clustering import Clustering, Hierarchy, terminal_levels
+from .clustering import Hierarchy, terminal_levels
 from .errors import FormatError
 from .forest import (
+    ARRIVAL_ZERO,
     ArrivalLedger,
     ArrivalOutcome,
     OnlineState,
@@ -36,8 +37,6 @@ from .forest import (
 from .metric import Instance, load_instance_file, save_instance_file
 
 TRACE_FORMAT = 3
-# The base of the first arrival's levels: no terminal has arrived.
-_NO_TERMINALS = Clustering.from_parts((), {}, {})
 
 
 @dataclasses.dataclass
@@ -60,6 +59,10 @@ class RunTrace:
 
     def final(self) -> ArrivalOutcome:
         return self.arrivals[-1]
+
+    def with_previous(self):
+        """(previous outcome, outcome) per arrival, ARRIVAL_ZERO before the first."""
+        return itertools.pairwise(itertools.chain((ARRIVAL_ZERO,), self.arrivals))
 
 
 def iter_online(instance: Instance, lam: int):
@@ -94,10 +97,10 @@ _SEPARATORS = (",", ":")
 
 def _parents(prev) -> dict | None:
     """The previous arrival's forest entries by (level, endpoints), the last
-    of equal ones: where an inherited entry looks up its parent. None at the
-    first arrival, where every entry states all its fields."""
-    return None if prev is None else {(i, (pe.c1, pe.c2)): pe for i, entries in prev.forest.items()
-                                      for pe in entries}
+    of equal ones: where an inherited entry looks up its parent. None after
+    ARRIVAL_ZERO: the first arrival's entries state all their fields."""
+    return None if prev.t == 0 else {(i, (pe.c1, pe.c2)): pe for i, entries in prev.forest.items()
+                                     for pe in entries}
 
 
 # Stands in for the parent of an inherited entry that has none: the fields
@@ -136,15 +139,14 @@ def _delta(cl, base) -> list:
 
 
 def _arrival_payload(out: ArrivalOutcome, prev) -> dict:
-    """An arrival's JSON document; `prev` is the previous arrival's outcome
-    (None at the first), against which its levels and inherited forest
-    entries are stored."""
+    """An arrival's JSON document; `prev` is the previous arrival's outcome,
+    against which its levels and inherited forest entries are stored."""
     led = out.ledger
     parents = _parents(prev)
     return {
         "t": out.t,
         "L": out.hierarchy.L,
-        "clusterings": [_delta(cl, prev.hierarchy.clustering(i) if prev else _NO_TERMINALS)
+        "clusterings": [_delta(cl, prev.hierarchy.clustering(i))
                         for i, cl in enumerate(out.hierarchy.clusterings)],
         "forest": {
             str(i): [_forest_entry(ve, _parent_entry(parents, i, ve.parent, ve.inherited))
@@ -187,7 +189,7 @@ def save_trace(trace: RunTrace, dirpath) -> None:
     with open(os.path.join(dirpath, "meta.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, sort_keys=True, separators=_SEPARATORS)
         fh.write("\n")
-    for prev, out in zip([None, *trace.arrivals], trace.arrivals):
+    for prev, out in trace.with_previous():
         path = os.path.join(dirpath, f"arrival_{out.t:04d}.json")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(_arrival_payload(out, prev), sort_keys=True,
@@ -197,7 +199,7 @@ def save_trace(trace: RunTrace, dirpath) -> None:
 
 def _hierarchy_from_payload(payload, levels, prev) -> Hierarchy:
     """The stored hierarchy, each level grown from `prev`'s same level (the
-    previous arrival's hierarchy, None at the first)."""
+    previous arrival's hierarchy)."""
     L = _int(payload["L"])
     if L != max(levels):
         raise ValueError(f"L={L} but the top terminal level is {max(levels)}")
@@ -210,7 +212,7 @@ def _hierarchy_from_payload(payload, levels, prev) -> Hierarchy:
     # A level equal to the level below shares its object, as in a run.
     clusterings = []
     for i, delta in enumerate(stored):
-        cl = (prev.clustering(i) if prev else _NO_TERMINALS).grown(levels, delta)
+        cl = prev.clustering(i).grown(levels, delta)
         if i and cl.assignment == clusterings[-1].assignment:
             cl = clusterings[-1]
         clusterings.append(cl)
@@ -269,8 +271,8 @@ def _virtual_edge(i, rec, parents) -> VirtualEdge:
 
 def _outcome_from_payload(levels, t, payload, prev) -> ArrivalOutcome:
     """Arrival t from its document, the levels of its terminals and the
-    previous arrival's outcome (None at the first)."""
-    hier = _hierarchy_from_payload(payload, levels, prev.hierarchy if prev else None)
+    previous arrival's outcome."""
+    hier = _hierarchy_from_payload(payload, levels, prev.hierarchy)
     # Level keys are canonical: "7" names level 7, "07" and "+7" name none.
     level_of = {str(i): i for i in range(hier.L + 1)}
     parents = _parents(prev)
@@ -325,7 +327,7 @@ def load_trace(dirpath) -> RunTrace:
                 raise ValueError(f"{key}={meta[key]} but the instance has n={instance.n}")
 
     levels = terminal_levels(instance.view(instance.n))  # a terminal's level is fixed
-    outcomes = []
+    outcomes, out = [], ARRIVAL_ZERO
     for t in range(1, instance.n + 1):
         path = os.path.join(dirpath, f"arrival_{t:04d}.json")
         with _malformed(path):
@@ -333,7 +335,6 @@ def load_trace(dirpath) -> RunTrace:
                 payload = json.load(fh)
             if _int(payload["t"]) != t:
                 raise ValueError(f"stores t={payload['t']}")
-            out = _outcome_from_payload(levels[:2 * t], t, payload,
-                                        outcomes[-1] if outcomes else None)
+            out = _outcome_from_payload(levels[:2 * t], t, payload, out)
         outcomes.append(out)
     return RunTrace(instance, lam, outcomes)

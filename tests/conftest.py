@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sfonline.certify import inherited_clustering
-from sfonline.clustering import Clustering
+from sfonline.clustering import NO_TERMINALS
 from sfonline.metric import Instance
 
 
@@ -22,7 +22,7 @@ def clustering_of(labels, levels):
     joined to the first of its label."""
     assert len(labels) == len(levels)
     first = {}
-    return Clustering.trivial(levels).contract(
+    return NO_TERMINALS.grown(levels).contract(
         [(first.setdefault(label, k), k) for k, label in enumerate(labels)])
 
 

@@ -62,6 +62,13 @@ def test_gen_takes_no_input_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_without_kind_names_only_generator_flags(tmp_path, capsys):
+    # gen takes no --input, so its error must not suggest one.
+    assert main(["gen", "--n", "3", "--out", str(tmp_path / "d"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "need --kind/--n generator flags" in err and "--input" not in err
+
+
 def test_run_w1_report(tmp_path, w1_file, capsys):
     out = tmp_path / "out"
     rc = main(["run", "--input", w1_file, "--lam", "1", "--checks", "structural",

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from sfonline import clustering
 from sfonline.clustering import (
+    NO_METRIC,
+    NO_TERMINALS,
     ClusterPath,
     ContractedMetric,
     build_hierarchy,
@@ -66,6 +68,14 @@ def assert_matches_reference(metric, dist, assignment):
     ids, W = contracted_weights(dist, assignment)
     assert metric.ids == ids
     assert np.array_equal(metric.D, floyd_warshall(W))
+
+
+def joined(metric, assignment, pairs):
+    """`metric`, of the canonical `assignment`, with the clusters of each
+    (id, id) pair joined: the clustering contracted by the pairs, then the
+    metric coarsened to it."""
+    cl = clustering_of(assignment, [0] * len(assignment))
+    return metric.coarsen(cl.contract(pairs).assignment)
 
 
 def random_assignment(rng, T, groups):
@@ -373,8 +383,8 @@ def test_contracted_metric_random_merge_orders():
             # A random batch of pairs, some repeated, self-pairs or already joined.
             batch = [tuple(rng.sample(metric.ids, 2)) for _ in range(rng.randint(1, 3))]
             batch += batch[:1] + [(batch[0][1],) * 2]
-            assert metric.merge([(c, c) for c in batch[0]]) is metric
-            metric = metric.merge(batch)
+            assert joined(metric, assignment, [(c, c) for c in batch[0]]) is metric
+            metric = joined(metric, assignment, batch)
             for a, b in batch:
                 ra, rb = assignment[a], assignment[b]
                 lo, hi = min(ra, rb), max(ra, rb)
@@ -476,10 +486,10 @@ def test_carried_metrics_match_reference(kind, n, seed, lam):
 
 
 def test_carried_metrics_equal_level_merged_ones():
-    # With and without the previous arrival's metrics, build_hierarchy
-    # yields the same clusterings and the same arrays.
+    # Carried from the previous arrival and built from arrival zero,
+    # build_hierarchy yields the same clusterings and the same arrays.
     inst = generate_instance(GeneratorSpec(kind="line-chain", n=12, seed=3))
-    prev = None
+    prev = ((NO_TERMINALS,), (NO_METRIC,), ())  # arrival zero's
     for t in range(1, inst.n + 1):
         view = inst.view(t)
         carried = build_hierarchy(view, prev)
@@ -783,13 +793,13 @@ def test_merge_folds_a_batch_like_the_reference_and_one_pair_at_a_time(case):
     dist, assignment, pairs = case
     metric = ContractedMetric.of(dist, assignment)
     assert metric.coarsen(assignment) is metric
-    merged = metric.merge(pairs)
+    merged = joined(metric, assignment, pairs)
     want = reference_contraction(assignment, pairs)
     assert_matches_reference(merged, dist, want)
     # One pair at a time, each endpoint named by its cluster's id so far.
     one_by_one, current = metric, assignment
     for a, b in pairs:
-        one_by_one = one_by_one.merge([(current[a], current[b])])
+        one_by_one = joined(one_by_one, current, [(current[a], current[b])])
         current = reference_contraction(current, [(current[a], current[b])])
     assert one_by_one.ids == merged.ids
     assert np.array_equal(one_by_one.D, merged.D)
@@ -809,7 +819,7 @@ def test_merge_of_two_groups_near_max_dist():
     assert validate_metric(dist).ok
     metric = ContractedMetric.trivial(dist)
     for pairs in ([(0, 2), (1, 3)], [(4, 2), (5, 1), (3, 1)]):
-        merged = metric.merge(pairs)
+        merged = joined(metric, tuple(range(6)), pairs)
         want = reference_contraction(tuple(range(6)), pairs)
         assert len(set(want)) == 4 - (len(pairs) == 3)
         assert_matches_reference(merged, dist, want)
@@ -881,18 +891,16 @@ def reference_cluster_distance(view, assignment, contracted_by, C1, C2, metric):
         raise ConfigError(f"cluster {C1 if C1 not in assignment else C2} not in clustering")
     T = view.num_terminals
     uf = UnionFind()
-    cross = []
     for a, b in contracted_by:
         if a >= T or b >= T:
             raise ConfigError("contracted_by touches a terminal that has not arrived")
-        if uf.union(assignment[a], assignment[b]):
-            cross.append((assignment[a], assignment[b]))
+        uf.union(assignment[a], assignment[b])
     src, dst = uf.find(C1), uf.find(C2)
     if src == dst:
         return ClusterPath(0, (src,), ())
     dist = view.dist_matrix()
-    m = metric.merge(cross)
     merged = tuple(uf.find(cid) for cid in assignment)
+    m = metric.coarsen(merged)
     ids, W = contracted_weights(dist, merged)
     assert ids == m.ids
     D = m.D

@@ -4,14 +4,24 @@ import inspect
 import pytest
 
 from sfonline import forest
+from sfonline.certify import check_run
+from sfonline.cli import main
 from sfonline.clustering import (
+    NO_METRIC,
+    NO_TERMINALS,
     ClusterPath,
+    Clustering,
+    Hierarchy,
     build_hierarchy,
     terminal_levels,
 )
 from sfonline.errors import ConfigError
 from sfonline.forest import (
+    ARRIVAL_ZERO,
+    ArrivalLedger,
+    ArrivalOutcome,
     OnlineState,
+    Snapshot,
     VirtualEdge,
     advance,
     classify_inheritance,
@@ -19,7 +29,7 @@ from sfonline.forest import (
     select_spanning_forest,
 )
 from sfonline.metric import GeneratorSpec, generate_instance
-from sfonline.trace import run_online
+from sfonline.trace import load_trace, run_online, save_trace
 from sfonline.unionfind import UnionFind
 
 from conftest import clustering_of, inherited_clusterings, line_instance
@@ -148,6 +158,32 @@ def test_advance_rejects_wrong_pair(w1):
 def test_lambda_validation(w1):
     with pytest.raises(ConfigError):
         OnlineState(w1, lam=0)
+
+
+def _outcome_fields(out):
+    """An outcome as comparable values: Clustering compares by identity."""
+    cls = [(c.assignment, c.cluster_ids, c.members, c.cluster_level)
+           for c in out.hierarchy.clusterings]
+    return (out.t, out.hierarchy.L, cls, out.forest, out.pinned_after, out.snapshot,
+            out.ledger, out.cost_pinned, out.cost_forestforming)
+
+
+def test_arrival_zero_stays_empty(tmp_path):
+    # Every walk over arrivals starts from the one shared ARRIVAL_ZERO, a
+    # mutable outcome holding a dict: running, saving, loading, certifying
+    # and comparing must leave it as empty as a freshly built one.
+    inst = generate_instance(GeneratorSpec(kind="euclidean", n=6, seed=2))
+    assert OnlineState(inst, lam=2).last_outcome is ARRIVAL_ZERO
+    save_trace(run_online(inst, lam=2), tmp_path / "t")
+    assert check_run(load_trace(tmp_path / "t")).ok
+    assert main(["compare", "--kind", "euclidean", "--n", "6", "--seed", "2",
+                 "--out", str(tmp_path / "c"), "--quiet"]) == 0
+    empty = Clustering.from_parts((), {}, {})
+    fresh = ArrivalOutcome(0, Hierarchy(-1, (empty,)), {}, (), Snapshot(frozenset(), 0),
+                           ArrivalLedger(0, 0, 0, (), 0), 0, 0)
+    assert _outcome_fields(ARRIVAL_ZERO) == _outcome_fields(fresh)
+    assert all(cl is NO_TERMINALS for cl in ARRIVAL_ZERO.hierarchy.clusterings)
+    assert NO_METRIC.ids == () and NO_METRIC.D.shape == (0, 0)
 
 
 def test_replay_is_deterministic():

@@ -101,8 +101,8 @@ def test_load_trace_builds_no_contracted_metric(tmp_path, monkeypatch):
         raise AssertionError("load_trace built a contracted metric")
 
     monkeypatch.setattr(ContractedMetric, "of", refuse)
-    monkeypatch.setattr(ContractedMetric, "merge", refuse)
-    monkeypatch.setattr(ContractedMetric, "_fold", refuse)  # coarsen folds without merge
+    monkeypatch.setattr(ContractedMetric, "_fold", refuse)
+    monkeypatch.setattr(ContractedMetric, "extend", refuse)
     assert len(load_trace(tmp_path / "t").arrivals) == inst.n
 
 
@@ -302,6 +302,12 @@ SEMANTIC_TAMPERINGS = {
         4,
         _mark_first_fresh_edge_inherited,
         ["inheritance-provenance,7,4,fail,(1;6) has no parent in the previous forest"]),
+    # Arrival 1's only entry, level 9's (0,1), marked inherited with its
+    # fields stated: no forest precedes the first arrival.
+    "first-arrival-edge-marked-inherited": (
+        1,
+        _mark_first_fresh_edge_inherited,
+        ["inheritance-provenance,9,1,fail,(0;1) has no parent in the previous forest"]),
     "edge-to-itself": (
         4,
         lambda out: _set_entry(out, 7, 0, c2=out.forest[7][0].c1),
@@ -534,3 +540,54 @@ def test_one_bad_leaf_never_escapes_certify(leaf_trace, data):
     finally:
         path.write_text(text)
     assert code in (0, 1, 3)
+
+
+# The field classes whose single edits may still certify PASS: the buffer at
+# the end of an arrival and the pin events' scalars, which the ledger check
+# does not compare with the pin rule yet. This set may only shrink.
+CENSUS_PASS_CLASSES = {"ledger.buffer_end", "ledger.pin_events.cost",
+                       "ledger.pin_events.level", "ledger.pin_events.source_size"}
+
+
+def _field_class(path):
+    """A leaf's path without list indices or level keys:
+    ("ledger", "pin_events", 0, "cost") -> "ledger.pin_events.cost"."""
+    return ".".join(k for k in path if isinstance(k, str) and not k.isdigit())
+
+
+def _census_edits(payload):
+    """(leaf path, new value) of every single-field edit of an arrival
+    document: each integer moved by one either way, each bool flipped."""
+    for path in _leaves(payload):
+        node = payload
+        for key in path:
+            node = node[key]
+        if type(node) is bool:
+            yield path, not node
+        elif type(node) is int:
+            yield path, node - 1
+            yield path, node + 1
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "line-chain"])
+def test_every_single_field_edit_fails_or_is_a_format_error(tmp_path, kind):
+    # Edited one field of one arrival file at a time, a trace must not load
+    # (exit 3) or must certify FAIL, outside the allowlisted classes.
+    d = tmp_path / "trace"
+    save_trace(run_online(generate_instance(GeneratorSpec(kind=kind, n=4, seed=1)), lam=2), d)
+    passing = set()
+    for name in sorted(p for p in os.listdir(d) if p.startswith("arrival_")):
+        text = (d / name).read_text()
+        for path, value in _census_edits(json.loads(text)):
+            payload = json.loads(text)
+            _set_leaf(payload, path, value)
+            (d / name).write_text(json.dumps(payload))
+            try:
+                ok = check_run(load_trace(d)).ok
+            except FormatError:
+                ok = False
+            if ok:
+                passing.add((name, path, value))
+        (d / name).write_text(text)
+    assert {_field_class(path) for _, path, _ in passing} <= CENSUS_PASS_CLASSES, sorted(
+        edit for edit in passing if _field_class(edit[1]) not in CENSUS_PASS_CLASSES)
