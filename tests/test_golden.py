@@ -30,33 +30,33 @@ ORACLE_LIMIT = "5"
 
 # (kind, n, lam) -> (run: trace dir + per_arrival.csv, compare.csv, certify.csv)
 GOLDEN = {
-    ('euclidean', 3, 1): ('40eeb3fb05235944', '579a470ccbb6a92c', 'a68b7a395c91814b'),
-    ('euclidean', 3, 2): ('8d577e53563f170e', 'e57e546cb078fe19', 'a8e92eb3666b4b66'),
-    ('euclidean', 3, 5): ('9e25ff22e76a8358', 'e57e546cb078fe19', 'c84f0c6d41bda10f'),
-    ('euclidean', 7, 1): ('c83a9fe01a406db6', 'c17ada2382aa8be8', '4639c6d063080da3'),
-    ('euclidean', 7, 2): ('2bd735aa15ac2379', 'e4540863934cad72', 'cc88f6f443b4e5d1'),
-    ('euclidean', 7, 5): ('c147cfb33fee02c3', 'e4540863934cad72', '9624ec997193667e'),
-    ('euclidean', 12, 1): ('ac7085f8e3372959', 'f6d78bcd66ff5f13', 'b13bb6aad69af961'),
-    ('euclidean', 12, 2): ('152ff4177972720f', 'f3cf38cc3d191df1', '6fc97aa946015b11'),
-    ('euclidean', 12, 5): ('e51fc1cd9c1b9bae', 'b1cb5b6d90b0c617', 'adf76fe6c29599a8'),
-    ('random-metric', 3, 1): ('cf1c307de348c10e', 'c84abe70c250deca', '4d1841e02781026a'),
-    ('random-metric', 3, 2): ('dbedd5aa6912d95a', '4fb8520f9d415b7d', '76e693ebd5c3d76c'),
-    ('random-metric', 3, 5): ('1a745c6688f22bd1', '4fb8520f9d415b7d', '8c4ca2513f204b66'),
-    ('random-metric', 7, 1): ('1b646bda15fd0769', '6432cae02b72107a', '5bbc75d97e245fae'),
-    ('random-metric', 7, 2): ('c31396eb0d6963fb', 'fd934da344a1bb47', '514423b819f2b803'),
-    ('random-metric', 7, 5): ('d3f8aa640446d51d', '9aa9fe511cb4093d', '920023425b8473bb'),
-    ('random-metric', 12, 1): ('5f1c27458d292768', '5353649c29787779', '9cdc8f39857fb372'),
-    ('random-metric', 12, 2): ('cec4921ee7cc8445', '91cac76b4473970e', '9d314b80eb83115b'),
-    ('random-metric', 12, 5): ('792c9c6e5a632d58', '904484fedff827bf', '8f4150b1b3c0dbe4'),
-    ('line-chain', 3, 1): ('8807de6ecd2338cf', '037c68c97cf82c66', 'a76513850c9387ff'),
-    ('line-chain', 3, 2): ('4ab6595314f61e84', '037c68c97cf82c66', 'ead308c7eac1c6d6'),
-    ('line-chain', 3, 5): ('7e9341ef253d2a59', '037c68c97cf82c66', '413626e6694f8f63'),
-    ('line-chain', 7, 1): ('c6a60d8a04198098', '408dfb38386c7ec1', 'a91866af5b6620a4'),
-    ('line-chain', 7, 2): ('4919ebfa57f582d0', '408dfb38386c7ec1', '88e8a379eebd8341'),
-    ('line-chain', 7, 5): ('cacc046701521f6a', '408dfb38386c7ec1', 'fbeb374ea474c65c'),
-    ('line-chain', 12, 1): ('ffaa32f059aaca50', '680ac1e2c1bbd728', '3abcf23a65167488'),
-    ('line-chain', 12, 2): ('c586e0f82c4e926c', '680ac1e2c1bbd728', '3d6d130508218bfa'),
-    ('line-chain', 12, 5): ('071404f2c2a02fd9', '680ac1e2c1bbd728', 'f929aa1b3598bd8a'),
+    ('euclidean', 3, 1): ('40eeb3fb05235944', '579a470ccbb6a92c', '2bd5fa7a556a1ba2'),
+    ('euclidean', 3, 2): ('8d577e53563f170e', 'e57e546cb078fe19', '363ef6dfaa2e43d3'),
+    ('euclidean', 3, 5): ('9e25ff22e76a8358', 'e57e546cb078fe19', 'baccf07df20d79c9'),
+    ('euclidean', 7, 1): ('c83a9fe01a406db6', 'c17ada2382aa8be8', '986f17f5c7494f70'),
+    ('euclidean', 7, 2): ('2bd735aa15ac2379', 'e4540863934cad72', '5387acdebf39617f'),
+    ('euclidean', 7, 5): ('c147cfb33fee02c3', 'e4540863934cad72', 'cac723df047b2a5e'),
+    ('euclidean', 12, 1): ('ac7085f8e3372959', 'f6d78bcd66ff5f13', '098749d46d15a302'),
+    ('euclidean', 12, 2): ('152ff4177972720f', 'f3cf38cc3d191df1', '2f71c5c192fc01ca'),
+    ('euclidean', 12, 5): ('e51fc1cd9c1b9bae', 'b1cb5b6d90b0c617', 'f26c55ec917a5064'),
+    ('random-metric', 3, 1): ('cf1c307de348c10e', 'c84abe70c250deca', 'bf97826df6360ddd'),
+    ('random-metric', 3, 2): ('dbedd5aa6912d95a', '4fb8520f9d415b7d', '008893ce076bcacb'),
+    ('random-metric', 3, 5): ('1a745c6688f22bd1', '4fb8520f9d415b7d', '7b6e7cc616bf7121'),
+    ('random-metric', 7, 1): ('1b646bda15fd0769', '6432cae02b72107a', '73685da4d369454a'),
+    ('random-metric', 7, 2): ('c31396eb0d6963fb', 'fd934da344a1bb47', '14b5128d5f716601'),
+    ('random-metric', 7, 5): ('d3f8aa640446d51d', '9aa9fe511cb4093d', '0fa428635a366955'),
+    ('random-metric', 12, 1): ('5f1c27458d292768', '5353649c29787779', '226f0305741c9184'),
+    ('random-metric', 12, 2): ('cec4921ee7cc8445', '91cac76b4473970e', 'dd8a47b0295b2a1c'),
+    ('random-metric', 12, 5): ('792c9c6e5a632d58', '904484fedff827bf', '495cb7bbaa3b39e9'),
+    ('line-chain', 3, 1): ('8807de6ecd2338cf', '037c68c97cf82c66', '2f7042e99fe8f84d'),
+    ('line-chain', 3, 2): ('4ab6595314f61e84', '037c68c97cf82c66', '10cde57781781cdb'),
+    ('line-chain', 3, 5): ('7e9341ef253d2a59', '037c68c97cf82c66', '07dd66dfd9aaae86'),
+    ('line-chain', 7, 1): ('c6a60d8a04198098', '408dfb38386c7ec1', '44d4ee97f9095f42'),
+    ('line-chain', 7, 2): ('4919ebfa57f582d0', '408dfb38386c7ec1', 'e7dbdeeaa59f4ff3'),
+    ('line-chain', 7, 5): ('cacc046701521f6a', '408dfb38386c7ec1', '1d0295f794360257'),
+    ('line-chain', 12, 1): ('ffaa32f059aaca50', '680ac1e2c1bbd728', '2e8022c2054b3405'),
+    ('line-chain', 12, 2): ('c586e0f82c4e926c', '680ac1e2c1bbd728', '218c20141bdc7519'),
+    ('line-chain', 12, 5): ('071404f2c2a02fd9', '680ac1e2c1bbd728', '6137276c51aa8e55'),
 }
 
 
