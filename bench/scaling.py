@@ -17,8 +17,8 @@ byte count and sha256 over its files, a sha256 over the certify phase's
 `certify.csv` text (which, unlike the trace's, does not change with the
 trace format), a sha256 over the baselines' per-prefix costs and one over
 the oracle's, the run's (arrival, level) pair count and how many of those
-pairs the arrival left unchanged, and per kind and phase the least-squares
-exponent of time against n. It calls only sfonline's public API, so
+pairs the arrival left unchanged, the cell's peak resident set size, and per
+kind and phase the least-squares exponent of time against n. It calls only sfonline's public API, so
 `--parent` can measure any tree that has it.
 
 Only the standard library and sfonline (with its numpy) are used:
@@ -43,6 +43,7 @@ import math
 import operator
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -156,6 +157,9 @@ def measure(kind, n, workdir):
         "oracle_sha256": opt_digests.pop(),
         "levels": levels,
         "unchanged_levels": unchanged_levels,
+        # The process's high-water mark (Linux reports kB): in a fresh
+        # interpreter per cell (measure_with), that cell's peak.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     for phase, runs in zip(PHASES, (run_s, save_s, load_s, structural_s, certify_s, oracle_s,
                                     compare_s)):
@@ -232,7 +236,8 @@ def main(argv=None):
                   f"certify {cell['certify_s']:7.3f} s  "
                   f"oracle {cell['oracle_s']:7.3f} s  "
                   f"compare {cell['compare_s']:7.3f} s  "
-                  f"unchanged {cell['unchanged_levels']}/{cell['levels']}", flush=True)
+                  f"unchanged {cell['unchanged_levels']}/{cell['levels']}  "
+                  f"peak {cell['peak_rss_mb']:6.1f} MB", flush=True)
             cells[label].append(cell)
     for label, got in cells.items():
         write_record(label, got, args.out)

@@ -15,7 +15,6 @@ from .clustering import (
     build_hierarchy,
     check_refinement,
     cluster_distance,
-    terminal_level,
 )
 from .errors import ConfigError, FormatError, MetricError, OracleLimitError, SfonlineError
 from .forest import OnlineState, Snapshot, advance, recourse_diff
@@ -75,7 +74,6 @@ __all__ = [
     "run_online",
     "save_instance",
     "save_trace",
-    "terminal_level",
     "validate_metric",
     "witness_value_identity",
 ]

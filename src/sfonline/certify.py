@@ -31,7 +31,6 @@ from .clustering import (
     contract_clustering,
     level_metrics,
     level_threshold,
-    terminal_levels,
 )
 from .errors import SfonlineError
 from .metric import MAX_DIST, InstanceView
@@ -81,13 +80,13 @@ class WitnessState:
     final_sources: set = dataclasses.field(default_factory=set)  # X
     noninherited_counts: list = dataclasses.field(default_factory=list)  # |F_i \ F_inh,i| per t
 
-    def step(self, out, cinh_i, lv, dist) -> None:
-        """Advance by arrival `out`, whose C_inh,i is `cinh_i` (`lv`: terminal
-        levels, `dist`: instance distances). The new pair's endpoints join Xhat
-        when they are the only high-level vertices of their C_inh,i cluster; X
+    def step(self, view, out, cinh_i) -> None:
+        """Advance by arrival `out`, whose C_inh,i is `cinh_i` and whose
+        instance prefix is `view`. The new pair's endpoints join Xhat when
+        they are the only high-level vertices of their C_inh,i cluster; X
         gains k-1 smallest fresh Xhat vertices per top cluster glued out of k
         inherited clusters. The four invariants are asserted after the step."""
-        t, i = out.t, self.level
+        t, i, lv = out.t, self.level, view.levels
         xhat, x, counts = self.final_xhat, self.final_sources, self.noninherited_counts
         u, v = 2 * t - 2, 2 * t - 1
         cl_next = out.hierarchy.clustering(i + 1)
@@ -137,7 +136,7 @@ class WitnessState:
         # stay below 2^62, so clamping 2r = 2^i there keeps d < 2r exact.
         if added:
             xs = sorted(xhat)
-            close = (dist[np.ix_(xs, added)] < level_threshold(i - 1)) \
+            close = (view.dist_matrix()[np.ix_(xs, added)] < level_threshold(i - 1)) \
                 & (np.array(xs)[:, None] < np.array(added)[None, :])
             hits = np.argwhere(close)
             if len(hits):
@@ -169,11 +168,9 @@ def _halves(x2: int) -> str:
 def build_dual_witness(trace, i: int) -> WitnessState:
     """Step level i's source sets over the whole run; a broken invariant
     raises WitnessError with its arrival."""
-    inst = trace.instance
-    lv = terminal_levels(inst.view(inst.n))
     witness = WitnessState(i)
     for out in trace.arrivals:
-        witness.step(out, _inherited_at(out, i), lv, inst.dist)
+        witness.step(trace.instance.view(out.t), out, _inherited_at(out, i))
     return witness
 
 
@@ -337,7 +334,7 @@ def _edges_cost(view: InstanceView, edges):
     arrived (a trace is untrusted input, so ids are checked before lookup)."""
     if _unarrived(edges, view.num_terminals) is not None:
         return None
-    return sum(view.d(a, b) for a, b in edges)
+    return view.cost(edges)
 
 
 def _edge_str(edge) -> str:
@@ -608,16 +605,16 @@ def check_run(trace, opt_per_arrival=None, witness_levels=None) -> CertReport:
     witnesses = [WitnessState(i) for i in levels]
     broken = [None] * len(witnesses)  # the WitnessError that stopped each level
     view = trace.instance.view(trace.n)
-    lv = terminal_levels(view)
     opt_per_arrival = opt_per_arrival or {}
     # Ratios are compared exactly by cross-multiplying; int true division
     # rounds each one correctly to the float it is reported as.
     worst = None  # (cost, OPT) of the largest cost/OPT
     for out, cinh in _structural_pass(trace, add, levels):
+        arrived = trace.instance.view(out.t)
         for k, witness in enumerate(witnesses):
             if broken[k] is None:
                 try:
-                    witness.step(out, cinh[witness.level], lv, trace.instance.dist)
+                    witness.step(arrived, out, cinh[witness.level])
                 except WitnessError as err:
                     broken[k] = err
         opt_t = opt_per_arrival.get(out.t)

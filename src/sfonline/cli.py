@@ -335,15 +335,15 @@ def _level_choice(text):
     return int(text)
 
 
-def _add_common_flags(p):
+def _add_output_flags(p):
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--quiet", action="store_true")
 
 
 def _add_generator_flags(p):
     p.add_argument("--kind", help="generator kind: euclidean|random-metric|line-chain")
     p.add_argument("--n", type=int, help="number of demand pairs")
+    p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--scale", type=int, default=1000, help="generator fixed-point scale")
 
 
@@ -352,13 +352,13 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance file")
-    _add_common_flags(p)
+    _add_output_flags(p)
     _add_generator_flags(p)
     p.add_argument("--file", help="explicit output path")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("run", help="run the online algorithm")
-    _add_common_flags(p)
+    _add_output_flags(p)
     _add_generator_flags(p)
     p.add_argument("--input", help="SFONLINE instance file")
     p.add_argument("--lam", type=int, default=None, help="pinning tradeoff (default ceil log2 n)")
@@ -369,7 +369,7 @@ def build_parser():
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="run several lambdas on one instance")
-    _add_common_flags(p)
+    _add_output_flags(p)
     _add_generator_flags(p)
     p.add_argument("--input", help="SFONLINE instance file")
     p.add_argument("--lams", required=True, type=_lambda_list,
@@ -380,7 +380,7 @@ def build_parser():
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="main algorithm vs baselines")
-    _add_common_flags(p)
+    _add_output_flags(p)
     _add_generator_flags(p)
     p.add_argument("--input", help="SFONLINE instance file")
     p.add_argument("--lam", type=int, default=None)
@@ -388,14 +388,13 @@ def build_parser():
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("oracle", help="exact optimum of a prefix")
-    _add_common_flags(p)
     p.add_argument("--input", required=True)
     p.add_argument("--t", type=int, default=None, help="prefix length (default n)")
     p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("certify", help="re-verify a recorded trace")
-    _add_common_flags(p)
+    _add_output_flags(p)
     p.add_argument("--trace", required=True)
     p.add_argument("--levels", default="all", type=_level_choice,
                    help="all or a single level index, 0 .. the top level L")

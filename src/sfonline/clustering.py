@@ -4,8 +4,9 @@ Per arrival the clusterings are rebuilt: starting from the trivial
 clustering, level i merges the connected components of the level-i virtual
 graph, whose vertices are the i-active clusters (cluster level >= i) and
 whose edges join active clusters at contracted distance strictly below
-2^(i+1). A terminal's level is ceil(log2 dist(v, mate(v))), computed via bit
-length so there is no floating point anywhere.
+2^(i+1). A terminal's level is ceil(log2 dist(v, mate(v))), which the
+instance computes once by bit length (InstanceView.levels), so there is no
+floating point anywhere.
 
 Contracted distances are carried incrementally, never rebuilt, and a
 contracted metric is its distance closure alone: no one-hop weight matrix
@@ -59,18 +60,8 @@ import operator
 import numpy as np
 
 from .errors import ConfigError
-from .metric import MAX_DIST, InstanceView, mate
+from .metric import MAX_DIST, InstanceView
 from .unionfind import UnionFind
-
-
-def terminal_level(view: InstanceView, v: int) -> int:
-    """ceil(log2 dist(v, mate(v))), exact integer arithmetic."""
-    d = view.d(v, mate(v))
-    return (d - 1).bit_length()
-
-
-def terminal_levels(view: InstanceView) -> tuple[int, ...]:
-    return tuple(terminal_level(view, v) for v in range(view.num_terminals))
 
 
 class Clustering:
@@ -488,7 +479,7 @@ def build_hierarchy(view: InstanceView, prev=_ARRIVAL_ZERO):
     """
     if view.t < 1:
         raise ConfigError("hierarchy needs at least one arrived pair")
-    levels = terminal_levels(view)
+    levels = view.levels
     L = max(levels)
 
     dist = view.dist_matrix()

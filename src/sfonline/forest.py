@@ -203,8 +203,8 @@ def pin_and_realize(view, hier, metrics, pending, pinned, lam, t):
             chosen = sorted(eorig, key=lambda e: (view.d(*e), e))[:take]
             for e in chosen:
                 pinned.add(e, t)
-            events.append(PinEvent("batch", ve.level, tuple(chosen),
-                                   sum(view.d(*e) for e in chosen), len(eorig)))
+            events.append(PinEvent("batch", ve.level, tuple(chosen), view.cost(chosen),
+                                   len(eorig)))
             buffer.clear()
         else:
             buffer.extend(sorted(eorig))
@@ -297,15 +297,15 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
     cost_ff = 0
     for entries in forest.values():
         for ve in entries:
-            cost_ff += sum(view.d(*e) for e in ve.eorig)
+            cost_ff += view.cost(ve.eorig)
             F.update(ve.eorig)
     F = frozenset(F)
 
     if not check_feasible(F, view.demands):
         raise AssertionError("snapshot infeasible (internal bug)")
 
-    cost_f = sum(view.d(*e) for e in F)
-    cost_a = sum(view.d(*e) for e in state.pinned.edges())
+    cost_f = view.cost(F)
+    cost_a = view.cost(state.pinned.edges())
     ins, dels = recourse_diff(prev.snapshot.edges, F)
     snapshot = Snapshot(F, cost_f)
     entry = ArrivalLedger(ins, dels, pins_added, tuple(events), buffer_end)

@@ -138,14 +138,24 @@ def metric_closure(dist) -> np.ndarray:
     return a
 
 
+def _pair_levels(dist) -> tuple[int, ...]:
+    """ceil(log2 dist(v, mate(v))) of every terminal v, by exact bit length."""
+    ids = np.arange(len(dist))
+    return tuple((d - 1).bit_length() for d in dist[ids, mate(ids)].tolist())
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class Instance:
-    """Immutable offline instance: n pairs on a 2n-terminal integer metric."""
+    """Immutable offline instance: n pairs on a 2n-terminal integer metric.
+
+    `levels[v]` is terminal v's level, fixed by its pair's distance and
+    computed once here."""
 
     n: int
     dist: np.ndarray  # (2n, 2n) int64, read-only
     demands: tuple[tuple[int, int], ...]
     label: str = ""
+    levels: tuple[int, ...] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=np.int64)
@@ -161,6 +171,7 @@ class Instance:
         report = validate_metric(d)
         if not report.ok:
             raise MetricError(report.first_message())
+        object.__setattr__(self, "levels", _pair_levels(d))
 
     @property
     def num_terminals(self) -> int:
@@ -201,10 +212,25 @@ class InstanceView:
     def demands(self) -> tuple[tuple[int, int], ...]:
         return self.base.demands[: self.t]
 
+    @property
+    def levels(self) -> tuple[int, ...]:
+        """The arrived terminals' levels."""
+        return self.base.levels[: 2 * self.t]
+
     def d(self, a: int, b: int) -> int:
-        if a >= 2 * self.t or b >= 2 * self.t:
-            raise ConfigError(f"terminal not yet arrived at t={self.t}")
-        return int(self.base.dist[a, b])
+        return self.cost(((a, b),))
+
+    def cost(self, edges) -> int:
+        """Exact total distance of an edge set, summed in Python ints; an id
+        outside the arrived terminals 0..2t-1 is a ConfigError."""
+        T = 2 * self.t
+        item = self.base.dist.item
+        total = 0
+        for a, b in edges:
+            if not (0 <= a < T and 0 <= b < T):
+                raise ConfigError(f"edge ({a},{b}) has a terminal not yet arrived at t={self.t}")
+            total += item(a, b)
+        return total
 
     def dist_matrix(self) -> np.ndarray:
         return self.base.dist[: 2 * self.t, : 2 * self.t]

@@ -7,9 +7,9 @@ only (a terminal is in a component iff its mate is, since pairs must be
 connected), so the optimum equals the best pairs-partition with each group
 connected as cheaply as possible, and with all vertices being terminals the
 cheapest connector of a group is its MST. One Prim run vectorized over the
-pair subsets gives the 2^k - 1 group MST costs, a subset DP over pair bitmasks
-(Dreyfus and Wagner, 1971) the best partition in O(3^k) steps and the optimum
-of every prefix on the way, and prim_mst the edges of the chosen groups.
+pair subsets gives the 2^k - 1 group MST costs, and a subset DP over pair
+bitmasks (Dreyfus and Wagner, 1971) the best partition in O(3^k) steps and
+the optimum of every prefix on the way.
 
 The offline-gluttonous forest spans the algorithm's own hierarchy of every
 prefix. It reads them from the online run's states as each arrival lands,
@@ -28,7 +28,6 @@ from .clustering import (  # noqa: F401 (build_hierarchy is in perfbench/spans.p
     active_virtual_edges,
     build_hierarchy,
     cluster_distance,
-    terminal_levels,
 )
 from .errors import ConfigError, OracleLimitError
 from .forest import recourse_diff, select_spanning_forest
@@ -36,30 +35,6 @@ from .metric import MAX_DIST, Instance, InstanceView
 
 DEFAULT_ORACLE_LIMIT = 9
 MST_BLOCK = 2048  # pair subsets per vectorized Prim run, so memory is O(MST_BLOCK k)
-
-
-def prim_mst(d, terminals):
-    """(cost, edges) of the MST over the nonempty `terminals` of the metric
-    `d` (a list of rows of Python ints, so the cost is exact).
-
-    Canonical vertex order: start at the smallest id, break key ties toward
-    the smaller vertex and the smaller parent. Cost is unique regardless.
-    """
-    rest = sorted(terminals)
-    root = rest.pop(0)
-    key = [d[root][y] for y in rest]
-    parent = [root] * len(rest)
-    cost, edges = 0, []
-    while rest:
-        j = key.index(min(key))
-        cost += key.pop(j)
-        p, y = parent.pop(j), rest.pop(j)
-        edges.append((p, y) if p < y else (y, p))
-        row = d[y]
-        for i, z in enumerate(rest):
-            if row[z] < key[i] or (row[z] == key[i] and y < parent[i]):
-                key[i], parent[i] = row[z], y
-    return cost, frozenset(edges)
 
 
 def _pairs(mask):
@@ -105,7 +80,6 @@ def _growth_string(S, G, sub):
 class OptimumResult:
     cost: int
     partition: tuple  # tuple of tuples of 0-based pair indices
-    forest: frozenset  # union of per-group MST edges
     prefix_costs: tuple  # prefix_costs[s - 1] is the optimum of the first s pairs
 
 
@@ -118,9 +92,8 @@ def exact_optimum(view: InstanceView, limit: int = DEFAULT_ORACLE_LIMIT) -> Opti
         raise ConfigError("exact optimum needs at least one arrived pair")
     if t > limit:
         raise OracleLimitError(f"{t} pairs exceed the oracle limit of {limit}")
-    d = view.dist_matrix().tolist()  # Python ints, so no sum wraps
     full = (1 << t) - 1
-    mst = _subset_mst_costs(d)
+    mst = _subset_mst_costs(view.dist_matrix())
 
     # f(S) = min over G ∋ min(S) of mst(G) + f(S - G), on (cost, growth string).
     cost, choice, rgs = [0] * (full + 1), [0] * (full + 1), [()] * (full + 1)
@@ -148,10 +121,8 @@ def exact_optimum(view: InstanceView, limit: int = DEFAULT_ORACLE_LIMIT) -> Opti
     while S:
         groups.append(choice[S])
         S ^= choice[S]
-    forest = frozenset().union(*(prim_mst(d, [x for p in _pairs(G) for x in (2 * p, 2 * p + 1)])[1]
-                                 for G in groups))
     prefix = tuple(cost[(1 << s) - 1] for s in range(1, t + 1))
-    return OptimumResult(cost[full], tuple(tuple(_pairs(G)) for G in groups), forest, prefix)
+    return OptimumResult(cost[full], tuple(tuple(_pairs(G)) for G in groups), prefix)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,8 +174,7 @@ def offline_gluttonous_forest(states) -> tuple[OfflineForestResult, ...]:
             paths[i] = (cl.assignment + (T, T + 1), realized)
             counts.append(len(cl.cluster_ids) - len(h.clustering(i + 1).cluster_ids))
         prev_paths = paths
-        cost = sum(view.d(a, b) for a, b in edges)
-        out.append(OfflineForestResult(frozenset(edges), cost, tuple(counts)))
+        out.append(OfflineForestResult(frozenset(edges), view.cost(edges), tuple(counts)))
     return tuple(out)
 
 
@@ -213,7 +183,6 @@ class BaselineStep:
     t: int
     edges: frozenset
     cost: int
-    insertions: int
     deletions: int
 
 
@@ -244,7 +213,6 @@ class _CarriedBaseline:
     def __init__(self, instance: Instance):
         self.instance = instance
         self.t = 0
-        self.levels = terminal_levels(instance.view(instance.n))  # fixed per terminal
         self.cl = NO_TERMINALS
         self.bought: set = set()
         self.metric = NO_METRIC
@@ -263,14 +231,13 @@ class _CarriedBaseline:
         view = self.instance.view(t)
         dist = view.dist_matrix()
         self.metric = self.metric.extend(dist, self.cl.assignment)
-        self.cl = self.cl.grown(self.levels[:2 * t])
+        self.cl = self.cl.grown(view.levels)
         u, v = pair
         before = frozenset(self.bought)
         self._connect(view, u, v)
         after = frozenset(self.bought)
-        ins, dels = recourse_diff(before, after)
-        cost = sum(view.d(a, b) for a, b in after)
-        return BaselineStep(t, after, cost, ins, dels)
+        _, dels = recourse_diff(before, after)
+        return BaselineStep(t, after, view.cost(after), dels)
 
 
 class OnlineGluttonousState(_CarriedBaseline):

@@ -22,7 +22,7 @@ import json
 import operator
 import os
 
-from .clustering import Hierarchy, terminal_levels
+from .clustering import Hierarchy
 from .errors import FormatError
 from .forest import (
     ARRIVAL_ZERO,
@@ -197,9 +197,10 @@ def save_trace(trace: RunTrace, dirpath) -> None:
             fh.write("\n")
 
 
-def _hierarchy_from_payload(payload, levels, prev) -> Hierarchy:
-    """The stored hierarchy, each level grown from `prev`'s same level (the
-    previous arrival's hierarchy)."""
+def _hierarchy_from_payload(payload, view, prev) -> Hierarchy:
+    """The stored hierarchy of arrival `view.t`, each level grown from
+    `prev`'s same level (the previous arrival's hierarchy)."""
+    levels = view.levels
     L = _int(payload["L"])
     if L != max(levels):
         raise ValueError(f"L={L} but the top terminal level is {max(levels)}")
@@ -269,10 +270,9 @@ def _virtual_edge(i, rec, parents) -> VirtualEdge:
     return VirtualEdge(i, _int(rec["c1"]), _int(rec["c2"]), inherited, parent, eorig, created_at)
 
 
-def _outcome_from_payload(levels, t, payload, prev) -> ArrivalOutcome:
-    """Arrival t from its document, the levels of its terminals and the
-    previous arrival's outcome."""
-    hier = _hierarchy_from_payload(payload, levels, prev.hierarchy)
+def _outcome_from_payload(view, payload, prev) -> ArrivalOutcome:
+    """Arrival `view.t` from its document and the previous arrival's outcome."""
+    hier = _hierarchy_from_payload(payload, view, prev.hierarchy)
     # Level keys are canonical: "7" names level 7, "07" and "+7" name none.
     level_of = {str(i): i for i in range(hier.L + 1)}
     parents = _parents(prev)
@@ -299,7 +299,7 @@ def _outcome_from_payload(levels, t, payload, prev) -> ArrivalOutcome:
         buffer_end=_int(led["buffer_end"]),
     )
     return ArrivalOutcome(
-        t=t,
+        t=view.t,
         hierarchy=hier,
         forest=forest,
         pinned_after=pinned_after,
@@ -326,7 +326,6 @@ def load_trace(dirpath) -> RunTrace:
             if _int(meta[key]) != instance.n:
                 raise ValueError(f"{key}={meta[key]} but the instance has n={instance.n}")
 
-    levels = terminal_levels(instance.view(instance.n))  # a terminal's level is fixed
     outcomes, out = [], ARRIVAL_ZERO
     for t in range(1, instance.n + 1):
         path = os.path.join(dirpath, f"arrival_{t:04d}.json")
@@ -335,6 +334,6 @@ def load_trace(dirpath) -> RunTrace:
                 payload = json.load(fh)
             if _int(payload["t"]) != t:
                 raise ValueError(f"stores t={payload['t']}")
-            out = _outcome_from_payload(levels[:2 * t], t, payload, out)
+            out = _outcome_from_payload(instance.view(t), payload, out)
         outcomes.append(out)
     return RunTrace(instance, lam, outcomes)

@@ -3,7 +3,7 @@ import pytest
 
 from sfonline.certify import inherited_clustering
 from sfonline.clustering import NO_TERMINALS
-from sfonline.metric import Instance
+from sfonline.metric import MAX_DIST, Instance
 
 
 def line_instance(positions, label="line"):
@@ -14,6 +14,13 @@ def line_instance(positions, label="line"):
     n = len(p) // 2
     demands = tuple((2 * t - 2, 2 * t - 1) for t in range(1, n + 1))
     return Instance(n=n, dist=dist, demands=demands, label=label)
+
+
+def uniform_instance(n, d=MAX_DIST):
+    """n pairs, every distance d: at MAX_DIST, three edges cost past 2^63."""
+    dist = np.full((2 * n, 2 * n), d, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    return Instance(n=n, dist=dist, demands=tuple((2 * p, 2 * p + 1) for p in range(n)))
 
 
 def clustering_of(labels, levels):

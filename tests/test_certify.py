@@ -23,7 +23,6 @@ from sfonline.clustering import (
     build_hierarchy,
     check_refinement,
     contract_clustering,
-    terminal_levels,
 )
 from sfonline.errors import SfonlineError
 from sfonline.metric import (
@@ -140,7 +139,7 @@ def dual_cases(draw, separated):
         top = build_hierarchy(view)[0].top
     else:
         top = clustering_of(draw(st.lists(st.integers(0, 3), min_size=T, max_size=T)),
-                            terminal_levels(view))
+                            view.levels)
     return view, sources, i, top
 
 
@@ -197,7 +196,7 @@ def test_dual_check_loads_past_int64():
     np.fill_diagonal(dist, 0)
     inst = Instance(n=2, dist=dist, demands=((0, 1), (2, 3)))
     view = inst.view(2)
-    top = clustering_of((0, 0, 0, 0), terminal_levels(view))
+    top = clustering_of((0, 0, 0, 0), view.levels)
     ref = ref_overlapping_dual(view, range(T), 1 << 62)
     assert ref_check_dual_feasibility(ref, view, top) == (
         False, f"edge (0,1) overloaded: {2 * MAX_DIST} > {MAX_DIST}")

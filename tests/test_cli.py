@@ -284,6 +284,24 @@ def test_oracle_command(w1_file, capsys):
     assert lines[1:] == ["0 1", "2 3"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--input", "{w1}", "--seed", "3"],
+    ["oracle", "--input", "{w1}", "--out", "{tmp}/o"],
+    ["oracle", "--input", "{w1}", "--quiet"],
+    ["certify", "--trace", "{tmp}/r/trace", "--seed", "3"],
+])
+def test_a_flag_the_command_never_reads_is_a_usage_error(tmp_path, w1_file, capsys, argv):
+    assert main(["run", "--input", w1_file, "--lam", "1", "--out", str(tmp_path / "r"),
+                 "--quiet"]) == 0
+    capsys.readouterr()
+    rc = main([a.format(w1=w1_file, tmp=tmp_path) for a in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error[E_CONFIG]" in err and "unrecognized arguments" in err
+    assert not (tmp_path / "o").exists()
+    assert not (tmp_path / "r" / "trace" / "certify.csv").exists()
+
+
 def test_oracle_limit_exit_code(tmp_path):
     inst = line_instance(list(range(8)))  # 4 pairs
     path = tmp_path / "i.sfo"

@@ -20,8 +20,6 @@ from sfonline.clustering import (
     active_virtual_edges,
     dump_hierarchy,
     level_metrics,
-    terminal_level,
-    terminal_levels,
 )
 from sfonline.errors import ConfigError
 from sfonline.forest import OnlineState, advance
@@ -131,19 +129,17 @@ def brute_contracted_distance(view, assignment, contracted_by, C1, C2):
 
 def test_terminal_level_examples(w1):
     view = w1.view(2)
-    assert terminal_level(view, 0) == 0  # dist 1 -> level 0
-    assert terminal_level(view, 2) == 2  # dist 4 -> level 2
+    assert view.levels[0] == 0  # dist 1 -> level 0
+    assert view.levels[2] == 2  # dist 4 -> level 2
     five = line_instance([0, 5])
-    assert terminal_level(five.view(1), 0) == 3  # ceil(log2 5) = 3
+    assert five.view(1).levels == (3, 3)  # ceil(log2 5) = 3
 
 
 def test_terminal_level_matches_float_log():
     import math
 
-    big = line_instance([0, 1])
-    view = big.view(1)
     for d in list(range(1, 70)) + [2**k for k in range(1, 40)] + [2**k + 1 for k in range(1, 40)]:
-        exact = (d - 1).bit_length()
+        exact = line_instance([0, d]).view(1).levels[0]
         assert exact == math.ceil(math.log2(d)) if d > 1 else exact == 0
 
 
@@ -264,15 +260,15 @@ def test_virtual_graph_thresholds(w1):
     # Two active singletons at distance 3 with i=1: 3 < 4 gives one edge.
     inst = line_instance([0, 3, 100, 1000])
     view = inst.view(1)
-    cl = clustering_of((0, 1), terminal_levels(view))
+    cl = clustering_of((0, 1), view.levels)
     assert level_edges(view, cl, 1) == ((0, 1),)
     # Distance exactly 2^(i+1) gives no edge (strict inequality).
     inst4 = line_instance([0, 4])
     view4 = inst4.view(1)
-    cl4 = clustering_of((0, 1), terminal_levels(view4))
+    cl4 = clustering_of((0, 1), view4.levels)
     assert level_edges(view4, cl4, 1) == ()
     # Single active cluster: empty edge set.
-    clw = clustering_of((0, 0), terminal_levels(w1.view(1)))
+    clw = clustering_of((0, 0), w1.view(1).levels)
     assert level_edges(w1.view(1), clw, 0) == ()
 
 
@@ -305,11 +301,11 @@ def test_refinement_basics(w1):
     triv, top = h.clusterings[0], h.top
     assert check_refinement(triv, triv)
     assert check_refinement(triv, top)
-    a = clustering_of((0, 0, 2, 3), terminal_levels(view))  # {ab},{c},{d}
-    b = clustering_of((0, 1, 0, 3), terminal_levels(view))  # {ac},{b},{d}
+    a = clustering_of((0, 0, 2, 3), view.levels)  # {ab},{c},{d}
+    b = clustering_of((0, 1, 0, 3), view.levels)  # {ac},{b},{d}
     assert not check_refinement(a, b)
     with pytest.raises(ConfigError):
-        check_refinement(top, clustering_of((0, 1), terminal_levels(w1.view(1))))
+        check_refinement(top, clustering_of((0, 1), w1.view(1).levels))
 
 
 def test_hierarchy_invariants_on_random_instances():

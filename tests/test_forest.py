@@ -13,7 +13,6 @@ from sfonline.clustering import (
     Clustering,
     Hierarchy,
     build_hierarchy,
-    terminal_levels,
 )
 from sfonline.errors import ConfigError
 from sfonline.forest import (
@@ -77,7 +76,7 @@ def test_classify_inheritance_maps_and_absorbs(w1):
     new_same = build_hierarchy(view)[0].clusterings[0]
     parents = classify_inheritance([pe], new_same, [(0, 1)])
     assert parents == {(0, 1): pe}
-    merged = clustering_of((0, 0, 2, 3), terminal_levels(view))
+    merged = clustering_of((0, 0, 2, 3), view.levels)
     assert classify_inheritance([pe], merged, []) == {}
 
 

@@ -15,7 +15,7 @@ from sfonline.metric import (
     validate_metric,
 )
 
-from conftest import line_instance
+from conftest import line_instance, uniform_instance
 
 
 def test_validate_smallest_legal_metric():
@@ -106,11 +106,7 @@ def test_line_chain_pair_levels():
     inst = generate_instance(GeneratorSpec(kind="line-chain", n=2, seed=11))
     assert inst.d(0, 1) == 1
     assert inst.d(2, 3) == 4
-    from sfonline.clustering import terminal_level
-
-    view = inst.view(2)
-    assert terminal_level(view, 0) == 0
-    assert terminal_level(view, 2) == 2
+    assert inst.view(2).levels == (0, 0, 2, 2)
 
 
 def test_view_exposes_prefix_only(w1):
@@ -121,7 +117,48 @@ def test_view_exposes_prefix_only(w1):
     with pytest.raises(ConfigError):
         v1.d(0, 2)
     with pytest.raises(ConfigError):
+        v1.d(0, -1)  # numpy would read d(0, 3) through the negative index
+    with pytest.raises(ConfigError):
         w1.view(3)
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_view_levels_are_ceil_log2_of_the_pair_distance(kind):
+    inst = generate_instance(GeneratorSpec(kind=kind, n=20, seed=3))
+    for t in (1, 7, 20):
+        view = inst.view(t)
+        # Exact ceil(log2 d) for integer d >= 1: the least k with 2^k >= d.
+        want = tuple(next(k for k in range(64) if 1 << k >= view.d(v, mate(v)))
+                     for v in range(2 * t))
+        assert view.levels == want
+
+
+def test_view_levels_at_max_dist():
+    assert uniform_instance(2).view(2).levels == (62, 62, 62, 62)
+
+
+def test_view_cost_is_the_sum_of_d():
+    import random
+
+    inst = generate_instance(GeneratorSpec(kind="random-metric", n=8, seed=5))
+    rng = random.Random(1)
+    for t in (1, 4, 8):
+        view = inst.view(t)
+        for size in (0, 1, 2, 5, 30):
+            edges = [tuple(rng.sample(range(2 * t), 2)) if t > 1 else (0, 1)
+                     for _ in range(size)]
+            assert view.cost(edges) == sum(view.d(a, b) for a, b in edges)
+            assert view.cost(frozenset(edges)) == sum(view.d(a, b) for a, b in set(edges))
+    with pytest.raises(ConfigError):
+        inst.view(2).cost([(0, 1), (2, 4)])
+    with pytest.raises(ConfigError):
+        inst.view(2).cost([(0, 1), (-1, 2)])
+
+
+def test_view_cost_is_exact_past_int64():
+    cost = uniform_instance(2).view(2).cost([(0, 1), (1, 2), (2, 3)])
+    assert cost == 3 * MAX_DIST > 2**63
+    assert type(cost) is int
 
 
 def test_view_distances_agree_with_base():

@@ -16,13 +16,12 @@ from sfonline.oracles import (
     OnlineGluttonousState,
     exact_optimum,
     offline_gluttonous_forest,
-    prim_mst,
     run_baseline,
 )
 from sfonline.trace import iter_online
 from sfonline.unionfind import UnionFind
 
-from conftest import line_instance
+from conftest import line_instance, uniform_instance
 from test_clustering import assert_matches_reference
 
 
@@ -74,8 +73,9 @@ def pair_partitions(k: int):
 
 
 def reference_prim_mst(view, terminals):
-    """(cost, edges) of the MST over `terminals`, with the same canonical
-    tie-break as `prim_mst`, read through `view.d`."""
+    """(cost, edges) of the MST over `terminals`, read through `view.d`:
+    Prim from the smallest id, key ties broken toward the smaller vertex and
+    the smaller parent."""
     terms = sorted(terminals)
     if len(terms) <= 1:
         return 0, frozenset()
@@ -101,10 +101,9 @@ def reference_prim_mst(view, terminals):
 
 
 def enumerated_optimum(view):
-    """Reference oracle: (cost, partition, forest) by enumerating every
-    partition of the pairs, one MST per group. Ties go to the first
-    partition in enumeration order, i.e. the smallest restricted-growth
-    string."""
+    """Reference oracle: (cost, partition) by enumerating every partition of
+    the pairs, one MST per group. Ties go to the first partition in
+    enumeration order, i.e. the smallest restricted-growth string."""
     mst_cache = {}
 
     def group_cost(block):
@@ -112,16 +111,15 @@ def enumerated_optimum(view):
         hit = mst_cache.get(key)
         if hit is None:
             hit = mst_cache[key] = reference_prim_mst(
-                view, [x for p in block for x in (2 * p, 2 * p + 1)])
+                view, [x for p in block for x in (2 * p, 2 * p + 1)])[0]
         return hit
 
     best = best_blocks = None
     for blocks in pair_partitions(view.t):
-        cost = sum(group_cost(blk)[0] for blk in blocks)
+        cost = sum(group_cost(blk) for blk in blocks)
         if best is None or cost < best:
             best, best_blocks = cost, [list(blk) for blk in blocks]
-    forest = frozenset().union(*(group_cost(blk)[1] for blk in best_blocks))
-    return best, tuple(tuple(blk) for blk in best_blocks), forest
+    return best, tuple(tuple(blk) for blk in best_blocks)
 
 
 def test_pair_partitions_counts_are_bell_numbers():
@@ -140,17 +138,18 @@ def test_subset_dp_matches_enumeration(kind, scale):
         costs = []
         for t in range(1, 9):
             res = exact_optimum(inst.view(t))
-            cost, partition, forest = enumerated_optimum(inst.view(t))
-            assert (res.cost, res.partition, res.forest) == (cost, partition, forest), (seed, t)
+            cost, partition = enumerated_optimum(inst.view(t))
+            assert (res.cost, res.partition) == (cost, partition), (seed, t)
             assert res.prefix_costs == tuple(costs) + (cost,)
             costs.append(cost)
 
 
-def prim_subset_mst_costs(dist):
-    """Reference for `_subset_mst_costs`: one `prim_mst` call per pair subset."""
-    d = np.asarray(dist).tolist()
-    t = len(d) // 2
-    return [0] + [prim_mst(d, [x for p in range(t) if G >> p & 1 for x in (2 * p, 2 * p + 1)])[0]
+def prim_subset_mst_costs(inst):
+    """Reference for `_subset_mst_costs`: one `reference_prim_mst` call per
+    pair subset of the whole instance."""
+    t, view = inst.n, inst.view(inst.n)
+    return [0] + [reference_prim_mst(view, [x for p in range(t) if G >> p & 1
+                                            for x in (2 * p, 2 * p + 1)])[0]
                   for G in range(1, 1 << t)]
 
 
@@ -159,50 +158,43 @@ def prim_subset_mst_costs(dist):
        seed=st.integers(0, 10**6), t=st.integers(1, 9))
 def test_subset_mst_costs_match_prim_mst(kind, scale, seed, t):
     # Scales 1 to 3 make most distances equal, so Prim's ties come up often.
-    dist = generate_instance(GeneratorSpec(kind=kind, n=t, seed=seed, scale=scale)).dist
-    assert oracles._subset_mst_costs(dist) == prim_subset_mst_costs(dist)
-
-
-def _uniform_max_dist(T):
-    dist = np.full((T, T), MAX_DIST, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    return dist
+    inst = generate_instance(GeneratorSpec(kind=kind, n=t, seed=seed, scale=scale))
+    assert oracles._subset_mst_costs(inst.dist) == prim_subset_mst_costs(inst)
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, 64])
 def test_subset_mst_costs_across_block_boundaries(monkeypatch, block):
     # 2^7 - 1 and 2^9 - 1 subsets split unevenly into these blocks; the
     # uniform MAX_DIST metric has trees whose cost passes 2^63.
-    cases = [generate_instance(GeneratorSpec(kind="random-metric", n=7, seed=2, scale=3)).dist,
-             _uniform_max_dist(18)]
-    want = [oracles._subset_mst_costs(dist) for dist in cases]
+    cases = [generate_instance(GeneratorSpec(kind="random-metric", n=7, seed=2, scale=3)),
+             uniform_instance(9)]
+    want = [oracles._subset_mst_costs(inst.dist) for inst in cases]
     monkeypatch.setattr(oracles, "MST_BLOCK", block)
-    for dist, costs in zip(cases, want):
-        assert oracles._subset_mst_costs(dist) == costs == prim_subset_mst_costs(dist)
+    for inst, costs in zip(cases, want):
+        assert oracles._subset_mst_costs(inst.dist) == costs == prim_subset_mst_costs(inst)
     assert max(want[1]) == 17 * MAX_DIST
 
 
 def test_prim_mst_on_line():
+    # The reference Prim and the vectorized subset costs on a hand-checked line.
     inst = line_instance([0, 1, 10, 14])
-    d = inst.view(2).dist_matrix().tolist()
-    cost, edges = prim_mst(d, [0, 1, 2, 3])
+    cost, edges = reference_prim_mst(inst.view(2), [0, 1, 2, 3])
     assert cost == 14  # 1 + 9 + 4
     assert edges == frozenset([(0, 1), (1, 2), (2, 3)])
-    assert prim_mst(d, [2]) == (0, frozenset())
+    assert reference_prim_mst(inst.view(2), [2]) == (0, frozenset())
+    assert oracles._subset_mst_costs(inst.dist) == [0, 1, 4, 14]
 
 
 def test_exact_optimum_single_pair(w1):
     res = exact_optimum(w1.view(1))
     assert res.cost == 1
     assert res.partition == ((0,),)
-    assert res.forest == frozenset([(0, 1)])
 
 
 def test_exact_optimum_w1(w1):
     res = exact_optimum(w1.view(2))
     assert res.cost == 5  # separate groups beat the cost-14 merged tree
     assert res.partition == ((0,), (1,))
-    assert feasible(res.forest, w1.demands)
 
 
 def test_exact_optimum_separated_pairs():
@@ -216,7 +208,7 @@ def test_exact_optimum_prefers_merging_when_cheaper():
     # Pairs interleaved tightly: one group costs less than two.
     inst = line_instance([0, 100, 1, 101])
     res = exact_optimum(inst.view(2))
-    merged = prim_mst(inst.view(2).dist_matrix().tolist(), [0, 1, 2, 3])[0]
+    merged = reference_prim_mst(inst.view(2), [0, 1, 2, 3])[0]
     assert res.cost == min(merged, 200)
     assert res.cost == merged == 101  # 1 + 99 + 1 on positions 0,1,100,101
 

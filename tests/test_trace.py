@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfonline import clustering
+from sfonline import clustering, metric
 from sfonline.certify import check_run
 from sfonline.clustering import (
     ContractedMetric,
@@ -591,3 +591,23 @@ def test_every_single_field_edit_fails_or_is_a_format_error(tmp_path, kind):
         (d / name).write_text(text)
     assert {_field_class(path) for _, path, _ in passing} <= CENSUS_PASS_CLASSES, sorted(
         edit for edit in passing if _field_class(edit[1]) not in CENSUS_PASS_CLASSES)
+
+
+def test_levels_are_derived_once_per_instance(tmp_path, monkeypatch):
+    # A terminal's level is fixed when its pair arrives: one derivation per
+    # Instance object, however many arrivals, saves, loads and checks read it.
+    calls = []
+
+    def counted(dist):
+        calls.append(len(dist))
+        return pair_levels(dist)
+
+    pair_levels = metric._pair_levels
+    monkeypatch.setattr(metric, "_pair_levels", counted)
+    inst = generate_instance(GeneratorSpec(kind="line-chain", n=6, seed=1))
+    trace = run_online(inst, 2)
+    save_trace(trace, tmp_path / "t")
+    loaded = load_trace(tmp_path / "t")
+    assert check_run(loaded, witness_levels=None).ok
+    assert loaded.instance is not inst
+    assert calls == [12, 12]  # the generated instance and the loaded one
