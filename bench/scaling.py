@@ -18,8 +18,8 @@ byte count and sha256 over its files, a sha256 over the certify phase's
 trace format), a sha256 over the baselines' per-prefix costs and one over
 the oracle's, the run's (arrival, level) pair count and how many of those
 pairs the arrival left unchanged, the cell's peak resident set size, and per
-kind and phase the least-squares exponent of time against n. It calls only sfonline's public API, so
-`--parent` can measure any tree that has it.
+kind and phase the least-squares exponent of time against n. It calls only
+sfonline's public API, so `--parent` can measure any tree that has it.
 
 Only the standard library and sfonline (with its numpy) are used:
 

@@ -128,7 +128,7 @@ def test_view_levels_are_ceil_log2_of_the_pair_distance(kind):
     for t in (1, 7, 20):
         view = inst.view(t)
         # Exact ceil(log2 d) for integer d >= 1: the least k with 2^k >= d.
-        want = tuple(next(k for k in range(64) if 1 << k >= view.d(v, mate(v)))
+        want = tuple(next(k for k in range(64) if 1 << k >= inst.d(v, mate(v)))
                      for v in range(2 * t))
         assert view.levels == want
 
@@ -137,7 +137,7 @@ def test_view_levels_at_max_dist():
     assert uniform_instance(2).view(2).levels == (62, 62, 62, 62)
 
 
-def test_view_cost_is_the_sum_of_d():
+def test_view_cost_is_the_sum_of_the_distances():
     import random
 
     inst = generate_instance(GeneratorSpec(kind="random-metric", n=8, seed=5))
@@ -147,8 +147,10 @@ def test_view_cost_is_the_sum_of_d():
         for size in (0, 1, 2, 5, 30):
             edges = [tuple(rng.sample(range(2 * t), 2)) if t > 1 else (0, 1)
                      for _ in range(size)]
-            assert view.cost(edges) == sum(view.d(a, b) for a, b in edges)
-            assert view.cost(frozenset(edges)) == sum(view.d(a, b) for a, b in set(edges))
+            # view.d is a one-edge cost, so the reference reads the whole instance.
+            assert view.cost(edges) == sum(inst.d(a, b) for a, b in edges)
+            assert view.cost(frozenset(edges)) == sum(inst.d(a, b) for a, b in set(edges))
+            assert [view.d(a, b) for a, b in edges] == [inst.d(a, b) for a, b in edges]
     with pytest.raises(ConfigError):
         inst.view(2).cost([(0, 1), (2, 4)])
     with pytest.raises(ConfigError):
