@@ -266,20 +266,46 @@ def _mark_first_fresh_edge_inherited(out):
     _set_entry(out, level, index, inherited=True, parent=ve.endpoints)
 
 
-def _level_8_as(labels):
-    """Edit that sets a decoded arrival's C_8 to the clustering of `labels`."""
+def _set_edge(level, endpoints, **fields):
+    """Edit that replaces `fields` of a decoded arrival's level-`level` forest
+    entry with these endpoints."""
     def edit(out):
-        h = out.hierarchy
-        c0 = h.clusterings[0]
-        cls = list(h.clusterings)
-        cls[8] = clustering_of(labels, [c0.cluster_level[k] for k in range(len(c0.assignment))])
-        out.hierarchy = Hierarchy(h.L, tuple(cls))
+        index = next(k for k, ve in enumerate(out.forest[level]) if ve.endpoints == endpoints)
+        _set_entry(out, level, index, **fields)
     return edit
 
 
-# case -> (arrival, edit of the decoded arrival, substrings of the certify.csv
-# FAIL rows). The edited trace is saved again with save_trace, so each case
-# states what the trace says, not how its files spell it.
+def _levels_as(labels, *levels):
+    """Edit that sets a decoded arrival's C_i, for each i of `levels`, to one
+    shared clustering of `labels`."""
+    def edit(out):
+        h = out.hierarchy
+        c0 = h.clusterings[0]
+        cl = clustering_of(labels, [c0.cluster_level[k] for k in range(len(c0.assignment))])
+        out.hierarchy = Hierarchy(h.L, tuple(cl if i in levels else c
+                                             for i, c in enumerate(h.clusterings)))
+    return edit
+
+
+def _edits(*changes):
+    """Edit that applies each of `changes` in turn."""
+    def edit(out):
+        for change in changes:
+            change(out)
+    return edit
+
+
+def _drop_pin(edge):
+    """Edit that drops `edge` from a decoded arrival's pinned list."""
+    def edit(out):
+        out.pinned_after = tuple(p for p in out.pinned_after if p[0] != edge)
+    return edit
+
+
+# case -> (arrival or tuple of arrivals, edit applied to each decoded arrival,
+# substrings of the certify.csv FAIL rows). The edited trace is saved again
+# with save_trace, so each case states what the trace says, not how its files
+# spell it.
 SEMANTIC_TAMPERINGS = {
     "costs-set-to-one": (
         4,
@@ -341,14 +367,14 @@ SEMANTIC_TAMPERINGS = {
     # is edited to leave 5 out of 1's cluster: {0} {1,6} {2} {3,7} {4} {5}.
     "clustering-splits-previous": (
         4,
-        _level_8_as([0, 1, 2, 3, 4, 5, 1, 3]),
+        _levels_as([0, 1, 2, 3, 4, 5, 1, 3], 8),
         ["refine-across-arrivals,8,4,fail,fine cluster 1 split at terminal 5",
          "active-cluster-gap,8,4,fail,gap=192 2^i=256"]),
     # Now 1's cluster only shrinks, to {1}, and 5 joins 6: a cluster that
     # loses members and gains none is stored too.
     "clustering-shrinks-previous": (
         4,
-        _level_8_as([0, 1, 2, 3, 4, 5, 5, 3]),
+        _levels_as([0, 1, 2, 3, 4, 5, 5, 3], 8),
         ["refine-across-arrivals,8,4,fail,fine cluster 1 split at terminal 5",
          "forest-contracts-to-next,8,4,fail,terminal 5 in 5 want 0"]),
     # Arrival 4 inherits level-8 edge (1,2); marked fresh, it leaves C_inh,8
@@ -374,6 +400,61 @@ SEMANTIC_TAMPERINGS = {
         2,
         lambda out: setattr(out, "ledger", dataclasses.replace(out.ledger, buffer_end=-1)),
         ["buffer-bound,,2,fail,|B|=-1"]),
+    # The cases below break the facts under which a check may be carried
+    # from one arrival to the next: each must still FAIL at the later arrival.
+    # Level 8's fresh (2,3) of arrival 2, inherited at arrival 3, realized at
+    # both by (1,2): pinned (1,2) and the edge join 1 and 2, never 3.
+    "eorig-does-not-connect-twice": (
+        (2, 3),
+        _set_edge(8, (2, 3), eorig=frozenset({(1, 2)})),
+        ["realization-connects,8,2,fail,eorig of (2;3) does not join its clusters",
+         "realization-connects,8,3,fail,eorig of (2;3) does not join its clusters"]),
+    # (2,3) realized by (3,5) at arrivals 3 and 4: 5 sits in cluster 1, and
+    # pinned (1,2) joins 1 to 2 at arrival 3. Arrival 4 drops that pin.
+    "inherited-realization-loses-its-pin": (
+        (3, 4),
+        lambda out: _edits(_set_edge(8, (2, 3), eorig=frozenset({(3, 5)})),
+                           *[_drop_pin((1, 2))] * (out.t == 4))(out),
+        ["pinned-monotone,,4,fail,",
+         "realization-connects,8,4,fail,eorig of (2;3) does not join its clusters"]),
+    # Level 9's (0,4) realized by (0,2) and (3,4) at arrivals 3 and 4: at
+    # arrival 3, 2 and 3 share cluster 1. Arrival 4's C_9 is split to
+    # {0,1,2,5,6} {3,7} {4}, which parts them.
+    "inherited-realization-split-off": (
+        (3, 4),
+        lambda out: _edits(_set_edge(9, (0, 4), eorig=frozenset({(0, 2), (3, 4)})),
+                           *[_levels_as([0, 0, 0, 3, 4, 0, 0, 3], 9)] * (out.t == 4))(out),
+        ["refine-across-arrivals,9,4,fail,fine cluster 1 split at terminal 3",
+         "realization-connects,9,4,fail,eorig of (0;4) does not join its clusters"]),
+    # Arrival 4's inherited (2,3) at level 8 realized by (1,2), not its
+    # parent's (2,3).
+    "inherited-eorig-does-not-connect": (
+        4,
+        _set_edge(8, (2, 3), eorig=frozenset({(1, 2)})),
+        ["inheritance-provenance,8,4,fail,(2;3) realizes other edges than its parent",
+         "realization-connects,8,4,fail,eorig of (2;3) does not join its clusters"]),
+    # ... or moved onto cluster 4, where its parent's image is (2,3).
+    "inherited-edge-moved": (
+        4,
+        _set_edge(8, (2, 3), c2=4),
+        ["inheritance-provenance,8,4,fail,(2;4) is not its parent's image",
+         "realization-connects,8,4,fail,eorig of (2;4) does not join its clusters"]),
+    # Arrival 4's levels 0-6 share the singletons. New terminal 6 put into
+    # old cluster 1 of C_3 = C_4 leaves level 3 with no forest and C_inh,3 =
+    # C_4, but C_4 is no longer arrival 3's plus the two singletons.
+    "new-terminal-in-old-cluster": (
+        4,
+        _levels_as([0, 1, 2, 3, 4, 5, 1, 7], 3, 4),
+        ["forest-contracts-to-next,2,4,fail,terminal 6 in 6 want 1",
+         "forest-contracts-to-next,4,4,fail,terminal 6 in 1 want 6"]),
+    # A fresh entry recorded on level 3, which arrival 4 leaves alone: the
+    # witness grows no source for it.
+    "fresh-edge-on-unchanged-level": (
+        4,
+        lambda out: out.forest.update(
+            {3: [dataclasses.replace(out.forest[9][0], level=3, c1=0, c2=1, inherited=False,
+                                     parent=None, eorig=frozenset({(0, 1)}), created_at=4)]}),
+        ["witness-invariants,3,4,fail,|X| = 0 but non-inherited count is 1"]),
 }
 
 
@@ -383,7 +464,8 @@ def test_tampered_trace_gets_fail_rows(tmp_path, capsys, case):
     save_trace(run_online(generate_instance(GeneratorSpec(kind="euclidean", n=4, seed=1)),
                           lam=2), tmp_path / "honest")
     trace = load_trace(tmp_path / "honest")
-    change(trace.arrivals[t - 1])
+    for k in t if isinstance(t, tuple) else (t,):
+        change(trace.arrivals[k - 1])
     d = tmp_path / "trace"
     save_trace(trace, d)
     assert main(["certify", "--trace", str(d), "--out", str(tmp_path / "c")]) == 1
