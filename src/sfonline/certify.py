@@ -9,6 +9,14 @@ the dual-fitting source sets of every witness level, asserting their four
 invariants. After the walk, each level's rows follow: the ball-growing
 dual, its exact feasibility, and the value identities.
 
+Two checks are carried from one arrival to the next where that is exact,
+and run in full elsewhere, so every row keeps its bytes. An inherited
+entry skips `realization-connects` when its level passed it at the
+previous arrival, the pins only grew, C_i only coarsened, and the entry is
+its parent's image with the parent's eorig. A witness level that the
+arrival left alone checks only the new pair (see WitnessState.step).
+Edge-set costs are reused across arrivals by eorig, once computed.
+
 The dual radius at level i is 2^(i-1), a half at level 0, so the witness
 holds every radius and dual value doubled: all are integers, and every
 asserted identity stays exact. Edge loads come in closed form from the
@@ -32,7 +40,7 @@ from .clustering import (
     level_metrics,
     level_threshold,
 )
-from .errors import SfonlineError
+from .errors import ConfigError, SfonlineError
 from .metric import MAX_DIST, InstanceView
 from .unionfind import UnionFind
 
@@ -79,19 +87,74 @@ class WitnessState:
     final_xhat: set = dataclasses.field(default_factory=set)  # Xhat
     final_sources: set = dataclasses.field(default_factory=set)  # X
     noninherited_counts: list = dataclasses.field(default_factory=list)  # |F_i \ F_inh,i| per t
+    # sum(noninherited_counts), and the C_{i+1} assignment of the last step
+    # if it passed (arrival zero's is empty), else None.
+    total: int = dataclasses.field(default=0, repr=False, compare=False)
+    passed_next: tuple | None = dataclasses.field(default=(), repr=False, compare=False)
 
     def step(self, view, out, cinh_i) -> None:
         """Advance by arrival `out`, whose C_inh,i is `cinh_i` and whose
         instance prefix is `view`. The new pair's endpoints join Xhat when
         they are the only high-level vertices of their C_inh,i cluster; X
         gains k-1 smallest fresh Xhat vertices per top cluster glued out of k
-        inherited clusters. The four invariants are asserted after the step."""
+        inherited clusters. The four invariants are asserted after the step.
+
+        A level the arrival left alone takes O(new terminals) steps. Say the
+        last step passed, C_{i+1} keeps its assignment on the older terminals,
+        and C_inh,i has C_{i+1}'s assignment. Then every old top cluster keeps
+        k = 1, its activity and its spare. If, too, the new pair is below
+        level i, or sits apart from the older terminals (as two singletons or
+        as one cluster), only the new pair needs checking."""
         t, i, lv = out.t, self.level, view.levels
-        xhat, x, counts = self.final_xhat, self.final_sources, self.noninherited_counts
+        xhat, x = self.final_xhat, self.final_sources
         u, v = 2 * t - 2, 2 * t - 1
         cl_next = out.hierarchy.clustering(i + 1)
+        prev, self.passed_next = self.passed_next, None
         if cinh_i is None:
             raise WitnessError("an inherited edge does not join two clusters", t)
+        top_of = cl_next.assignment
+        added = None if lv[u] >= i else []
+        if added is None and top_of[-2:] in ((u, v), (u, u)):
+            added = [u, v] if top_of[-1] == v else [u]
+        if (added is not None and prev is not None and top_of[:-2] == prev
+                and (cinh_i is cl_next or cinh_i.assignment == top_of)):
+            xhat.update(added)
+            self._count(out)
+            self._separate(view, added, t)
+        else:
+            self._full_step(view, out, cinh_i, u, v)
+        # The grown-source count tracks the non-inherited forest edges.
+        if len(x) != self.total:
+            raise WitnessError(f"|X| = {len(x)} but non-inherited count is {self.total}", t)
+        self.passed_next = top_of
+
+    def _count(self, out) -> None:
+        """Append the arrival's non-inherited level-i forest edge count."""
+        count = sum(1 for ve in out.forest.get(self.level, ()) if not ve.inherited)
+        self.noninherited_counts.append(count)
+        self.total += count
+
+    def _separate(self, view, added, t) -> None:
+        """Candidate sources stay pairwise 2r-separated. Earlier arrivals
+        checked every older pair and the new vertices have the largest ids,
+        so testing the pairs that end at a new vertex, in row-major order,
+        finds the same first close pair as testing all of them. Distances
+        stay below 2^62, so clamping 2r = 2^i there keeps d < 2r exact."""
+        if not added:
+            return
+        r2 = level_threshold(self.level - 1)
+        rows = view.dist_matrix()[added].tolist()
+        close = [(z, k) for k, (b, row) in enumerate(zip(added, rows))
+                 for z in self.final_xhat if z < b and row[z] < r2]
+        if close:
+            z, k = min(close)
+            raise WitnessError(f"sources {z},{added[k]} closer than 2r", t)
+
+    def _full_step(self, view, out, cinh_i, u, v) -> None:
+        """The step re-derived from every i-active cluster."""
+        t, i, lv = out.t, self.level, view.levels
+        xhat, x = self.final_xhat, self.final_sources
+        cl_next = out.hierarchy.clustering(i + 1)
         added = []
         if lv[u] >= i:
             cu = cinh_i.assignment[u]
@@ -123,25 +186,13 @@ class WitnessState:
             if k > 1:
                 x.update(sorted(cands)[: k - 1])
 
-        counts.append(sum(1 for ve in out.forest.get(i, ()) if not ve.inherited))
+        self._count(out)
 
         # Candidate sources must sit inside active next-level clusters.
         for z in xhat:
             if cl_next.cluster_level[top_of[z]] < i:
                 raise WitnessError(f"source {z} sits in an inactive cluster", t)
-        # Candidate sources stay pairwise 2r-separated. Earlier arrivals
-        # checked every older pair and the new vertices have the largest ids,
-        # so testing the pairs that end at a new vertex, in row-major order,
-        # finds the same first close pair as testing all of them. Distances
-        # stay below 2^62, so clamping 2r = 2^i there keeps d < 2r exact.
-        if added:
-            xs = sorted(xhat)
-            close = (view.dist_matrix()[np.ix_(xs, added)] < level_threshold(i - 1)) \
-                & (np.array(xs)[:, None] < np.array(added)[None, :])
-            hits = np.argwhere(close)
-            if len(hits):
-                a, b = hits[0]
-                raise WitnessError(f"sources {xs[a]},{added[b]} closer than 2r", t)
+        self._separate(view, added, t)
         # Grown sources stay within the candidates, and every active cluster
         # keeps at least one spare candidate outside the grown set.
         if not x <= xhat:
@@ -150,9 +201,6 @@ class WitnessState:
         for cid in active:
             if cid not in spare:
                 raise WitnessError(f"cluster {cid} has no Xhat vertex outside X", t)
-        # The grown-source count tracks the non-inherited forest edges.
-        if len(x) != sum(counts):
-            raise WitnessError(f"|X| = {len(x)} but non-inherited count is {sum(counts)}", t)
 
 
 def radius(level: int) -> int:
@@ -331,10 +379,11 @@ def _unarrived(edges, T):
 
 def _edges_cost(view: InstanceView, edges):
     """Total cost of `edges`, or None when one has an endpoint not yet
-    arrived (a trace is untrusted input, so ids are checked before lookup)."""
-    if _unarrived(edges, view.num_terminals) is not None:
+    arrived (a trace is untrusted input; `view.cost` checks every id)."""
+    try:
+        return view.cost(edges)
+    except ConfigError:
         return None
-    return view.cost(edges)
 
 
 def _edge_str(edge) -> str:
@@ -420,10 +469,23 @@ def _pin_ledger_errors(out, prev_out):
     return wrong
 
 
-def _maps_onto(assignment, parent, ve):
-    """True iff the parent edge's endpoints land in ve's two distinct clusters."""
-    d1, d2 = assignment[parent.c1], assignment[parent.c2]
-    return d1 != d2 and {d1, d2} == {ve.c1, ve.c2}
+def _lineage_fault(ve, pe, assignment):
+    """"" when inherited entry `ve` is the image, under C_i's `assignment`,
+    of its parent `pe` with the parent's eorig and created_at; else the
+    inheritance-provenance phrase of what breaks."""
+    T = len(assignment)  # the parent's endpoints are untrusted ids too
+    if pe is None:
+        fault = "has no parent in the previous forest"
+    elif pe.eorig != ve.eorig:
+        fault = "realizes other edges than its parent"
+    elif pe.created_at != ve.created_at:
+        fault = f"created_at={ve.created_at} parent's={pe.created_at}"
+    elif len(images := {assignment[c] if 0 <= c < T else None
+                        for c in (pe.c1, pe.c2)}) < 2 or images != {ve.c1, ve.c2}:
+        fault = "is not its parent's image"
+    else:
+        return ""
+    return f"{_edge_str(ve.endpoints)} {fault}"
 
 
 def _structural_pass(trace, add, levels):
@@ -433,6 +495,11 @@ def _structural_pass(trace, add, levels):
     n = inst.n
     metrics = (NO_METRIC,)  # the previous arrival's level metrics, arrival zero's first
     ins_total = dels_total = 0
+    # The previous arrival's edge-set costs by eorig (computed ones only: an
+    # endpoint unarrived then may have arrived since), and its levels that
+    # passed realization-connects.
+    costs: dict = {}
+    joined: set = set()
     for prev_out, out in trace.with_previous():
         t = out.t
         view = inst.view(t)
@@ -444,17 +511,26 @@ def _structural_pass(trace, add, levels):
         pinned = [e for e, _ in out.pinned_after]
         ok = check_pinned_forest(pinned, 2 * n)
         add("pinned-forest", None, t, ok, f"|A|={len(out.pinned_after)}")
-        ok = out.pinned_after[: len(prev_out.pinned_after)] == prev_out.pinned_after
-        add("pinned-monotone", None, t, ok)
+        pins_kept = out.pinned_after[: len(prev_out.pinned_after)] == prev_out.pinned_after
+        add("pinned-monotone", None, t, pins_kept)
 
         T = view.num_terminals
         rebuilt = set(pinned)
         for entries in out.forest.values():
             for ve in entries:
                 rebuilt |= ve.eorig
-        realized = {i: [_edges_cost(view, ve.eorig) for ve in entries]
-                    for i, entries in out.forest.items()}
-        parts = [c for costs in realized.values() for c in costs]
+        prev_costs, costs = costs, {}
+        realized = {}
+        for i, entries in out.forest.items():
+            realized[i] = []
+            for ve in entries:
+                cost = prev_costs.get(ve.eorig)
+                if cost is None:
+                    cost = _edges_cost(view, ve.eorig)
+                if cost is not None:
+                    costs[ve.eorig] = cost
+                realized[i].append(cost)
+        parts = [c for level_costs in realized.values() for c in level_costs]
         rederived = (
             ("cost_f", out.snapshot.cost, _edges_cost(view, out.snapshot.edges)),
             ("cost_pinned", out.cost_pinned, _edges_cost(view, pinned)),
@@ -481,6 +557,7 @@ def _structural_pass(trace, add, levels):
         cinh = {i: _inherited_at(out, i) for i in {*range(hier.L + 1), *levels}}
         # Levels share clustering objects: test each (fine, coarse) pair once.
         split = functools.cache(refinement_fault)
+        prev_joined, joined = joined, set()
         for i, m in zip(range(hier.L + 1), metrics):
             cl = hier.clustering(i)
             cl_next = hier.clustering(i + 1)
@@ -523,47 +600,44 @@ def _structural_pass(trace, add, levels):
             for check, phrase in faults.items():
                 add(check, i, t, not phrase, phrase)
 
+            moved = split(prev_out.hierarchy.clustering(i), cl)
+            prev_forest = {pe.endpoints: pe for pe in prev_out.forest.get(i, [])}
+            lineage = [_lineage_fault(ve, prev_forest.get(ve.parent), cl.assignment)
+                       if ve.inherited else None for ve in fi]
+            # An inherited entry's realization still joins its clusters when
+            # its parent's did: the pins only grew, C_i only coarsened, and
+            # the entry keeps its parent's eorig and is its parent's image.
+            carried = pins_kept and not moved and i in prev_joined
             over_budget = unjoined = ""
-            # Clusters joined by the pins, shared by every edge of the level.
-            pinned_uf = UnionFind((cl.assignment[a], cl.assignment[b])
-                                  for a, b in (arrived_pins if fi else ()))
-            for ve, cost in zip(fi, realized.get(i, ())):
+            pinned_uf = None  # clusters joined by the pins, shared by the level's entries
+            for ve, cost, fault in zip(fi, realized.get(i, ()), lineage):
                 if not over_budget and cost is None:
                     over_budget = (f"edge {_edge_str(_unarrived(ve.eorig, T))} of "
                                    f"({ve.c1},{ve.c2}) has an endpoint not yet arrived")
                 elif not over_budget and cost > level_threshold(ve.level):
                     over_budget = f"({ve.c1},{ve.c2}) costs {cost} > {level_threshold(ve.level)}"
+                if unjoined or (carried and fault == ""):
+                    continue
+                if pinned_uf is None:
+                    pinned_uf = UnionFind((cl.assignment[a], cl.assignment[b])
+                                          for a, b in arrived_pins)
                 # Does eorig join ve's clusters once the pins are contracted?
                 uf2 = UnionFind((pinned_uf.find(cl.assignment[a]),
                                  pinned_uf.find(cl.assignment[b]))
                                 for a, b in (ve.eorig if cost is not None else ()))
-                if not unjoined and (uf2.find(pinned_uf.find(ve.c1))
-                                     != uf2.find(pinned_uf.find(ve.c2))):
+                if uf2.find(pinned_uf.find(ve.c1)) != uf2.find(pinned_uf.find(ve.c2)):
                     unjoined = f"eorig of {_edge_str(ve.endpoints)} does not join its clusters"
             add("edge-budget", i, t, not over_budget, over_budget)
             add("realization-connects", i, t, not unjoined, unjoined)
+            if not unjoined:
+                joined.add(i)
 
-            moved = split(prev_out.hierarchy.clustering(i), cl)
             add("refine-across-arrivals", i, t, not moved, moved)
             if cinh[i] is not None:
                 moved = split(prev_out.hierarchy.clustering(i + 1), cinh[i])
                 add("refine-into-inherited", i, t, not moved, moved)
 
-            bad_parent = ""
-            prev_forest = {pe.endpoints: pe for pe in prev_out.forest.get(i, [])}
-            for ve in finh:
-                e = _edge_str(ve.endpoints)
-                pe = prev_forest.get(ve.parent)
-                if pe is None:
-                    bad_parent = f"{e} has no parent in the previous forest"
-                elif pe.eorig != ve.eorig:
-                    bad_parent = f"{e} realizes other edges than its parent"
-                elif pe.created_at != ve.created_at:
-                    bad_parent = f"{e} created_at={ve.created_at} parent's={pe.created_at}"
-                elif not _maps_onto(cl.assignment, pe, ve):
-                    bad_parent = f"{e} is not its parent's image"
-                if bad_parent:
-                    break
+            bad_parent = next(filter(None, lineage), "")
             add("inheritance-provenance", i, t, not bad_parent, bad_parent)
         # The top clustering index gets the cross-arrival check too.
         moved = split(prev_out.hierarchy.clustering(hier.L + 1), hier.top)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from sfonline.certify import (
     DualSolution,
     WitnessError,
+    WitnessState,
+    _inherited_at,
     build_dual_witness,
     check_dual_feasibility,
     check_feasible,
@@ -23,6 +26,7 @@ from sfonline.clustering import (
     build_hierarchy,
     check_refinement,
     contract_clustering,
+    level_threshold,
 )
 from sfonline.errors import SfonlineError
 from sfonline.metric import (
@@ -33,9 +37,10 @@ from sfonline.metric import (
     generate_instance,
 )
 from sfonline.oracles import exact_optimum
-from sfonline.trace import run_online
+from sfonline.trace import load_trace, run_online
 
 from conftest import clustering_of, line_instance
+from test_trace import SEMANTIC_TAMPERINGS, tampered_trace
 
 
 def opt_map(instance, limit=9):
@@ -360,6 +365,129 @@ def test_check_run_detects_tampered_witness_counts(w1):
     ve.inherited, ve.parent = False, None
     with pytest.raises(WitnessError, match="cluster 0 offers 2 fresh sources, needs 3"):
         build_dual_witness(trace, 8)
+
+
+# ---------------------------------------------------------------------------
+# Reference witness step: every i-active cluster re-derived at every arrival
+# ---------------------------------------------------------------------------
+
+def ref_step(state, view, out, cinh_i):
+    """WitnessState.step without its shortcut for levels an arrival leaves
+    alone: each step recounts every i-active C_inh,i cluster."""
+    t, i, lv = out.t, state.level, view.levels
+    xhat, x, counts = state.final_xhat, state.final_sources, state.noninherited_counts
+    u, v = 2 * t - 2, 2 * t - 1
+    cl_next = out.hierarchy.clustering(i + 1)
+    if cinh_i is None:
+        raise WitnessError("an inherited edge does not join two clusters", t)
+    added = []
+    if lv[u] >= i:
+        cu = cinh_i.assignment[u]
+        cv = cinh_i.assignment[v]
+        high_u = [k for k in cinh_i.members[cu] if lv[k] >= i]
+        if cu == cv:
+            if sorted(high_u) == sorted([u, v]):
+                added = [u]
+        else:
+            high_v = [k for k in cinh_i.members[cv] if lv[k] >= i]
+            added = [z for z, high in ((u, high_u), (v, high_v)) if high == [z]]
+        xhat.update(added)
+
+    top_of = cl_next.assignment
+    active = [cid for cid in cl_next.cluster_ids if cl_next.cluster_level[cid] >= i]
+    subclusters = collections.Counter(
+        top_of[c2] for c2 in cinh_i.cluster_ids if cinh_i.cluster_level[c2] >= i)
+    fresh: dict = {}
+    for z in xhat - x:
+        fresh.setdefault(top_of[z], []).append(z)
+    for cid in active:
+        k = subclusters.get(cid, 0)
+        if k == 0:
+            raise WitnessError("active top cluster without active inherited subclusters", t)
+        cands = fresh.get(cid, ())
+        if len(cands) < k:
+            raise WitnessError(f"cluster {cid} offers {len(cands)} fresh sources, "
+                               f"needs {k}", t)
+        if k > 1:
+            x.update(sorted(cands)[: k - 1])
+
+    counts.append(sum(1 for ve in out.forest.get(i, ()) if not ve.inherited))
+
+    for z in xhat:
+        if cl_next.cluster_level[top_of[z]] < i:
+            raise WitnessError(f"source {z} sits in an inactive cluster", t)
+    if added:
+        xs = sorted(xhat)
+        close = (view.dist_matrix()[np.ix_(xs, added)] < level_threshold(i - 1)) \
+            & (np.array(xs)[:, None] < np.array(added)[None, :])
+        hits = np.argwhere(close)
+        if len(hits):
+            a, b = hits[0]
+            raise WitnessError(f"sources {xs[a]},{added[b]} closer than 2r", t)
+    if not x <= xhat:
+        raise WitnessError("X escapes Xhat", t)
+    spare = {top_of[z] for z in xhat - x}
+    for cid in active:
+        if cid not in spare:
+            raise WitnessError(f"cluster {cid} has no Xhat vertex outside X", t)
+    if len(x) != sum(counts):
+        raise WitnessError(f"|X| = {len(x)} but non-inherited count is {sum(counts)}", t)
+
+
+def stepped(trace, i, step):
+    """Level i's sets stepped by `step` over every arrival, and each
+    arrival's WitnessError as (t, message): a step that fails does not stop
+    the walk, so the steps after one are compared too."""
+    state = WitnessState(i)
+    errors = []
+    for out in trace.arrivals:
+        try:
+            step(state, trace.instance.view(out.t), out, _inherited_at(out, i))
+        except WitnessError as err:
+            errors.append((err.t, str(err)))
+    return state.final_xhat, state.final_sources, state.noninherited_counts, errors
+
+
+def assert_witness_matches_reference(trace):
+    for i in range(trace.final().hierarchy.L + 2):
+        assert stepped(trace, i, WitnessState.step) == stepped(trace, i, ref_step), i
+
+
+def _edit_entry(out, k, orphan):
+    """Edit arrival `out`'s k-th forest entry, in level order: flip its
+    inherited flag (a flag set names its own endpoints as its parent), or,
+    if `orphan`, mark it inherited with endpoint -1, so that its level has
+    no C_inh,i."""
+    out.forest = {i: list(entries) for i, entries in out.forest.items()}
+    i, j = [(i, j) for i in sorted(out.forest) for j in range(len(out.forest[i]))][k]
+    ve = out.forest[i][j]
+    if orphan:
+        out.forest[i][j] = dataclasses.replace(ve, c1=-1, inherited=True, parent=ve.endpoints)
+    else:
+        out.forest[i][j] = dataclasses.replace(
+            ve, inherited=not ve.inherited, parent=None if ve.inherited else ve.endpoints)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(GENERATOR_KINDS), n=st.integers(2, 8), lam=st.integers(1, 3),
+       seed=st.integers(0, 40),
+       edits=st.lists(st.tuples(st.integers(0), st.integers(0), st.booleans()), max_size=2))
+def test_witness_steps_match_the_reference(kind, n, lam, seed, edits):
+    # Honest runs, and runs with up to two forest entries edited: a flipped
+    # flag leaves C_inh,i other than C_{i+1}, and an orphan fails the step,
+    # so the next arrival steps a level whose last step failed.
+    trace = run_online(generate_instance(GeneratorSpec(kind=kind, n=n, seed=seed)), lam=lam)
+    for a, k, orphan in edits:
+        out = trace.arrivals[a % n]
+        entries = sum(map(len, out.forest.values()))
+        if entries:
+            _edit_entry(out, k % entries, orphan)
+    assert_witness_matches_reference(trace)
+
+
+@pytest.mark.parametrize("case", sorted(SEMANTIC_TAMPERINGS))
+def test_witness_steps_match_the_reference_on_tampered_traces(tmp_path, case):
+    assert_witness_matches_reference(load_trace(tampered_trace(tmp_path, case)))
 
 
 class _CountingList(list):

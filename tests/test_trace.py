@@ -439,6 +439,13 @@ SEMANTIC_TAMPERINGS = {
         _set_edge(8, (2, 3), c2=4),
         ["inheritance-provenance,8,4,fail,(2;4) is not its parent's image",
          "realization-connects,8,4,fail,eorig of (2;4) does not join its clusters"]),
+    # Arrival 3's (0,4) at level 9 moved to unknown cluster 99, and arrival
+    # 4's (0,4) naming it as its parent: an id outside C_9 maps onto nothing.
+    "parent-endpoint-unknown": (
+        (3, 4),
+        lambda out: _set_edge(9, (0, 4), **({"c1": 99} if out.t == 3 else
+                                            {"parent": (99, 4)}))(out),
+        ["inheritance-provenance,9,4,fail,(0;4) is not its parent's image"]),
     # Arrival 4's levels 0-6 share the singletons. New terminal 6 put into
     # old cluster 1 of C_3 = C_4 leaves level 3 with no forest and C_inh,3 =
     # C_4, but C_4 is no longer arrival 3's plus the two singletons.
@@ -447,6 +454,20 @@ SEMANTIC_TAMPERINGS = {
         _levels_as([0, 1, 2, 3, 4, 5, 1, 7], 3, 4),
         ["forest-contracts-to-next,2,4,fail,terminal 6 in 6 want 1",
          "forest-contracts-to-next,4,4,fail,terminal 6 in 1 want 6"]),
+    # Arrival 4's C_8 and C_9 set to arrival 3's C_9, {0} {1,2,3,5} {4}, plus
+    # the two singletons, and level 8's forest dropped: level 8 is left alone,
+    # but 6 lies at 253 < 2^8 from source 1.
+    "new-terminal-near-a-source": (
+        4,
+        _edits(_levels_as([0, 1, 1, 1, 4, 1, 6, 7], 8, 9), lambda out: out.forest.pop(8)),
+        ["witness-invariants,8,4,fail,sources 1;6 closer than 2r"]),
+    # ... and with {1,2,3,5} split into {1,2} and {3,5}: sources 1 and 2 are
+    # grown, so cluster 1 is left with no spare candidate.
+    "old-cluster-split-on-a-level-left-alone": (
+        4,
+        _edits(_levels_as([0, 1, 1, 3, 4, 3, 6, 7], 8, 9), lambda out: out.forest.pop(8)),
+        ["refine-across-arrivals,9,4,fail,fine cluster 1 split at terminal 3",
+         "witness-invariants,8,4,fail,cluster 1 offers 0 fresh sources; needs 1"]),
     # A fresh entry recorded on level 3, which arrival 4 leaves alone: the
     # witness grows no source for it.
     "fresh-edge-on-unchanged-level": (
@@ -458,9 +479,10 @@ SEMANTIC_TAMPERINGS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(SEMANTIC_TAMPERINGS))
-def test_tampered_trace_gets_fail_rows(tmp_path, capsys, case):
-    t, change, rows = SEMANTIC_TAMPERINGS[case]
+def tampered_trace(tmp_path, case):
+    """The directory of the euclidean n=4, lambda=2 trace with tampering
+    `case` applied to its decoded arrivals and saved again."""
+    t, change, _ = SEMANTIC_TAMPERINGS[case]
     save_trace(run_online(generate_instance(GeneratorSpec(kind="euclidean", n=4, seed=1)),
                           lam=2), tmp_path / "honest")
     trace = load_trace(tmp_path / "honest")
@@ -468,6 +490,13 @@ def test_tampered_trace_gets_fail_rows(tmp_path, capsys, case):
         change(trace.arrivals[k - 1])
     d = tmp_path / "trace"
     save_trace(trace, d)
+    return d
+
+
+@pytest.mark.parametrize("case", sorted(SEMANTIC_TAMPERINGS))
+def test_tampered_trace_gets_fail_rows(tmp_path, capsys, case):
+    rows = SEMANTIC_TAMPERINGS[case][2]
+    d = tampered_trace(tmp_path, case)
     assert main(["certify", "--trace", str(d), "--out", str(tmp_path / "c")]) == 1
     assert "overall: FAIL" in capsys.readouterr().out
     report = (tmp_path / "c" / "certify.csv").read_text()
