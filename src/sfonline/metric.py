@@ -178,7 +178,8 @@ class Instance:
         return 2 * self.n
 
     def d(self, a: int, b: int) -> int:
-        return int(self.dist[a, b])
+        """d(a, b); an id outside 0 .. 2n-1 is a ConfigError, as in a view."""
+        return InstanceView(self, self.n).d(a, b)
 
     def view(self, t: int) -> "InstanceView":
         if not 0 <= t <= self.n:

@@ -120,6 +120,11 @@ def test_view_exposes_prefix_only(w1):
         v1.d(0, -1)  # numpy would read d(0, 3) through the negative index
     with pytest.raises(ConfigError):
         w1.view(3)
+    # The whole instance checks its ids the same way.
+    assert w1.d(2, 3) == 4
+    for a, b in ((0, -1), (-4, 3), (0, 4)):
+        with pytest.raises(ConfigError):
+            w1.d(a, b)
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
