@@ -9,13 +9,11 @@ the dual-fitting source sets of every witness level, asserting their four
 invariants. After the walk, each level's rows follow: the ball-growing
 dual, its exact feasibility, and the value identities.
 
-Two checks are carried from one arrival to the next where that is exact,
-and run in full elsewhere, so every row keeps its bytes. An inherited
-entry skips `realization-connects` when its level passed it at the
-previous arrival, the pins only grew, C_i only coarsened, and the entry is
-its parent's image with the parent's eorig. A witness level that the
-arrival left alone checks only the new pair (see WitnessState.step).
-Edge-set costs are reused across arrivals by eorig, once computed.
+Where it is exact, an arrival reuses the previous one's verdicts: edge-set
+costs by eorig, `realization-connects` for an inherited entry (see
+_structural_pass), and a witness level the arrival left alone (see
+WitnessState.step). Everything else is checked in full, so every row keeps
+its bytes.
 
 The dual radius at level i is 2^(i-1), a half at level 0, so the witness
 holds every radius and dual value doubled: all are integers, and every
@@ -113,9 +111,8 @@ class WitnessState:
         if cinh_i is None:
             raise WitnessError("an inherited edge does not join two clusters", t)
         top_of = cl_next.assignment
-        added = None if lv[u] >= i else []
-        if added is None and top_of[-2:] in ((u, v), (u, u)):
-            added = [u, v] if top_of[-1] == v else [u]
+        tail = top_of[-2:]  # None below: the new pair joins an older cluster
+        added = [] if lv[u] < i else [u, v] if tail == (u, v) else [u] if tail == (u, u) else None
         if (added is not None and prev is not None and top_of[:-2] == prev
                 and (cinh_i is cl_next or cinh_i.assignment == top_of)):
             xhat.update(added)
@@ -496,8 +493,8 @@ def _structural_pass(trace, add, levels):
     metrics = (NO_METRIC,)  # the previous arrival's level metrics, arrival zero's first
     ins_total = dels_total = 0
     # The previous arrival's edge-set costs by eorig (computed ones only: an
-    # endpoint unarrived then may have arrived since), and its levels that
-    # passed realization-connects.
+    # endpoint unarrived then may have arrived since; a cost of 0 is simply
+    # recomputed), and its levels that passed realization-connects.
     costs: dict = {}
     joined: set = set()
     for prev_out, out in trace.with_previous():
@@ -519,17 +516,10 @@ def _structural_pass(trace, add, levels):
         for entries in out.forest.values():
             for ve in entries:
                 rebuilt |= ve.eorig
-        prev_costs, costs = costs, {}
-        realized = {}
-        for i, entries in out.forest.items():
-            realized[i] = []
-            for ve in entries:
-                cost = prev_costs.get(ve.eorig)
-                if cost is None:
-                    cost = _edges_cost(view, ve.eorig)
-                if cost is not None:
-                    costs[ve.eorig] = cost
-                realized[i].append(cost)
+        realized = {i: [costs.get(ve.eorig) or _edges_cost(view, ve.eorig) for ve in entries]
+                    for i, entries in out.forest.items()}
+        costs = {ve.eorig: c for i, entries in out.forest.items()
+                 for ve, c in zip(entries, realized[i]) if c is not None}
         parts = [c for level_costs in realized.values() for c in level_costs]
         rederived = (
             ("cost_f", out.snapshot.cost, _edges_cost(view, out.snapshot.edges)),
