@@ -134,15 +134,15 @@ class WitnessState:
     def _separate(self, view, added, t) -> None:
         """Candidate sources stay pairwise 2r-separated. Earlier arrivals
         checked every older pair and the new vertices have the largest ids,
-        so testing the pairs that end at a new vertex, in row-major order,
-        finds the same first close pair as testing all of them. Distances
-        stay below 2^62, so clamping 2r = 2^i there keeps d < 2r exact."""
+        so only the pairs (z, b) that end at a new vertex b are tested; the
+        least close one is the first that row-major order over all pairs
+        finds. Distances stay below 2^62, so clamping 2r = 2^i there keeps
+        d < 2r exact."""
         if not added:
             return
-        r2 = level_threshold(self.level - 1)
-        rows = view.dist_matrix()[added].tolist()
-        close = [(z, k) for k, (b, row) in enumerate(zip(added, rows))
-                 for z in self.final_xhat if z < b and row[z] < r2]
+        r2, dist = level_threshold(self.level - 1), view.dist_matrix()
+        close = [(z, k) for k, b in enumerate(added)
+                 for z in np.flatnonzero(dist[b, :b] < r2).tolist() if z in self.final_xhat]
         if close:
             z, k = min(close)
             raise WitnessError(f"sources {z},{added[k]} closer than 2r", t)
