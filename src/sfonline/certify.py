@@ -111,7 +111,9 @@ class WitnessState:
         if cinh_i is None:
             raise WitnessError("an inherited edge does not join two clusters", t)
         top_of = cl_next.assignment
-        tail = top_of[-2:]  # None below: the new pair joins an older cluster
+        # The new pair's Xhat entries, or None when it is high and joins an
+        # older cluster: the step then runs in full.
+        tail = top_of[-2:]
         added = [] if lv[u] < i else [u, v] if tail == (u, v) else [u] if tail == (u, u) else None
         if (added is not None and prev is not None and top_of[:-2] == prev
                 and (cinh_i is cl_next or cinh_i.assignment == top_of)):
