@@ -295,6 +295,14 @@ def _edits(*changes):
     return edit
 
 
+def _at(t, change):
+    """Edit that applies `change` to arrival t only."""
+    def edit(out):
+        if out.t == t:
+            change(out)
+    return edit
+
+
 def _drop_pin(edge):
     """Edit that drops `edge` from a decoded arrival's pinned list."""
     def edit(out):
@@ -413,8 +421,7 @@ SEMANTIC_TAMPERINGS = {
     # pinned (1,2) joins 1 to 2 at arrival 3. Arrival 4 drops that pin.
     "inherited-realization-loses-its-pin": (
         (3, 4),
-        lambda out: _edits(_set_edge(8, (2, 3), eorig=frozenset({(3, 5)})),
-                           *[_drop_pin((1, 2))] * (out.t == 4))(out),
+        _edits(_set_edge(8, (2, 3), eorig=frozenset({(3, 5)})), _at(4, _drop_pin((1, 2)))),
         ["pinned-monotone,,4,fail,",
          "realization-connects,8,4,fail,eorig of (2;3) does not join its clusters"]),
     # Level 9's (0,4) realized by (0,2) and (3,4) at arrivals 3 and 4: at
@@ -422,8 +429,8 @@ SEMANTIC_TAMPERINGS = {
     # {0,1,2,5,6} {3,7} {4}, which parts them.
     "inherited-realization-split-off": (
         (3, 4),
-        lambda out: _edits(_set_edge(9, (0, 4), eorig=frozenset({(0, 2), (3, 4)})),
-                           *[_levels_as([0, 0, 0, 3, 4, 0, 0, 3], 9)] * (out.t == 4))(out),
+        _edits(_set_edge(9, (0, 4), eorig=frozenset({(0, 2), (3, 4)})),
+               _at(4, _levels_as([0, 0, 0, 3, 4, 0, 0, 3], 9))),
         ["refine-across-arrivals,9,4,fail,fine cluster 1 split at terminal 3",
          "realization-connects,9,4,fail,eorig of (0;4) does not join its clusters"]),
     # Arrival 4's inherited (2,3) at level 8 realized by (1,2), not its
@@ -443,8 +450,7 @@ SEMANTIC_TAMPERINGS = {
     # 4's (0,4) naming it as its parent: an id outside C_9 maps onto nothing.
     "parent-endpoint-unknown": (
         (3, 4),
-        lambda out: _set_edge(9, (0, 4), **({"c1": 99} if out.t == 3 else
-                                            {"parent": (99, 4)}))(out),
+        _edits(_at(3, _set_edge(9, (0, 4), c1=99)), _at(4, _set_edge(9, (0, 4), parent=(99, 4)))),
         ["inheritance-provenance,9,4,fail,(0;4) is not its parent's image"]),
     # Arrival 4's levels 0-6 share the singletons. New terminal 6 put into
     # old cluster 1 of C_3 = C_4 leaves level 3 with no forest and C_inh,3 =
