@@ -207,6 +207,18 @@ def test_cluster_distance_rejects_unknown_cluster(w1):
         cluster_distance(view, cl.assignment, [], 0, 99, metric)
 
 
+def test_cluster_distance_rejects_a_contracted_id_outside_the_arrived_terminals():
+    # A negative id would index from the end: (-1, 0) would merge terminal 5
+    # with terminal 0.
+    view = generate_instance(GeneratorSpec(kind="line-chain", n=3, seed=1)).view(3)
+    cl = build_hierarchy(view)[0].clusterings[0]
+    metric = ContractedMetric.of(view.dist_matrix(), cl.assignment)
+    assert cluster_distance(view, cl.assignment, [(5, 0)], 0, 5, metric).distance == 0
+    for pair in ((-1, 0), (0, -6), (6, 0), (0, 7)):
+        with pytest.raises(ConfigError):
+            cluster_distance(view, cl.assignment, [pair], 0, 5, metric)
+
+
 def test_cluster_distance_path_invariants_and_oracle():
     import random
 

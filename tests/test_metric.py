@@ -80,6 +80,39 @@ def test_validate_rejects_out_of_range_distance():
     assert rep.violations[0].kind == "range"
 
 
+# Arguments that Instance and metric_closure must reject with an
+# SfonlineError, each with its (error type, message).
+NAN, INF = float("nan"), float("inf")
+MALFORMED_INSTANCES = {
+    "float-entry": ((1, [[0, 1.5], [1.5, 0]], ((0, 1),)),
+                    MetricError, "non-integer distance entry"),
+    "str-entry": ((1, [[0, "1"], ["1", 0]], ((0, 1),)),
+                  MetricError, "non-integer distance entry"),
+    "nan-entry": ((1, [[0, NAN], [NAN, 0]], ((0, 1),)),
+                  MetricError, "non-integer distance entry"),
+    "inf-entry": ((1, [[0, INF], [INF, 0]], ((0, 1),)),
+                  MetricError, "non-integer distance entry"),
+    "entry-past-int64": ((1, [[0, 2**70], [2**70, 0]], ((0, 1),)),
+                         MetricError, f"dist(0,1) = {2**70} outside [1, 2^62-1]"),
+    "float-demand": ((1, [[0, 1], [1, 0]], ((0.5, 1),)), FormatError, "demand ids"),
+    "str-demand": ((1, [[0, 1], [1, 0]], (("a", "b"),)), FormatError, "demand ids"),
+    "str-n": (("1", [[0, 1], [1, 0]], ((0, 1),)), ConfigError, "n >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INSTANCES))
+def test_instance_rejects_malformed_arguments(case):
+    args, error, message = MALFORMED_INSTANCES[case]
+    with pytest.raises(SfonlineError) as ei:
+        Instance(*args)
+    assert type(ei.value) is error and message in str(ei.value)
+
+
+def test_closure_rejects_a_non_integer_matrix():
+    with pytest.raises(SfonlineError, match="non-integer distance entry"):
+        metric_closure([[0, 1.5, 3], [1.5, 0, 1], [3, 1, 0]])
+
+
 def test_mate_is_an_involution():
     for k in range(100):
         assert mate(mate(k)) == k
