@@ -40,100 +40,59 @@ def mate(k: int) -> int:
     return k ^ 1
 
 
-@dataclasses.dataclass(frozen=True)
-class MetricViolation:
-    kind: str  # shape | diagonal | symmetry | range | triangle
-    where: tuple
-    detail: str
-
-
-@dataclasses.dataclass(frozen=True)
-class MetricReport:
-    ok: bool
-    violations: tuple[MetricViolation, ...]
-
-    def first_message(self) -> str:
-        return self.violations[0].detail if self.violations else "ok"
-
-
-def validate_metric(dist) -> MetricReport:
-    """Check Instance invariants on a distance matrix.
-
-    Returns a report rather than raising; at most the first 10 violations
-    are pinpointed. Checks: square shape, zero diagonal, symmetry, integer
-    entries in [1, MAX_DIST] off the diagonal, exact triangle inequality.
-    """
+def _checked_entries(dist) -> np.ndarray:
+    """`dist` as an int64 matrix, or the MetricError of the first failed entry
+    check: square shape, integer entries, zero diagonal, symmetry, and
+    off-diagonal entries in [1, MAX_DIST]."""
     a = np.asarray(dist)
-    found: list[MetricViolation] = []
-
-    def add(kind, where, detail):
-        if len(found) < 10:
-            found.append(MetricViolation(kind, where, detail))
-
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        add("shape", a.shape, f"matrix is not square: shape {a.shape}")
-        return MetricReport(False, tuple(found))
-    if not np.issubdtype(a.dtype, np.integer):
-        if np.any(a != np.floor(a)):
-            bad = np.argwhere(a != np.floor(a))[0]
-            add("range", tuple(int(x) for x in bad), "non-integer distance entry")
-            return MetricReport(False, tuple(found))
-        a = a.astype(np.int64)
-    T = a.shape[0]
+        raise MetricError(f"matrix is not square: shape {a.shape}")
+    if a.dtype.kind not in "iu":
+        # Exact Python ints: a float entry counts only if finite and integral.
+        entries = a.ravel().tolist()
+        if not all(isinstance(x, (int, np.integer)) or isinstance(x, float) and x.is_integer()
+                   for x in entries):
+            raise MetricError("non-integer distance entry")
+        a = np.array([int(x) for x in entries], dtype=object).reshape(a.shape)
+    bad = np.flatnonzero(np.diagonal(a) != 0)
+    if len(bad):
+        k = bad[0]
+        raise MetricError(f"dist({k},{k}) = {int(a[k, k])} != 0")
+    bad = np.argwhere(a != a.T)
+    if len(bad):
+        i, j = bad[0]  # row-major, so i < j
+        raise MetricError(f"dist({i},{j}) = {int(a[i, j])} but dist({j},{i}) = {int(a[j, i])}")
+    bad = np.argwhere(~np.eye(len(a), dtype=bool) & ((a < 1) | (a > MAX_DIST)))
+    if len(bad):
+        i, j = bad[0]
+        raise MetricError(f"dist({i},{j}) = {int(a[i, j])} outside [1, 2^62-1]")
+    return np.asarray(a, dtype=np.int64)
 
-    diag_bad = np.flatnonzero(np.diagonal(a) != 0)
-    for k in diag_bad[:10]:
-        add("diagonal", (int(k), int(k)), f"dist({k},{k}) = {int(a[k, k])} != 0")
 
-    asym = np.argwhere(a != a.T)
-    for i, j in asym[:10]:
-        if i < j:
-            add("symmetry", (int(i), int(j)),
-                f"dist({i},{j}) = {int(a[i, j])} but dist({j},{i}) = {int(a[j, i])}")
-
-    off = ~np.eye(T, dtype=bool)
-    rng_bad = np.argwhere(off & ((a < 1) | (a > MAX_DIST)))
-    for i, j in rng_bad[:10]:
-        if i <= j:
-            add("range", (int(i), int(j)),
-                f"dist({i},{j}) = {int(a[i, j])} outside [1, 2^62-1]")
-
-    if not found:
-        # Safe to add in int64: all entries are within [0, 2^62-1] here.
-        for b in range(T):
-            viol = a > a[:, b, None] + a[None, b, :]
-            if viol.any():
-                for i, j in np.argwhere(viol)[:10]:
-                    add("triangle", (int(i), int(b), int(j)),
-                        f"dist({i},{j}) = {int(a[i, j])} > dist({i},{b}) + dist({b},{j})"
-                        f" = {int(a[i, b]) + int(a[b, j])}")
-                if len(found) >= 10:
-                    break
-
-    return MetricReport(not found, tuple(found))
+def validate_metric(dist) -> None:
+    """Raise MetricError, naming the first violation, unless `dist` is a
+    square matrix of integers with a zero diagonal, symmetric, its other
+    entries in [1, MAX_DIST] and the triangle inequality exact. The checks
+    run in that order."""
+    a = _checked_entries(dist)
+    # Safe to add in int64: all entries are within [0, 2^62-1] here.
+    for b in range(len(a)):
+        viol = a > a[:, b, None] + a[None, b, :]
+        if viol.any():
+            i, j = np.argwhere(viol)[0]
+            raise MetricError(f"dist({i},{j}) = {int(a[i, j])} > dist({i},{b}) + dist({b},{j})"
+                              f" = {int(a[i, b]) + int(a[b, j])}")
 
 
 def metric_closure(dist) -> np.ndarray:
-    """All-pairs shortest-path closure of a symmetric integer matrix.
+    """All-pairs shortest-path closure of a matrix that passes every check
+    of validate_metric but the triangle inequality, with its messages.
 
     Output satisfies the triangle inequality exactly, is entrywise <= the
-    input, and is idempotent. Zero entries off the diagonal are rejected:
-    they would collapse two terminals and violate dist >= 1.
+    input, and is idempotent.
     """
-    a = np.array(dist, dtype=np.int64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise MetricError(f"closure needs a square matrix, got shape {a.shape}")
-    T = a.shape[0]
-    if np.any(np.diagonal(a) != 0):
-        raise MetricError("closure needs a zero diagonal")
-    if np.any(a[~np.eye(T, dtype=bool)] == 0):
-        i, j = np.argwhere((a == 0) & ~np.eye(T, dtype=bool))[0]
-        raise MetricError(f"zero off-diagonal distance at ({i},{j})")
-    if np.any(a != a.T):
-        raise MetricError("closure needs a symmetric matrix")
-    if np.any(a < 0) or np.any(a > MAX_DIST):
-        raise MetricError("distances must lie in [0, 2^62-1]")
-    for k in range(T):
+    a = np.array(_checked_entries(dist))
+    for k in range(len(a)):
         np.minimum(a, a[:, k, None] + a[None, k, :], out=a)
     return a
 
@@ -149,7 +108,10 @@ class Instance:
     """Immutable offline instance: n pairs on a 2n-terminal integer metric.
 
     `levels[v]` is terminal v's level, fixed by its pair's distance and
-    computed once here."""
+    computed once here. The arguments are checked as given, in this order:
+    n is an int >= 1 and dist has shape (2n, 2n) (else ConfigError), the
+    demands equal ((0, 1), (2, 3), ...) (else FormatError E_PAIR), and dist
+    passes validate_metric. Only then is dist cast to int64."""
 
     n: int
     dist: np.ndarray  # (2n, 2n) int64, read-only
@@ -158,19 +120,19 @@ class Instance:
     levels: tuple[int, ...] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        d = np.asarray(self.dist, dtype=np.int64)
-        d.setflags(write=False)
-        object.__setattr__(self, "dist", d)
-        object.__setattr__(self, "demands", tuple((int(u), int(v)) for u, v in self.demands))
-        if self.n < 1:
-            raise ConfigError("instance needs n >= 1 pairs")
+        if type(self.n) is not int or self.n < 1:
+            raise ConfigError(f"instance needs an integer n >= 1, got {self.n!r}")
+        d = np.asarray(self.dist)
         if d.shape != (2 * self.n, 2 * self.n):
             raise ConfigError(f"distance matrix shape {d.shape} does not match n={self.n}")
-        if self.demands != tuple((2 * t - 2, 2 * t - 1) for t in range(1, self.n + 1)):
+        pairs = tuple((2 * t - 2, 2 * t - 1) for t in range(1, self.n + 1))
+        if self.demands != pairs:
             raise FormatError("demand ids must be (2t-2, 2t-1) in arrival order", code="E_PAIR")
-        report = validate_metric(d)
-        if not report.ok:
-            raise MetricError(report.first_message())
+        object.__setattr__(self, "demands", pairs)
+        validate_metric(d)
+        d = np.asarray(d, dtype=np.int64)
+        d.setflags(write=False)
+        object.__setattr__(self, "dist", d)
         object.__setattr__(self, "levels", _pair_levels(d))
 
     @property

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfonline.errors import ConfigError, FormatError, MetricError, SfonlineError
 from sfonline.metric import (
@@ -18,31 +20,26 @@ from sfonline.metric import (
 from conftest import line_instance, uniform_instance
 
 
+def validation_message(dist):
+    """validate_metric's message, or "ok" for a metric."""
+    try:
+        validate_metric(dist)
+    except MetricError as err:
+        return str(err)
+    return "ok"
+
+
 def test_validate_smallest_legal_metric():
-    assert validate_metric([[0, 1], [1, 0]]).ok
+    assert validate_metric([[0, 1], [1, 0]]) is None
 
 
 def test_validate_flags_asymmetry():
-    rep = validate_metric([[0, 1], [2, 0]])
-    assert not rep.ok
-    assert any(v.kind == "symmetry" and v.where == (0, 1) for v in rep.violations)
+    assert validation_message([[0, 1], [2, 0]]) == "dist(0,1) = 1 but dist(1,0) = 2"
 
 
 def test_validate_flags_triangle_violation():
     d = [[0, 1, 10], [1, 0, 1], [10, 1, 0]]
-    rep = validate_metric(d)
-    assert not rep.ok
-    kinds = {v.kind for v in rep.violations}
-    assert "triangle" in kinds
-    trv = next(v for v in rep.violations if v.kind == "triangle")
-    assert set(trv.where) == {0, 1, 2}
-
-
-def test_validate_reports_at_most_ten():
-    d = np.ones((8, 8), dtype=np.int64)  # nonzero diagonal everywhere
-    rep = validate_metric(d)
-    assert not rep.ok
-    assert len(rep.violations) <= 10
+    assert validation_message(d) == "dist(0,2) = 10 > dist(0,1) + dist(1,2) = 2"
 
 
 def test_closure_identity_on_metric():
@@ -54,7 +51,7 @@ def test_closure_shortens_long_edge():
     d = np.array([[0, 1, 10], [1, 0, 1], [10, 1, 0]])
     c = metric_closure(d)
     assert c[0, 2] == 2
-    assert validate_metric(c).ok
+    validate_metric(c)
 
 
 def test_closure_idempotent_and_entrywise_leq():
@@ -65,19 +62,106 @@ def test_closure_idempotent_and_entrywise_leq():
     c = metric_closure(d)
     assert np.all(c <= d)
     assert np.array_equal(metric_closure(c), c)
-    assert validate_metric(c).ok
+    validate_metric(c)
 
 
 def test_closure_rejects_zero_off_diagonal():
-    with pytest.raises(MetricError, match="zero off-diagonal"):
+    with pytest.raises(MetricError, match=r"^dist\(0,1\) = 0 outside \[1, 2\^62-1\]$"):
         metric_closure([[0, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("dist", [[[1, 1], [1, 0]], [[0, 1], [2, 0]],
+                                  [[0, 2**62], [2**62, 0]], [[0, 1, 2]], [[0, 1.5], [1.5, 0]]],
+                         ids=["diagonal", "asymmetric", "range", "shape", "float"])
+def test_closure_rejects_what_the_validator_rejects(dist):
+    with pytest.raises(MetricError) as ei:
+        metric_closure(dist)
+    assert str(ei.value) == validation_message(dist)
 
 
 def test_validate_rejects_out_of_range_distance():
     big = 2**62  # one past the cap that keeps pairwise sums inside int64
-    rep = validate_metric([[0, big], [big, 0]])
-    assert not rep.ok
-    assert rep.violations[0].kind == "range"
+    assert validation_message([[0, big], [big, 0]]) == f"dist(0,1) = {big} outside [1, 2^62-1]"
+
+
+def reference_first_violation(dist):
+    """The first violation's message, from the collector that validate_metric
+    replaced: it gathered up to ten violations, and Instance raised the first.
+    "ok" for a metric."""
+    a = np.asarray(dist)
+    found = []
+
+    def add(kind, where, detail):
+        if len(found) < 10:
+            found.append(detail)
+
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return f"matrix is not square: shape {a.shape}"
+    if not np.issubdtype(a.dtype, np.integer):
+        if np.any(a != np.floor(a)):
+            return "non-integer distance entry"
+        a = a.astype(np.int64)
+    T = a.shape[0]
+    for k in np.flatnonzero(np.diagonal(a) != 0)[:10]:
+        add("diagonal", (k, k), f"dist({k},{k}) = {int(a[k, k])} != 0")
+    for i, j in np.argwhere(a != a.T)[:10]:
+        if i < j:
+            add("symmetry", (i, j),
+                f"dist({i},{j}) = {int(a[i, j])} but dist({j},{i}) = {int(a[j, i])}")
+    off = ~np.eye(T, dtype=bool)
+    for i, j in np.argwhere(off & ((a < 1) | (a > MAX_DIST)))[:10]:
+        if i <= j:
+            add("range", (i, j), f"dist({i},{j}) = {int(a[i, j])} outside [1, 2^62-1]")
+    if not found:
+        for b in range(T):
+            viol = a > a[:, b, None] + a[None, b, :]
+            if viol.any():
+                for i, j in np.argwhere(viol)[:10]:
+                    add("triangle", (i, b, j),
+                        f"dist({i},{j}) = {int(a[i, j])} > dist({i},{b}) + dist({b},{j})"
+                        f" = {int(a[i, b]) + int(a[b, j])}")
+                if len(found) >= 10:
+                    break
+    return found[0] if found else "ok"
+
+
+EDIT_VALUES = (-1, 0, 1, 2, 3, 7, 100, MAX_DIST, MAX_DIST + 1, 2**62 + 5)
+
+
+@st.composite
+def small_matrices(draw):
+    """A small matrix, as a list or an int64 or float64 array: a metric
+    (a closed random matrix) or not, with up to three entries edited, a
+    float entry that is not an integer, or a column too many."""
+    T = draw(st.integers(0, 5))
+    raw = np.triu(np.array(draw(st.lists(st.integers(1, 12), min_size=T * T, max_size=T * T)),
+                           dtype=np.int64).reshape(T, T), 1)
+    a = raw + raw.T
+    if T and draw(st.booleans()):
+        a = metric_closure(a)
+    a = a.tolist()
+    for _ in range(draw(st.integers(0, 3)) if T else 0):
+        i, j = draw(st.integers(0, T - 1)), draw(st.integers(0, T - 1))
+        a[i][j] = draw(st.sampled_from(EDIT_VALUES))
+        if draw(st.booleans()):
+            a[j][i] = a[i][j]
+    form = draw(st.sampled_from(("list", "int64", "float64", "fraction", "nan", "wide")))
+    if form == "int64":
+        return np.array(a, dtype=np.int64).reshape(T, T)
+    if form == "float64" or not T:
+        return np.array(a, dtype=np.float64).reshape(T, T)
+    if form == "wide":
+        return [row + [1] for row in a]
+    if form != "list":
+        i, j = draw(st.integers(0, T - 1)), draw(st.integers(0, T - 1))
+        a[i][j] = 2.5 if form == "fraction" else float("nan")
+    return a
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(small_matrices())
+def test_validate_message_matches_the_first_violation_of_the_reference(dist):
+    assert validation_message(dist) == reference_first_violation(dist)
 
 
 # Arguments that Instance and metric_closure must reject with an
@@ -126,7 +210,7 @@ def test_generators_are_deterministic_and_valid(kind):
     b = generate_instance(spec)
     assert a == b
     assert save_instance(a) == save_instance(b)
-    assert validate_metric(a.dist).ok
+    validate_metric(a.dist)
 
 
 def test_generator_rejects_n_zero():
@@ -250,6 +334,23 @@ def test_load_rejects_metric_violation():
         load_instance(bad)
 
 
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_generate_validates_the_metric_once(monkeypatch, kind):
+    # metric_closure checks its input's entries without validate_metric.
+    import sfonline.metric as metric_mod
+
+    calls = []
+    validate = metric_mod.validate_metric
+
+    def counted(dist):
+        calls.append(dist)
+        return validate(dist)
+
+    monkeypatch.setattr(metric_mod, "validate_metric", counted)
+    generate_instance(GeneratorSpec(kind=kind, n=3, seed=1))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("good", [True, False])
 def test_load_validates_the_metric_once(monkeypatch, good):
     import sfonline.metric as metric_mod
@@ -284,7 +385,7 @@ def test_every_generated_instance_validates():
     for seed in range(5):
         for kind in ("euclidean", "random-metric", "line-chain"):
             inst = generate_instance(GeneratorSpec(kind=kind, n=3, seed=seed))
-            assert validate_metric(inst.dist).ok
+            validate_metric(inst.dist)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +454,7 @@ def reference_load_instance(text):
             raise FormatError(f"demand {t} must be ({2 * t - 2}, {2 * t - 1}), got ({u}, {v})",
                               code="E_PAIR")
         demands.append((u, v))
-    report = validate_metric(dist)
-    if not report.ok:
-        raise MetricError(report.first_message())
+    validate_metric(dist)
     return Instance(n=n, dist=dist, demands=tuple(demands), label=label)
 
 
