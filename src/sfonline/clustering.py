@@ -351,7 +351,7 @@ def cluster_distance(view: InstanceView, assignment, contracted_by, C1: int, C2:
     T = view.num_terminals
     pairs = []
     for a, b in contracted_by:
-        if a >= T or b >= T:
+        if not (0 <= a < T and 0 <= b < T):
             raise ConfigError("contracted_by touches a terminal that has not arrived")
         pairs.append((assignment[a], assignment[b]))
     moves = [(c, r) for c, r in UnionFind(pairs).roots().items() if c != r]
