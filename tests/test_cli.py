@@ -112,12 +112,31 @@ def test_run_dump_hierarchy(tmp_path, w1_file):
     assert "3 | 2: 2 3 [inactive]" in dump  # merged cluster outlived its level
 
 
-def test_run_rejects_corrupt_file(tmp_path):
+# case -> (file text, the error line run prints).
+CORRUPT_FILES = {
+    "malformed-header": ("SFONLINE nonsense\n",
+                         "error[E_HEADER]: malformed header: 'SFONLINE nonsense'"),
+    "empty": ("", "error[E_HEADER]: empty instance file"),
+    "terminals-not-2n": ("SFONLINE 1 3 1\nMATRIX\n1\n1 1\nDEMANDS\n0 1\n",
+                         "error[E_HEADER]: header wants T = 2n, got T=3 n=1"),
+    "matrix-truncated": ("SFONLINE 1 4 2\nMATRIX\n1\n10 10\n",
+                         "error[E_HEADER]: matrix section truncated"),
+    "demand-lines": ("SFONLINE 1 2 1\nMATRIX\n1\nDEMANDS\n0 1\n0 1\n",
+                     "error[E_HEADER]: expected 1 demand lines, got 2"),
+    "terminal-in-two-pairs": ("SFONLINE 1 4 2\nMATRIX\n1\n10 10\n10 10 1\nDEMANDS\n0 1\n1 2\n",
+                              "error[E_PAIR]: terminal appears in two pairs at demand 2"),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPT_FILES)
+def test_run_rejects_corrupt_file(tmp_path, capsys, case):
+    text, error = CORRUPT_FILES[case]
     bad = tmp_path / "bad.sfo"
-    bad.write_text("SFONLINE nonsense\n")
+    bad.write_text(text)
     rc = main(["run", "--input", str(bad), "--lam", "1", "--out", str(tmp_path / "o"),
                "--quiet"])
     assert rc == 3
+    assert capsys.readouterr().err.splitlines() == [error]
 
 
 @pytest.fixture(scope="module")

@@ -217,6 +217,8 @@ TAMPERINGS = {
                              _setting(("ledger", "pin_events", 0, "source_size"), [1])),
     # The top clustering stored twice, with L raised to match.
     "top-level-padded": (ARRIVAL, _edited(_pad_top)),
+    # ... or one clustering short of L+2.
+    "clustering-missing": (ARRIVAL, _edited(lambda p: p["clusterings"].pop())),
     "meta-arrivals-short": _meta(arrivals=2),
     "meta-arrivals-long": _meta(arrivals=4),
     "meta-arrivals-float": _meta(arrivals=2.5),
@@ -311,7 +313,8 @@ def _drop_pin(edge):
 
 
 # case -> (arrival or tuple of arrivals, edit applied to each decoded arrival,
-# substrings of the certify.csv FAIL rows). The edited trace is saved again
+# substrings of the certify.csv FAIL rows[, generator spec of the traced
+# instance, if not euclidean n=4 seed 1]). The edited trace is saved again
 # with save_trace, so each case states what the trace says, not how its files
 # spell it.
 SEMANTIC_TAMPERINGS = {
@@ -482,15 +485,24 @@ SEMANTIC_TAMPERINGS = {
             {3: [dataclasses.replace(out.forest[9][0], level=3, c1=0, c2=1, inherited=False,
                                      parent=None, eorig=frozenset({(0, 1)}), created_at=4)]}),
         ["witness-invariants,3,4,fail,|X| = 0 but non-inherited count is 1"]),
+    # A line-chain trace, whose arrival 2 holds a level with both an inactive
+    # cluster and a forest edge: level 2's {0,1} is inactive, and its fresh
+    # edge (2,3) is moved onto it.
+    "edge-on-inactive-cluster": (
+        2,
+        _set_edge(2, (2, 3), c1=0, c2=2),
+        ["virtual-edge-valid,2,2,fail,(0;2) touches an inactive cluster"],
+        GeneratorSpec(kind="line-chain", n=3, seed=1)),
 }
 
 
 def tampered_trace(tmp_path, case):
-    """The directory of the euclidean n=4, lambda=2 trace with tampering
-    `case` applied to its decoded arrivals and saved again."""
-    t, change, _ = SEMANTIC_TAMPERINGS[case]
-    save_trace(run_online(generate_instance(GeneratorSpec(kind="euclidean", n=4, seed=1)),
-                          lam=2), tmp_path / "honest")
+    """The directory of a lambda=2 trace with tampering `case` applied to its
+    decoded arrivals and saved again. The trace is of the instance the case
+    names after its rows, else of the euclidean n=4 one."""
+    t, change, _, *spec = SEMANTIC_TAMPERINGS[case]
+    spec = spec[0] if spec else GeneratorSpec(kind="euclidean", n=4, seed=1)
+    save_trace(run_online(generate_instance(spec), lam=2), tmp_path / "honest")
     trace = load_trace(tmp_path / "honest")
     for k in t if isinstance(t, tuple) else (t,):
         change(trace.arrivals[k - 1])
