@@ -181,6 +181,7 @@ MALFORMED_INSTANCES = {
     "float-demand": ((1, [[0, 1], [1, 0]], ((0.5, 1),)), FormatError, "demand ids"),
     "str-demand": ((1, [[0, 1], [1, 0]], (("a", "b"),)), FormatError, "demand ids"),
     "str-n": (("1", [[0, 1], [1, 0]], ((0, 1),)), ConfigError, "n >= 1"),
+    "shape-not-2n": ((2, [[0, 1], [1, 0]], ((0, 1), (2, 3))), ConfigError, "does not match n=2"),
 }
 
 
