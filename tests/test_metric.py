@@ -91,7 +91,7 @@ def reference_first_violation(dist):
     a = np.asarray(dist)
     found = []
 
-    def add(kind, where, detail):
+    def add(detail):
         if len(found) < 10:
             found.append(detail)
 
@@ -103,22 +103,20 @@ def reference_first_violation(dist):
         a = a.astype(np.int64)
     T = a.shape[0]
     for k in np.flatnonzero(np.diagonal(a) != 0)[:10]:
-        add("diagonal", (k, k), f"dist({k},{k}) = {int(a[k, k])} != 0")
+        add(f"dist({k},{k}) = {int(a[k, k])} != 0")
     for i, j in np.argwhere(a != a.T)[:10]:
         if i < j:
-            add("symmetry", (i, j),
-                f"dist({i},{j}) = {int(a[i, j])} but dist({j},{i}) = {int(a[j, i])}")
+            add(f"dist({i},{j}) = {int(a[i, j])} but dist({j},{i}) = {int(a[j, i])}")
     off = ~np.eye(T, dtype=bool)
     for i, j in np.argwhere(off & ((a < 1) | (a > MAX_DIST)))[:10]:
         if i <= j:
-            add("range", (i, j), f"dist({i},{j}) = {int(a[i, j])} outside [1, 2^62-1]")
+            add(f"dist({i},{j}) = {int(a[i, j])} outside [1, 2^62-1]")
     if not found:
         for b in range(T):
             viol = a > a[:, b, None] + a[None, b, :]
             if viol.any():
                 for i, j in np.argwhere(viol)[:10]:
-                    add("triangle", (i, b, j),
-                        f"dist({i},{j}) = {int(a[i, j])} > dist({i},{b}) + dist({b},{j})"
+                    add(f"dist({i},{j}) = {int(a[i, j])} > dist({i},{b}) + dist({b},{j})"
                         f" = {int(a[i, b]) + int(a[b, j])}")
                 if len(found) >= 10:
                     break
