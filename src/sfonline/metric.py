@@ -109,9 +109,10 @@ class Instance:
 
     `levels[v]` is terminal v's level, fixed by its pair's distance and
     computed once here. The arguments are checked as given, in this order:
-    n is an int >= 1 and dist has shape (2n, 2n) (else ConfigError), the
-    demands equal ((0, 1), (2, 3), ...) (else FormatError E_PAIR), and dist
-    passes validate_metric. Only then is dist cast to int64."""
+    n is an int >= 1 and dist has shape (2n, 2n), with no ragged rows (else
+    ConfigError), the demands are a tuple of tuples equal to ((0, 1), (2,
+    3), ...) (else FormatError E_PAIR), and dist passes validate_metric.
+    Only then is dist cast to int64."""
 
     n: int
     dist: np.ndarray  # (2n, 2n) int64, read-only
@@ -122,11 +123,15 @@ class Instance:
     def __post_init__(self):
         if type(self.n) is not int or self.n < 1:
             raise ConfigError(f"instance needs an integer n >= 1, got {self.n!r}")
-        d = np.asarray(self.dist)
-        if d.shape != (2 * self.n, 2 * self.n):
-            raise ConfigError(f"distance matrix shape {d.shape} does not match n={self.n}")
+        try:
+            shape = (d := np.asarray(self.dist)).shape
+        except ValueError:  # rows of unequal length
+            shape = "(ragged)"
+        if shape != (2 * self.n, 2 * self.n):
+            raise ConfigError(f"distance matrix shape {shape} does not match n={self.n}")
         pairs = tuple((2 * t - 2, 2 * t - 1) for t in range(1, self.n + 1))
-        if self.demands != pairs:
+        ds = self.demands
+        if type(ds) is not tuple or any(type(p) is not tuple for p in ds) or ds != pairs:
             raise FormatError("demand ids must be (2t-2, 2t-1) in arrival order", code="E_PAIR")
         object.__setattr__(self, "demands", pairs)
         validate_metric(d)
