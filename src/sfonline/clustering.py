@@ -42,8 +42,8 @@ metrics of the latest arrival only, for the next one to carry.
 cluster_distance realizes a virtual edge as a shortest path of original
 edges in a level's metric with some pairs merged in, walking on the
 closure and realizing one-hop weights only for the hops it tries. Its
-Python work is O(pairs + tried hops): terminal -> super-node is one array,
-and only the super-nodes the walk tries get their members listed.
+Python work is O(pairs + tried hops): only the super-nodes the walk tries
+get their members listed, from the clustering's member lists.
 
 Everything here is deterministic: cluster ids are the minimum member
 terminal id, edges are ordered by (min endpoint, max endpoint), and
@@ -325,49 +325,52 @@ def _realize_hop(dist, members_p, members_q):
     """Cheapest original edge between two super-nodes, given their member
     arrays. Ties go to the least normalized (min, max) pair; the endpoints
     are Python ints, as the trace's JSON encoder needs."""
-    sub = dist[members_p][:, members_q]
+    sub = dist.take(members_p, axis=0).take(members_q, axis=1)
     w = sub.min()
     x, y = np.nonzero(sub == w)
     ends = zip(members_p[x].tolist(), members_q[y].tolist())
     return int(w), min((a, b) if a < b else (b, a) for a, b in ends)
 
 
-def cluster_distance(view: InstanceView, assignment, contracted_by, C1: int, C2: int,
+def cluster_distance(view: InstanceView, cl: Clustering, contracted_by, C1: int, C2: int,
                      metric: ContractedMetric) -> ClusterPath:
     """Shortest path between two clusters in the doubly contracted graph.
 
-    The graph contracts each cluster of `assignment` to a vertex, then merges
+    The graph contracts each cluster of `cl` to a vertex, then merges
     vertices joined by the original edges in `contracted_by`. Returns the
     distance together with the realized original edge of every hop; ties go
     to the lexicographically smallest super-node id sequence. `metric` is
-    the contracted metric of `assignment`, into which the cluster pairs of
+    the contracted metric of `cl`, into which the cluster pairs of
     `contracted_by` are merged. The walk reads that metric's closure and
-    realizes the one-hop weight of each hop it tries. A UnionFind over the
-    pairs' clusters covers only the clusters they touch, so the Python work
-    is O(pairs + tried hops).
+    realizes the one-hop weight of each hop it tries, on the members of the
+    two super-nodes: a cluster's own list, or a merged group's sorted union.
+    A UnionFind over the pairs' clusters covers only the clusters they
+    touch, so the Python work is O(pairs + tried hops + their members).
     """
-    if C1 not in assignment or C2 not in assignment:
-        raise ConfigError(f"cluster {C1 if C1 not in assignment else C2} not in clustering")
+    members, asn = cl.members, cl.assignment
+    if C1 not in members or C2 not in members:
+        raise ConfigError(f"cluster {C1 if C1 not in members else C2} not in clustering")
     T = view.num_terminals
     pairs = []
     for a, b in contracted_by:
         if not (0 <= a < T and 0 <= b < T):
             raise ConfigError("contracted_by touches a terminal that has not arrived")
-        pairs.append((assignment[a], assignment[b]))
+        pairs.append((asn[a], asn[b]))
     moves = [(c, r) for c, r in UnionFind(pairs).roots().items() if c != r]
     root = dict(moves)
     src, dst = root.get(C1, C1), root.get(C2, C2)
     if src == dst:
         return ClusterPath(0, (src,), ())
+    merged: dict[int, list[int]] = {}  # a merged group's root -> its members
+    for c, r in moves:
+        merged.setdefault(r, list(members[r])).extend(members[c])
+
+    def listed(cid):
+        return np.array(sorted(merged[cid]) if cid in merged else members[cid])
 
     dist = view.dist_matrix()
     m = metric._fold(moves)
     D, ids = m.D, m.ids
-    sup = np.asarray(assignment)
-    if moves:
-        lookup = np.arange(T)
-        lookup[list(root)] = list(root.values())
-        sup = lookup[sup]
     si, di = ids.index(src), ids.index(dst)
     total = int(D[si, di])
     to_dst = D[:, di]
@@ -381,14 +384,14 @@ def cluster_distance(view: InstanceView, assignment, contracted_by, C1: int, C2:
     nodes = [src]
     edges = []
     ci = si
-    here = np.flatnonzero(sup == src)
+    here = listed(src)
     rest = total
     while ci != di:
         row = D[ci]
         for qi in np.flatnonzero(row + to_dst == rest).tolist():
             if qi == ci:
                 continue
-            there = np.flatnonzero(sup == ids[qi])
+            there = listed(ids[qi])
             w, edge = _realize_hop(dist, here, there)
             if w == row[qi]:
                 break

@@ -191,7 +191,7 @@ def pin_and_realize(view, hier, metrics, pending, pinned, lam, t):
     events: list[PinEvent] = []
     for ve in pending:
         cl = hier.clustering(ve.level)
-        path = cluster_distance(view, cl.assignment, pinned.edges(), ve.c1, ve.c2,
+        path = cluster_distance(view, cl, pinned.edges(), ve.c1, ve.c2,
                                 metrics[ve.level])
         eorig = frozenset(path.edges)
         ve.eorig = eorig

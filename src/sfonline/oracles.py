@@ -13,7 +13,10 @@ the optimum of every prefix on the way.
 
 The offline-gluttonous forest spans the algorithm's own hierarchy of every
 prefix. It reads them from the online run's states as each arrival lands,
-so a hierarchy is built once for both.
+so a hierarchy is built once for both, and it re-walks only the paths an
+arrival could have shortened: a distance shrinks only through a cluster
+that changed (Demetrescu and Italiano's locality), and a new singleton
+never shortens one (offline_gluttonous_forest).
 """
 
 from __future__ import annotations
@@ -142,15 +145,23 @@ def offline_gluttonous_forest(states) -> tuple[OfflineForestResult, ...]:
     lambda gives the same hierarchies. Each state's hierarchy, virtual edges
     and metrics are read before the next state is asked for.
 
-    A level whose clustering is the previous prefix's plus the two new
-    terminals as singletons reuses the previous prefix's path for an edge it
-    realized there: extending a metric leaves the old entries of D as they
-    are and the new ids are the largest, so the smallest-id walk tries and
-    takes the same hops over the same members.
+    A level whose old terminals keep the previous prefix's partition reuses
+    the path the previous prefix realized for an edge, unless a cluster
+    that holds a new terminal and has more than one member lies on a
+    shortest path between the edge's clusters in this prefix's metric: an
+    old cluster that took in u or v, or {u, v} itself. The reuse is exact.
+    Distances between old clusters shrink only through such a cluster: a
+    new singleton never shortens a path, as entering and leaving it costs at
+    least the direct distance (triangle inequality; Demetrescu and
+    Italiano's locality, as in ContractedMetric.extend). Every candidate the
+    smallest-id walk tests lies on a shortest path between the edge's
+    clusters, so with no such cluster there, every entry of D and every
+    one-hop weight the walk reads is the previous prefix's, and the new ids
+    are the largest, so the walk tries them last and takes the same hops
+    over the same members.
     """
     out = []
-    # Level -> (the previous prefix's level-i assignment with the next two
-    # terminals appended as singletons, {edge: path} realized there).
+    # Level -> (the previous prefix's level-i assignment, {edge: path} realized there).
     prev_paths = {}
     for state in states:
         view = state.instance.view(state.t)
@@ -161,17 +172,22 @@ def offline_gluttonous_forest(states) -> tuple[OfflineForestResult, ...]:
         paths = {}
         for i in range(h.L + 1):
             f_inh, f_rest = select_spanning_forest(vgraphs[i], ())
-            cl = h.clustering(i)
-            grown, prev = prev_paths.get(i, (None, {}))
-            reuse = prev if cl.assignment == grown else {}
+            cl, ids, D = h.clustering(i), metrics[i].ids, metrics[i].D
+            old, prev = prev_paths.get(i, (None, {}))
+            if cl.assignment[:T - 2] != old:
+                prev = {}
+            # Positions of the clusters that can block a reuse.
+            block = [ids.index(c) for c in {cl.assignment[T - 2], cl.assignment[T - 1]}
+                     if len(cl.members[c]) > 1]
             realized = {}
             for c1, c2 in f_inh + f_rest:
-                path = reuse.get((c1, c2))
-                if path is None:
-                    path = cluster_distance(view, cl.assignment, (), c1, c2, metrics[i]).edges
+                path = prev.get((c1, c2))
+                p1, p2 = ids.index(c1), ids.index(c2)
+                if path is None or any(D[p1, x] + D[x, p2] == D[p1, p2] for x in block):
+                    path = cluster_distance(view, cl, (), c1, c2, metrics[i]).edges
                 realized[c1, c2] = path
                 edges.update(path)
-            paths[i] = (cl.assignment + (T, T + 1), realized)
+            paths[i] = (cl.assignment, realized)
             counts.append(len(cl.cluster_ids) - len(h.clustering(i + 1).cluster_ids))
         prev_paths = paths
         out.append(OfflineForestResult(frozenset(edges), view.cost(edges), tuple(counts)))
@@ -250,7 +266,7 @@ class OnlineGluttonousState(_CarriedBaseline):
             while hits := active_virtual_edges(self.metric.D, self.metric.ids,
                                                self.cl.cluster_level, i)[0]:
                 c1, c2 = hits[0]  # c1 < c2
-                path = cluster_distance(view, self.cl.assignment, (), c1, c2, self.metric)
+                path = cluster_distance(view, self.cl, (), c1, c2, self.metric)
                 self._buy(path, (c1, c2))
 
 
@@ -262,7 +278,7 @@ class GreedyOnlineState(_CarriedBaseline):
     """
 
     def _connect(self, view, u, v):
-        path = cluster_distance(view, self.cl.assignment, (), u, v, self.metric)
+        path = cluster_distance(view, self.cl, (), u, v, self.metric)
         self._buy(path, path.nodes)
 
 

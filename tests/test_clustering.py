@@ -147,7 +147,7 @@ def test_cluster_distance_same_supernode(w1):
     view = w1.view(2)
     cl = build_hierarchy(view)[0].clusterings[0]
     metric = ContractedMetric.of(view.dist_matrix(), cl.assignment)
-    path = cluster_distance(view, cl.assignment, [(0, 1)], 0, 1, metric)
+    path = cluster_distance(view, cl, [(0, 1)], 0, 1, metric)
     assert path == ClusterPath(0, (0,), ())
 
 
@@ -155,7 +155,7 @@ def test_cluster_distance_two_singletons(w1):
     view = w1.view(1)
     cl = build_hierarchy(view)[0].clusterings[0]
     metric = ContractedMetric.of(view.dist_matrix(), cl.assignment)
-    path = cluster_distance(view, cl.assignment, [], 0, 1, metric)
+    path = cluster_distance(view, cl, [], 0, 1, metric)
     assert path.distance == 1
     assert path.edges == ((0, 1),)
 
@@ -166,7 +166,7 @@ def test_cluster_distance_goes_through_middle():
     view = inst.view(2)
     cl = build_hierarchy(view)[0].clusterings[0]
     metric = ContractedMetric.of(view.dist_matrix(), cl.assignment)
-    path = cluster_distance(view, cl.assignment, [], 0, 2, metric)
+    path = cluster_distance(view, cl, [], 0, 2, metric)
     assert path.distance == 2
     assert path.nodes == (0, 1, 2)
     assert path.edges == ((0, 1), (1, 2))
@@ -177,26 +177,26 @@ def hub_case():
     cluster 1 reaches cluster 0 in 2 through the hub cluster 2, while its
     own cheapest edge to cluster 0 costs 200."""
     view = line_instance([200, 0, 1, 199]).view(2)
-    assignment = (0, 1, 2, 2)
-    return view, assignment, ContractedMetric.of(view.dist_matrix(), assignment)
+    cl = clustering_of((0, 1, 2, 2), view.levels)
+    return view, cl, ContractedMetric.of(view.dist_matrix(), cl.assignment)
 
 
 def test_cluster_distance_rejects_a_candidate_that_is_not_one_hop():
     # Cluster 0 is the smallest id on a shortest path from cluster 1
     # (D[1, 0] + D[0, 0] == 2), but its one-hop cost is 200, not 2.
-    view, assignment, metric = hub_case()
-    path = cluster_distance(view, assignment, [], 1, 0, metric)
+    view, cl, metric = hub_case()
+    path = cluster_distance(view, cl, [], 1, 0, metric)
     assert path == ClusterPath(2, (1, 2, 0), ((1, 2), (0, 3)))
 
 
 def test_cluster_distance_walk_stalls_on_a_closure_below_every_path():
     # A closure entry below every real path leaves no hop to take.
-    view, assignment, metric = hub_case()
+    view, cl, metric = hub_case()
     D = metric.D.copy()
     D[1, 0] = D[0, 1] = 1
     bad = ContractedMetric(metric.ids, D)
     with pytest.raises(AssertionError, match="shortest-path walk stalled"):
-        cluster_distance(view, assignment, [], 1, 0, bad)
+        cluster_distance(view, cl, [], 1, 0, bad)
 
 
 def test_cluster_distance_rejects_unknown_cluster(w1):
@@ -204,7 +204,7 @@ def test_cluster_distance_rejects_unknown_cluster(w1):
     cl = build_hierarchy(view)[0].clusterings[0]
     metric = ContractedMetric.of(view.dist_matrix(), cl.assignment)
     with pytest.raises(ConfigError):
-        cluster_distance(view, cl.assignment, [], 0, 99, metric)
+        cluster_distance(view, cl, [], 0, 99, metric)
 
 
 def test_cluster_distance_rejects_a_contracted_id_outside_the_arrived_terminals():
@@ -213,10 +213,10 @@ def test_cluster_distance_rejects_a_contracted_id_outside_the_arrived_terminals(
     view = generate_instance(GeneratorSpec(kind="line-chain", n=3, seed=1)).view(3)
     cl = build_hierarchy(view)[0].clusterings[0]
     metric = ContractedMetric.of(view.dist_matrix(), cl.assignment)
-    assert cluster_distance(view, cl.assignment, [(5, 0)], 0, 5, metric).distance == 0
+    assert cluster_distance(view, cl, [(5, 0)], 0, 5, metric).distance == 0
     for pair in ((-1, 0), (0, -6), (6, 0), (0, 7)):
         with pytest.raises(ConfigError):
-            cluster_distance(view, cl.assignment, [pair], 0, 5, metric)
+            cluster_distance(view, cl, [pair], 0, 5, metric)
 
 
 def test_cluster_distance_path_invariants_and_oracle():
@@ -231,22 +231,23 @@ def test_cluster_distance_path_invariants_and_oracle():
         labels = [rng.randrange(3) for _ in range(T)]
         anchor = {lab: min(k for k in range(T) if labels[k] == lab) for lab in set(labels)}
         assignment = tuple(anchor[lab] for lab in labels)
+        cl = clustering_of(assignment, view.levels)
         metric = ContractedMetric.of(view.dist_matrix(), assignment)
         all_edges = list(itertools.combinations(range(T), 2))
         contracted = rng.sample(all_edges, 3)
         cids = sorted(set(assignment))
         for C1, C2 in itertools.combinations(cids, 2):
-            path = cluster_distance(view, assignment, contracted, C1, C2, metric)
+            path = cluster_distance(view, cl, contracted, C1, C2, metric)
             brute = brute_contracted_distance(view, assignment, contracted, C1, C2)
             assert path.distance == brute
             assert path.distance == sum(view.d(a, b) for a, b in path.edges)
             # Symmetry of the contracted metric.
-            back = cluster_distance(view, assignment, contracted, C2, C1, metric)
+            back = cluster_distance(view, cl, contracted, C2, C1, metric)
             assert back.distance == path.distance
         # Monotone under contraction: adding contracted edges never lengthens.
         for C1, C2 in itertools.combinations(cids, 2):
-            d_more = cluster_distance(view, assignment, all_edges[:6], C1, C2, metric).distance
-            d_less = cluster_distance(view, assignment, [], C1, C2, metric).distance
+            d_more = cluster_distance(view, cl, all_edges[:6], C1, C2, metric).distance
+            d_less = cluster_distance(view, cl, [], C1, C2, metric).distance
             assert d_more <= d_less
 
 
@@ -257,9 +258,9 @@ def test_cluster_distance_triangle_over_supernodes():
     cids = cl.cluster_ids
     metric = ContractedMetric.of(view.dist_matrix(), cl.assignment)
     for a, b, c in itertools.permutations(cids[:4], 3):
-        dab = cluster_distance(view, cl.assignment, [], a, b, metric).distance
-        dbc = cluster_distance(view, cl.assignment, [], b, c, metric).distance
-        dac = cluster_distance(view, cl.assignment, [], a, c, metric).distance
+        dab = cluster_distance(view, cl, [], a, b, metric).distance
+        dbc = cluster_distance(view, cl, [], b, c, metric).distance
+        dac = cluster_distance(view, cl, [], a, c, metric).distance
         assert dac <= dab + dbc
 
 
@@ -428,8 +429,8 @@ def test_cluster_distance_level_metric_with_pins_matches_brute():
             pins = rng.sample(all_edges, rng.randint(0, 5))
             fresh = ContractedMetric.of(view.dist_matrix(), cl.assignment)
             for C1, C2 in itertools.combinations(cl.cluster_ids, 2):
-                path = cluster_distance(view, cl.assignment, pins, C1, C2, metrics[i])
-                assert path == cluster_distance(view, cl.assignment, pins, C1, C2, fresh)
+                path = cluster_distance(view, cl, pins, C1, C2, metrics[i])
+                assert path == cluster_distance(view, cl, pins, C1, C2, fresh)
                 brute = brute_contracted_distance(view, cl.assignment, pins, C1, C2)
                 assert path.distance == brute
                 assert path.distance == sum(view.d(a, b) for a, b in path.edges)
@@ -446,12 +447,12 @@ def test_contracted_metric_near_max_dist():
                        (0, 1, 2, 3, 4, 5, 6, 7)):
         metric = ContractedMetric.of(dist, assignment)
         assert_matches_reference(metric, dist, assignment)
-        cids = sorted(set(assignment))
-        for C1, C2 in itertools.combinations(cids, 2):
-            path = cluster_distance(view, assignment, [], C1, C2, metric)
+        cl = clustering_of(assignment, view.levels)
+        for C1, C2 in itertools.combinations(cl.cluster_ids, 2):
+            path = cluster_distance(view, cl, [], C1, C2, metric)
             assert path.distance == brute_contracted_distance(view, assignment, [], C1, C2)
             assert path.distance <= MAX_DIST
-        path = cluster_distance(view, assignment, [(0, 7)], 0, 6, metric)
+        path = cluster_distance(view, cl, [(0, 7)], 0, 6, metric)
         assert path.distance == brute_contracted_distance(view, assignment, [(0, 7)], 0, 6)
     h, _, metrics = build_hierarchy(view)
     for i in range(h.L + 1):
@@ -625,7 +626,8 @@ def test_extend_near_max_dist():
         metric = ext.coarsen(coarse)
         assert_matches_reference(metric, new, coarse)
         for C1, C2 in itertools.combinations(sorted(set(coarse)), 2):
-            path = cluster_distance(inst.view(4), coarse, [], C1, C2, metric)
+            path = cluster_distance(inst.view(4), clustering_of(coarse, inst.view(4).levels), [],
+                                    C1, C2, metric)
             assert path.distance == brute_contracted_distance(inst.view(4), coarse, [],
                                                               C1, C2)
             assert path.distance <= MAX_DIST
@@ -936,7 +938,7 @@ def reference_cluster_distance(view, assignment, contracted_by, C1, C2, metric):
 
 @st.composite
 def realization_cases(draw):
-    """(view, assignment, contracted_by, level metric): a hierarchy level of a
+    """(view, clustering, contracted_by, level metric): a hierarchy level of a
     generated prefix and terminal pairs that cross clusters, lie inside one,
     are self-pairs, repeat a pair or join two clusters already joined."""
     kind = draw(st.sampled_from(GENERATOR_KINDS))
@@ -958,19 +960,18 @@ def realization_cases(draw):
     if pairs:
         again = draw(st.lists(st.sampled_from(pairs), max_size=3))
         extra += again + [(member(b), member(a)) for a, b in again]
-    return view, cl.assignment, draw(st.permutations(pairs + extra)), metrics[i]
+    return view, cl, draw(st.permutations(pairs + extra)), metrics[i]
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(realization_cases())
 def test_cluster_distance_matches_the_reference(case):
-    view, assignment, contracted_by, metric = case
-    cids = sorted(set(assignment))
-    fresh = ContractedMetric.of(view.dist_matrix(), assignment)
-    for C1, C2 in itertools.product(cids, repeat=2):
+    view, cl, contracted_by, metric = case
+    fresh = ContractedMetric.of(view.dist_matrix(), cl.assignment)
+    for C1, C2 in itertools.product(cl.cluster_ids, repeat=2):
         for m in (fresh, metric):
-            path = cluster_distance(view, assignment, contracted_by, C1, C2, m)
-            assert path == reference_cluster_distance(view, assignment, contracted_by,
+            path = cluster_distance(view, cl, contracted_by, C1, C2, m)
+            assert path == reference_cluster_distance(view, cl.assignment, contracted_by,
                                                       C1, C2, m)
             assert all(type(x) is int for e in path.edges for x in e)
             assert type(path.distance) is int

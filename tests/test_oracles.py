@@ -9,7 +9,14 @@ from sfonline import oracles
 from sfonline.clustering import ContractedMetric, build_hierarchy, cluster_distance
 from sfonline.errors import OracleLimitError
 from sfonline.forest import select_spanning_forest
-from sfonline.metric import GENERATOR_KINDS, MAX_DIST, GeneratorSpec, Instance, generate_instance
+from sfonline.metric import (
+    GENERATOR_KINDS,
+    MAX_DIST,
+    GeneratorSpec,
+    Instance,
+    generate_instance,
+    metric_closure,
+)
 from sfonline.oracles import (
     GreedyOnlineState,
     OfflineForestResult,
@@ -281,7 +288,7 @@ def reference_offline_forest(view):
         f_inh, f_rest = select_spanning_forest(vgraphs[i], ())
         cl = h.clustering(i)
         for c1, c2 in f_inh + f_rest:
-            edges.update(cluster_distance(view, cl.assignment, (), c1, c2, metrics[i]).edges)
+            edges.update(cluster_distance(view, cl, (), c1, c2, metrics[i]).edges)
         counts.append(len(cl.cluster_ids) - len(h.clustering(i + 1).cluster_ids))
     cost = sum(view.d(a, b) for a, b in edges)
     return OfflineForestResult(frozenset(edges), cost, tuple(counts))
@@ -305,6 +312,48 @@ def test_offline_forest_carried_matches_per_prefix_reference(monkeypatch, kind):
     assert len(forests) == inst.n
     for t, res in enumerate(forests, 1):
         assert res == reference_offline_forest(inst.view(t))
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+@pytest.mark.parametrize("n", [3, 6, 12, 20])
+def test_offline_forest_matches_the_reference_at_every_prefix(kind, n):
+    # Whole results, edges included, over seeds 1-5: random-metric n=20
+    # seed 4 has prefixes where only the {u, v} cluster lies on a shortest
+    # path between two old clusters, so reusing there would be wrong.
+    for seed in range(1, 6):
+        inst = generate_instance(GeneratorSpec(kind=kind, n=n, seed=seed))
+        forests = offline_gluttonous_forest(iter_online(inst, lam=2))
+        assert forests == tuple(reference_offline_forest(inst.view(t))
+                                for t in range(1, n + 1))
+
+
+# Edge weights of the small graphs below: few distinct sums make exact ties
+# between shortest paths, which the walk's smallest-id choice breaks.
+WEIGHT_FAMILIES = {"one-two": (1, 2), "digits": tuple(range(1, 10)),
+                   "powers": tuple(1 << k for k in range(8))}
+
+
+@st.composite
+def graph_closure_instances(draw):
+    """An instance of n <= 6 pairs on the metric closure of a small random
+    graph whose edge weights come from one of WEIGHT_FAMILIES. A missing
+    edge weighs more than any path of present ones."""
+    n = draw(st.integers(1, 6))
+    T = 2 * n
+    weights = WEIGHT_FAMILIES[draw(st.sampled_from(sorted(WEIGHT_FAMILIES)))]
+    missing = T * max(weights)
+    w = np.zeros((T, T), dtype=np.int64)
+    for a, b in itertools.combinations(range(T), 2):
+        w[a, b] = w[b, a] = draw(st.sampled_from((*weights, missing)))
+    return Instance(n, metric_closure(w), tuple((2 * t, 2 * t + 1) for t in range(n)))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(graph_closure_instances(), st.integers(1, 3))
+def test_offline_forest_matches_the_reference_on_graph_closures(inst, lam):
+    forests = offline_gluttonous_forest(iter_online(inst, lam))
+    assert forests == tuple(reference_offline_forest(inst.view(t))
+                            for t in range(1, inst.n + 1))
 
 
 def test_online_gluttonous_first_arrival():
