@@ -71,12 +71,17 @@ def test_closure_rejects_zero_off_diagonal():
 
 
 @pytest.mark.parametrize("dist", [[[1, 1], [1, 0]], [[0, 1], [2, 0]],
-                                  [[0, 2**62], [2**62, 0]], [[0, 1, 2]], [[0, 1.5], [1.5, 0]]],
-                         ids=["diagonal", "asymmetric", "range", "shape", "float"])
+                                  [[0, 2**62], [2**62, 0]], [[0, 1, 2]], [[0, 1], [1]],
+                                  [[0, 1.5], [1.5, 0]]],
+                         ids=["diagonal", "asymmetric", "range", "shape", "ragged", "float"])
 def test_closure_rejects_what_the_validator_rejects(dist):
     with pytest.raises(MetricError) as ei:
         metric_closure(dist)
     assert str(ei.value) == validation_message(dist)
+
+
+def test_validate_rejects_ragged_rows():
+    assert validation_message([[0, 1], [1]]) == "matrix is not square: shape (ragged)"
 
 
 def test_validate_rejects_out_of_range_distance():
