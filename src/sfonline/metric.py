@@ -44,7 +44,10 @@ def _checked_entries(dist) -> np.ndarray:
     """`dist` as an int64 matrix, or the MetricError of the first failed entry
     check: square shape, integer entries, zero diagonal, symmetry, and
     off-diagonal entries in [1, MAX_DIST]."""
-    a = np.asarray(dist)
+    try:
+        a = np.asarray(dist)
+    except ValueError:  # rows of unequal length
+        raise MetricError("matrix is not square: shape (ragged)") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MetricError(f"matrix is not square: shape {a.shape}")
     if a.dtype.kind not in "iu":
