@@ -342,35 +342,28 @@ def cluster_distance(view: InstanceView, cl: Clustering, contracted_by, C1: int,
     to the lexicographically smallest super-node id sequence. `metric` is
     the contracted metric of `cl`, into which the cluster pairs of
     `contracted_by` are merged. The walk reads that metric's closure and
-    realizes the one-hop weight of each hop it tries, on the members of the
-    two super-nodes: a cluster's own list, or a merged group's sorted union.
-    A UnionFind over the pairs' clusters covers only the clusters they
-    touch, so the Python work is O(pairs + tried hops + their members).
+    realizes the one-hop weight of each hop it tries from the two
+    super-nodes' member lists: those of `cl` contracted by the pairs, whose
+    union-find covers only the clusters they touch, so the Python work is
+    O(pairs + tried hops).
     """
-    members, asn = cl.members, cl.assignment
-    if C1 not in members or C2 not in members:
-        raise ConfigError(f"cluster {C1 if C1 not in members else C2} not in clustering")
+    if C1 not in cl.members or C2 not in cl.members:
+        raise ConfigError(f"cluster {C1 if C1 not in cl.members else C2} not in clustering")
     T = view.num_terminals
     pairs = []
     for a, b in contracted_by:
         if not (0 <= a < T and 0 <= b < T):
             raise ConfigError("contracted_by touches a terminal that has not arrived")
-        pairs.append((asn[a], asn[b]))
-    moves = [(c, r) for c, r in UnionFind(pairs).roots().items() if c != r]
-    root = dict(moves)
-    src, dst = root.get(C1, C1), root.get(C2, C2)
+        pairs.append((cl.assignment[a], cl.assignment[b]))
+    if pairs:
+        cl = cl.contract(pairs)
+        metric = metric.coarsen(cl.assignment)
+    src, dst = cl.assignment[C1], cl.assignment[C2]
     if src == dst:
         return ClusterPath(0, (src,), ())
-    merged: dict[int, list[int]] = {}  # a merged group's root -> its members
-    for c, r in moves:
-        merged.setdefault(r, list(members[r])).extend(members[c])
-
-    def listed(cid):
-        return np.array(sorted(merged[cid]) if cid in merged else members[cid])
 
     dist = view.dist_matrix()
-    m = metric._fold(moves)
-    D, ids = m.D, m.ids
+    D, ids = metric.D, metric.ids
     si, di = ids.index(src), ids.index(dst)
     total = int(D[si, di])
     to_dst = D[:, di]
@@ -384,14 +377,14 @@ def cluster_distance(view: InstanceView, cl: Clustering, contracted_by, C1: int,
     nodes = [src]
     edges = []
     ci = si
-    here = listed(src)
+    here = np.array(cl.members[src])
     rest = total
     while ci != di:
         row = D[ci]
         for qi in np.flatnonzero(row + to_dst == rest).tolist():
             if qi == ci:
                 continue
-            there = listed(ids[qi])
+            there = np.array(cl.members[ids[qi]])
             w, edge = _realize_hop(dist, here, there)
             if w == row[qi]:
                 break

@@ -112,10 +112,9 @@ class Instance:
 
     `levels[v]` is terminal v's level, fixed by its pair's distance and
     computed once here. The arguments are checked as given, in this order:
-    n is an int >= 1 and dist has shape (2n, 2n), with no ragged rows (else
-    ConfigError), the demands are a tuple of tuples equal to ((0, 1), (2,
-    3), ...) (else FormatError E_PAIR), and dist passes validate_metric.
-    Only then is dist cast to int64."""
+    n is an int >= 1 and dist is (2n, 2n), not ragged (else ConfigError), the
+    demands a tuple of tuples equal to ((0, 1), (2, 3), ...) (else FormatError
+    E_PAIR), and dist passes validate_metric. Only then is dist cast to int64."""
 
     n: int
     dist: np.ndarray  # (2n, 2n) int64, read-only

@@ -13,10 +13,8 @@ the optimum of every prefix on the way.
 
 The offline-gluttonous forest spans the algorithm's own hierarchy of every
 prefix. It reads them from the online run's states as each arrival lands,
-so a hierarchy is built once for both, and it re-walks only the paths an
-arrival could have shortened: a distance shrinks only through a cluster
-that changed (Demetrescu and Italiano's locality), and a new singleton
-never shortens one (offline_gluttonous_forest).
+so a hierarchy is built once for both. It re-walks only the paths an
+arrival could have shortened (Demetrescu and Italiano's locality).
 """
 
 from __future__ import annotations
@@ -145,24 +143,18 @@ def offline_gluttonous_forest(states) -> tuple[OfflineForestResult, ...]:
     lambda gives the same hierarchies. Each state's hierarchy, virtual edges
     and metrics are read before the next state is asked for.
 
-    A level whose old terminals keep the previous prefix's partition reuses
-    the path the previous prefix realized for an edge, unless a cluster
-    that holds a new terminal and has more than one member lies on a
-    shortest path between the edge's clusters in this prefix's metric: an
-    old cluster that took in u or v, or {u, v} itself. The reuse is exact.
-    Distances between old clusters shrink only through such a cluster: a
-    new singleton never shortens a path, as entering and leaving it costs at
-    least the direct distance (triangle inequality; Demetrescu and
-    Italiano's locality, as in ContractedMetric.extend). Every candidate the
-    smallest-id walk tests lies on a shortest path between the edge's
-    clusters, so with no such cluster there, every entry of D and every
-    one-hop weight the walk reads is the previous prefix's, and the new ids
-    are the largest, so the walk tries them last and takes the same hops
-    over the same members.
+    On a level whose old terminals keep the previous prefix's partition, an
+    edge reuses the previous prefix's path unless a cluster holding a new
+    terminal and more than one member (an old cluster that took in u or v,
+    or {u, v}) lies on a shortest path between its clusters. This is exact:
+    old distances shrink only through such a cluster, as a new singleton
+    never shortens a path (ContractedMetric.extend); every candidate the
+    smallest-id walk tests lies on a shortest path, so every D entry and
+    one-hop weight it reads is unchanged, and it tries the new, largest ids
+    last.
     """
     out = []
-    # Level -> (the previous prefix's level-i assignment, {edge: path} realized there).
-    prev_paths = {}
+    prev_paths = {}  # level -> (the previous prefix's assignment, {edge: path} there)
     for state in states:
         view = state.instance.view(state.t)
         h, vgraphs, metrics = state.last_outcome.hierarchy, state.vgraphs, state.metrics
@@ -174,14 +166,12 @@ def offline_gluttonous_forest(states) -> tuple[OfflineForestResult, ...]:
             f_inh, f_rest = select_spanning_forest(vgraphs[i], ())
             cl, ids, D = h.clustering(i), metrics[i].ids, metrics[i].D
             old, prev = prev_paths.get(i, (None, {}))
-            if cl.assignment[:T - 2] != old:
-                prev = {}
-            # Positions of the clusters that can block a reuse.
+            reuse = prev if cl.assignment[:T - 2] == old else {}
             block = [ids.index(c) for c in {cl.assignment[T - 2], cl.assignment[T - 1]}
                      if len(cl.members[c]) > 1]
             realized = {}
             for c1, c2 in f_inh + f_rest:
-                path = prev.get((c1, c2))
+                path = reuse.get((c1, c2))
                 p1, p2 = ids.index(c1), ids.index(c2)
                 if path is None or any(D[p1, x] + D[x, p2] == D[p1, p2] for x in block):
                     path = cluster_distance(view, cl, (), c1, c2, metrics[i]).edges
