@@ -12,7 +12,7 @@ Contracted distances are carried incrementally, never rebuilt, and a
 contracted metric is its distance closure alone: no one-hop weight matrix
 is kept. Merging clusters is adding zero-weight edges, so a merge folds
 each merged group's rows and columns into its root's by minimum and runs
-one Floyd-Warshall pivot per merged group (ContractedMetric._fold). Across
+one Floyd-Warshall pivot per merged group (ContractedMetric.coarsen). Across
 arrivals, the previous arrival's level-i clustering refines this arrival's
 level i (the invariant the recourse analysis rests on), so a level's
 metric is the previous arrival's, extended by the two new terminals as
@@ -198,15 +198,13 @@ class ContractedMetric:
         return cls.trivial(dist).coarsen(assignment)
 
     def coarsen(self, assignment):
-        """Metric of a canonical clustering that this one refines: id c folds into assignment[c]."""
-        return self._fold([(c, assignment[c]) for c in self.ids if assignment[c] != c])
-
-    def _fold(self, moves):
-        """Metric with each (id, root id) move's cluster folded into its root's:
-        moved rows first, then moved columns, so an entry between two roots is
-        the minimum over both groups' members. A pivot per merged group closes
-        the result; unmerged clusters need none, as a path through one never
-        beats the direct entry (D is closed). With no move it is this metric."""
+        """Metric of a canonical clustering that this one refines: each id c
+        folds into assignment[c], moved rows first, then moved columns, so an
+        entry between two roots is the minimum over both groups' members. A
+        pivot per merged group closes the result; unmerged clusters need none,
+        as a path through one never beats the direct entry (D is closed).
+        With no move it is this metric."""
+        moves = [(c, assignment[c]) for c in self.ids if assignment[c] != c]
         if not moves:
             return self
         ids, K = self.ids, len(self.ids)

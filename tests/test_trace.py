@@ -101,7 +101,7 @@ def test_load_trace_builds_no_contracted_metric(tmp_path, monkeypatch):
         raise AssertionError("load_trace built a contracted metric")
 
     monkeypatch.setattr(ContractedMetric, "of", refuse)
-    monkeypatch.setattr(ContractedMetric, "_fold", refuse)
+    monkeypatch.setattr(ContractedMetric, "coarsen", refuse)
     monkeypatch.setattr(ContractedMetric, "extend", refuse)
     assert len(load_trace(tmp_path / "t").arrivals) == inst.n
 
