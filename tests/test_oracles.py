@@ -348,7 +348,7 @@ def graph_closure_instances(draw):
     return Instance(n, metric_closure(w), tuple((2 * t, 2 * t + 1) for t in range(n)))
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
 @given(graph_closure_instances(), st.integers(1, 3))
 def test_offline_forest_matches_the_reference_on_graph_closures(inst, lam):
     forests = offline_gluttonous_forest(iter_online(inst, lam))
