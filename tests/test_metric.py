@@ -185,6 +185,7 @@ MALFORMED_INSTANCES = {
     "str-demand": ((1, [[0, 1], [1, 0]], (("a", "b"),)), FormatError, "demand ids"),
     "array-demands": ((1, [[0, 1], [1, 0]], np.array([[0, 1]])), FormatError, "demand ids"),
     "array-demand": ((1, [[0, 1], [1, 0]], (np.array([0, 1]),)), FormatError, "demand ids"),
+    "array-id": ((1, [[0, 1], [1, 0]], ((np.array([0, 1]), 1),)), FormatError, "demand ids"),
     "str-n": (("1", [[0, 1], [1, 0]], ((0, 1),)), ConfigError, "n >= 1"),
     "shape-not-2n": ((2, [[0, 1], [1, 0]], ((0, 1), (2, 3))), ConfigError, "does not match n=2"),
     "ragged-dist": ((1, [[0, 1], [1]], ((0, 1),)), ConfigError, "does not match n=1"),
