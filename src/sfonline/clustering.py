@@ -338,12 +338,10 @@ def cluster_distance(view: InstanceView, cl: Clustering, contracted_by, C1: int,
     vertices joined by the original edges in `contracted_by`. Returns the
     distance together with the realized original edge of every hop; ties go
     to the lexicographically smallest super-node id sequence. `metric` is
-    the contracted metric of `cl`, into which the cluster pairs of
-    `contracted_by` are merged. The walk reads that metric's closure and
-    realizes the one-hop weight of each hop it tries from the two
-    super-nodes' member lists: those of `cl` contracted by the pairs, whose
-    union-find covers only the clusters they touch, so the Python work is
-    O(pairs + tried hops).
+    the contracted metric of `cl`; both are contracted by the pairs, whose
+    union-find covers only the clusters they touch. The walk reads the
+    closure and realizes the one-hop weight of each hop it tries from the
+    two super-nodes' member lists, so the Python work is O(pairs + tried hops).
     """
     if C1 not in cl.members or C2 not in cl.members:
         raise ConfigError(f"cluster {C1 if C1 not in cl.members else C2} not in clustering")
@@ -372,11 +370,9 @@ def cluster_distance(view: InstanceView, cl: Clustering, contracted_by, C1: int,
     # weights are never below D, so these are the q with one-hop weight plus
     # D[q, dst] equal to rest. Every hop costs >= 1, so the walk terminates.
     # Sums of two entries <= MAX_DIST fit in int64.
-    nodes = [src]
-    edges = []
-    ci = si
+    nodes, edges = [src], []
+    ci, rest = si, total
     here = np.array(cl.members[src])
-    rest = total
     while ci != di:
         row = D[ci]
         for qi in np.flatnonzero(row + to_dst == rest).tolist():

@@ -39,8 +39,7 @@ Edge = tuple  # (a, b) terminal ids, a < b
 
 def recourse_diff(prev, now) -> tuple[int, int]:
     """(insertions, deletions) between two edge sets."""
-    prev = set(prev)
-    now = set(now)
+    prev, now = set(prev), set(now)
     return len(now - prev), len(prev - now)
 
 
@@ -139,8 +138,7 @@ def classify_inheritance(prev_edges, new_cl: Clustering, h_edges):
     h_set = set(h_edges)
     parents: dict[tuple[int, int], VirtualEdge] = {}
     for pe in sorted(prev_edges, key=lambda e: (e.c1, e.c2)):
-        d1 = new_cl.assignment[pe.c1]
-        d2 = new_cl.assignment[pe.c2]
+        d1, d2 = new_cl.assignment[pe.c1], new_cl.assignment[pe.c2]
         if d1 == d2:
             continue  # non-inheritable: both endpoints merged into one cluster
         img = (d1, d2) if d1 < d2 else (d2, d1)
@@ -166,9 +164,7 @@ def select_spanning_forest(h_edges, inherited_images):
         if uf.union(e[0], e[1]):
             f_inh.append(e)
     for e in h_edges:
-        if e in inherited_set:
-            continue
-        if uf.union(e[0], e[1]):
+        if e not in inherited_set and uf.union(e[0], e[1]):
             f_rest.append(e)
     return f_inh, f_rest
 

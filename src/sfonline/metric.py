@@ -113,8 +113,8 @@ class Instance:
     `levels[v]` is terminal v's level, fixed by its pair's distance and
     computed once here. The arguments are checked as given, in this order:
     n is an int >= 1 and dist is (2n, 2n), not ragged (else ConfigError), the
-    demands a tuple of tuples equal to ((0, 1), (2, 3), ...) (else FormatError
-    E_PAIR), and dist passes validate_metric. Only then is dist cast to int64."""
+    demands a tuple of tuples of numbers equal to ((0, 1), (2, 3), ...) (else
+    FormatError E_PAIR), and dist passes validate_metric. Only then is dist cast to int64."""
 
     n: int
     dist: np.ndarray  # (2n, 2n) int64, read-only
@@ -132,8 +132,9 @@ class Instance:
         if shape != (2 * self.n, 2 * self.n):
             raise ConfigError(f"distance matrix shape {shape} does not match n={self.n}")
         pairs = tuple((2 * t - 2, 2 * t - 1) for t in range(1, self.n + 1))
-        ds = self.demands
-        if type(ds) is not tuple or any(type(p) is not tuple for p in ds) or ds != pairs:
+        ds = self.demands  # ids must be numbers, so == gives a bool: no numpy array
+        if type(ds) is not tuple or any(type(p) is not tuple or not all(
+                isinstance(k, (int, float, np.number)) for k in p) for p in ds) or ds != pairs:
             raise FormatError("demand ids must be (2t-2, 2t-1) in arrival order", code="E_PAIR")
         object.__setattr__(self, "demands", pairs)
         validate_metric(d)
@@ -284,11 +285,9 @@ def save_instance(inst: Instance) -> str:
     lines.append(f"SFONLINE 1 {T} {inst.n}")
     lines.append("MATRIX")
     rows = inst.dist.tolist()
-    for k in range(1, T):
-        lines.append(" ".join(map(str, rows[k][:k])))
+    lines.extend(" ".join(map(str, rows[k][:k])) for k in range(1, T))
     lines.append("DEMANDS")
-    for u, v in inst.demands:
-        lines.append(f"{u} {v}")
+    lines.extend(f"{u} {v}" for u, v in inst.demands)
     return "\n".join(lines) + "\n"
 
 
