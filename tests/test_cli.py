@@ -371,3 +371,15 @@ def test_sweep_rejects_bad_lams(tmp_path, w1_file, capsys, lams):
     assert rc == 2
     assert "error[E_CONFIG]" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--lams", "1"], ["compare"]])
+@pytest.mark.parametrize("flag, value", [("--kind", "line"), ("--n", "5")])
+def test_input_excludes_the_generator_flags(tmp_path, w1_file, capsys, command, flag, value):
+    # An instance file and a generator flag name two instances; neither wins.
+    out = tmp_path / "o"
+    rc = main([*command, "--input", w1_file, flag, value, "--out", str(out), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[E_CONFIG]: ") and "--input" in err and flag in err
+    assert not out.exists()
