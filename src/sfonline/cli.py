@@ -2,58 +2,28 @@
 
 All outputs are deterministic for a fixed (instance bytes, config): CSVs use
 comma separators and \\n line endings, ratios print with six decimals, and
-nothing ever writes a timestamp. Exit statuses: 0 success, 2 config/usage,
-3 format, 4 metric, 5 oracle limit.
+nothing ever writes a timestamp. Exit statuses: 0 success, 1 a failed check,
+and otherwise the error's own `exit_status` (errors.py), which its type fixes:
+2 config/usage, 3 format, 4 metric, 5 oracle limit.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
 from .certify import check_run, recourse_bound
 from .clustering import dump_hierarchy
 from .errors import ConfigError, SfonlineError
-from .metric import (
-    GeneratorSpec,
-    Instance,
-    generate_instance,
-    load_instance_file,
-    save_instance,
-)
+from .metric import GeneratorSpec, generate_instance, load_instance_file, save_instance
 from .oracles import DEFAULT_ORACLE_LIMIT, exact_optimum, offline_gluttonous_forest, run_baseline
 from .trace import RunTrace, iter_online, load_trace, run_online, save_trace
 
-EXIT_CODES = {
-    "E_CONFIG": 2,
-    "E_FORMAT": 3,
-    "E_HEADER": 3,
-    "E_INT": 3,
-    "E_PAIR": 3,
-    "E_METRIC": 4,
-    "E_ORACLE_LIMIT": 5,
-}
-
-
-@dataclasses.dataclass
-class RunConfig:
-    instance: Instance
-    lam: int
-    checks: str = "structural"  # none | structural | full-witness
-    out_dir: str = "out"
-    dump_hierarchy: bool = False
-    quiet: bool = False
-
-
-def _say(cfg_or_args, msg):
-    if not getattr(cfg_or_args, "quiet", False):
-        print(msg)
-
-
-def _load_from_args(args) -> Instance:
+def _load_from_args(args):
     if getattr(args, "input", None):
+        if args.kind is not None or args.n is not None:
+            raise ConfigError("--input FILE excludes the generator flags --kind/--n")
         return load_instance_file(args.input)
     if getattr(args, "kind", None) is None:
         flags = "--input FILE or --kind/--n" if hasattr(args, "input") else "--kind/--n"
@@ -90,7 +60,7 @@ def _default_lam(n: int) -> int:
     return max(1, (n - 1).bit_length())  # ceil(log2 n), floored at 1
 
 
-def _opt_map(inst: Instance, limit: int):
+def _opt_map(inst, limit: int):
     """{t: OPT of the first t pairs} for t up to the oracle limit."""
     k = min(inst.n, limit)
     if k < 1:
@@ -117,60 +87,61 @@ def _per_arrival_rows(trace: RunTrace, opt):
     return "\n".join(rows) + "\n"
 
 
-def run_command(cfg: RunConfig, opt):
+def run_command(inst, lam, checks, out_dir, opt, dump, quiet):
     """Execute one online run: CSV + summary + trace (+ optional certification).
-    `opt` is the instance's `_opt_map`."""
-    _make_dirs(cfg.out_dir)
-    trace = run_online(cfg.instance, cfg.lam)
+    `checks` is none | structural | full-witness and `opt` is the instance's
+    `_opt_map`. Returns (trace, exit status)."""
+    _make_dirs(out_dir)
+    trace = run_online(inst, lam)
 
-    _write_text(os.path.join(cfg.out_dir, "per_arrival.csv"), _per_arrival_rows(trace, opt))
+    _write_text(os.path.join(out_dir, "per_arrival.csv"), _per_arrival_rows(trace, opt))
 
-    trace_dir = os.path.join(cfg.out_dir, "trace")
+    trace_dir = os.path.join(out_dir, "trace")
     try:
         save_trace(trace, trace_dir)
     except OSError as err:
         raise _output_error(trace_dir, err) from err
 
-    if cfg.dump_hierarchy:
+    if dump:
         for out in trace.arrivals:
-            _write_text(os.path.join(cfg.out_dir, f"hierarchy_{out.t:04d}.txt"),
+            _write_text(os.path.join(out_dir, f"hierarchy_{out.t:04d}.txt"),
                         dump_hierarchy(out.hierarchy))
 
     report = None
-    if cfg.checks != "none":
+    if checks != "none":
         report = check_run(trace, opt,
-                           witness_levels=None if cfg.checks == "full-witness" else ())
+                           witness_levels=None if checks == "full-witness" else ())
 
     n = trace.n
     lines = [
-        f"instance: {cfg.instance.label} [{cfg.instance.content_hash()}]",
+        f"instance: {inst.label} [{inst.content_hash()}]",
         f"n: {n}",
-        f"lambda: {cfg.lam}",
+        f"lambda: {lam}",
         f"final cost: {trace.final().snapshot.cost}",
         f"final pinned cost: {trace.final().cost_pinned}",
         f"final forest-forming cost: {trace.final().cost_forestforming}",
         f"insertions total: {trace.insertions_total}",
         f"deletions total: {trace.deletions_total}",
-        f"recourse bound 2n+21n*lambda: {recourse_bound(n, cfg.lam)}",
-        f"insertions/(n*lambda): {trace.insertions_total / (n * cfg.lam):.6f}",
+        f"recourse bound 2n+21n*lambda: {recourse_bound(n, lam)}",
+        f"insertions/(n*lambda): {trace.insertions_total / (n * lam):.6f}",
     ]
     if opt.get(n):
         lines.append(f"final OPT: {opt[n]}")
         lines.append(f"final cost/OPT: {trace.final().snapshot.cost / opt[n]:.6f}")
     if report is not None:
-        lines.append(f"checks ({cfg.checks}): " + ("PASS" if report.ok else "FAIL"))
+        lines.append(f"checks ({checks}): " + ("PASS" if report.ok else "FAIL"))
         for name in sorted(report.ratios):
             lines.append(f"ratio {name}: {report.ratios[name]:.6f}")
     summary = "\n".join(lines) + "\n"
-    _write_text(os.path.join(cfg.out_dir, "summary.txt"), summary)
-    if not cfg.quiet:
+    _write_text(os.path.join(out_dir, "summary.txt"), summary)
+    if not quiet:
         sys.stdout.write(summary)
     if report is not None and not report.ok:
         for e in report.failures()[:10]:
             print(f"FAIL {e.check} level={e.level} arrival={e.arrival} {e.value}",
                   file=sys.stderr)
-        return trace, report, 1
-    return trace, report, 0
+        return trace, 1
+    return trace, 0
 
 
 def cmd_gen(args):
@@ -185,22 +156,16 @@ def cmd_gen(args):
         _make_dirs(args.out)
         name = os.path.join(args.out, f"{spec.canonical_kind()}_n{args.n}_s{args.seed}.sfo")
     _write_text(name, save_instance(inst))
-    _say(args, name)
+    if not args.quiet:
+        print(name)
     return 0
 
 
 def cmd_run(args):
     inst = _load_from_args(args)
     lam = args.lam if args.lam is not None else _default_lam(inst.n)
-    cfg = RunConfig(
-        instance=inst,
-        lam=lam,
-        checks=args.checks,
-        out_dir=args.out,
-        dump_hierarchy=args.dump_hierarchy,
-        quiet=args.quiet,
-    )
-    _, _, status = run_command(cfg, _opt_map(inst, args.oracle_limit))
+    _, status = run_command(inst, lam, args.checks, args.out, _opt_map(inst, args.oracle_limit),
+                            dump=args.dump_hierarchy, quiet=args.quiet)
     return status
 
 
@@ -222,9 +187,8 @@ def cmd_sweep(args):
     rows = ["lambda,final_cost,OPT,ratio,insertions,insertions_per_nlam"]
     status = 0
     for lam in lams:
-        cfg = RunConfig(instance=inst, lam=lam, checks=args.checks,
-                        out_dir=os.path.join(args.out, f"lam_{lam}"), quiet=True)
-        trace, _, st = run_command(cfg, opt)
+        trace, st = run_command(inst, lam, args.checks, os.path.join(args.out, f"lam_{lam}"),
+                                opt, dump=False, quiet=True)
         status = max(status, st)
         cost = trace.final().snapshot.cost
         ins = trace.insertions_total
@@ -233,7 +197,8 @@ def cmd_sweep(args):
                     f"{ins},{ins / (inst.n * lam):.6f}")
     table = "\n".join(rows) + "\n"
     _write_text(os.path.join(args.out, "sweep.csv"), table)
-    _say(args, table.rstrip("\n"))
+    if not args.quiet:
+        sys.stdout.write(table)
     return status
 
 
@@ -410,7 +375,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SfonlineError as err:
         print(f"error[{err.code}]: {err}", file=sys.stderr)
-        return EXIT_CODES.get(err.code, 1)
+        return err.exit_status
 
 
 if __name__ == "__main__":
