@@ -222,6 +222,12 @@ def test_check_pinned_forest_basics():
     assert len(path) == 8 - 1
 
 
+def test_check_pinned_forest_rejects_more_edges_than_terminals_minus_one():
+    # Two disjoint edges are acyclic, but a forest on two terminals has one.
+    assert not check_pinned_forest([(0, 1), (2, 3)], 2)
+    assert not check_pinned_forest([(0, 1)], 0)
+
+
 def test_grow_balls_single_shell():
     inst = line_instance([0, 3])
     dual = grow_balls(inst.view(1), [0], 2)  # r = 1; values doubled

@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfonline import cli, forest, oracles, trace
+from sfonline.certify import CheckEntry, WitnessError
 from sfonline.cli import main
+from sfonline.errors import (
+    ConfigError,
+    FormatError,
+    MetricError,
+    OracleLimitError,
+    SfonlineError,
+)
 from sfonline.metric import (
     GeneratorSpec,
     generate_instance,
@@ -69,6 +77,23 @@ def test_gen_without_kind_names_only_generator_flags(tmp_path, capsys):
     assert "need --kind/--n generator flags" in err and "--input" not in err
 
 
+def test_gen_names_its_file_after_the_canonical_kind(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["gen", "--kind", "euclid", "--n", "3", "--seed", "2", "--out", str(out)]) == 0
+    path = out / "euclidean_n3_s2.sfo"
+    assert capsys.readouterr().out == f"{path}\n"
+    assert load_instance_file(path).n == 3
+    assert main(["gen", "--kind", "euclid", "--n", "3", "--seed", "2", "--out", str(out),
+                 "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_run_generator_needs_n(tmp_path, capsys):
+    assert main(["run", "--kind", "euclid", "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error[E_CONFIG]: generator needs --n\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_w1_report(tmp_path, w1_file, capsys):
     out = tmp_path / "out"
     rc = main(["run", "--input", w1_file, "--lam", "1", "--checks", "structural",
@@ -84,6 +109,32 @@ def test_run_w1_report(tmp_path, w1_file, capsys):
     assert (out / "summary.txt").exists()
     assert (out / "trace" / "meta.json").exists()
     assert "checks (structural): PASS" in read(out / "summary.txt").decode()
+
+
+def test_run_with_a_failed_check_exits_one(tmp_path, w1_file, monkeypatch, capsys):
+    # A report with twelve FAIL rows: run prints the first ten and exits 1.
+    real = cli.check_run
+
+    def failing(trace, opt, witness_levels):
+        report = real(trace, opt, witness_levels=witness_levels)
+        report.entries += [CheckEntry("fake-check", k, 2, "fail", f"v{k}") for k in range(12)]
+        return report
+
+    monkeypatch.setattr(cli, "check_run", failing)
+    out = tmp_path / "out"
+    assert main(["run", "--input", w1_file, "--lam", "1", "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"FAIL fake-check level={k} arrival=2 v{k}" for k in range(10)]
+    assert "checks (structural): FAIL" in read(out / "summary.txt").decode()
+
+
+def test_run_oracle_limit_zero_leaves_opt_blank(tmp_path, w1_file):
+    out = tmp_path / "out"
+    assert main(["run", "--input", w1_file, "--lam", "1", "--oracle-limit", "0",
+                 "--out", str(out), "--quiet"]) == 0
+    rows = read(out / "per_arrival.csv").decode().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["", ""]
+    assert "OPT" not in read(out / "summary.txt").decode()
 
 
 def test_run_byte_identical(tmp_path, w1_file):
@@ -216,6 +267,49 @@ def test_an_output_path_that_cannot_be_created_is_a_config_error(tmp_path, w1_fi
     assert F.read_text() == "a regular file\n"
 
 
+@pytest.mark.parametrize("name", ["per_arrival.csv", "trace"])
+def test_an_output_file_that_cannot_be_written_is_a_config_error(tmp_path, w1_file, capsys,
+                                                                 name):
+    # per_arrival.csv is a directory, or trace is a regular file.
+    out = tmp_path / "out"
+    out.mkdir()
+    if name == "trace":
+        (out / name).write_text("a regular file\n")
+    else:
+        (out / name).mkdir()
+    rc = main(["run", "--input", w1_file, "--lam", "1", "--out", str(out), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[E_CONFIG]: cannot create output ") and str(out / name) in err
+
+
+# error raised inside a subcommand -> (its code, main's exit status)
+RAISED = {
+    "config": (ConfigError("x"), "E_CONFIG", 2),
+    "format": (FormatError("x"), "E_FORMAT", 3),
+    "format-header": (FormatError("x", "E_HEADER"), "E_HEADER", 3),
+    "format-int": (FormatError("x", "E_INT"), "E_INT", 3),
+    "format-pair": (FormatError("x", "E_PAIR"), "E_PAIR", 3),
+    "format-any-code": (FormatError("x", "E_NEW"), "E_NEW", 3),
+    "metric": (MetricError("x"), "E_METRIC", 4),
+    "oracle-limit": (OracleLimitError("x"), "E_ORACLE_LIMIT", 5),
+    "generic": (SfonlineError("x"), "E_GENERIC", 1),
+    "witness": (WitnessError("x", 1), "E_WITNESS", 1),
+}
+
+
+@pytest.mark.parametrize("case", RAISED)
+def test_the_error_type_fixes_the_exit_status(monkeypatch, capsys, case):
+    err, code, status = RAISED[case]
+
+    def raising(path):
+        raise err
+
+    monkeypatch.setattr(cli, "load_instance_file", raising)
+    assert main(["oracle", "--input", "any.sfo"]) == status
+    assert capsys.readouterr().err == f"error[{code}]: x\n"
+
+
 def test_run_rejects_metric_violation(tmp_path):
     bad = tmp_path / "bad.sfo"
     bad.write_text("SFONLINE 1 4 2\nMATRIX\n1\n10 10\n1 1 1\nDEMANDS\n0 1\n2 3\n")
@@ -275,6 +369,12 @@ def test_compare_builds_each_prefix_hierarchy_once(tmp_path, monkeypatch):
     assert calls.count("advance") == calls.count("build_hierarchy") == 12
 
 
+def test_sweep_prints_its_table(tmp_path, w1_file, capsys):
+    out = tmp_path / "s"
+    assert main(["sweep", "--input", w1_file, "--lams", "1,2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.encode() == read(out / "sweep.csv")
+
+
 def test_sweep_needs_lams(tmp_path, w1_file):
     rc = main(["sweep", "--input", w1_file, "--lams", " ", "--out",
                str(tmp_path / "s"), "--quiet"])
@@ -293,6 +393,13 @@ def test_compare_w1_all_methods_cost_five(tmp_path, w1_file):
     assert last[5] == "5"  # OPT
     summary = read(out / "compare_summary.txt").decode()
     assert "dels 0" in summary  # baselines never delete
+
+
+def test_compare_prints_its_table_and_summary(tmp_path, w1_file, capsys):
+    out = tmp_path / "c"
+    assert main(["compare", "--input", w1_file, "--lam", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.encode() == (read(out / "compare.csv")
+                                                + read(out / "compare_summary.txt"))
 
 
 def test_oracle_command(w1_file, capsys):

@@ -308,6 +308,11 @@ def test_build_hierarchy_single_pair():
     assert vgraphs == (((0, 1),),)
 
 
+def test_build_hierarchy_needs_an_arrived_pair(w1):
+    with pytest.raises(ConfigError, match="at least one arrived pair"):
+        build_hierarchy(w1.view(0))
+
+
 def test_refinement_basics(w1):
     view = w1.view(2)
     h = build_hierarchy(view)[0]

@@ -226,6 +226,18 @@ def test_generator_rejects_n_zero():
         generate_instance(GeneratorSpec(kind="euclidean", n=0, seed=1))
 
 
+def test_generator_rejects_an_unknown_kind_and_scale_zero():
+    with pytest.raises(ConfigError, match="unknown generator kind 'spiral'"):
+        generate_instance(GeneratorSpec(kind="spiral", n=3, seed=1))
+    with pytest.raises(ConfigError, match="scale >= 1"):
+        generate_instance(GeneratorSpec(kind="euclidean", n=3, seed=1, scale=0))
+
+
+def test_an_instance_equals_no_other_type(w1):
+    assert w1.__eq__(w1.view(2)) is NotImplemented
+    assert w1 != "W1" and w1 == line_instance([0, 1, 10, 14], label="W1")
+
+
 def test_line_chain_pair_levels():
     # Spans 1 and 4 for n=2, so pair levels are ceil(log2) = 0 and 2.
     inst = generate_instance(GeneratorSpec(kind="line-chain", n=2, seed=11))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sfonline import oracles
 from sfonline.clustering import ContractedMetric, build_hierarchy, cluster_distance
-from sfonline.errors import OracleLimitError
+from sfonline.errors import ConfigError, OracleLimitError
 from sfonline.forest import select_spanning_forest
 from sfonline.metric import (
     GENERATOR_KINDS,
@@ -252,6 +252,11 @@ def test_exact_optimum_limit():
         exact_optimum(inst.view(4), limit=3)
 
 
+def test_exact_optimum_needs_an_arrived_pair(w1):
+    with pytest.raises(ConfigError, match="at least one arrived pair"):
+        exact_optimum(w1.view(0))
+
+
 def test_offline_gluttonous_single_pair():
     inst = line_instance([0, 1])
     (res,) = offline_gluttonous_forest(iter_online(inst, 1))
@@ -362,6 +367,22 @@ def test_online_gluttonous_first_arrival():
     step = state.step((0, 1))
     assert step.edges == frozenset([(0, 1)])
     assert step.cost == 1 and step.deletions == 0
+
+
+@pytest.mark.parametrize("which", ["online-gluttonous", "greedy"])
+def test_a_baseline_refuses_a_pair_out_of_order(w1, which):
+    state = {"online-gluttonous": OnlineGluttonousState, "greedy": GreedyOnlineState}[which](w1)
+    with pytest.raises(ConfigError, match=r"pair \(2, 3\) is not demand #1"):
+        state.step((2, 3))
+    state.step((0, 1))
+    state.step((2, 3))
+    with pytest.raises(ConfigError, match="is not demand #3"):
+        state.step((0, 1))  # past the last demand
+
+
+def test_run_baseline_rejects_an_unknown_name(w1):
+    with pytest.raises(ConfigError, match="unknown baseline 'nope'"):
+        run_baseline(w1, "nope")
 
 
 def test_online_gluttonous_w1(w1):
