@@ -369,17 +369,6 @@ def test_online_gluttonous_first_arrival():
     assert step.cost == 1 and step.deletions == 0
 
 
-@pytest.mark.parametrize("which", ["online-gluttonous", "greedy"])
-def test_a_baseline_refuses_a_pair_out_of_order(w1, which):
-    state = {"online-gluttonous": OnlineGluttonousState, "greedy": GreedyOnlineState}[which](w1)
-    with pytest.raises(ConfigError, match=r"pair \(2, 3\) is not demand #1"):
-        state.step((2, 3))
-    state.step((0, 1))
-    state.step((2, 3))
-    with pytest.raises(ConfigError, match="is not demand #3"):
-        state.step((0, 1))  # past the last demand
-
-
 def test_run_baseline_rejects_an_unknown_name(w1):
     with pytest.raises(ConfigError, match="unknown baseline 'nope'"):
         run_baseline(w1, "nope")
@@ -403,6 +392,17 @@ def test_online_gluttonous_feasible_prefixes():
 
 
 BASELINE_STATES = {"online-gluttonous": OnlineGluttonousState, "greedy": GreedyOnlineState}
+
+
+@pytest.mark.parametrize("which", BASELINE_STATES)
+def test_a_baseline_refuses_a_pair_out_of_order(w1, which):
+    state = BASELINE_STATES[which](w1)
+    with pytest.raises(ConfigError, match=r"pair \(2, 3\) is not demand #1"):
+        state.step((2, 3))
+    state.step((0, 1))
+    state.step((2, 3))
+    with pytest.raises(ConfigError, match="is not demand #3"):
+        state.step((0, 1))  # past the last demand
 
 
 @pytest.mark.parametrize("which,kind", [
