@@ -26,7 +26,6 @@ import ast
 import dis
 import os
 import sys
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -94,13 +93,11 @@ def main(argv) -> int:
 
     sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)  # pytest's testpaths, and the paths in argv, are the repo's
-    threading.settrace(tracer)
     sys.settrace(tracer)
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider", *argv])
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     total = 0
     for name, path in modules.items():
         ranges = unrun_ranges(statements(path.read_text(), name), hits[name])
