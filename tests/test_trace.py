@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import operator
 import os
@@ -698,28 +699,42 @@ def _census_edits(payload):
             yield path, node + 1
 
 
+# sha256 over every census edit and its certify.csv bytes or FormatError code.
+CENSUS_DIGESTS = {
+    "euclidean": "b31d9553fd3fb566f06edc8e4af6db6bc49a8dce0cd9e21164bbc6530aaba820",
+    "line-chain": "ca6eb1005e7a80ed800cb6c9b43346ac5fbffa163e89cb82b64ff114bd121de6",
+}
+
+
 @pytest.mark.parametrize("kind", ["euclidean", "line-chain"])
 def test_every_single_field_edit_fails_or_is_a_format_error(tmp_path, kind):
     # Edited one field of one arrival file at a time, a trace must not load
     # (exit 3) or must certify FAIL, outside the allowlisted classes.
+    # Each edit, with its certify.csv text or its FormatError code, is folded
+    # into one digest: a change that keeps every verdict keeps every byte too.
     d = tmp_path / "trace"
     save_trace(run_online(generate_instance(GeneratorSpec(kind=kind, n=4, seed=1)), lam=2), d)
     passing = set()
+    digest = hashlib.sha256()
     for name in sorted(p for p in os.listdir(d) if p.startswith("arrival_")):
         text = (d / name).read_text()
         for path, value in _census_edits(json.loads(text)):
             payload = json.loads(text)
             _set_leaf(payload, path, value)
             (d / name).write_text(json.dumps(payload))
+            digest.update(repr((name, path, value)).encode())
             try:
-                ok = check_run(load_trace(d)).ok
-            except FormatError:
-                ok = False
-            if ok:
+                report = check_run(load_trace(d))
+            except FormatError as err:
+                digest.update(err.code.encode())
+                continue
+            digest.update(report.to_csv().encode())
+            if report.ok:
                 passing.add((name, path, value))
         (d / name).write_text(text)
     assert {_field_class(path) for _, path, _ in passing} <= CENSUS_PASS_CLASSES, sorted(
         edit for edit in passing if _field_class(edit[1]) not in CENSUS_PASS_CLASSES)
+    assert digest.hexdigest() == CENSUS_DIGESTS[kind]
 
 
 def test_levels_are_derived_once_per_instance(tmp_path, monkeypatch):
