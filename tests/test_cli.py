@@ -481,7 +481,8 @@ def test_sweep_rejects_bad_lams(tmp_path, w1_file, capsys, lams):
 
 
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--lams", "1"], ["compare"]])
-@pytest.mark.parametrize("flag, value", [("--kind", "line"), ("--n", "5")])
+@pytest.mark.parametrize("flag, value", [("--kind", "line"), ("--n", "5"), ("--seed", "3"),
+                                         ("--seed", "0"), ("--scale", "7")])
 def test_input_excludes_the_generator_flags(tmp_path, w1_file, capsys, command, flag, value):
     # An instance file and a generator flag name two instances; neither wins.
     out = tmp_path / "o"
