@@ -20,18 +20,25 @@ from .metric import GeneratorSpec, generate_instance, load_instance_file, save_i
 from .oracles import DEFAULT_ORACLE_LIMIT, exact_optimum, offline_gluttonous_forest, run_baseline
 from .trace import RunTrace, iter_online, load_trace, run_online, save_trace
 
-def _load_from_args(args):
-    if getattr(args, "input", None):
-        if args.kind is not None or args.n is not None:
-            raise ConfigError("--input FILE excludes the generator flags --kind/--n")
-        return load_instance_file(args.input)
-    if getattr(args, "kind", None) is None:
+def _generator_spec(args):
+    """The generator flags' spec; --seed and --scale keep its defaults unless given."""
+    if args.kind is None:
         flags = "--input FILE or --kind/--n" if hasattr(args, "input") else "--kind/--n"
         raise ConfigError(f"need {flags} generator flags")
     if args.n is None:
         raise ConfigError("generator needs --n")
-    spec = GeneratorSpec(kind=args.kind, n=args.n, seed=args.seed, scale=args.scale)
-    return generate_instance(spec)
+    given = {k: v for k in ("seed", "scale") if (v := getattr(args, k)) is not None}
+    return GeneratorSpec(kind=args.kind, n=args.n, **given)
+
+
+def _load_from_args(args):
+    if getattr(args, "input", None):
+        if args.kind is not None or args.n is not None:
+            raise ConfigError("--input FILE excludes the generator flags --kind/--n")
+        if args.seed is not None or args.scale is not None:
+            raise ConfigError("--input FILE excludes the generator flags --seed/--scale")
+        return load_instance_file(args.input)
+    return generate_instance(_generator_spec(args))
 
 
 def _output_error(path, err):
@@ -145,8 +152,8 @@ def run_command(inst, lam, checks, out_dir, opt, dump, quiet):
 
 
 def cmd_gen(args):
-    inst = _load_from_args(args)
-    spec = GeneratorSpec(kind=args.kind, n=args.n, seed=args.seed, scale=args.scale)
+    spec = _generator_spec(args)
+    inst = generate_instance(spec)
     if args.file:
         name = args.file
         parent = os.path.dirname(name)
@@ -154,7 +161,7 @@ def cmd_gen(args):
             _make_dirs(parent)
     else:
         _make_dirs(args.out)
-        name = os.path.join(args.out, f"{spec.canonical_kind()}_n{args.n}_s{args.seed}.sfo")
+        name = os.path.join(args.out, f"{spec.canonical_kind()}_n{spec.n}_s{spec.seed}.sfo")
     _write_text(name, save_instance(inst))
     if not args.quiet:
         print(name)
@@ -308,8 +315,8 @@ def _add_output_flags(p):
 def _add_generator_flags(p):
     p.add_argument("--kind", help="generator kind: euclidean|random-metric|line-chain")
     p.add_argument("--n", type=int, help="number of demand pairs")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument("--scale", type=int, default=1000, help="generator fixed-point scale")
+    p.add_argument("--seed", type=int, help="generator seed (default 0)")
+    p.add_argument("--scale", type=int, help="generator fixed-point scale (default 1000)")
 
 
 def build_parser():

@@ -88,6 +88,14 @@ def test_gen_names_its_file_after_the_canonical_kind(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_gen_defaults_to_seed_zero_and_scale_1000(tmp_path):
+    # --seed and --scale have no argparse default, so GeneratorSpec's apply.
+    out = tmp_path / "d"
+    assert main(["gen", "--kind", "line", "--n", "3", "--out", str(out), "--quiet"]) == 0
+    spec = GeneratorSpec(kind="line-chain", n=3, seed=0, scale=1000)
+    assert read(out / "line-chain_n3_s0.sfo") == save_instance(generate_instance(spec)).encode()
+
+
 def test_run_generator_needs_n(tmp_path, capsys):
     assert main(["run", "--kind", "euclid", "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert capsys.readouterr().err == "error[E_CONFIG]: generator needs --n\n"
