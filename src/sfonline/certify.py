@@ -407,42 +407,36 @@ def refinement_fault(fine, coarse):
     return f"fine cluster {fine.assignment[k]} split at terminal {k}"
 
 
-def inherited_clustering(cl, cl_next, inherited):
-    """C_inh,i: C_i (`cl`) contracted by the level's inherited forest edges;
-    `cl` itself when nothing is inherited, the `cl_next` object when that is
-    C_{i+1}, and None when an endpoint is not a cluster id of `cl`."""
-    if not inherited:
-        return cl
-    if any(c not in cl.members for edge in inherited for c in edge):
-        return None
-    root = UnionFind(inherited).roots()
-    a = cl.assignment
-    got = tuple(map(root.get, a, a))
-    return cl_next if got == cl_next.assignment else cl.merged(root, got)
-
-
 def _inherited_at(out, i):
-    """C_inh,i of arrival `out`, as inherited_clustering derives it."""
-    h = out.hierarchy
-    return inherited_clustering(h.clustering(i), h.clustering(i + 1),
-                                [ve.endpoints for ve in out.forest.get(i, ()) if ve.inherited])
+    """C_inh,i of arrival `out` from forest_faults; above L, its top clustering."""
+    h, fi = out.hierarchy, out.forest.get(i, ())
+    return forest_faults(h.clustering(i), h.clustering(i + 1), [ve.endpoints for ve in fi],
+                         [ve.endpoints for ve in fi if ve.inherited])[1]
 
 
 def forest_faults(cl, cl_next, edges, inherited):
-    """Level i's forest facts as {check: phrase}, "" where one holds, in
-    certify.csv row order: `edges` contract `cl` to `cl_next` with one edge per
-    merge, and their sub-list `inherited` merges once per edge too."""
-    got = contract_clustering(cl, edges)
+    """({check: phrase}, C_inh,i) of level i. The phrases, "" where a fact holds,
+    are in certify.csv row order: `edges` contract `cl` to `cl_next` with one
+    edge per merge, and their sub-list `inherited` merges once per edge too.
+    C_inh,i is `cl` contracted by `inherited`: `cl` when that is empty, the
+    `cl_next` object when equal to it, None when an endpoint is no cluster id."""
+    a = cl.assignment
+    root = UnionFind(inherited).roots()
+    inh = tuple(map(root.get, a, a)) if inherited else a
+    # With every edge inherited, the sub-list is `edges` itself.
+    got = inh if len(inherited) == len(edges) else contract_clustering(cl, edges)
     merged = len(cl.cluster_ids) - len(cl_next.cluster_ids)
     faults = {"forest-contracts-to-next": _moved(got, cl_next.assignment),
               "count-identity-forest": "" if len(edges) == merged
               else f"|F_i|={len(edges)} |C_i|-|C_i+1|={merged}"}
-    if len(inherited) != len(edges):  # else the sub-list is `edges` itself
-        got = contract_clustering(cl, inherited)
-    merged = len(cl.cluster_ids) - len(set(got))
+    merged = len(cl.cluster_ids) - len(set(inh))
     faults["count-identity-inherited"] = "" if len(inherited) == merged else (
         f"|F_inh|={len(inherited)} |C_i|-|C_inh|={merged}")
-    return faults
+    if not inherited:
+        return faults, cl
+    if any(c not in cl.members for edge in inherited for c in edge):
+        return faults, None
+    return faults, cl_next if inh == cl_next.assignment else cl.merged(root, inh)
 
 
 def _pin_ledger_errors(out, prev_out):
@@ -487,9 +481,9 @@ def _lineage_fault(ve, pe, assignment):
     return f"{_edge_str(ve.endpoints)} {fault}"
 
 
-def _structural_pass(trace, add, levels):
+def _structural_pass(trace, add):
     """Write each arrival's structural rows, then yield the arrival with its
-    C_inh,i for i in 0..L and in `levels`; write `recourse-bound` last."""
+    C_inh,i for i in 0..L; write `recourse-bound` last."""
     inst = trace.instance
     n = inst.n
     metrics = (NO_METRIC,)  # the previous arrival's level metrics, arrival zero's first
@@ -546,7 +540,7 @@ def _structural_pass(trace, add, levels):
         # Each level's metric follows the previous arrival's where it refines.
         metrics = tuple(level_metrics(view.dist_matrix(), hier.clusterings,
                                       (prev_out.hierarchy.clusterings, metrics)))
-        cinh = {i: _inherited_at(out, i) for i in {*range(hier.L + 1), *levels}}
+        cinh = {}
         # Levels share clustering objects: test each (fine, coarse) pair once.
         split = functools.cache(refinement_fault)
         prev_joined, joined = joined, set()
@@ -559,8 +553,6 @@ def _structural_pass(trace, add, levels):
                 f"gap={gap} 2^i={floor}" if gap < floor else "")
 
             fi = out.forest.get(i, [])
-            finh = [ve for ve in fi if ve.inherited]
-
             bad_edge = ""
             uf = UnionFind()
             pos = {cid: k for k, cid in enumerate(m.ids)} if fi else {}
@@ -578,8 +570,8 @@ def _structural_pass(trace, add, levels):
                     break
             add("virtual-edge-valid", i, t, not bad_edge, bad_edge)
 
-            faults = forest_faults(cl, cl_next, [ve.endpoints for ve in fi],
-                                   [ve.endpoints for ve in finh])
+            faults, cinh[i] = forest_faults(cl, cl_next, [ve.endpoints for ve in fi],
+                                            [ve.endpoints for ve in fi if ve.inherited])
             # C_{i+1} must merge every edge of H_i, not only the forest's.
             nxt = cl_next.assignment
             unmerged = next(((a, b) for a, b in h_edges if nxt[a] != nxt[b]), None)
@@ -675,12 +667,13 @@ def check_run(trace, opt_per_arrival=None, witness_levels=None) -> CertReport:
     # Ratios are compared exactly by cross-multiplying; int true division
     # rounds each one correctly to the float it is reported as.
     worst = None  # (cost, OPT) of the largest cost/OPT
-    for out, cinh in _structural_pass(trace, add, levels):
+    for out, cinh in _structural_pass(trace, add):
         arrived = trace.instance.view(out.t)
         for k, witness in enumerate(witnesses):
             if broken[k] is None:
                 try:
-                    witness.step(arrived, out, cinh[witness.level])
+                    # Above the arrival's top, C_inh is its top clustering.
+                    witness.step(arrived, out, cinh.get(witness.level, out.hierarchy.top))
                 except WitnessError as err:
                     broken[k] = err
         opt_t = opt_per_arrival.get(out.t)

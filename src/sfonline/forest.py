@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .certify import check_feasible, forest_faults, inherited_clustering, refinement_fault
+from .certify import check_feasible, forest_faults, refinement_fault
 from .clustering import (  # noqa: F401 (contract_clustering is in perfbench/spans.py's table)
     NO_METRIC,
     NO_TERMINALS,
@@ -262,13 +262,12 @@ def advance(state: OnlineState, pair) -> tuple[OnlineState, Snapshot, ArrivalLed
         parents = classify_inheritance(prev_edges, cl_i, h_edges) if prev_edges else {}
         f_inh, f_rest = select_spanning_forest(h_edges, parents.keys())
 
-        faults = forest_faults(cl_i, cl_next, f_inh + f_rest, f_inh)
+        faults, cinh = forest_faults(cl_i, cl_next, f_inh + f_rest, f_inh)
         # C_inh contracts part of a forest whose full contraction is C_{i+1}, so this
         # proves the previous C_{i+1} refines C_{i+1} too, as level i + 1 needs. With
         # every edge inherited, C_inh is C_{i+1}: build_hierarchy tested that pair.
         if f_rest or not f_inh:
-            faults["refine-into-inherited"] = refinement_fault(
-                prev.hierarchy.clustering(i + 1), inherited_clustering(cl_i, cl_next, f_inh))
+            faults["refine-into-inherited"] = refinement_fault(prev.hierarchy.clustering(i + 1), cinh)
         wrong = "; ".join(f"{check}: {phrase}" for check, phrase in faults.items() if phrase)
         if wrong:
             raise AssertionError(f"{wrong} (internal bug)")

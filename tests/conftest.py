@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sfonline.certify import inherited_clustering
+from sfonline.certify import _inherited_at
 from sfonline.clustering import NO_TERMINALS
 from sfonline.metric import MAX_DIST, Instance
 
@@ -34,13 +34,8 @@ def clustering_of(labels, levels):
 
 
 def inherited_clusterings(out):
-    """An arrival's C_inh,0 .. C_inh,L, each derived from C_i, C_{i+1} and
-    the level's inherited forest edges."""
-    h = out.hierarchy
-    return {i: inherited_clustering(h.clustering(i), h.clustering(i + 1),
-                                    [ve.endpoints for ve in out.forest.get(i, [])
-                                     if ve.inherited])
-            for i in range(h.L + 1)}
+    """An arrival's C_inh,0 .. C_inh,L, as the certifier derives them."""
+    return {i: _inherited_at(out, i) for i in range(out.hierarchy.L + 1)}
 
 
 @pytest.fixture

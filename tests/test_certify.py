@@ -17,8 +17,8 @@ from sfonline.certify import (
     check_feasible,
     check_pinned_forest,
     check_run,
+    forest_faults,
     grow_balls,
-    inherited_clustering,
     radius,
     witness_value_identity,
 )
@@ -337,14 +337,17 @@ def test_check_run_detects_corrupted_snapshot(w1):
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 @pytest.mark.parametrize("n,lam", [(8, 1), (8, 2), (16, 1), (16, 2)])
 def test_inherited_clustering_contracts_the_inherited_edges(kind, n, lam):
+    # forest_faults' second result is C_inh,i.
     trace = run_online(generate_instance(GeneratorSpec(kind=kind, n=n, seed=1)), lam=lam)
     prev = None
     for out in trace.arrivals:
         h = out.hierarchy
         for i in range(h.L + 1):
             cl, cl_next = h.clustering(i), h.clustering(i + 1)
-            finh = [ve.endpoints for ve in out.forest.get(i, []) if ve.inherited]
-            cinh = inherited_clustering(cl, cl_next, finh)
+            fi = out.forest.get(i, [])
+            finh = [ve.endpoints for ve in fi if ve.inherited]
+            faults, cinh = forest_faults(cl, cl_next, [ve.endpoints for ve in fi], finh)
+            assert not any(faults.values())
             if not finh:
                 assert cinh is cl
             assert (cinh is cl_next) == (cinh.assignment == cl_next.assignment)
@@ -352,6 +355,23 @@ def test_inherited_clustering_contracts_the_inherited_edges(kind, n, lam):
             if prev is not None:
                 assert check_refinement(prev.hierarchy.clustering(i + 1), cinh)
         prev = out
+
+
+@pytest.mark.parametrize("edges, inherited, want", [
+    ([(1, 2)], [(1, 2)], ("terminal 2 in 1 want 0", "|F_i|=1 |C_i|-|C_i+1|=2",
+                          "|F_inh|=1 |C_i|-|C_inh|=0")),
+    ([(0, 2), (1, 3)], [(0, 2), (1, 3)], ("terminal 3 in 1 want 0", "",
+                                          "|F_inh|=2 |C_i|-|C_inh|=1")),
+    ([(1, 2), (0, 3)], [(1, 2)], ("terminal 2 in 1 want 0", "", "|F_inh|=1 |C_i|-|C_inh|=0")),
+], ids=["member", "member-merges", "with-fresh"])
+def test_an_inherited_endpoint_that_is_no_cluster_id_has_no_inherited_clustering(
+        edges, inherited, want):
+    # Terminal 1 is a member of cluster 0, not a cluster id. The count comes
+    # from the same union-find over the recorded ids, so its phrase keeps its bytes.
+    cl = clustering_of([0, 0, 1, 2], [0, 0, 0, 0])
+    faults, cinh = forest_faults(cl, clustering_of([0, 0, 0, 0], [0, 0, 0, 0]), edges, inherited)
+    assert cinh is None
+    assert tuple(faults.values()) == want
 
 
 def test_check_run_detects_tampered_witness_counts(w1):
