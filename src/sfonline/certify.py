@@ -299,13 +299,10 @@ def check_dual_feasibility(dual: DualSolution, view: InstanceView, top_clusterin
     return True, ""
 
 
-def witness_value_identity(witness: WitnessState, trace, dual: DualSolution | None = None):
+def witness_value_identity(witness: WitnessState, dual: DualSolution):
     """(ok, 2D, detail): D = sum y = |X| r = sum_t |F_i \\ F_inh,i| * 2^(i-1),
-    all compared doubled."""
-    i = witness.level
-    r2 = radius(i)
-    if dual is None:
-        dual = grow_balls(trace.instance.view(trace.n), witness.final_sources, r2)
+    all compared doubled, for the dual grown from the witness's sources."""
+    r2 = radius(witness.level)
     d2 = dual.total()
     by_sources = len(witness.final_sources) * r2
     by_counts = sum(witness.noninherited_counts) * r2
@@ -705,7 +702,7 @@ def check_run(trace, opt_per_arrival=None, witness_levels=None) -> CertReport:
         dual = grow_balls(view, witness.final_sources, radius(i))
         ok, detail = check_dual_feasibility(dual, view, final.hierarchy.top)
         add("dual-feasible", i, None, ok, detail)
-        ok, d2, detail = witness_value_identity(witness, trace, dual)
+        ok, d2, detail = witness_value_identity(witness, dual)
         add("value-identity", i, None, ok, detail or f"D={_halves(d2)}")
         merge_budget = sum(witness.noninherited_counts) * level_threshold(i)
         add("linkage-4d", i, None, merge_budget == 2 * d2,

@@ -182,7 +182,7 @@ def test_criterion_07_dual_fitting_certification(small_fleet):
             dual = grow_balls(view, wit.final_sources, radius(i))
             ok, detail = check_dual_feasibility(dual, view, top)
             assert ok, (b["inst"].label, i, detail)
-            ok, d2, detail = witness_value_identity(wit, trace, dual)  # d2 = 2D
+            ok, d2, detail = witness_value_identity(wit, dual)  # d2 = 2D
             assert ok, (b["inst"].label, i, detail)
             assert sum(wit.noninherited_counts) * level_threshold(i) == 2 * d2
             ratio = Fraction(d2, 2 * opt_final)

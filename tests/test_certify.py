@@ -282,7 +282,8 @@ def test_w1_witness_level2(w1):
     assert wit.final_xhat == frozenset([2, 3])
     assert wit.final_sources == frozenset([2])
     assert wit.noninherited_counts == [0, 1]
-    ok, d2, detail = witness_value_identity(wit, trace)
+    ok, d2, detail = witness_value_identity(wit, grow_balls(w1.view(2), wit.final_sources,
+                                                           radius(2)))
     assert ok, detail
     assert d2 == 4  # one non-inherited level-2 edge, r = 2; D doubled
 
@@ -295,7 +296,7 @@ def test_w1_witness_all_levels_and_values(w1):
     for i, want in expected_d2.items():
         wit = build_dual_witness(trace, i)
         dual = grow_balls(view, wit.final_sources, radius(i))
-        ok, d2, detail = witness_value_identity(wit, trace, dual)
+        ok, d2, detail = witness_value_identity(wit, dual)
         assert ok, detail
         assert d2 == want
         ok, detail = check_dual_feasibility(dual, view, top)
@@ -307,7 +308,7 @@ def test_witness_level_above_top_is_empty(w1):
     wit = build_dual_witness(trace, 9)
     assert wit.final_sources == frozenset()
     assert wit.noninherited_counts == [0, 0]
-    ok, d2, _ = witness_value_identity(wit, trace)
+    ok, d2, _ = witness_value_identity(wit, grow_balls(w1.view(2), wit.final_sources, radius(9)))
     assert ok and d2 == 0
 
 
