@@ -282,8 +282,8 @@ def test_w1_witness_level2(w1):
     assert wit.final_xhat == frozenset([2, 3])
     assert wit.final_sources == frozenset([2])
     assert wit.noninherited_counts == [0, 1]
-    ok, d2, detail = witness_value_identity(wit, grow_balls(w1.view(2), wit.final_sources,
-                                                           radius(2)))
+    dual = grow_balls(w1.view(2), wit.final_sources, radius(2))
+    ok, d2, detail = witness_value_identity(wit, dual)
     assert ok, detail
     assert d2 == 4  # one non-inherited level-2 edge, r = 2; D doubled
 

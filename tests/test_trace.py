@@ -710,8 +710,8 @@ CENSUS_DIGESTS = {
 def test_every_single_field_edit_fails_or_is_a_format_error(tmp_path, kind):
     # Edited one field of one arrival file at a time, a trace must not load
     # (exit 3) or must certify FAIL, outside the allowlisted classes.
-    # Each edit, with its certify.csv text or its FormatError code, is folded
-    # into one digest: a change that keeps every verdict keeps every byte too.
+    # Every edit, with its certify.csv text or its FormatError code, folds into
+    # one digest per kind, so a change to the bytes of any row fails here too.
     d = tmp_path / "trace"
     save_trace(run_online(generate_instance(GeneratorSpec(kind=kind, n=4, seed=1)), lam=2), d)
     passing = set()
