@@ -24,7 +24,10 @@ levels of an arrival are the previous arrival's plus the two new singletons,
 and on that unchanged prefix, from C_0 up, only the new terminals' two rows
 of the metric can add a virtual edge: when neither does, the level reuses
 the previous H_i and C_{i+1} in O(K) steps instead of searching the O(K^2)
-metric and contracting.
+metric and contracting, and below the new terminals' nearest distance it
+skips even those rows. A prefix level's metric is extended only when
+something reads it; an unread one carried on extends its older base by
+every terminal since, in one pass.
 
 A Clustering is a plain partition with no level label. Most levels merge
 nothing and share their predecessor's object. A level that merges is
@@ -235,7 +238,7 @@ class ContractedMetric:
         stay: a singleton never shortens a path between others, since
         entering and leaving it costs at least the direct distance (triangle
         inequality), and so a path from a new terminal never needs another
-        new one in between either.
+        new one in between either, and any number of new terminals extend at once.
         """
         T0 = len(assignment)
         asn = np.asarray(assignment)
@@ -244,10 +247,36 @@ class ContractedMetric:
         new = dist[T0:]
         Wn = np.minimum.reduceat(new[:, order], starts, axis=1)  # new x old
         # Sums of two entries <= MAX_DIST fit in int64, which caps empty minima.
-        Dn = (Wn[:, :, None] + self.D[None]).min(axis=1, initial=MAX_DIST)  # new x old
+        # Dn (new x old) takes two rows at a time: its temporary is 2 x K x K.
+        Dn = np.empty(Wn.shape, np.int64)
+        for r in range(0, len(Dn), 2):
+            np.minimum.reduce(Wn[r:r + 2, :, None] + self.D, 1, out=Dn[r:r + 2], initial=MAX_DIST)
         Dnn = np.minimum(new[:, T0:], (Wn[:, None, :] + Dn[None]).min(axis=2, initial=MAX_DIST))
         return ContractedMetric(self.ids + tuple(range(T0, len(dist))),
                                 _bordered(self.D, Dn, Dnn))
+
+
+class _Extension(ContractedMetric):
+    """ContractedMetric.extend(base, dist, assignment) with D computed on
+    first read, which releases the base. An unread extension hands its own
+    base to an extension or `extend` of it, so no chain builds up."""
+
+    def __init__(self, base, dist, assignment):
+        if isinstance(base, _Extension) and base.pending:
+            base, _, assignment = base.pending
+        object.__setattr__(self, "ids", base.ids + tuple(range(len(assignment), len(dist))))
+        object.__setattr__(self, "pending", (base, dist, assignment))
+
+    def __getattr__(self, name):  # reached only while D is unset
+        if name != "D":
+            raise AttributeError(name)
+        object.__setattr__(self, "D", ContractedMetric.extend(*self.pending).D)
+        object.__setattr__(self, "pending", None)
+        return self.D
+
+    def extend(self, dist, assignment):
+        base, _, assignment = self.pending or (self, dist, assignment)
+        return ContractedMetric.extend(base, dist, assignment)
 
 
 # Arrival zero, before the first: its clustering (no terminal has arrived), that
@@ -268,16 +297,18 @@ def _bordered(M, rows, corner):
     return out
 
 
-def _extended(dist, prev, i, extended):
+def _extended(dist, prev, i, extended, deferred=False):
     """The previous arrival's level-i metric extended by the new terminals as
-    singletons. `prev` starts with that arrival's clusterings and metrics,
-    C_0 .. C_{L+1}; levels above its top alias the top. `extended` caches
-    one extension per distinct previous metric."""
+    singletons, its D left to the first read if `deferred`. `prev` starts
+    with that arrival's clusterings and metrics, C_0 .. C_{L+1}; levels
+    above its top alias the top. `extended` caches one extension per
+    distinct previous metric."""
     clusterings, metrics = prev[0], prev[1]
     j = min(i, len(clusterings) - 1)
-    base = metrics[j]
+    base, assignment = metrics[j], clusterings[j].assignment
     if base not in extended:
-        extended[base] = base.extend(dist, clusterings[j].assignment)
+        extended[base] = (_Extension(base, dist, assignment) if deferred
+                          else base.extend(dist, assignment))
     return extended[base]
 
 
@@ -465,7 +496,11 @@ def build_hierarchy(view: InstanceView, prev=_ARRIVAL_ZERO):
     While none does, H_i is the previous H_i and C_{i+1} the previous one
     plus the singletons; the first level where one does, and every level
     above, searches. The prefix needs the previous C_0 trivial over fewer
-    terminals; after arrival zero every row is new.
+    terminals; after arrival zero every row is new. A prefix level whose
+    threshold is at most `nearest`, the least distance from a new terminal
+    to any other, reads no row: a contracted path out of a new singleton
+    starts with an edge that long. A prefix level's metric is an
+    _Extension, computed when first read.
     """
     if view.t < 1:
         raise ConfigError("hierarchy needs at least one arrived pair")
@@ -482,13 +517,16 @@ def build_hierarchy(view: InstanceView, prev=_ARRIVAL_ZERO):
     prev_cls, _, prev_vgraphs = prev
     new = len(levels) - len(prev_cls[0].assignment)
     grown = new > 0 and len(prev_cls[0].cluster_ids) == len(prev_cls[0].assignment)
+    # A row's second least entry is its least off the zero diagonal.
+    nearest = int(np.partition(dist[-new:], 1, axis=1)[:, 1].min(initial=MAX_DIST))
     for i in range(L + 1):
-        grown = grown and not _new_row_edge(metric, cl.cluster_level, i, new)
+        grown = grown and (level_threshold(i) <= nearest
+                           or not _new_row_edge(metric, cl.cluster_level, i, new))
         if grown:
             edges = prev_vgraphs[i] if i < len(prev_vgraphs) else ()
             if edges:
                 cl = prev_cls[i + 1].grown(levels)
-                metric = _extended(dist, prev, i + 1, extended)
+                metric = _extended(dist, prev, i + 1, extended, deferred=True)
         else:
             edges, gap = active_virtual_edges(metric.D, metric.ids, cl.cluster_level, i)
             # Distinct i-active clusters must sit at contracted distance >= 2^i:

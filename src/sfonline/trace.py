@@ -134,6 +134,8 @@ def _delta(cl, base) -> list:
     # A cluster differs from the grown one with its id iff it holds a
     # terminal that moved, or the id of a cluster that one left.
     a, b = cl.assignment, base.assignment + tuple(range(len(base.assignment), len(cl.assignment)))
+    if a == b:
+        return []
     moved = list(itertools.compress(range(len(a)), map(operator.ne, a, b)))
     return [cl.members[cid] for cid in sorted({a[k] for k in moved}.union(a[b[k]] for k in moved))]
 

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sfonline.certify import _inherited_at
 from sfonline.clustering import NO_TERMINALS
-from sfonline.metric import MAX_DIST, Instance
+from sfonline.metric import MAX_DIST, Instance, metric_closure
 
 
 def line_instance(positions, label="line"):
@@ -21,6 +24,27 @@ def uniform_instance(n, d=MAX_DIST):
     dist = np.full((2 * n, 2 * n), d, dtype=np.int64)
     np.fill_diagonal(dist, 0)
     return Instance(n=n, dist=dist, demands=tuple((2 * p, 2 * p + 1) for p in range(n)))
+
+
+# Edge weights of the small graphs below: few distinct sums make exact ties
+# between shortest paths, which the walk's smallest-id choice breaks.
+WEIGHT_FAMILIES = {"one-two": (1, 2), "digits": tuple(range(1, 10)),
+                   "powers": tuple(1 << k for k in range(8))}
+
+
+@st.composite
+def graph_closure_instances(draw):
+    """An instance of n <= 6 pairs on the metric closure of a small random
+    graph whose edge weights come from one of WEIGHT_FAMILIES. A missing
+    edge weighs more than any path of present ones."""
+    n = draw(st.integers(1, 6))
+    T = 2 * n
+    weights = WEIGHT_FAMILIES[draw(st.sampled_from(sorted(WEIGHT_FAMILIES)))]
+    missing = T * max(weights)
+    w = np.zeros((T, T), dtype=np.int64)
+    for a, b in itertools.combinations(range(T), 2):
+        w[a, b] = w[b, a] = draw(st.sampled_from((*weights, missing)))
+    return Instance(n, metric_closure(w), tuple((2 * t, 2 * t + 1) for t in range(n)))
 
 
 def clustering_of(labels, levels):

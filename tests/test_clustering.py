@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from sfonline.clustering import (
     active_virtual_edges,
     dump_hierarchy,
     level_metrics,
+    level_threshold,
 )
 from sfonline.errors import ConfigError
 from sfonline.forest import OnlineState, advance
@@ -32,7 +34,7 @@ from sfonline.metric import (
 )
 from sfonline.unionfind import UnionFind
 
-from conftest import clustering_of, line_instance
+from conftest import clustering_of, graph_closure_instances, line_instance
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +542,55 @@ def test_carried_hierarchy_equals_one_built_from_scratch(kind, n, seed, lam):
     # edges to the next; the hierarchy it builds from them, through the
     # unchanged prefix and past it, is the one built with no previous arrival.
     inst = generate_instance(GeneratorSpec(kind=kind, n=n, seed=seed, scale=200))
+    assert_carried_equals_scratch(inst, lam)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(graph_closure_instances(), st.integers(1, 3))
+def test_carried_hierarchy_equals_one_built_from_scratch_on_graph_closures(inst, lam):
+    # Weights {1, 2} put a new terminal's nearest distance on a level
+    # threshold, where the prefix's nearest-distance rule is tightest.
+    assert_carried_equals_scratch(inst, lam)
+
+
+def assert_carried_equals_scratch(inst, lam):
     state = OnlineState(inst, lam)
     for pair in inst.demands:
         advance(state, pair)
         carried = (state.last_outcome.hierarchy, state.vgraphs, state.metrics)
         assert_same_hierarchy(carried, build_hierarchy(inst.view(state.t)))
+
+
+generated_instances = st.builds(
+    lambda kind, n, seed: generate_instance(GeneratorSpec(kind=kind, n=n, seed=seed, scale=200)),
+    st.sampled_from(GENERATOR_KINDS), st.integers(1, 10), st.integers(0, 100))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.one_of(graph_closure_instances(), generated_instances))
+def test_no_new_row_edge_below_the_new_terminals_nearest_distance(inst):
+    # build_hierarchy skips the new rows on a prefix level whose threshold
+    # is at most the least distance from a new terminal to any other one.
+    # On every such level the new terminals are singletons of C_i, and the
+    # metric, extended all the way, holds no new-row entry below 2^(i+1).
+    prev = ((NO_TERMINALS,), (NO_METRIC,), ())
+    for t in range(1, inst.n + 1):
+        dist = inst.view(t).dist_matrix()
+        T = 2 * t
+        nearest = min(int(dist[u, v]) for u in (T - 2, T - 1) for v in range(T) if v != u)
+        h, vgraphs, metrics = build_hierarchy(inst.view(t), prev)
+        for i in range(h.L + 1):
+            if level_threshold(i) > nearest:
+                break
+            cl = h.clustering(i)
+            grown = prev[0][min(i, len(prev[0]) - 1)].grown(inst.view(t).levels)
+            assert cl.assignment == grown.assignment
+            assert_matches_reference(metrics[i], dist, cl.assignment)
+            assert not clustering._new_row_edge(metrics[i], cl.cluster_level, i, 2)
+            rows = metrics[i].D[-2:].copy()
+            rows[[0, 1], [-2, -1]] = MAX_DIST
+            assert rows.min() >= level_threshold(i)
+        prev = (h.clusterings, metrics, vgraphs)
 
 
 def _searched_levels(monkeypatch):
@@ -649,6 +695,52 @@ def test_extend_matches_reference():
                 assignment = random_assignment(rng, 2 * t, rng.randint(1, 2 * t))
                 ext = ContractedMetric.of(old, assignment).extend(new, assignment)
                 assert_matches_reference(ext, new, assignment + (2 * t, 2 * t + 1))
+
+
+@pytest.mark.parametrize("k", range(2, 13, 2))
+def test_one_extension_over_many_arrivals_equals_one_per_arrival(k):
+    # k new terminals at once, k/2 arrivals: more than two new rows take
+    # extend past its first block of two rows. A deferred extension of an
+    # unread one, and extend called on an unread one, start from its base.
+    rng = random.Random(k)
+    for kind in GENERATOR_KINDS:
+        inst = generate_instance(GeneratorSpec(kind=kind, n=8, seed=k, scale=300))
+        t0 = inst.n - k // 2
+        assignment = random_assignment(rng, 2 * t0, rng.randint(1, 2 * t0))
+        base = ContractedMetric.of(inst.view(t0).dist_matrix(), assignment)
+        stepwise = deferred = base
+        a = assignment
+        for t in range(t0 + 1, inst.n + 1):
+            dist = inst.view(t).dist_matrix()
+            carried = deferred.extend(dist, a)
+            stepwise = stepwise.extend(dist, a)
+            deferred = clustering._Extension(deferred, dist, a)
+            assert deferred.pending[0] is base and deferred.ids == stepwise.ids
+            assert carried.ids == stepwise.ids and np.array_equal(carried.D, stepwise.D)
+            a += (2 * t - 2, 2 * t - 1)
+        whole = base.extend(dist, assignment)
+        for m in (whole, deferred):
+            assert m.ids == stepwise.ids
+            assert np.array_equal(m.D, stepwise.D)
+        assert_matches_reference(stepwise, dist, a)
+
+
+def test_a_deferred_extension_releases_its_base_once_read():
+    inst = generate_instance(GeneratorSpec(kind="euclidean", n=4, seed=2, scale=100))
+    assignment = (0, 0, 2, 3)
+    base = ContractedMetric.of(inst.view(2).dist_matrix(), assignment)
+    ref = weakref.ref(base)
+    ext = clustering._Extension(base, inst.view(3).dist_matrix(), assignment)
+    del base
+    # Another missing name is missing, as on any metric, and computes nothing.
+    assert not hasattr(ext, "W") and ext.pending
+    assert ref() is not None
+    assert_matches_reference(ext, inst.view(3).dist_matrix(), assignment + (4, 5))
+    assert ref() is None and ext.pending is None
+    # A read extension is an ordinary base for the next arrival's.
+    later = clustering._Extension(ext, inst.view(4).dist_matrix(), assignment + (4, 5))
+    assert later.pending[0] is ext
+    assert_matches_reference(later, inst.view(4).dist_matrix(), assignment + (4, 5, 6, 7))
 
 
 def _counting(monkeypatch, name):

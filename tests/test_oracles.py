@@ -15,7 +15,6 @@ from sfonline.metric import (
     GeneratorSpec,
     Instance,
     generate_instance,
-    metric_closure,
 )
 from sfonline.oracles import (
     GreedyOnlineState,
@@ -28,7 +27,7 @@ from sfonline.oracles import (
 from sfonline.trace import iter_online
 from sfonline.unionfind import UnionFind
 
-from conftest import line_instance, uniform_instance
+from conftest import graph_closure_instances, line_instance, uniform_instance
 from test_clustering import assert_matches_reference
 
 
@@ -330,27 +329,6 @@ def test_offline_forest_matches_the_reference_at_every_prefix(kind, n):
         forests = offline_gluttonous_forest(iter_online(inst, lam=2))
         assert forests == tuple(reference_offline_forest(inst.view(t))
                                 for t in range(1, n + 1))
-
-
-# Edge weights of the small graphs below: few distinct sums make exact ties
-# between shortest paths, which the walk's smallest-id choice breaks.
-WEIGHT_FAMILIES = {"one-two": (1, 2), "digits": tuple(range(1, 10)),
-                   "powers": tuple(1 << k for k in range(8))}
-
-
-@st.composite
-def graph_closure_instances(draw):
-    """An instance of n <= 6 pairs on the metric closure of a small random
-    graph whose edge weights come from one of WEIGHT_FAMILIES. A missing
-    edge weighs more than any path of present ones."""
-    n = draw(st.integers(1, 6))
-    T = 2 * n
-    weights = WEIGHT_FAMILIES[draw(st.sampled_from(sorted(WEIGHT_FAMILIES)))]
-    missing = T * max(weights)
-    w = np.zeros((T, T), dtype=np.int64)
-    for a, b in itertools.combinations(range(T), 2):
-        w[a, b] = w[b, a] = draw(st.sampled_from((*weights, missing)))
-    return Instance(n, metric_closure(w), tuple((2 * t, 2 * t + 1) for t in range(n)))
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
