@@ -486,6 +486,62 @@ SEMANTIC_TAMPERINGS = {
             {3: [dataclasses.replace(out.forest[9][0], level=3, c1=0, c2=1, inherited=False,
                                      parent=None, eorig=frozenset({(0, 1)}), created_at=4)]}),
         ["witness-invariants,3,4,fail,|X| = 0 but non-inherited count is 1"]),
+    # The cases below edit a level that the arrival leaves alone: its C_i and
+    # C_{i+1} are the previous arrival's plus the two new singletons, and its
+    # forest is the previous one, entry for entry. Arrival 2 of line-chain
+    # n=3 leaves level 0 alone, whose one entry (0,1) it inherits from
+    # arrival 1 with realization {(0,1)}, created at arrival 1.
+    "left-alone-inherited-eorig-differs": (
+        2,
+        _set_edge(0, (0, 1), eorig=frozenset({(0, 2)})),
+        ["snapshot-consistency,,2,fail,edges cost_forestforming=5 rederived=8",
+         "edge-budget,0,2,fail,(0;1) costs 4 > 2",
+         "realization-connects,0,2,fail,eorig of (0;1) does not join its clusters",
+         "inheritance-provenance,0,2,fail,(0;1) realizes other edges than its parent",
+         "inheritance-provenance,0,3,fail,(0;1) realizes other edges than its parent"],
+        GeneratorSpec(kind="line-chain", n=3, seed=1)),
+    "left-alone-inherited-created-at-differs": (
+        2,
+        _set_edge(0, (0, 1), created_at=2),
+        ["inheritance-provenance,0,2,fail,(0;1) created_at=2 parent's=1",
+         "inheritance-provenance,0,3,fail,(0;1) created_at=1 parent's=2"],
+        GeneratorSpec(kind="line-chain", n=3, seed=1)),
+    "left-alone-parent-not-its-endpoints": (
+        2,
+        _set_edge(0, (0, 1), parent=(2, 3)),
+        ["inheritance-provenance,0,2,fail,(0;1) has no parent in the previous forest"],
+        GeneratorSpec(kind="line-chain", n=3, seed=1)),
+    "left-alone-inherited-marked-fresh": (
+        2,
+        _set_edge(0, (0, 1), inherited=False),
+        ["snapshot-consistency,,2,fail,fresh (0;1) created_at=1",
+         "refine-into-inherited,0,2,fail,fine cluster 0 split at terminal 1",
+         "witness-invariants,0,2,fail,cluster 0 offers 1 fresh sources; needs 2"],
+        GeneratorSpec(kind="line-chain", n=3, seed=1)),
+    # Arrival 5 of line-chain n=6 gives new terminal 8, 121 from terminal 7
+    # and nearest to it, an H_6 edge to cluster 7 of C_6: 2^6 <= 121 < 2^7.
+    # Its C_7 is recorded as arrival 4's plus the singletons 8 and 9, and its
+    # level-6 forest as arrival 4's (6,7) alone, now inherited.
+    "new-terminal-left-out-of-an-h-edge": (
+        5,
+        _edits(_levels_as([0, 0, 2, 2, 2, 2, 6, 6, 8, 9], 7), lambda out: out.forest[6].pop()),
+        ["snapshot-consistency,,5,fail,cost_forestforming=467 rederived=346",
+         "forest-contracts-to-next,6,5,fail,unmerged H_i edge (7;8) at distance 121",
+         "forest-contracts-to-next,7,5,fail,terminal 8 in 8 want 6",
+         "count-identity-forest,7,5,fail,|F_i|=0 |C_i|-|C_i+1|=1",
+         "inheritance-provenance,6,6,fail,(7;8) has no parent in the previous forest"],
+        GeneratorSpec(kind="line-chain", n=6, seed=1)),
+    # Arrival 4 of random-metric n=4 seed 2 leaves level 5 alone, and its
+    # inherited (0,5), realized by (3,5), joins clusters 0 and 5 only through
+    # the pin (0,3), which the arrival drops.
+    "left-alone-realization-loses-its-pin": (
+        4,
+        _drop_pin((0, 3)),
+        ["pinned-monotone,,4,fail,",
+         "snapshot-consistency,,4,fail,edges cost_pinned=382 rederived=287 "
+         "pinned grew by 0 edges not the pin events' 1",
+         "realization-connects,5,4,fail,eorig of (0;5) does not join its clusters"],
+        GeneratorSpec(kind="random-metric", n=4, seed=2)),
     # A line-chain trace, whose arrival 2 holds a level with both an inactive
     # cluster and a forest edge: level 2's {0,1} is inactive, and its fresh
     # edge (2,3) is moved onto it.
