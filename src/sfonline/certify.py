@@ -10,10 +10,11 @@ invariants. After the walk, each level's rows follow: the ball-growing
 dual, its exact feasibility, and the value identities.
 
 Where it is exact, an arrival reuses the previous one's verdicts: edge-set
-costs by eorig, `realization-connects` for an inherited entry (see
+costs by eorig, every row of a level the arrival left alone (see
+_left_alone) and `realization-connects` for an inherited entry (see
 _structural_pass), and a witness level the arrival left alone (see
-WitnessState.step). Everything else is checked in full, so every row keeps
-its bytes.
+WitnessState.step). A level left alone reads only the new rows of its
+metric. Everything else is checked in full, so every row keeps its bytes.
 
 The dual radius at level i is 2^(i-1), a half at level 0, so the witness
 holds every radius and dual value doubled: all are integers, and every
@@ -32,11 +33,13 @@ import numpy as np
 
 from .clustering import (
     NO_METRIC,
+    _new_row_edge,
     active_virtual_edges,
     check_refinement,
     contract_clustering,
     level_metrics,
     level_threshold,
+    nearest_distance,
 )
 from .errors import ConfigError, SfonlineError
 from .metric import MAX_DIST, InstanceView
@@ -478,19 +481,49 @@ def _lineage_fault(ve, pe, assignment):
     return f"{_edge_str(ve.endpoints)} {fault}"
 
 
-def _structural_pass(trace, add):
-    """Write each arrival's structural rows, then yield the arrival with its
-    C_inh,i for i in 0..L; write `recourse-bound` last."""
+# The rows _structural_pass writes for each level, in order.
+_LEVEL_CHECKS = ("active-cluster-gap", "virtual-edge-valid", "forest-contracts-to-next",
+                 "count-identity-forest", "count-identity-inherited", "edge-budget",
+                 "realization-connects", "refine-across-arrivals", "refine-into-inherited",
+                 "inheritance-provenance")
+
+
+def _left_alone(prev_out, out, i, metric, nearest, grown) -> bool:
+    """Whether C_i and C_{i+1} are the previous arrival's grown by the new
+    singletons (`grown` compares), the forest is the previous one entry for
+    entry, each inherited from its namesake, and no new row of `metric`
+    holds an H_i edge (`nearest` is the new terminals' nearest_distance)."""
+    h, ph = out.hierarchy, prev_out.hierarchy
+    fi, pf = out.forest.get(i, ()), prev_out.forest.get(i, ())
+    return (grown(ph.clustering(i), h.clustering(i))
+            and grown(ph.clustering(i + 1), h.clustering(i + 1))
+            and len(fi) == len(pf)
+            and all(ve.inherited and ve.parent == ve.endpoints == pe.endpoints
+                    and ve.eorig == pe.eorig and ve.created_at == pe.created_at
+                    for ve, pe in zip(fi, pf))
+            and not _new_row_edge(metric, h.clustering(i).cluster_level, i, 2, nearest))
+
+
+def _structural_pass(trace, write):
+    """Write each arrival's structural rows through `write`, then yield the
+    arrival with its C_inh,i for i in 0..L; write `recourse-bound` last."""
     inst = trace.instance
     n = inst.n
     metrics = (NO_METRIC,)  # the previous arrival's level metrics, arrival zero's first
     ins_total = dels_total = 0
     # The previous arrival's edge-set costs by eorig (computed ones only: an
     # endpoint unarrived then may have arrived since; a cost of 0 is simply
-    # recomputed), and its levels that passed realization-connects.
+    # recomputed), and this arrival's levels with a failing row.
     costs: dict = {}
-    joined: set = set()
+    failed: set = set()
+
+    def add(check, level, t, ok, value=""):
+        if not ok:
+            failed.add(level)
+        write(check, level, t, ok, value)
+
     for prev_out, out in trace.with_previous():
+        prev_failed, failed = failed, set()
         t = out.t
         view = inst.view(t)
         hier = out.hierarchy
@@ -534,22 +567,35 @@ def _structural_pass(trace, add):
         add("top-coclustering", None, t,
             all(top.assignment[u] == top.assignment[v] for u, v in view.demands))
 
-        # Each level's metric follows the previous arrival's where it refines.
+        # Each level's metric follows the previous arrival's where it refines,
+        # and is computed when first read.
         metrics = tuple(level_metrics(view.dist_matrix(), hier.clusterings,
                                       (prev_out.hierarchy.clusterings, metrics)))
         cinh = {}
         # Levels share clustering objects: test each (fine, coarse) pair once.
         split = functools.cache(refinement_fault)
-        prev_joined, joined = joined, set()
+        grown = functools.cache(lambda old, cl: cl.assignment == old.assignment + (T - 2, T - 1))
+        nearest = nearest_distance(view.dist_matrix(), 2)
         for i, m in zip(range(hier.L + 1), metrics):
             cl = hier.clustering(i)
             cl_next = hier.clustering(i + 1)
+            fi = out.forest.get(i, [])
+            # A level left alone, with the pins kept, gives the verdicts it
+            # gave at the previous arrival, all passes: its metric extends the
+            # previous one, old clusters keep their levels, and only a new row
+            # could add an H_i edge or lower the gap. Above the previous L,
+            # no old cluster is i-active and the forest is empty.
+            if (t > 1 and pins_kept and i not in prev_failed
+                    and _left_alone(prev_out, out, i, m, nearest, grown)):
+                for check in _LEVEL_CHECKS:
+                    add(check, i, t, True)
+                cinh[i] = cl_next  # C_i's partition when the forest is empty
+                continue
             h_edges, gap = active_virtual_edges(m.D, m.ids, cl.cluster_level, i)
             floor = level_threshold(i - 1)
             add("active-cluster-gap", i, t, gap >= floor,
                 f"gap={gap} 2^i={floor}" if gap < floor else "")
 
-            fi = out.forest.get(i, [])
             bad_edge = ""
             uf = UnionFind()
             pos = {cid: k for k, cid in enumerate(m.ids)} if fi else {}
@@ -588,7 +634,7 @@ def _structural_pass(trace, add):
             # An inherited entry's realization still joins its clusters when
             # its parent's did: the pins only grew, C_i only coarsened, and
             # the entry keeps its parent's eorig and is its parent's image.
-            carried = pins_kept and not moved and i in prev_joined
+            carried = pins_kept and not moved and i not in prev_failed
             over_budget = unjoined = ""
             pinned_uf = None  # clusters joined by the pins, shared by the level's entries
             for ve, cost, fault in zip(fi, realized.get(i, ()), lineage):
@@ -610,8 +656,6 @@ def _structural_pass(trace, add):
                     unjoined = f"eorig of {_edge_str(ve.endpoints)} does not join its clusters"
             add("edge-budget", i, t, not over_budget, over_budget)
             add("realization-connects", i, t, not unjoined, unjoined)
-            if not unjoined:
-                joined.add(i)
 
             add("refine-across-arrivals", i, t, not moved, moved)
             if cinh[i] is not None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfonline import certify
 from sfonline.certify import (
     DualSolution,
     WitnessError,
@@ -39,7 +40,7 @@ from sfonline.metric import (
 from sfonline.oracles import exact_optimum
 from sfonline.trace import load_trace, run_online
 
-from conftest import clustering_of, line_instance
+from conftest import clustering_of, graph_closure_instances, line_instance
 from test_trace import SEMANTIC_TAMPERINGS, tampered_trace
 
 
@@ -577,3 +578,62 @@ def test_lambda_one_pins_more_per_edge(w1):
     p2, f2 = pins_and_edges(t2)
     assert p1 * f2 >= p2 * f1  # lambda=1 pins at least as much per fresh edge
     assert p1 >= p2
+
+
+# ---------------------------------------------------------------------------
+# The structural pass's path for a level the arrival left alone
+# ---------------------------------------------------------------------------
+
+def _entries_without_the_left_alone_path(monkeypatch, trace):
+    """check_run's entries with no level taking the left-alone path."""
+    with monkeypatch.context() as m:
+        m.setattr(certify, "_left_alone", lambda *args: False)
+        return check_run(trace).entries
+
+
+HONEST_FLEET = [(kind, n, seed, lam) for kind in GENERATOR_KINDS for n in (5, 12, 20)
+                for seed in (1, 2) for lam in (1, 3)]
+
+
+@pytest.mark.parametrize("kind,n,seed,lam", HONEST_FLEET)
+def test_the_left_alone_path_writes_the_full_checks_rows(monkeypatch, kind, n, seed, lam):
+    trace = run_online(generate_instance(GeneratorSpec(kind=kind, n=n, seed=seed)), lam=lam)
+    assert check_run(trace).entries == _entries_without_the_left_alone_path(monkeypatch, trace)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(graph_closure_instances(), st.integers(1, 3))
+def test_the_left_alone_path_writes_the_full_checks_rows_on_graph_closures(inst, lam):
+    trace = run_online(inst, lam=lam)
+    with pytest.MonkeyPatch.context() as m:
+        assert check_run(trace).entries == _entries_without_the_left_alone_path(m, trace)
+
+
+@pytest.mark.parametrize("case", sorted(SEMANTIC_TAMPERINGS))
+def test_the_left_alone_path_writes_the_full_checks_rows_on_tampered_traces(
+        tmp_path, monkeypatch, case):
+    trace = load_trace(tampered_trace(tmp_path, case))
+    assert check_run(trace).entries == _entries_without_the_left_alone_path(monkeypatch, trace)
+
+
+def test_the_left_alone_path_takes_exactly_the_levels_left_alone(monkeypatch):
+    # certify-line's trace. A level is left alone when its C_i and C_{i+1}
+    # are the previous arrival's, grown by the new terminals as singletons.
+    trace = run_online(generate_instance(GeneratorSpec(kind="line-chain", n=32, seed=1)), lam=2)
+    taken = []
+
+    def spy(prev_out, out, i, *args):
+        alone = left_alone(prev_out, out, i, *args)
+        taken.extend([(out.t, i)] if alone else [])
+        return alone
+
+    left_alone = certify._left_alone
+    monkeypatch.setattr(certify, "_left_alone", spy)
+    assert check_run(trace, witness_levels=()).ok
+    levels = trace.instance.view(trace.n).levels
+    grown = {(out.t, i) for prev, out in zip(trace.arrivals, trace.arrivals[1:])
+             for i in range(out.hierarchy.L + 1)
+             if all(prev.hierarchy.clustering(j).grown(levels[:2 * out.t]).assignment
+                    == out.hierarchy.clustering(j).assignment for j in (i, i + 1))}
+    assert sorted(taken) == sorted(grown)
+    assert (len(taken), sum(out.hierarchy.L + 1 for out in trace.arrivals)) == (437, 752)

@@ -586,7 +586,7 @@ def test_no_new_row_edge_below_the_new_terminals_nearest_distance(inst):
             grown = prev[0][min(i, len(prev[0]) - 1)].grown(inst.view(t).levels)
             assert cl.assignment == grown.assignment
             assert_matches_reference(metrics[i], dist, cl.assignment)
-            assert not clustering._new_row_edge(metrics[i], cl.cluster_level, i, 2)
+            assert not clustering._new_row_edge(metrics[i], cl.cluster_level, i, 2, 0)
             rows = metrics[i].D[-2:].copy()
             rows[[0, 1], [-2, -1]] = MAX_DIST
             assert rows.min() >= level_threshold(i)
@@ -762,14 +762,14 @@ def test_level_metrics_follow_the_previous_arrival(monkeypatch):
     old = inst.view(7).dist_matrix()
     dist = inst.view(8).dist_matrix()
     prev = (h7.clusterings, tuple(level_metrics(old, h7.clusterings)))
-    extends = _counting(monkeypatch, "extend")
+    extends = _counting(monkeypatch, "new_rows")
     fresh = _counting(monkeypatch, "of")
     metrics = list(level_metrics(dist, h8.clusterings, prev))
-    assert extends and not fresh
-    # One extension per distinct previous metric at most.
-    assert len(extends) <= len(set(map(id, prev[1])))
     for cl, metric in zip(h8.clusterings, metrics, strict=True):
         assert_matches_reference(metric, dist, cl.assignment)
+    # Every metric read, one extension per distinct previous metric at most.
+    assert extends and not fresh
+    assert len(extends) <= len(set(map(id, prev[1])))
 
 
 def test_level_metrics_fall_back_when_the_previous_arrival_does_not_refine(monkeypatch):
