@@ -579,12 +579,11 @@ def _structural_pass(trace, write):
         for i, m in zip(range(hier.L + 1), metrics):
             cl = hier.clustering(i)
             cl_next = hier.clustering(i + 1)
-            fi = out.forest.get(i, [])
             # A level left alone, with the pins kept, gives the verdicts it
-            # gave at the previous arrival, all passes: its metric extends the
-            # previous one, old clusters keep their levels, and only a new row
-            # could add an H_i edge or lower the gap. Above the previous L,
-            # no old cluster is i-active and the forest is empty.
+            # gave at the previous arrival, where all passed: its metric
+            # extends the previous one, old clusters keep their levels, and
+            # only a new row could add an H_i edge or lower the gap. Above the
+            # previous L, no old cluster is i-active and the forest is empty.
             if (t > 1 and pins_kept and i not in prev_failed
                     and _left_alone(prev_out, out, i, m, nearest, grown)):
                 for check in _LEVEL_CHECKS:
@@ -596,6 +595,7 @@ def _structural_pass(trace, write):
             add("active-cluster-gap", i, t, gap >= floor,
                 f"gap={gap} 2^i={floor}" if gap < floor else "")
 
+            fi = out.forest.get(i, [])
             bad_edge = ""
             uf = UnionFind()
             pos = {cid: k for k, cid in enumerate(m.ids)} if fi else {}

@@ -314,28 +314,29 @@ def _bordered(M, rows):
     return out
 
 
-def _extended(dist, prev, i, extended):
+def _extended(dist, prev, i, extended, deferred=False):
     """The previous arrival's level-i metric extended by the new terminals as
-    singletons, an _Extension that computes on first need. `prev` starts
-    with that arrival's clusterings and metrics, C_0 .. C_{L+1}; levels
-    above its top alias the top. `extended` caches one extension per
-    distinct previous metric."""
+    singletons, an _Extension that computes on first need if `deferred`.
+    `prev` starts with that arrival's clusterings and metrics, C_0 ..
+    C_{L+1}; levels above its top alias the top. `extended` caches one
+    extension per distinct previous metric."""
     clusterings, metrics = prev[0], prev[1]
     j = min(i, len(clusterings) - 1)
-    base = metrics[j]
+    base, assignment = metrics[j], clusterings[j].assignment
     if base not in extended:
-        extended[base] = _Extension(base, dist, clusterings[j].assignment)
+        extended[base] = (_Extension(base, dist, assignment) if deferred
+                          else base.extend(dist, assignment))
     return extended[base]
 
 
-def _carried(dist, prev, i, cl, extended):
+def _carried(dist, prev, i, cl, extended, deferred=False):
     """Metric of `cl`, level i of an arrival, from the previous arrival's
     level-i metric extended by the new terminals; None when that level does
     not refine `cl`."""
     clusterings = prev[0]
     if not check_refinement(clusterings[min(i, len(clusterings) - 1)], cl):
         return None
-    return _extended(dist, prev, i, extended).coarsen(cl.assignment)
+    return _extended(dist, prev, i, extended, deferred).coarsen(cl.assignment)
 
 
 def level_metrics(dist, clusterings, prev=_ARRIVAL_ZERO):
@@ -352,7 +353,7 @@ def level_metrics(dist, clusterings, prev=_ARRIVAL_ZERO):
     extended = {}
     for i, cl in enumerate(clusterings):
         if below is None or cl.assignment != below.assignment:
-            metric = (_carried(dist, prev, i, cl, extended)
+            metric = (_carried(dist, prev, i, cl, extended, deferred=True)
                       or ContractedMetric.of(dist, cl.assignment))
         below = cl
         yield metric
@@ -549,7 +550,7 @@ def build_hierarchy(view: InstanceView, prev=_ARRIVAL_ZERO):
             edges = prev_vgraphs[i] if i < len(prev_vgraphs) else ()
             if edges:
                 cl = prev_cls[i + 1].grown(levels)
-                metric = _extended(dist, prev, i + 1, extended)
+                metric = _extended(dist, prev, i + 1, extended, deferred=True)
         else:
             edges, gap = active_virtual_edges(metric.D, metric.ids, cl.cluster_level, i)
             # Distinct i-active clusters must sit at contracted distance >= 2^i:
