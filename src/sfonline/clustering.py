@@ -26,9 +26,10 @@ of the metric can add a virtual edge: when neither does, the level reuses
 the previous H_i and C_{i+1} in O(K) steps instead of searching the O(K^2)
 metric and contracting, and below the new terminals' nearest distance it
 skips even those rows (_new_row_edge, which the certifier shares). A
-carried metric is an _Extension: the new rows alone are computed when a
-row test reads them, the whole matrix when something reads D, and an
-unread one carried on extends its older base by every terminal since.
+prefix level's metric, and each one level_metrics extends, is an
+_Extension: the new rows alone are computed when a row test reads them,
+the whole matrix when something reads D, and an unread one carried on
+extends its older base by every terminal since.
 
 A Clustering is a plain partition with no level label. Most levels merge
 nothing and share their predecessor's object. A level that merges is
@@ -251,12 +252,14 @@ class ContractedMetric:
         Wn = np.minimum.reduceat(new[:, order], starts, axis=1)  # new x old
         rows = np.empty((len(new), K + len(new)), np.int64)
         # Sums of two entries <= MAX_DIST fit in int64, which caps empty minima.
-        # Dn (new x old) takes two rows at a time: its temporary is 2 x K x K.
-        Dn = rows[:, :K]
+        # Both blocks take two rows at a time, so a temporary stays 2 x K x K
+        # (Dn, new x old) or 2 x new x K (the corner), however many rows.
+        Dn, corner = rows[:, :K], rows[:, K:]
         for r in range(0, len(Dn), 2):
             np.minimum.reduce(Wn[r:r + 2, :, None] + self.D, 1, out=Dn[r:r + 2], initial=MAX_DIST)
-        rows[:, K:] = np.minimum(new[:, T0:],
-                                 (Wn[:, None, :] + Dn[None]).min(axis=2, initial=MAX_DIST))
+        for r in range(0, len(Dn), 2):
+            np.minimum.reduce(Wn[r:r + 2, None, :] + Dn, 2, out=corner[r:r + 2], initial=MAX_DIST)
+        np.minimum(corner, new[:, T0:], out=corner)
         return rows
 
     def tail(self, new):

@@ -584,9 +584,9 @@ def test_lambda_one_pins_more_per_edge(w1):
 # The structural pass's path for a level the arrival left alone
 # ---------------------------------------------------------------------------
 
-def _entries_without_the_left_alone_path(monkeypatch, trace):
+def _entries_without_the_left_alone_path(trace):
     """check_run's entries with no level taking the left-alone path."""
-    with monkeypatch.context() as m:
+    with pytest.MonkeyPatch.context() as m:
         m.setattr(certify, "_left_alone", lambda *args: False)
         return check_run(trace).entries
 
@@ -596,24 +596,22 @@ HONEST_FLEET = [(kind, n, seed, lam) for kind in GENERATOR_KINDS for n in (5, 12
 
 
 @pytest.mark.parametrize("kind,n,seed,lam", HONEST_FLEET)
-def test_the_left_alone_path_writes_the_full_checks_rows(monkeypatch, kind, n, seed, lam):
+def test_the_left_alone_path_writes_the_full_checks_rows(kind, n, seed, lam):
     trace = run_online(generate_instance(GeneratorSpec(kind=kind, n=n, seed=seed)), lam=lam)
-    assert check_run(trace).entries == _entries_without_the_left_alone_path(monkeypatch, trace)
+    assert check_run(trace).entries == _entries_without_the_left_alone_path(trace)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(graph_closure_instances(), st.integers(1, 3))
 def test_the_left_alone_path_writes_the_full_checks_rows_on_graph_closures(inst, lam):
     trace = run_online(inst, lam=lam)
-    with pytest.MonkeyPatch.context() as m:
-        assert check_run(trace).entries == _entries_without_the_left_alone_path(m, trace)
+    assert check_run(trace).entries == _entries_without_the_left_alone_path(trace)
 
 
 @pytest.mark.parametrize("case", sorted(SEMANTIC_TAMPERINGS))
-def test_the_left_alone_path_writes_the_full_checks_rows_on_tampered_traces(
-        tmp_path, monkeypatch, case):
+def test_the_left_alone_path_writes_the_full_checks_rows_on_tampered_traces(tmp_path, case):
     trace = load_trace(tampered_trace(tmp_path, case))
-    assert check_run(trace).entries == _entries_without_the_left_alone_path(monkeypatch, trace)
+    assert check_run(trace).entries == _entries_without_the_left_alone_path(trace)
 
 
 def test_the_left_alone_path_takes_exactly_the_levels_left_alone(monkeypatch):

@@ -512,6 +512,7 @@ SEMANTIC_TAMPERINGS = {
         _set_edge(0, (0, 1), parent=(2, 3)),
         ["inheritance-provenance,0,2,fail,(0;1) has no parent in the previous forest"],
         GeneratorSpec(kind="line-chain", n=3, seed=1)),
+    # ... its flag alone flipped, its parent still named.
     "left-alone-inherited-marked-fresh": (
         2,
         _set_edge(0, (0, 1), inherited=False),
