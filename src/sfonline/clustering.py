@@ -272,7 +272,8 @@ class _Extension(ContractedMetric):
     `tail` computes the new terminals' rows once, and the first read of D
     borders them onto the base's and releases the base. An extension that
     has computed nothing hands its own base to an extension or `extend` of
-    it, so no chain builds up and no row is computed twice."""
+    it, so no chain builds up; one that has its rows is extended as it is,
+    so no row is computed twice."""
 
     def __init__(self, base, dist, assignment):
         if isinstance(base, _Extension) and base.pending and base.rows is None:
