@@ -13,8 +13,8 @@ Where it is exact, an arrival reuses the previous one's verdicts: edge-set
 costs by eorig, every row of a level the arrival left alone (see
 _left_alone) and `realization-connects` for an inherited entry (see
 _structural_pass), and a witness level the arrival left alone (see
-WitnessState.step). A level left alone reads only the new rows of its
-metric. Everything else is checked in full, so every row keeps its bytes.
+WitnessState.step). Everything else is checked in full, so every row
+keeps its bytes.
 
 The dual radius at level i is 2^(i-1), a half at level 0, so the witness
 holds every radius and dual value doubled: all are integers, and every

@@ -25,11 +25,10 @@ and on that unchanged prefix, from C_0 up, only the new terminals' two rows
 of the metric can add a virtual edge: when neither does, the level reuses
 the previous H_i and C_{i+1} in O(K) steps instead of searching the O(K^2)
 metric and contracting, and below the new terminals' nearest distance it
-skips even those rows (_new_row_edge, which the certifier shares). A
-prefix level's metric, and each one level_metrics extends, is an
-_Extension: the new rows alone are computed when a row test reads them,
-the whole matrix when something reads D, and an unread one carried on
-extends its older base by every terminal since.
+skips even those rows (_new_row_edge, which the certifier shares). Every
+carried metric is an _Extension, computed when something reads it; an
+unread one carried on extends its older base by every terminal since, in
+one pass.
 
 A Clustering is a plain partition with no level label. Most levels merge
 nothing and share their predecessor's object. A level that merges is
@@ -232,71 +231,56 @@ class ContractedMetric:
 
     def extend(self, dist, assignment):
         """Metric of the same clustering with the terminals past `assignment`
-        (its canonical assignment, empty for NO_METRIC) appended as singletons."""
-        return ContractedMetric(self.ids + tuple(range(len(assignment), len(dist))),
-                                _bordered(self.D, self.new_rows(dist, assignment)))
+        (its canonical assignment, empty for NO_METRIC) appended as singletons.
 
-    def new_rows(self, dist, assignment):
-        """The rows `extend` appends to D, one per new terminal; `dist` is the
-        metric over all terminals. A new terminal u's one-hop row Wn[u] is its
-        least distance to each cluster's members, and its row of D is min_y
-        Wn[u, y] + D[y, :]. Old entries stay: a singleton never shortens a path
-        between others, since entering and leaving it costs at least the direct
-        distance (triangle inequality), and so a path from a new terminal never
-        needs another new one in between either: any number extend at once."""
-        T0, K = len(assignment), len(self.ids)
+        `dist` is the metric over all terminals. A new terminal u's one-hop
+        row Wn[u], local to this call, is its least distance to each cluster's
+        members; its new row of D is min_y Wn[u, y] + D[y, :]. Old entries
+        stay: a singleton never shortens a path between others, since
+        entering and leaving it costs at least the direct distance (triangle
+        inequality), and so a path from a new terminal never needs another
+        new one in between either, and any number of new terminals extend at once.
+        """
+        T0 = len(assignment)
         asn = np.asarray(assignment)
         order = np.argsort(asn, kind="stable")
         starts = np.searchsorted(asn[order], self.ids)
         new = dist[T0:]
         Wn = np.minimum.reduceat(new[:, order], starts, axis=1)  # new x old
-        rows = np.empty((len(new), K + len(new)), np.int64)
         # Sums of two entries <= MAX_DIST fit in int64, which caps empty minima.
         # Both blocks take two rows at a time, so a temporary stays 2 x K x K
-        # (Dn, new x old) or 2 x new x K (the corner), however many rows.
-        Dn, corner = rows[:, :K], rows[:, K:]
+        # (Dn, new x old) or 2 x new x K (Dnn), however many rows.
+        Dn = np.empty(Wn.shape, np.int64)
         for r in range(0, len(Dn), 2):
             np.minimum.reduce(Wn[r:r + 2, :, None] + self.D, 1, out=Dn[r:r + 2], initial=MAX_DIST)
+        Dnn = np.empty((len(new), len(new)), np.int64)
         for r in range(0, len(Dn), 2):
-            np.minimum.reduce(Wn[r:r + 2, None, :] + Dn, 2, out=corner[r:r + 2], initial=MAX_DIST)
-        np.minimum(corner, new[:, T0:], out=corner)
-        return rows
-
-    def tail(self, new):
-        """The last `new` rows of D."""
-        return self.D[len(self.ids) - new:]
+            np.minimum.reduce(Wn[r:r + 2, None, :] + Dn, 2, out=Dnn[r:r + 2], initial=MAX_DIST)
+        np.minimum(Dnn, new[:, T0:], out=Dnn)
+        return ContractedMetric(self.ids + tuple(range(T0, len(dist))),
+                                _bordered(self.D, Dn, Dnn))
 
 
 class _Extension(ContractedMetric):
-    """ContractedMetric.extend(base, dist, assignment) computed on demand:
-    `tail` computes the new terminals' rows once, and the first read of D
-    borders them onto the base's and releases the base. An extension that
-    has computed nothing hands its own base to an extension or `extend` of
-    it, so no chain builds up; one that has its rows is extended as it is,
-    so no row is computed twice."""
+    """ContractedMetric.extend(base, dist, assignment) with D computed on
+    first read, which releases the base. An unread extension hands its own
+    base to an extension or `extend` of it, so no chain builds up."""
 
     def __init__(self, base, dist, assignment):
-        if isinstance(base, _Extension) and base.pending and base.rows is None:
+        if isinstance(base, _Extension) and base.pending:
             base, _, assignment = base.pending
-        ids = base.ids + tuple(range(len(assignment), len(dist)))
-        vars(self).update(ids=ids, pending=(base, dist, assignment), rows=None)
+        object.__setattr__(self, "ids", base.ids + tuple(range(len(assignment), len(dist))))
+        object.__setattr__(self, "pending", (base, dist, assignment))
 
     def __getattr__(self, name):  # reached only while D is unset
         if name != "D":
             raise AttributeError(name)
-        base = self.pending[0]
-        D = _bordered(base.D, self.tail(len(self.ids) - len(base.ids)))
-        vars(self).update(D=D, pending=None, rows=None)
-        return D
-
-    def tail(self, new):
-        if self.pending and self.rows is None:
-            vars(self)["rows"] = self.pending[0].new_rows(*self.pending[1:])
-        return super().tail(new) if self.pending is None else self.rows[len(self.rows) - new:]
+        object.__setattr__(self, "D", ContractedMetric.extend(*self.pending).D)
+        object.__setattr__(self, "pending", None)
+        return self.D
 
     def extend(self, dist, assignment):
-        base, _, assignment = (self.pending if self.pending and self.rows is None
-                               else (self, dist, assignment))
+        base, _, assignment = self.pending or (self, dist, assignment)
         return ContractedMetric.extend(base, dist, assignment)
 
 
@@ -307,40 +291,39 @@ NO_METRIC = ContractedMetric((), np.zeros((0, 0), np.int64))
 _ARRIVAL_ZERO = ((NO_TERMINALS,), (NO_METRIC,), ())
 
 
-def _bordered(M, rows):
-    """Symmetric M with `rows`, whose last columns are their own block,
-    appended as rows and as columns."""
-    K, N = len(M), rows.shape[1]
-    out = np.empty((N, N), dtype=M.dtype)
+def _bordered(M, rows, corner):
+    """Symmetric M with `rows` appended as rows and as columns."""
+    K = len(M)
+    out = np.empty((K + len(rows),) * 2, dtype=M.dtype)
     out[:K, :K] = M
-    out[K:] = rows
-    out[:K, K:] = rows[:, :K].T
+    out[K:, :K] = rows
+    out[:K, K:] = rows.T
+    out[K:, K:] = corner
     return out
 
 
-def _extended(dist, prev, i, extended, deferred=False):
+def _extended(dist, prev, i, extended):
     """The previous arrival's level-i metric extended by the new terminals as
-    singletons, an _Extension that computes on first need if `deferred`.
-    `prev` starts with that arrival's clusterings and metrics, C_0 ..
-    C_{L+1}; levels above its top alias the top. `extended` caches one
-    extension per distinct previous metric."""
+    singletons, an _Extension computed on first read. `prev` starts with
+    that arrival's clusterings and metrics, C_0 .. C_{L+1}; levels above its
+    top alias the top. `extended` caches one extension per distinct previous
+    metric."""
     clusterings, metrics = prev[0], prev[1]
     j = min(i, len(clusterings) - 1)
     base, assignment = metrics[j], clusterings[j].assignment
     if base not in extended:
-        extended[base] = (_Extension(base, dist, assignment) if deferred
-                          else base.extend(dist, assignment))
+        extended[base] = _Extension(base, dist, assignment)
     return extended[base]
 
 
-def _carried(dist, prev, i, cl, extended, deferred=False):
+def _carried(dist, prev, i, cl, extended):
     """Metric of `cl`, level i of an arrival, from the previous arrival's
     level-i metric extended by the new terminals; None when that level does
     not refine `cl`."""
     clusterings = prev[0]
     if not check_refinement(clusterings[min(i, len(clusterings) - 1)], cl):
         return None
-    return _extended(dist, prev, i, extended, deferred).coarsen(cl.assignment)
+    return _extended(dist, prev, i, extended).coarsen(cl.assignment)
 
 
 def level_metrics(dist, clusterings, prev=_ARRIVAL_ZERO):
@@ -350,14 +333,13 @@ def level_metrics(dist, clusterings, prev=_ARRIVAL_ZERO):
     of `prev` (the arrival's clusterings and metrics, arrival zero's by
     default), refines this one. An untrusted recorded hierarchy that breaks
     the refinement starts over from the trivial metric. A level equal to the
-    one below shares its metric. Extensions compute on first need, so a
-    level that only reads its new rows (`tail`) is never bordered.
+    one below shares its metric.
     """
     below = metric = None
     extended = {}
     for i, cl in enumerate(clusterings):
         if below is None or cl.assignment != below.assignment:
-            metric = (_carried(dist, prev, i, cl, extended, deferred=True)
+            metric = (_carried(dist, prev, i, cl, extended)
                       or ContractedMetric.of(dist, cl.assignment))
         below = cl
         yield metric
@@ -504,7 +486,7 @@ def _new_row_edge(metric, cluster_level, i: int, new: int, nearest: int) -> bool
     if level_threshold(i) <= nearest:
         return False
     ids, K = metric.ids, len(metric.ids)
-    hits = np.argwhere(metric.tail(new) < level_threshold(i)).tolist()
+    hits = np.argwhere(metric.D[K - new:] < level_threshold(i)).tolist()
     return any(c != K - new + r and
                min(cluster_level[ids[K - new + r]], cluster_level[ids[c]]) >= i
                for r, c in hits)
@@ -554,7 +536,7 @@ def build_hierarchy(view: InstanceView, prev=_ARRIVAL_ZERO):
             edges = prev_vgraphs[i] if i < len(prev_vgraphs) else ()
             if edges:
                 cl = prev_cls[i + 1].grown(levels)
-                metric = _extended(dist, prev, i + 1, extended, deferred=True)
+                metric = _extended(dist, prev, i + 1, extended)
         else:
             edges, gap = active_virtual_edges(metric.D, metric.ids, cl.cluster_level, i)
             # Distinct i-active clusters must sit at contracted distance >= 2^i:

@@ -762,7 +762,7 @@ def test_level_metrics_follow_the_previous_arrival(monkeypatch):
     old = inst.view(7).dist_matrix()
     dist = inst.view(8).dist_matrix()
     prev = (h7.clusterings, tuple(level_metrics(old, h7.clusterings)))
-    extends = _counting(monkeypatch, "new_rows")
+    extends = _counting(monkeypatch, "extend")
     fresh = _counting(monkeypatch, "of")
     metrics = list(level_metrics(dist, h8.clusterings, prev))
     for cl, metric in zip(h8.clusterings, metrics, strict=True):

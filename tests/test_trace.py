@@ -104,7 +104,6 @@ def test_load_trace_builds_no_contracted_metric(tmp_path, monkeypatch):
     monkeypatch.setattr(ContractedMetric, "of", refuse)
     monkeypatch.setattr(ContractedMetric, "coarsen", refuse)
     monkeypatch.setattr(ContractedMetric, "extend", refuse)
-    monkeypatch.setattr(ContractedMetric, "new_rows", refuse)
     assert len(load_trace(tmp_path / "t").arrivals) == inst.n
 
 
